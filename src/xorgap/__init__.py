@@ -38,7 +38,6 @@ from .game import (
     mermin_game,
     pauli_strategy,
     seesaw_entangled_bias,
-    tensor_from_game,
 )
 from .nets import (
     HermDecomposition,
@@ -47,7 +46,6 @@ from .nets import (
     lorentz_decompose,
     projector_net,
     sphere_net,
-    triple_net,
 )
 from .pauli import FourierTable, PauliBasis, build_basis, fourier, inverse_fourier
 from .sweep import GapRow, gap_sweep, show, verify_suite

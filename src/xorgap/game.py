@@ -130,11 +130,6 @@ class BoundReport:
     ok: bool
 
 
-def tensor_from_game(G: XorGame) -> np.ndarray:
-    """Merge pi and signs into the single real cost tensor pi * signs."""
-    return G.cost_tensor()
-
-
 def game_from_cost_tensor(C: np.ndarray) -> XorGame:
     """Inverse merge: pi = |C| (renormalized), signs = sign(C), +1 on zeros."""
     C = np.asarray(C, dtype=np.float64)
@@ -297,15 +292,6 @@ def entangled_bias_eval(G: XorGame, S: EntangledStrategy) -> float:
         raise DimensionError("strategy must provide one observable per question")
     w = strategy_correlations(S)
     return float(np.sum(G.cost_tensor() * w))
-
-
-def lift_classical(S: ClassicalStrategy) -> EntangledStrategy:
-    """View sign vectors as 1x1 observables with a trivial shared state."""
-    obs = tuple(
-        [np.array([[v]], dtype=complex) for v in vec]
-        for vec in (S.chi, S.upsilon, S.zeta)
-    )
-    return EntangledStrategy(dims=(1, 1, 1), state=np.array([1.0]), observables=obs)
 
 
 def pauli_strategy(T: Tensor3) -> EntangledStrategy:

@@ -7,13 +7,13 @@ eps-packing is an eps-net, but the stopping rule is probabilistic, so covering
 is additionally verified by sampling.  Projector nets take spans of k-subsets
 of a sphere net at resolution eps/sqrt(2) and normalize by the square root of
 the rank; the triple net is the union over rank triples of elementwise tensor
-products.
+products, and only its size is computed here (the net upper bound on the
+trilinear norm streams the products itself).
 """
 
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,8 +22,6 @@ import numpy as np
 from .errors import DimensionError, ScaleError
 
 PACKING_WINDOW = 10_000
-
-_NET_MAGIC = b"XGN1"
 
 
 @dataclass(frozen=True)
@@ -194,28 +192,13 @@ def projector_net(N: int, k: int, eps: float, seed: int = 0) -> ProjectorNet:
     return ProjectorNet(N=N, k=k, eps=eps, elements=elements, ranks=ranks)
 
 
-def triple_net(N: int, eps: float, seed: int = 0):
-    """Stream the triple product net: yields (X⊗Y⊗Z, (k, l, m)).
-
-    The union over (k, l, m) in [N]^3 of elementwise products of the three
-    rank-capped projector nets, generated lazily; the full product set is
-    never materialized.
-    """
-    if N != 2:
-        raise ScaleError("triple nets are built only at N = 2")
-    nets = {k: projector_net(N, k, eps, seed=seed) for k in range(1, N + 1)}
-    for k in range(1, N + 1):
-        for l in range(1, N + 1):
-            for m in range(1, N + 1):
-                for X in nets[k].elements:
-                    for Y in nets[l].elements:
-                        XY = np.kron(X, Y)
-                        for Z in nets[m].elements:
-                            yield np.kron(XY, Z), (k, l, m)
-
-
 def triple_net_size(N: int, eps: float, seed: int = 0) -> int:
-    """Number of elements :func:`triple_net` will stream."""
+    """Number of elements of the triple product net at resolution eps.
+
+    The triple net is the union over rank triples (k, l, m) in [N]^3 of the
+    elementwise tensor products X⊗Y⊗Z of the rank-k, rank-l and rank-m
+    projector nets, so its size is the sum of the three nets' size products.
+    """
     sizes = [len(projector_net(N, k, eps, seed=seed)) for k in range(1, N + 1)]
     total = 0
     for a in sizes:
@@ -281,36 +264,3 @@ def coefficient_bound(N: int) -> float:
 def coefficient_bound_sharp(N: int) -> float:
     """Sharper per-sign-part estimate, doubled to cover both parts."""
     return 2.0 * (2.0 + np.sqrt(np.log(N) / 2.0))
-
-
-def export_elements(path, elements) -> None:
-    """Write net elements in the shared binary convention (complex float64 pairs).
-
-    Layout: magic "XGN1", little-endian u32 N, u32 count, then count blocks of
-    N^2 complex entries, row-major.
-    """
-    elements = list(elements)
-    if not elements:
-        raise ValueError("nothing to export")
-    N = elements[0].shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_NET_MAGIC)
-        fh.write(struct.pack("<II", N, len(elements)))
-        for M in elements:
-            if M.shape != (N, N):
-                raise DimensionError("net elements must share one dimension")
-            fh.write(np.ascontiguousarray(M, dtype="<c16").tobytes())
-
-
-def load_elements(path):
-    """Read elements written by :func:`export_elements`."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _NET_MAGIC:
-            raise ValueError("not an XGN1 file")
-        N, count = struct.unpack("<II", fh.read(8))
-        out = []
-        for _ in range(count):
-            buf = fh.read(16 * N * N)
-            M = np.frombuffer(buf, dtype="<c16").reshape(N, N)
-            out.append(M.astype(np.complex128))
-        return out

@@ -1,6 +1,6 @@
 """Pipeline sweeps, verification suites, and file summaries.
 
-The gap sweep runs sample -> hermitize -> game -> biases/norms per row and
+The gap sweep runs sample -> norms -> game -> biases per row and
 emits CSV; verification suites re-run each module's invariant battery and
 report pass/fail lines.
 """
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -99,7 +100,6 @@ def compute_gap_row(
     upper = None
     if N == 2:
         upper = tensor.trilinear_norm_upper_net(T, net_eps)
-    H = tensor.hermitize(T)
     report = game.game_from_tensor(T)
     if 2 * report.game.Q <= game.EXACT_ENUMERATION_LIMIT:
         classical, _ = game.classical_bias_exact(report.game)
@@ -109,7 +109,7 @@ def compute_gap_row(
             report.game, restarts=heuristic_restarts, seed=sample_seed
         )
         method = "heuristic"
-    pauli_bias = game.entangled_bias_eval(report.game, game.pauli_strategy(H))
+    pauli_bias = game.entangled_bias_eval(report.game, game.pauli_strategy(T))
     ratio = pauli_bias / classical
     prop31 = None
     if upper is not None:
@@ -175,8 +175,11 @@ def gap_sweep(
     """One row per (n, sample index), deterministic given the master seed.
 
     Stops early when the time budget runs out, writing whatever rows exist
-    plus a resume token (also persisted next to `out` as JSON); pass the token
-    back as `resume` to continue.  Returns (rows, resume_token_or_None).
+    plus a resume token (also persisted next to `out` as `<out>.resume` JSON);
+    pass the token back as `resume` to continue.  A resumed sweep with `out`
+    keeps the rows already in that file and appends its own; a sweep that
+    completes removes any stale `<out>.resume`.  Returns (rows computed by
+    this call, resume_token_or_None).
     """
     n_list = sorted(set(n_list))
     if any(n not in (1, 2, 3) for n in n_list):
@@ -199,9 +202,13 @@ def gap_sweep(
         if token is not None:
             break
     if out is not None:
-        write_gap_csv(out, rows)
+        kept = read_gap_csv(out) if resume is not None else []
+        write_gap_csv(out, kept + rows)
+        token_path = str(out) + ".resume"
+        if token is None and os.path.exists(token_path):
+            os.remove(token_path)
         if token is not None:
-            with open(str(out) + ".resume", "w") as fh:
+            with open(token_path, "w") as fh:
                 json.dump(
                     {
                         "seed": seed,
@@ -384,7 +391,7 @@ def _suite_theorems(seed: int) -> SuiteReport:
         T = tensor.sample_tensor(1, tensor.SamplerConfig(seed=row_seed(seed, 1, idx)))
         rep = game.game_from_tensor(T)
         beta, _ = game.classical_bias_exact(rep.game)
-        star_lb = game.entangled_bias_eval(rep.game, game.pauli_strategy(tensor.hermitize(T)))
+        star_lb = game.entangled_bias_eval(rep.game, game.pauli_strategy(T))
         fixtures.append((f"sampled n=1 #{idx}", rep.game, star_lb, 2, beta))
     for name, G, star_lb, d, beta in fixtures:
         qb = game.check_question_bound(G, star_lb, beta)

@@ -10,6 +10,7 @@ entry killed whenever any of the three index pairs collides.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -100,13 +101,13 @@ class Tensor3:
         return float(np.linalg.norm(self.matrix))
 
     @classmethod
-    def from_mode_view(cls, n: int, W: np.ndarray, raw_g=None) -> "Tensor3":
+    def from_mode_view(cls, n: int, W: np.ndarray) -> "Tensor3":
         N = 2**n
         if W.shape != (N * N, N * N, N * N):
             raise DimensionError(f"mode view must be ({N*N},)*3, got {W.shape}")
         t6 = W.reshape(N, N, N, N, N, N)  # (i i') (j j') (k k')
         M = t6.transpose(0, 2, 4, 1, 3, 5).reshape(N**3, N**3)
-        return cls(n, M, raw_g)
+        return cls(n, M)
 
 
 @dataclass
@@ -149,13 +150,18 @@ def sample_tensor(n: int, cfg: SamplerConfig) -> Tensor3:
             raise DimensionError(
                 f"override vector must have length {N**3}, got {g.shape[0]}"
             )
+    return Tensor3(n, _masked_outer(g, N), raw_g=g)
+
+
+def _masked_outer(g: np.ndarray, N: int) -> np.ndarray:
+    """The matrix view g g^T with every colliding index pair zeroed."""
     M = np.outer(g, g)
     M6 = M.reshape(N, N, N, N, N, N)
     r = np.arange(N)
     M6[r, :, :, r, :, :] = 0.0  # i == i'
     M6[:, r, :, :, r, :] = 0.0  # j == j'
     M6[:, :, r, :, :, r] = 0.0  # k == k'
-    return Tensor3(n, M, raw_g=g)
+    return M
 
 
 def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
@@ -370,20 +376,18 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float, net_seed: int = 0) -> float
 def hermitize(T: Tensor3) -> Tensor3:
     """Return the better of (T + T†)/2 and i(T - T†)/2 by spectral norm.
 
-    Both candidates are Hermitian as N^3 x N^3 matrices; ties go to the
-    symmetric part.  The raw sampling vector is carried over only when the
-    input was already Hermitian (so the certificate it backs stays valid).
+    An exactly Hermitian input is returned as is: its symmetric part is the
+    same matrix bit for bit, so the raw sampling vector and any cached
+    eigenpair stay with it.  Otherwise both candidates (Hermitian as
+    N^3 x N^3 matrices) are eigensolved and the winner is returned with its
+    eigenpair cached and no raw vector; ties go to the symmetric part.
     """
     M = T.matrix
-    sym = (M + M.conj().T) / 2.0
-    anti = 1j * (M - M.conj().T) / 2.0
-    cand_s = Tensor3(T.n, sym)
-    cand_a = Tensor3(T.n, anti)
-    ns, na = spectral_norm(cand_s), spectral_norm(cand_a)
-    keep_g = T.raw_g if T.is_hermitian() else None
-    if na > ns:
-        return Tensor3(T.n, anti, raw_g=keep_g)
-    return Tensor3(T.n, sym, raw_g=keep_g)
+    if np.array_equal(M, M.conj().T):
+        return T
+    cand_s = Tensor3(T.n, (M + M.conj().T) / 2.0)
+    cand_a = Tensor3(T.n, 1j * (M - M.conj().T) / 2.0)
+    return cand_a if spectral_norm(cand_a) > spectral_norm(cand_s) else cand_s
 
 
 def save_tensor(path, T: Tensor3) -> None:
@@ -404,24 +408,33 @@ def save_tensor(path, T: Tensor3) -> None:
 
 
 def load_tensor(path) -> Tensor3:
-    """Read a tensor written by :func:`save_tensor`."""
+    """Read a tensor written by :func:`save_tensor`.
+
+    Raises ValueError for a bad magic, a header whose n does not match the
+    file size, or a raw vector whose masked outer product is not the stored
+    matrix (the net upper bound would then certify a different tensor).
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not an XGT1 file (magic {magic!r})")
-        n, flags = struct.unpack("<II", fh.read(8))
-        N = 2**n
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError("truncated XGT1 header")
+        n, flags = struct.unpack("<II", header)
+        size = os.fstat(fh.fileno()).st_size
+        # the entry block alone takes 2^(6n+4) bytes; compare exponents first
+        # so a corrupt n never builds a huge integer
+        N = 2**n if 6 * n + 4 < size.bit_length() else None
+        if N is None or size != 12 + 16 * N**6 + (16 * N**3 if flags & _FLAG_RAW_G else 0):
+            raise ValueError(f"XGT1 header n={n} does not match the file size {size}")
         g = None
         if flags & _FLAG_RAW_G:
-            buf = fh.read(16 * N**3)
-            gc = np.frombuffer(buf, dtype="<c16")
-            if gc.shape != (N**3,):
-                raise ValueError("truncated raw vector block")
+            gc = np.frombuffer(fh.read(16 * N**3), dtype="<c16")
             if np.abs(gc.imag).max(initial=0.0) > 0:
                 raise ValueError("raw vector must be real")
             g = gc.real.astype(np.float64)
-        buf = fh.read(16 * N**6)
-        M = np.frombuffer(buf, dtype="<c16")
-        if M.shape != (N**6,):
-            raise ValueError("truncated entry block")
-        return Tensor3(n, M.reshape(N**3, N**3).astype(np.complex128), raw_g=g)
+        M = np.frombuffer(fh.read(16 * N**6), dtype="<c16").reshape(N**3, N**3)
+    if g is not None and not np.array_equal(M, _masked_outer(g, N)):
+        raise ValueError("raw vector does not reproduce the stored matrix")
+    return Tensor3(n, M.astype(np.complex128), raw_g=g)

@@ -26,12 +26,10 @@ from xorgap import (
     pauli_strategy,
     sample_tensor,
     seesaw_entangled_bias,
-    tensor_from_game,
 )
 from xorgap.game import (
     chsh_optimal_strategy,
     game_from_cost_tensor,
-    lift_classical,
     load_game_csv,
     save_game_csv,
     strategy_from_json,
@@ -66,7 +64,7 @@ class TestXorGameType:
 
     def test_cost_tensor_merge_and_split(self):
         G = mermin_game()
-        C = tensor_from_game(G)
+        C = G.cost_tensor()
         assert np.count_nonzero(C) == 4
         assert np.abs(np.abs(C[C != 0]) - 0.25).max() == 0
         back = game_from_cost_tensor(C)
@@ -79,7 +77,7 @@ class TestXorGameType:
         pi = np.zeros((2, 2, 2))
         for i, j, k in itertools.product(range(2), repeat=3):
             pi[i, j, k] = 1 / 8
-        C = tensor_from_game(XorGame(Q=2, pi=pi, signs=np.ones((2, 2, 2))))
+        C = XorGame(Q=2, pi=pi, signs=np.ones((2, 2, 2))).cost_tensor()
         assert np.abs(C - 1 / 8).max() == 0
 
 
@@ -230,7 +228,13 @@ class TestEntangledEval:
     def test_lifted_classical_strategy_matches_classical_formula(self):
         G = mermin_game()
         val, strat = classical_bias_exact(G)
-        assert entangled_bias_eval(G, lift_classical(strat)) == pytest.approx(val, abs=1e-14)
+        # sign vectors as 1x1 observables with a trivial shared state
+        obs = tuple(
+            [np.array([[v]], dtype=complex) for v in vec]
+            for vec in (strat.chi, strat.upsilon, strat.zeta)
+        )
+        lifted = EntangledStrategy(dims=(1, 1, 1), state=np.array([1.0]), observables=obs)
+        assert entangled_bias_eval(G, lifted) == pytest.approx(val, abs=1e-14)
 
     def test_invalid_observable_rejected(self):
         bad = np.array([[1.0, 0.0], [0.0, 0.5]])  # eigenvalues not +/-1

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from xorgap import ScaleError, lorentz_decompose, projector_net, sphere_net, triple_net
-from xorgap.nets import (
-    coefficient_bound,
-    coefficient_bound_sharp,
-    export_elements,
-    load_elements,
-    triple_net_size,
-)
+from xorgap import ScaleError, lorentz_decompose, projector_net, sphere_net
+from xorgap.nets import coefficient_bound, coefficient_bound_sharp, triple_net_size
 
 
 def random_unit(rng, N):
@@ -107,17 +101,7 @@ class TestTripleNet:
             for l in (1, 2)
             for m in (1, 2)
         )
-        got = sum(1 for _ in triple_net(2, eps, seed=0))
-        assert got == want == triple_net_size(2, eps, seed=0)
-
-    def test_streamed_elements_have_unit_frobenius(self):
-        count = 0
-        for K, (k, l, m) in triple_net(2, 0.8, seed=0):
-            assert np.linalg.norm(K) == pytest.approx(1.0, abs=1e-10)
-            assert 1 <= k <= 2 and 1 <= l <= 2 and 1 <= m <= 2
-            count += 1
-            if count >= 200:
-                break
+        assert triple_net_size(2, eps, seed=0) == want
 
     def test_product_covering(self):
         eps = 0.5
@@ -202,15 +186,6 @@ class TestLorentzDecomposition:
 
 
 class TestExport:
-    def test_element_round_trip(self, tmp_path):
-        net = projector_net(2, 1, 0.8, seed=0)
-        path = tmp_path / "net.xgn"
-        export_elements(path, net.elements)
-        back = load_elements(path)
-        assert len(back) == len(net.elements)
-        for a, b in zip(net.elements, back):
-            assert np.array_equal(a, b)
-
     def test_decomposition_csv(self, tmp_path):
         rng = np.random.default_rng(2)
         dec = lorentz_decompose(random_unit_hermitian(rng, 2))

@@ -64,6 +64,38 @@ class TestGapSweep:
         combined = [r.as_csv_row() for r in rows] + [r.as_csv_row() for r in more]
         assert combined == [r.as_csv_row() for r in full]
 
+    def test_resumed_sweep_matches_uninterrupted_run(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        from xorgap import sweep
+
+        whole = tmp_path / "whole.csv"
+        gap_sweep([1], 4, seed=0, out=whole)
+        path = tmp_path / "gap.csv"
+        (tmp_path / "gap.csv.resume").write_text("stale")
+        clock = iter(range(100))  # each budget check advances one second
+        monkeypatch.setattr(sweep, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+        rows, token = gap_sweep([1], 4, seed=0, out=path, budget_s=2.5)
+        monkeypatch.undo()
+        assert len(rows) == 2 and token == (1, 2)
+        more, token2 = gap_sweep([1], 4, seed=0, out=path, resume=token)
+        assert len(more) == 2 and token2 is None
+        assert path.read_text() == whole.read_text()
+        assert not (tmp_path / "gap.csv.resume").exists()
+
+    def test_sampled_row_eigensolves_once(self, monkeypatch):
+        counted = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            if a.shape[0] == 8:  # the N^3 x N^3 matrix view at n = 1
+                counted.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        compute_gap_row(1, row_seed(0, 1, 0))
+        assert len(counted) == 1
+
     def test_n_range_guard(self):
         with pytest.raises(ValueError):
             gap_sweep([4], 1, seed=0)
@@ -150,6 +182,27 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["bias", "entangled", "--game", str(tmp_path / "missing.csv")])
         assert exc.value.code == 2
+
+    def test_malformed_files_exit_two(self, tmp_path, capsys):
+        junk = tmp_path / "junk.xgt"
+        junk.write_bytes(b"NOPE" + b"\x00" * 32)
+        tpath = tmp_path / "t.xgt"
+        main(["sample", "--n", "1", "--seed", "3", "--out", str(tpath)])
+        clipped = tmp_path / "clipped.xgt"
+        clipped.write_bytes(tpath.read_bytes()[:100])
+        half = tmp_path / "half.csv"
+        half.write_text("q1,q2,q3,pi,sign\n0,0,0,0.5,1\n")
+        for argv in (
+            ["norms", "--in", str(junk)],
+            ["norms", "--in", str(clipped)],
+            ["bias", "classical", "--game", str(half)],
+        ):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
 
     def test_seed_changes_sample(self, tmp_path):
         A, B = str(tmp_path / "a.xgt"), str(tmp_path / "b.xgt")

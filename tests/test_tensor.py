@@ -301,6 +301,7 @@ class TestHermitize:
     def test_fixes_already_hermitian_input(self):
         T = sample_tensor(1, SamplerConfig(seed=2))
         H = hermitize(T)
+        assert H is T  # no copy: raw vector and cached eigenpair come along
         assert np.abs(H.matrix - T.matrix).max() == 0
         assert H.raw_g is not None
 
@@ -366,6 +367,25 @@ class TestBinaryFormat:
         clipped.write_bytes(path.read_bytes()[:100])
         with pytest.raises(ValueError):
             load_tensor(clipped)
+
+    def test_header_n_checked_against_file_size(self, tmp_path):
+        T = sample_tensor(1, SamplerConfig(seed=1))
+        path = tmp_path / "t.xgt"
+        save_tensor(path, T)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (40).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="n=40"):
+            load_tensor(path)
+
+    def test_mismatched_raw_vector_rejected(self, tmp_path):
+        # a scaled matrix with the original g would let the net bound certify
+        # the wrong tensor (upper bound below the ALS lower bound)
+        T = sample_tensor(1, SamplerConfig(seed=1))
+        path = tmp_path / "t.xgt"
+        save_tensor(path, Tensor3(1, 1e4 * T.matrix, raw_g=T.raw_g))
+        with pytest.raises(ValueError, match="raw vector"):
+            load_tensor(path)
 
     def test_override_config_requires_vector(self):
         with pytest.raises(ValueError):
