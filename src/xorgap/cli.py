@@ -8,6 +8,7 @@ randomness flows from --seed.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -53,6 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--seed", type=int, default=0)
     gs.add_argument("--out", required=True)
     gs.add_argument("--budget-s", type=float, default=1800.0)
+    gs.add_argument(
+        "--resume", action="store_true", help="continue from the token in <out>.resume"
+    )
 
     vp = sub.add_parser("verify", help="run a verification suite")
     vp.add_argument("--suite", required=True)
@@ -146,8 +150,21 @@ def _dispatch(parser, args) -> int:
             n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
         except ValueError:
             parser.error("--n-list must be comma-separated integers")
+        resume = None
+        if args.resume:
+            with open(f"{args.out}.resume") as fh:
+                state = json.load(fh)
+            try:
+                resume = tuple(state["next"])
+            except (KeyError, TypeError):
+                raise ValueError(f"{args.out}.resume holds no resume token")
         rows, token = sweep.gap_sweep(
-            n_list, args.samples, args.seed, out=args.out, budget_s=args.budget_s
+            n_list,
+            args.samples,
+            args.seed,
+            out=args.out,
+            budget_s=args.budget_s,
+            resume=resume,
         )
         print(f"wrote {len(rows)} rows to {args.out}")
         if token is not None:

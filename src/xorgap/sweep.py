@@ -180,29 +180,41 @@ def gap_sweep(
     keeps the rows already in that file and appends its own; a sweep that
     completes removes any stale `<out>.resume`.  Returns (rows computed by
     this call, resume_token_or_None).
+
+    Raises ValueError, before computing any row, when the token lies outside
+    n_list x range(samples_per_n), or when `out` does not hold exactly the
+    rows of this seed that come before the token in (n, index) order.
     """
     n_list = sorted(set(n_list))
     if any(n not in (1, 2, 3) for n in n_list):
         raise ValueError("sweep sizes are limited to n in {1, 2, 3}")
+    grid = [(n, idx) for n in n_list for idx in range(samples_per_n)]
+    start = 0
+    kept = []
+    if resume is not None:
+        resume = tuple(resume)
+        if resume not in grid:
+            raise ValueError(
+                f"resume token {resume} lies outside n_list {n_list} x range({samples_per_n})"
+            )
+        start = grid.index(resume)
+        if out is not None:
+            kept = read_gap_csv(out)
+            expected = [(n, row_seed(seed, n, idx)) for n, idx in grid[:start]]
+            if [(r.n, r.seed) for r in kept] != expected:
+                raise ValueError(
+                    f"{out} does not hold exactly the {start} rows of seed {seed} "
+                    f"before resume token {resume}"
+                )
     started = time.monotonic()
     rows = []
     token = None
-    skipping = resume is not None
-    for n in n_list:
-        for idx in range(samples_per_n):
-            if skipping:
-                if (n, idx) == tuple(resume):
-                    skipping = False
-                else:
-                    continue
-            if time.monotonic() - started > budget_s:
-                token = (n, idx)
-                break
-            rows.append(compute_gap_row(n, row_seed(seed, n, idx), **row_kwargs))
-        if token is not None:
+    for n, idx in grid[start:]:
+        if time.monotonic() - started > budget_s:
+            token = (n, idx)
             break
+        rows.append(compute_gap_row(n, row_seed(seed, n, idx), **row_kwargs))
     if out is not None:
-        kept = read_gap_csv(out) if resume is not None else []
         write_gap_csv(out, kept + rows)
         token_path = str(out) + ".resume"
         if token is None and os.path.exists(token_path):

@@ -51,7 +51,8 @@ class Tensor3:
     `matrix` is the canonical storage: rows are flattened (i, j, k), columns
     (i', j', k'), both row-major.  `raw_g` keeps the sampling vector when the
     tensor came out of :func:`sample_tensor`, which is what certifies the net
-    upper bound on the trilinear norm.
+    upper bound on the trilinear norm and what the alternating lower bound
+    contracts in place of the dense mode view.
     """
 
     __slots__ = ("n", "N", "matrix", "raw_g", "_eig")
@@ -225,27 +226,71 @@ def _best_hermitian_factor(A: np.ndarray):
     Writing B = conj(A) = H1 + i H2 with H1, H2 Hermitian, the objective is
     sqrt(tr(H1 X)^2 + tr(H2 X)^2), whose maximum over the unit Frobenius
     sphere is the top eigenvalue of the 2x2 Gram matrix of (H1, H2); the
-    optimizer lies in their span.  Returns (X, value), or (None, 0) when A
-    vanishes.
+    optimizer lies in their span, along the top eigenvector, taken in closed
+    form (any direction is optimal when the Gram matrix is a multiple of the
+    identity).  Returns (X, value), or (None, 0) when A vanishes.
     """
     B = A.conj()
     H1 = (B + B.conj().T) / 2.0
     H2 = (B - B.conj().T) / 2.0j
-    g11 = float(np.einsum("ab,ba->", H1, H1).real)
-    g12 = float(np.einsum("ab,ba->", H1, H2).real)
-    g22 = float(np.einsum("ab,ba->", H2, H2).real)
+    # tr(P Q) = <P, Q>_F for Hermitian P, Q
+    g11 = np.vdot(H1, H1).real
+    g12 = np.vdot(H1, H2).real
+    g22 = np.vdot(H2, H2).real
     if g11 + g22 <= 0.0:
         return None, 0.0
-    gram = np.array([[g11, g12], [g12, g22]])
-    w, V = np.linalg.eigh(gram)
-    c = V[:, -1]
-    X = c[0] * H1 + c[1] * H2
+    half = (g11 - g22) / 2.0
+    r = float(np.hypot(half, g12))
+    # (lam - g22, g12) or (g12, lam - g11) with lam = (g11 + g22)/2 + r,
+    # whichever avoids cancellation
+    if half < 0.0:
+        c0, c1 = g12, r - half
+    elif r > 0.0:
+        c0, c1 = half + r, g12
+    else:
+        c0, c1 = 1.0, 0.0
+    X = c0 * H1 + c1 * H2
     nrm = np.linalg.norm(X)
     if nrm == 0.0:
         return None, 0.0
     X = (X + X.conj().T) / (2.0 * nrm)
-    val = abs(complex(np.einsum("ab,ab->", A, X)))
+    val = abs(complex(np.vdot(B, X)))
     return X, val
+
+
+def _mode_contraction(T: Tensor3):
+    """The ALS mode map: contract(mode, F, H) sums the mode view against the
+    flattened factors F and H on the other two modes, in mode order, and
+    returns the N x N matrix A on the remaining mode.
+
+    A tensor carrying its sampling vector is g g^T under the collision mask
+    (J - I)^{⊗3}, so with G = g.reshape(N, N, N) and that mode moved first,
+    A = offdiag(G_(1) ((G ×2 F0 ×3 H0)_(1))^T), where F0 and H0 are F and H
+    with zeroed diagonals: three matmuls, O(N^4).  Any other tensor
+    contracts its dense mode view, O(N^6).
+    """
+    N = T.N
+    if T.raw_g is None:
+        W = T.mode_view()
+        patterns = ("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")
+
+        def contract(mode, F, H):
+            return np.einsum(patterns[mode], W, F.ravel(), H.ravel()).reshape(N, N)
+
+        return contract
+
+    G = T.raw_g.reshape(N, N, N).astype(np.complex128)
+    moved = [np.ascontiguousarray(G.transpose(axes)) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    off = 1.0 - np.eye(N)
+
+    def contract(mode, F, H):
+        Gm = moved[mode]
+        S = (Gm.reshape(N * N, N) @ (H * off).T).reshape(N, N, N)  # (a', b', c)
+        S = (F * off) @ S  # (a', b, c)
+        A = Gm.reshape(N, N * N) @ S.reshape(N, N * N).T  # (a, a')
+        return A * off
+
+    return contract
 
 
 def _anchor_factors(T: Tensor3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,11 +329,17 @@ def trilinear_norm_lower(
 
     on_sweep, when given, is called as on_sweep(restart, iteration, value)
     after every full sweep.
+
+    A mode update costs O(N^4) on a sampled tensor (one carrying its raw
+    vector g) and O(N^6) on any other tensor; see :func:`_mode_contraction`.
+    The returned value is re-evaluated on the stored matrix, and ValueError
+    is raised when it differs from the best ALS value by more than 1e-9
+    relative (a raw vector that does not reproduce the matrix).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     N = T.N
-    W = T.mode_view()
+    contract = _mode_contraction(T)
 
     def rand_herm(rng):
         M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
@@ -307,16 +358,13 @@ def trilinear_norm_lower(
         prev = 0.0
         val = 0.0
         for it in range(max_iters):
-            A = np.einsum("abc,b,c->a", W, Y.ravel(), Z.ravel()).reshape(N, N)
-            Xn, v = _best_hermitian_factor(A)
+            Xn, v = _best_hermitian_factor(contract(0, Y, Z))
             if Xn is not None:
                 X = Xn
-            A = np.einsum("abc,a,c->b", W, X.ravel(), Z.ravel()).reshape(N, N)
-            Yn, v = _best_hermitian_factor(A)
+            Yn, v = _best_hermitian_factor(contract(1, X, Z))
             if Yn is not None:
                 Y = Yn
-            A = np.einsum("abc,a,b->c", W, X.ravel(), Y.ravel()).reshape(N, N)
-            Zn, v = _best_hermitian_factor(A)
+            Zn, v = _best_hermitian_factor(contract(2, X, Y))
             if Zn is not None:
                 Z = Zn
             val = v
@@ -330,6 +378,11 @@ def trilinear_norm_lower(
             best_fac = (X, Y, Z)
     X, Y, Z = best_fac
     value = trilinear_eval(T, X, Y, Z)
+    if abs(abs(value) - best_val) > 1e-9 * max(abs(value), best_val):
+        raise ValueError(
+            f"ALS value {best_val!r} does not match the stored matrix ({abs(value)!r}); "
+            "the raw vector does not reproduce the tensor"
+        )
     return abs(value), TrilinearWitness(X=X, Y=Y, Z=Z, value=value)
 
 

@@ -8,6 +8,16 @@ from xorgap.cli import main
 from xorgap.sweep import GAP_COLUMNS, compute_gap_row, read_gap_csv, row_seed, show
 
 
+def fake_clock(monkeypatch):
+    """Make each budget check in gap_sweep advance one second."""
+    from types import SimpleNamespace
+
+    from xorgap import sweep
+
+    clock = iter(range(100))
+    monkeypatch.setattr(sweep, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+
+
 class TestGapSweep:
     def test_deterministic_rows(self):
         a, _ = gap_sweep([1], 3, seed=0)
@@ -82,6 +92,34 @@ class TestGapSweep:
         assert len(more) == 2 and token2 is None
         assert path.read_text() == whole.read_text()
         assert not (tmp_path / "gap.csv.resume").exists()
+
+    def test_resume_token_twice_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "gap.csv"
+        fake_clock(monkeypatch)
+        rows, token = gap_sweep([1], 2, seed=0, out=path, budget_s=1.5)
+        monkeypatch.undo()
+        assert len(rows) == 1 and token == (1, 1)
+        gap_sweep([1], 2, seed=0, out=path, resume=token)
+        before = path.read_text()
+        with pytest.raises(ValueError, match="rows of seed 0"):
+            gap_sweep([1], 2, seed=0, out=path, resume=token)
+        assert path.read_text() == before
+        assert len(read_gap_csv(path)) == 2
+
+    def test_resume_with_other_seed_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "gap.csv"
+        fake_clock(monkeypatch)
+        _, token = gap_sweep([1], 2, seed=0, out=path, budget_s=1.5)
+        monkeypatch.undo()
+        before = path.read_text()
+        with pytest.raises(ValueError, match="rows of seed 5"):
+            gap_sweep([1], 2, seed=5, out=path, resume=token)
+        assert path.read_text() == before
+
+    @pytest.mark.parametrize("token", [(1, 4), (2, 0), (1, -1)])
+    def test_resume_token_outside_grid_rejected(self, tmp_path, token):
+        with pytest.raises(ValueError, match="outside"):
+            gap_sweep([1], 4, seed=0, resume=token)
 
     def test_sampled_row_eigensolves_once(self, monkeypatch):
         counted = []
@@ -169,6 +207,34 @@ class TestCli:
         assert main(["gap-sweep", "--n-list", "1", "--samples", "2", "--seed", "0", "--out", path]) == 0
         assert "wrote 2 rows" in capsys.readouterr().out
         assert main(["show", path]) == 0
+
+    def test_gap_sweep_resume_flag(self, tmp_path, monkeypatch, capsys):
+        whole, path = tmp_path / "whole.csv", tmp_path / "gap.csv"
+        argv = ["gap-sweep", "--n-list", "1", "--samples", "3", "--seed", "0", "--out"]
+        assert main(argv + [str(whole)]) == 0
+        fake_clock(monkeypatch)
+        assert main(argv + [str(path), "--budget-s", "1.5"]) == 0
+        monkeypatch.undo()
+        assert "resume token saved" in capsys.readouterr().out
+        assert main(argv + [str(path), "--resume"]) == 0
+        assert "wrote 2 rows" in capsys.readouterr().out
+        assert path.read_text() == whole.read_text()
+        with pytest.raises(SystemExit) as exc:  # the completed sweep removed <out>.resume
+            main(argv + [str(path), "--resume"])
+        assert exc.value.code == 2
+
+    def test_gap_sweep_resume_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "gap.csv")
+        argv = ["gap-sweep", "--n-list", "1", "--samples", "3", "--out", path]
+        fake_clock(monkeypatch)
+        assert main(argv + ["--seed", "0", "--budget-s", "1.5"]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "5", "--resume"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
 
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--suite", "identities"]) == 0

@@ -245,6 +245,73 @@ class TestTrilinearLower:
                 assert abs(np.sum(A * H)) <= val + 1e-9
 
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]]),  # Hermitian: H2 = 0
+            1j * np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]]),  # anti-Hermitian: H1 = 0
+        ],
+    )
+    def test_mode_update_one_sided_input(self, A):
+        # conj(A) or i conj(A), normalized, attains Cauchy-Schwarz: ||A||_F
+        from xorgap.tensor import _best_hermitian_factor
+
+        X, val = _best_hermitian_factor(A)
+        assert np.abs(X - X.conj().T).max() <= 1e-12
+        assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
+        assert val == pytest.approx(np.linalg.norm(A), rel=1e-12)
+        assert abs(np.sum(A * X)) == pytest.approx(val, rel=1e-12)
+
+    def test_mode_update_degenerate_gram(self):
+        # H1, H2 orthogonal with equal norms: every unit c in the span is optimal
+        from xorgap.tensor import _best_hermitian_factor
+
+        H1 = np.diag([1.0, -1.0])
+        H2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        A = (H1 + 1j * H2).conj()
+        X, val = _best_hermitian_factor(A)
+        assert np.abs(X - X.conj().T).max() <= 1e-12
+        assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
+        assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert abs(np.sum(A * X)) == pytest.approx(val, rel=1e-12)
+
+    def test_mode_update_zero_input(self):
+        from xorgap.tensor import _best_hermitian_factor
+
+        assert _best_hermitian_factor(np.zeros((3, 3), dtype=complex)) == (None, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_structured_contraction_matches_dense(self, n):
+        from xorgap.tensor import _mode_contraction
+
+        T = sample_tensor(n, SamplerConfig(seed=n))
+        N = T.N
+        W = T.mode_view()
+        contract = _mode_contraction(T)
+        rng = np.random.default_rng(n)
+        for mode, pattern in enumerate(("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")):
+            F, H = random_hermitian(rng, N), random_hermitian(rng, N)
+            want = np.einsum(pattern, W, F.ravel(), H.ravel()).reshape(N, N)
+            got = contract(mode, F, H)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 0)])
+    def test_structured_als_matches_dense(self, n, seed):
+        T = sample_tensor(n, SamplerConfig(seed=seed))
+        dense = Tensor3(n, T.matrix)  # no raw vector: dense mode view
+        fast_sweeps, slow_sweeps = [], []
+        fast, _ = trilinear_norm_lower(T, seed=seed, on_sweep=lambda *a: fast_sweeps.append(a))
+        slow, _ = trilinear_norm_lower(dense, seed=seed, on_sweep=lambda *a: slow_sweeps.append(a))
+        assert fast == pytest.approx(slow, rel=1e-12)
+        assert len(fast_sweeps) == len(slow_sweeps)
+
+    def test_raw_vector_not_reproducing_matrix_raises(self):
+        # the ALS runs on g, the final evaluation on the stored matrix
+        T = sample_tensor(1, SamplerConfig(seed=1))
+        with pytest.raises(ValueError, match="raw vector"):
+            trilinear_norm_lower(Tensor3(1, 1e4 * T.matrix, raw_g=T.raw_g), restarts=2)
+
+
 class TestTrilinearUpperNet:
     def test_upper_dominates_lower_across_seeds(self):
         for seed in range(6):
