@@ -110,7 +110,7 @@ def _dispatch(parser, args) -> int:
         report = game_mod.game_from_tensor(T)
         game_mod.save_game_csv(args.out, report.game)
         print(
-            f"branch={report.branch} l1_norm={report.l1_norm!r} "
+            f"l1_norm={report.l1_norm!r} pauli_bias={report.pauli_bias!r} "
             f"Q={report.game.Q} -> {args.out}"
         )
         return 0

@@ -9,7 +9,6 @@ not Monte-Carlo noise at tiny probabilities) trip the verdict.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -62,21 +61,6 @@ class TailReport:
     @property
     def passed(self) -> bool:
         return bool(np.all(self.verdicts))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "empirical", "envelope", "stderr", "verdict"])
-            for i in range(len(self.t_grid)):
-                w.writerow(
-                    [
-                        repr(float(self.t_grid[i])),
-                        repr(float(self.empirical[i])),
-                        repr(float(self.envelope[i])),
-                        repr(float(self.stderr[i])),
-                        "pass" if self.verdicts[i] else "fail",
-                    ]
-                )
 
 
 def _norms(A: np.ndarray) -> tuple[float, float]:

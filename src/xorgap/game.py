@@ -5,7 +5,8 @@ Classical players answer with fixed signs per question; entangled players
 share a state and measure +/-1-valued observables.  Games built from a
 sampled tensor ask Pauli matrices as questions, and the explicit entangled
 strategy answers question P by measuring P itself on the tensor's dominant
-eigenvector.
+eigenvector; its bias on the built game has the closed form N^3 lambda / l1,
+which the game build reports.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGameError, DimensionError, ScaleError
-from .pauli import build_basis, fourier, pauli_expectations
+from .pauli import build_basis, fourier
 from .tensor import Tensor3, hermitize, top_eigenpair
 
 GROTHENDIECK_REAL = 1.783
@@ -112,9 +113,15 @@ class EntangledStrategy:
 
 @dataclass(frozen=True)
 class GameBuildReport:
-    """Outcome of turning a tensor into a game: chosen branch and normalization."""
+    """Outcome of turning a tensor into a game.
 
-    branch: str  # "real" or "imaginary"
+    l1_norm is the l1 mass of the coefficient table normalized into the game;
+    pauli_bias = N^3 lambda / l1_norm is the bias that the explicit Pauli
+    strategy of the hermitized tensor, whose top eigenvalue is lambda,
+    achieves on the game.
+    """
+
+    pauli_bias: float
     l1_norm: float
     game: XorGame
 
@@ -145,31 +152,24 @@ def game_from_cost_tensor(C: np.ndarray) -> XorGame:
 def game_from_tensor(T: Tensor3) -> GameBuildReport:
     """Build the Pauli-question game of a tensor.
 
-    The tensor is hermitized, its coefficient table computed, and the real and
-    imaginary coefficient branches compared by the bias magnitude the explicit
-    Pauli strategy achieves on each (before normalization; negating one
-    player's observables realizes the magnitude, so sign does not matter); the
-    winner is l1-normalized into (pi, signs).  Hermitized tensors have real
-    coefficient tables, so the real branch wins whenever the input was
-    Hermitian.
+    The tensor is hermitized and its coefficient table, real for a Hermitian
+    tensor, is l1-normalized into (pi, signs).  The explicit Pauli strategy's
+    bias on that game is reported in closed form, N^3 lambda / l1 (see
+    :func:`pauli_strategy`), from the top eigenpair that `hermitize` or
+    `spectral_norm` already cached; no strategy is evaluated.
     """
     if not np.any(T.matrix):
         raise DegenerateGameError("zero tensor yields no game")
     H = hermitize(T)
-    table = fourier(H).coefficients
-    _, psi = top_eigenpair(H)
-    w = pauli_expectations(H.n, psi)
-    branches = {"real": table.real, "imaginary": table.imag}
-    values = {name: abs(float(np.sum(coeff * w))) for name, coeff in branches.items()}
-    branch = "real" if values["real"] >= values["imaginary"] else "imaginary"
-    coeff = branches[branch]
+    coeff = fourier(H).coefficients.real
     l1 = float(np.abs(coeff).sum())
     if l1 == 0.0:
-        raise DegenerateGameError("selected coefficient branch vanishes")
+        raise DegenerateGameError("coefficient table vanishes")
+    lam, _ = top_eigenpair(H)
     pi = np.abs(coeff) / l1
     signs = np.where(coeff < 0.0, -1.0, 1.0)
     game = XorGame(Q=T.N * T.N, pi=pi, signs=signs)
-    return GameBuildReport(branch=branch, l1_norm=l1, game=game)
+    return GameBuildReport(pauli_bias=H.N**3 * lam / l1, l1_norm=l1, game=game)
 
 
 def _sign_vectors(Q: int, fix_first: bool) -> np.ndarray:
@@ -518,15 +518,22 @@ def save_game_csv(path, G: XorGame) -> None:
 
 
 def load_game_csv(path) -> XorGame:
-    """Read a game written by :func:`save_game_csv`."""
+    """Read a game written by :func:`save_game_csv`.
+
+    Raises ValueError for a missing header, a row with fewer than five
+    fields, or a file without question rows.
+    """
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        if header[:5] != ["q1", "q2", "q3", "pi", "sign"]:
+        if next(r, [])[:5] != ["q1", "q2", "q3", "pi", "sign"]:
             raise ValueError("not a game CSV")
         for row in r:
+            if len(row) < 5:
+                raise ValueError(f"game CSV line {r.line_num}: {len(row)} fields, need 5")
             rows.append((int(row[0]), int(row[1]), int(row[2]), float(row[3]), float(row[4])))
+    if not rows:
+        raise ValueError("game CSV has no question rows")
     Q = max(max(r[0], r[1], r[2]) for r in rows) + 1
     pi = np.zeros((Q, Q, Q))
     signs = np.ones((Q, Q, Q))
@@ -552,7 +559,14 @@ def strategy_to_json(S: EntangledStrategy) -> str:
 
 
 def strategy_from_json(text: str) -> EntangledStrategy:
+    """Read a strategy written by :func:`strategy_to_json` (ValueError when
+    the payload is not an object with dims, state and observables)."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("strategy JSON must be an object")
+    missing = [key for key in ("dims", "state", "observables") if key not in payload]
+    if missing:
+        raise ValueError(f"strategy JSON lacks {', '.join(missing)}")
     dims = tuple(payload["dims"])
 
     def unvec(pairs, shape):

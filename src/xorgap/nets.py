@@ -13,7 +13,6 @@ trilinear norm streams the products itself).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,27 +78,6 @@ class HermDecomposition:
 
     def coefficient_l1(self) -> float:
         return float(sum(abs(lam) for lam, _ in self.terms))
-
-    def to_csv(self, path) -> None:
-        """Rows: term_index, lambda, rank, then the projector entries.
-
-        Entries are row-major with two columns per entry (re, im).
-        """
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = ["term_index", "lambda", "rank"]
-            for i in range(self.N):
-                for j in range(self.N):
-                    header += [f"e{i}{j}_re", f"e{i}{j}_im"]
-            w.writerow(header)
-            for idx, (lam, X) in enumerate(self.terms):
-                # a normalized rank-r projector has top eigenvalue 1/sqrt(r)
-                top = np.max(np.linalg.eigvalsh(X)) if X.any() else 0.0
-                rank = int(round(1.0 / top**2)) if top > 0 else 0
-                row = [idx, repr(float(lam)), rank]
-                for v in X.reshape(-1):
-                    row += [repr(float(v.real)), repr(float(v.imag))]
-                w.writerow(row)
 
 
 @lru_cache(maxsize=32)

@@ -10,7 +10,6 @@ basis side), and T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R recovers the tensor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,42 +49,6 @@ class FourierTable:
     n: int
     N: int
     coefficients: np.ndarray
-
-    def to_csv(self, path) -> None:
-        """Write rows p_index,q_index,r_index,pauli_p_label,pauli_q_label,pauli_r_label,re,im."""
-        basis = build_basis(self.n)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                [
-                    "p_index",
-                    "q_index",
-                    "r_index",
-                    "pauli_p_label",
-                    "pauli_q_label",
-                    "pauli_r_label",
-                    "re",
-                    "im",
-                ]
-            )
-            C = self.coefficients
-            Q = self.N * self.N
-            for p in range(Q):
-                for q in range(Q):
-                    for r in range(Q):
-                        c = C[p, q, r]
-                        w.writerow(
-                            [
-                                p,
-                                q,
-                                r,
-                                basis.labels[p],
-                                basis.labels[q],
-                                basis.labels[r],
-                                repr(float(c.real)),
-                                repr(float(c.imag)),
-                            ]
-                        )
 
 
 @lru_cache(maxsize=None)
@@ -143,17 +106,13 @@ def inverse_fourier(F: FourierTable) -> Tensor3:
 
 
 def pauli_expectations(n: int, state: np.ndarray) -> np.ndarray:
-    """All triple-Pauli expectation values <ψ| P⊗Q⊗R |ψ> as a real (N^2,)*3 array."""
+    """All triple-Pauli expectation values <ψ| P⊗Q⊗R |ψ> as a real (N^2,)*3 array.
+
+    These are the coefficients of the density matrix |ψ><ψ|, whose
+    Hermiticity makes them real.
+    """
     N = 2**n
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape != (N**3,):
         raise DimensionError(f"state must have length {N**3}")
-    rho = np.outer(state, state.conj())
-    W = (
-        rho.reshape(N, N, N, N, N, N)
-        .transpose(0, 3, 1, 4, 2, 5)
-        .reshape(N * N, N * N, N * N)
-    )
-    B = _mode_matrix(n)
-    vals = _transform_modes(W, B)
-    return vals.real
+    return fourier(Tensor3(n, np.outer(state, state.conj()))).coefficients.real

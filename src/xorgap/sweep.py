@@ -31,7 +31,7 @@ GAP_COLUMNS = [
     "prop31_lower",
 ]
 
-RATIO_BOUND_FACTOR = 4.0  # loss budgeted for hermitization plus branch choice
+RATIO_BOUND_FACTOR = 4.0  # loss budgeted for hermitization
 
 
 @dataclass
@@ -109,8 +109,7 @@ def compute_gap_row(
             report.game, restarts=heuristic_restarts, seed=sample_seed
         )
         method = "heuristic"
-    pauli_bias = game.entangled_bias_eval(report.game, game.pauli_strategy(T))
-    ratio = pauli_bias / classical
+    ratio = report.pauli_bias / classical
     prop31 = None
     if upper is not None:
         prop31 = spectral / (RATIO_BOUND_FACTOR * N**1.5 * upper)
@@ -123,7 +122,7 @@ def compute_gap_row(
         trilinear_upper=upper,
         classical_bias=classical,
         classical_method=method,
-        pauli_bias=pauli_bias,
+        pauli_bias=report.pauli_bias,
         ratio_estimate=ratio,
         prop31_lower=prop31,
     )
@@ -141,10 +140,13 @@ def read_gap_csv(path) -> list[GapRow]:
     out = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        if header != GAP_COLUMNS:
+        if next(r, None) != GAP_COLUMNS:
             raise ValueError("not a gap CSV")
         for row in r:
+            if len(row) != len(GAP_COLUMNS):
+                raise ValueError(
+                    f"gap CSV line {r.line_num}: {len(row)} fields, need {len(GAP_COLUMNS)}"
+                )
             out.append(
                 GapRow(
                     n=int(row[0]),
@@ -258,10 +260,16 @@ def _suite_identities(seed: int) -> SuiteReport:
         w = pauli.pauli_expectations(n, psi)
         ident_err = abs(float(np.sum(table.coefficients.real * w)) - N**3 * lam)
         sn = tensor.spectral_norm(T)
+        rep = game.game_from_tensor(T)
+        explicit = game.entangled_bias_eval(rep.game, game.pauli_strategy(T))
         checks = [
             ("fourier round trip", rt_err <= 1e-9),
             ("parseval", pars_err <= 1e-8 * N**3 * fro2),
             ("pauli strategy identity", ident_err <= 1e-8 * N**3 * sn),
+            (
+                "explicit strategy bias == N^3 lambda/l1",
+                abs(explicit - rep.pauli_bias) <= 1e-12 * abs(rep.pauli_bias),
+            ),
         ]
         for label, good in checks:
             ok &= good
@@ -403,8 +411,7 @@ def _suite_theorems(seed: int) -> SuiteReport:
         T = tensor.sample_tensor(1, tensor.SamplerConfig(seed=row_seed(seed, 1, idx)))
         rep = game.game_from_tensor(T)
         beta, _ = game.classical_bias_exact(rep.game)
-        star_lb = game.entangled_bias_eval(rep.game, game.pauli_strategy(T))
-        fixtures.append((f"sampled n=1 #{idx}", rep.game, star_lb, 2, beta))
+        fixtures.append((f"sampled n=1 #{idx}", rep.game, rep.pauli_bias, 2, beta))
     for name, G, star_lb, d, beta in fixtures:
         qb = game.check_question_bound(G, star_lb, beta)
         db = game.check_dimension_bound(G, star_lb, d, beta)

@@ -114,15 +114,6 @@ class TestEmpiricalTails:
         assert grid.min() < 4 * np.e * 64 < grid.max() * 10  # quadratic side sampled
         assert np.all(np.diff(grid) > 0)
 
-    def test_report_csv(self, tmp_path):
-        rep = empirical_tail("gaussian", trials=20_000, seed=1)
-        path = tmp_path / "tail.csv"
-        rep.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,empirical,envelope,stderr,verdict"
-        assert len(lines) == 1 + len(rep.t_grid)
-        assert lines[1].endswith("pass")
-
 
 class TestSpectralRatioReport:
     def test_all_ones_override_exact_ratio(self):

@@ -81,11 +81,21 @@ class TestXorGameType:
         assert np.abs(C - 1 / 8).max() == 0
 
 
+def assert_built_from_real_table(rep, T):
+    """pi and signs are the l1-normalized real coefficient table of hermitize(T)."""
+    coeff = fourier(hermitize(T)).coefficients.real
+    l1 = np.abs(coeff).sum()
+    assert rep.l1_norm == l1
+    assert np.array_equal(rep.game.pi, np.abs(coeff) / l1)
+    assert np.array_equal(rep.game.signs, np.where(coeff < 0.0, -1.0, 1.0))
+
+
 class TestGameFromTensor:
     def test_sampled_tensor_picks_real_branch(self):
         for seed in (0, 1, 2):
-            rep = game_from_tensor(sample_tensor(1, SamplerConfig(seed=seed)))
-            assert rep.branch == "real"
+            T = sample_tensor(1, SamplerConfig(seed=seed))
+            rep = game_from_tensor(T)
+            assert_built_from_real_table(rep, T)
             assert rep.game.Q == 4
             assert rep.game.pi.size == 64
             assert rep.game.pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -117,8 +127,9 @@ class TestGameFromTensor:
         rng = np.random.default_rng(8)
         S = rng.standard_normal((8, 8))
         S = (S + S.T) / 2.0
-        rep = game_from_tensor(Tensor3(1, 1j * S))
-        assert rep.branch == "real"
+        T = Tensor3(1, 1j * S)
+        rep = game_from_tensor(T)
+        assert_built_from_real_table(rep, T)
         assert rep.game.pi.sum() == pytest.approx(1.0, abs=1e-12)
         val, _ = classical_bias_exact(rep.game)
         assert 0.0 < val <= 1.0
@@ -283,16 +294,19 @@ class TestPauliStrategy:
         assert float(np.sum(table * w)) == pytest.approx(8.0, rel=1e-10)
 
     def test_identity_ties_bias_to_top_eigenvalue(self):
-        T = sample_tensor(1, SamplerConfig(seed=42))
-        H = hermitize(T)
-        lam, psi = top_eigenpair(H)
-        table = fourier(H).coefficients
-        w = pauli_expectations(1, psi)
-        total = complex(np.sum(table * w))
-        assert total == pytest.approx(8.0 * lam, rel=1e-12)
-        rep = game_from_tensor(T)
-        bias = entangled_bias_eval(rep.game, pauli_strategy(H))
-        assert bias == pytest.approx(8.0 * lam / rep.l1_norm, rel=1e-8)
+        for n in (1, 2, 3):
+            N = 2**n
+            T = sample_tensor(n, SamplerConfig(seed=42))
+            H = hermitize(T)
+            lam, psi = top_eigenpair(H)
+            table = fourier(H).coefficients
+            w = pauli_expectations(n, psi)
+            total = complex(np.sum(table * w))
+            assert total == pytest.approx(N**3 * lam, rel=1e-12)
+            rep = game_from_tensor(T)
+            assert rep.pauli_bias == pytest.approx(N**3 * lam / rep.l1_norm, rel=1e-12)
+            bias = entangled_bias_eval(rep.game, pauli_strategy(H))
+            assert bias == pytest.approx(rep.pauli_bias, rel=1e-12)
 
     def test_requires_hermitian_input(self):
         rng = np.random.default_rng(0)

@@ -183,14 +183,3 @@ class TestLorentzDecomposition:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             lorentz_decompose(np.array([[0.0, 0.5], [0.0, 0.0]]))
-
-
-class TestExport:
-    def test_decomposition_csv(self, tmp_path):
-        rng = np.random.default_rng(2)
-        dec = lorentz_decompose(random_unit_hermitian(rng, 2))
-        path = tmp_path / "dec.csv"
-        dec.to_csv(path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[:3] == ["term_index", "lambda", "rank"]
-        assert len(header) == 3 + 2 * 4

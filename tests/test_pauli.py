@@ -1,7 +1,5 @@
 """Pauli basis construction and the coefficient transform."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -154,27 +152,3 @@ class TestExpectations:
             p, q, r = rng.integers(0, 4, 3)
             K = np.kron(np.kron(basis.elements[p], basis.elements[q]), basis.elements[r])
             assert w[p, q, r] == pytest.approx((psi.conj() @ K @ psi).real, abs=1e-12)
-
-
-class TestCsv:
-    def test_export_columns_and_labels(self, tmp_path):
-        T = sample_tensor(1, SamplerConfig(seed=1))
-        table = fourier(T)
-        path = tmp_path / "f.csv"
-        table.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == [
-            "p_index",
-            "q_index",
-            "r_index",
-            "pauli_p_label",
-            "pauli_q_label",
-            "pauli_r_label",
-            "re",
-            "im",
-        ]
-        assert len(rows) == 1 + 64
-        assert rows[1][:6] == ["0", "0", "0", "I", "I", "I"]
-        got = complex(float(rows[1][6]), float(rows[1][7]))
-        assert got == pytest.approx(complex(table.coefficients[0, 0, 0]), abs=1e-15)

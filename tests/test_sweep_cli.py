@@ -5,6 +5,7 @@ import pytest
 
 from xorgap import gap_sweep, verify_suite
 from xorgap.cli import main
+from xorgap.game import mermin_game, save_game_csv
 from xorgap.sweep import GAP_COLUMNS, compute_gap_row, read_gap_csv, row_seed, show
 
 
@@ -134,6 +135,17 @@ class TestGapSweep:
         compute_gap_row(1, row_seed(0, 1, 0))
         assert len(counted) == 1
 
+    def test_sampled_row_skips_explicit_strategy_evaluation(self, monkeypatch):
+        from xorgap import game, pauli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the row evaluated the Pauli strategy explicitly")
+
+        monkeypatch.setattr(game, "strategy_correlations", forbidden)
+        monkeypatch.setattr(pauli, "pauli_expectations", forbidden)
+        row = compute_gap_row(2, row_seed(0, 2, 0))
+        assert abs(row.pauli_bias) <= 1.0
+
     def test_n_range_guard(self):
         with pytest.raises(ValueError):
             gap_sweep([4], 1, seed=0)
@@ -258,10 +270,28 @@ class TestCli:
         clipped.write_bytes(tpath.read_bytes()[:100])
         half = tmp_path / "half.csv"
         half.write_text("q1,q2,q3,pi,sign\n0,0,0,0.5,1\n")
-        for argv in (
-            ["norms", "--in", str(junk)],
-            ["norms", "--in", str(clipped)],
-            ["bias", "classical", "--game", str(half)],
+        short_game = tmp_path / "short_game.csv"
+        short_game.write_text("q1,q2,q3,pi,sign\n0,0,0,1.0\n")
+        empty_game = tmp_path / "empty_game.csv"
+        empty_game.write_text("q1,q2,q3,pi,sign\n")
+        short_gap = tmp_path / "short_gap.csv"
+        short_gap.write_text(",".join(GAP_COLUMNS) + "\n1,2,3\n")
+        (tmp_path / "short_gap.csv.resume").write_text('{"next": [1, 1]}')
+        mermin = tmp_path / "mermin.csv"
+        save_game_csv(mermin, mermin_game())
+        stateless = tmp_path / "stateless.json"
+        stateless.write_text('{"dims": [2, 2, 2], "observables": [[], [], []]}')
+        gap_resume = ["gap-sweep", "--n-list", "1", "--samples", "3", "--out", str(short_gap)]
+        for argv, problem in (
+            (["norms", "--in", str(junk)], "not an XGT1 file"),
+            (["norms", "--in", str(clipped)], "does not match the file size"),
+            (["bias", "classical", "--game", str(half)], "pi must sum to 1"),
+            (["bias", "classical", "--game", str(short_game)], "line 2: 4 fields, need 5"),
+            (["show", str(short_game)], "line 2: 4 fields, need 5"),
+            (["bias", "classical", "--game", str(empty_game)], "no question rows"),
+            (["show", str(short_gap)], "line 2: 3 fields, need 11"),
+            (gap_resume + ["--resume"], "line 2: 3 fields, need 11"),
+            (["bias", "entangled", "--game", str(mermin), "--strategy", str(stateless)], "lacks state"),
         ):
             capsys.readouterr()
             with pytest.raises(SystemExit) as exc:
@@ -269,6 +299,7 @@ class TestCli:
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
+            assert problem in err.splitlines()[-1]
 
     def test_seed_changes_sample(self, tmp_path):
         A, B = str(tmp_path / "a.xgt"), str(tmp_path / "b.xgt")
