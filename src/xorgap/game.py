@@ -225,43 +225,40 @@ def classical_bias_heuristic(
     Each player's best response given the others is the sign of a partial
     sum; zero sums resolve to +1, which leaves the bias unchanged (those
     questions contribute nothing) while escaping balanced-sign saddles, so
-    sweeps never decrease the bias.  The best fixed point over restarts is
-    returned; the value is always a lower bound on the classical bias, and
-    never exceeds the exact optimum.
+    sweeps never decrease the bias.  Restart r starts from signs drawn from
+    the r-th child of `seed` and stops after a sweep that changes none of
+    its answers, or after 1000 sweeps.  All restarts advance in lockstep:
+    with C3 = C.reshape(Q^2, Q), a sweep over the unconverged restarts is
+    one matrix product Z = zeta C3^T, which serves both the chi and the
+    upsilon response because zeta is fixed between them, and one product
+    (chi ⊗ upsilon) C3 for the zeta response.  The first restart with the
+    largest value wins; the value is always a lower bound on the classical
+    bias, and never exceeds the exact optimum.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     Q = G.Q
-    C = G.cost_tensor()
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    best = -np.inf
-    best_strat = None
-    for ss in children:
-        rng = np.random.default_rng(ss)
-        chi = rng.choice([-1.0, 1.0], Q)
-        upsilon = rng.choice([-1.0, 1.0], Q)
-        zeta = rng.choice([-1.0, 1.0], Q)
-        for _ in range(1000):
-            changed = False
-            s = np.einsum("ijk,j,k->i", C, upsilon, zeta)
-            new = np.where(s < 0.0, -1.0, 1.0)
-            changed |= bool(np.any(new != chi))
-            chi = new
-            s = np.einsum("ijk,i,k->j", C, chi, zeta)
-            new = np.where(s < 0.0, -1.0, 1.0)
-            changed |= bool(np.any(new != upsilon))
-            upsilon = new
-            s = np.einsum("ijk,i,j->k", C, chi, upsilon)
-            new = np.where(s < 0.0, -1.0, 1.0)
-            changed |= bool(np.any(new != zeta))
-            zeta = new
-            if not changed:
-                break
-        val = float(np.einsum("ijk,i,j,k->", C, chi, upsilon, zeta))
-        if val > best:
-            best = val
-            best_strat = ClassicalStrategy(chi=chi, upsilon=upsilon, zeta=zeta)
-    return best, best_strat
+    C3 = G.cost_tensor().reshape(Q * Q, Q)
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(restarts))
+    starts = np.array([[rng.choice([-1.0, 1.0], Q) for _ in range(3)] for rng in rngs])
+    chi, upsilon, zeta = starts.transpose(1, 0, 2).copy()  # each (restarts, Q)
+    values = np.empty(restarts)
+    active = np.arange(restarts)
+    for _ in range(1000):
+        x, y, z = chi[active], upsilon[active], zeta[active]
+        Z = (z @ C3.T).reshape(-1, Q, Q)  # Z[r, i, j] = sum_k C[i, j, k] z[r, k]
+        x_new = np.where(np.einsum("rij,rj->ri", Z, y) < 0.0, -1.0, 1.0)
+        y_new = np.where(np.einsum("rij,ri->rj", Z, x_new) < 0.0, -1.0, 1.0)
+        s = (x_new[:, :, None] * y_new[:, None, :]).reshape(-1, Q * Q) @ C3
+        z_new = np.where(s < 0.0, -1.0, 1.0)
+        values[active] = (z_new * s).sum(axis=1)
+        changed = np.any((x_new != x) | (y_new != y) | (z_new != z), axis=1)
+        chi[active], upsilon[active], zeta[active] = x_new, y_new, z_new
+        active = active[changed]
+        if active.size == 0:
+            break
+    r = int(np.argmax(values))
+    return float(values[r]), ClassicalStrategy(chi=chi[r], upsilon=upsilon[r], zeta=zeta[r])
 
 
 def strategy_correlations(S: EntangledStrategy) -> np.ndarray:
@@ -488,19 +485,6 @@ def embedded_chsh_game(Q: int = 4) -> XorGame:
     return XorGame(Q=Q, pi=pi, signs=signs)
 
 
-def chsh_optimal_strategy(Q: int = 4) -> EntangledStrategy:
-    """The optimal qubit strategy for the embedded CHSH fixture (bias sqrt(2)/2)."""
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    Z = np.array([[1, 0], [0, -1]], dtype=complex)
-    I2 = np.eye(2, dtype=complex)
-    a_obs = [Z, X] + [I2] * (Q - 2)
-    b_obs = [(Z + X) / np.sqrt(2.0), (Z - X) / np.sqrt(2.0)] + [I2] * (Q - 2)
-    c_obs = [I2] * Q
-    epr = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    state = np.kron(epr, np.array([1.0, 0.0])).astype(complex)
-    return EntangledStrategy(dims=(2, 2, 2), state=state, observables=(a_obs, b_obs, c_obs))
-
-
 # --- io ---------------------------------------------------------------------
 
 
@@ -521,9 +505,10 @@ def load_game_csv(path) -> XorGame:
     """Read a game written by :func:`save_game_csv`.
 
     Raises ValueError for a missing header, a row with fewer than five
-    fields, or a file without question rows.
+    fields, a negative question index, a repeated question triple, or a
+    file without question rows.
     """
-    rows = []
+    rows = {}
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         if next(r, [])[:5] != ["q1", "q2", "q3", "pi", "sign"]:
@@ -531,15 +516,20 @@ def load_game_csv(path) -> XorGame:
         for row in r:
             if len(row) < 5:
                 raise ValueError(f"game CSV line {r.line_num}: {len(row)} fields, need 5")
-            rows.append((int(row[0]), int(row[1]), int(row[2]), float(row[3]), float(row[4])))
+            key = (int(row[0]), int(row[1]), int(row[2]))
+            if min(key) < 0:
+                raise ValueError(f"game CSV line {r.line_num}: negative question index")
+            if key in rows:
+                raise ValueError(f"game CSV line {r.line_num}: repeated question triple {key}")
+            rows[key] = (float(row[3]), float(row[4]))
     if not rows:
         raise ValueError("game CSV has no question rows")
-    Q = max(max(r[0], r[1], r[2]) for r in rows) + 1
+    Q = max(max(key) for key in rows) + 1
     pi = np.zeros((Q, Q, Q))
     signs = np.ones((Q, Q, Q))
-    for i, j, k, p, s in rows:
-        pi[i, j, k] = p
-        signs[i, j, k] = s
+    for key, (p, s) in rows.items():
+        pi[key] = p
+        signs[key] = s
     return XorGame(Q=Q, pi=pi, signs=signs)
 
 

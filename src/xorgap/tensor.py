@@ -55,7 +55,7 @@ class Tensor3:
     contracts in place of the dense mode view.
     """
 
-    __slots__ = ("n", "N", "matrix", "raw_g", "_eig")
+    __slots__ = ("n", "N", "matrix", "raw_g", "_eig", "_herm")
 
     def __init__(self, n: int, matrix: np.ndarray, raw_g: np.ndarray | None = None):
         if n < 1:
@@ -77,6 +77,7 @@ class Tensor3:
         self.matrix = matrix
         self.raw_g = raw_g
         self._eig = None
+        self._herm = None
 
     def mode_view(self) -> np.ndarray:
         """Return the ((i,i'), (j,j'), (k,k')) three-axis view, shape (N^2,)*3."""
@@ -86,17 +87,14 @@ class Tensor3:
             t6.transpose(0, 3, 1, 4, 2, 5).reshape(N * N, N * N, N * N)
         )
 
-    def entry(self, ii: tuple, jj: tuple, kk: tuple) -> complex:
-        """Single tensor entry at index pairs (i,i'), (j,j'), (k,k')."""
-        N = self.N
-        row = (ii[0] * N + jj[0]) * N + kk[0]
-        col = (ii[1] * N + jj[1]) * N + kk[1]
-        return complex(self.matrix[row, col])
-
-    def is_hermitian(self, tol: float = _HERM_TOL) -> bool:
-        M = self.matrix
-        scale = max(1.0, np.abs(M).max())
-        return bool(np.abs(M - M.conj().T).max() <= tol * scale)
+    def is_hermitian(self) -> bool:
+        """Whether the matrix view is Hermitian to 1e-12 of its largest entry
+        (at least 1); computed once, since the tensor is immutable."""
+        if self._herm is None:
+            M = self.matrix
+            scale = max(1.0, np.abs(M).max())
+            self._herm = bool(np.abs(M - M.conj().T).max() <= _HERM_TOL * scale)
+        return self._herm
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))

@@ -28,7 +28,6 @@ from xorgap import (
     seesaw_entangled_bias,
 )
 from xorgap.game import (
-    chsh_optimal_strategy,
     game_from_cost_tensor,
     load_game_csv,
     save_game_csv,
@@ -36,6 +35,7 @@ from xorgap.game import (
     strategy_to_json,
 )
 from xorgap.pauli import build_basis, pauli_expectations
+from xorgap.sweep import row_seed
 from xorgap.tensor import top_eigenpair, trilinear_eval
 
 
@@ -185,7 +185,67 @@ class TestClassicalExact:
             classical_bias_exact(XorGame(Q=Q, pi=pi, signs=np.ones((Q, Q, Q))))
 
 
+def per_restart_heuristic(G, restarts=32, seed=0):
+    """Oracle: coordinate ascent one restart at a time, by einsum best responses."""
+    Q = G.Q
+    C = G.cost_tensor()
+    best, best_strat = -np.inf, None
+    for ss in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(ss)
+        chi = rng.choice([-1.0, 1.0], Q)
+        upsilon = rng.choice([-1.0, 1.0], Q)
+        zeta = rng.choice([-1.0, 1.0], Q)
+        for _ in range(1000):
+            new_chi = np.where(np.einsum("ijk,j,k->i", C, upsilon, zeta) < 0.0, -1.0, 1.0)
+            new_ups = np.where(np.einsum("ijk,i,k->j", C, new_chi, zeta) < 0.0, -1.0, 1.0)
+            new_zeta = np.where(np.einsum("ijk,i,j->k", C, new_chi, new_ups) < 0.0, -1.0, 1.0)
+            changed = (
+                np.any(new_chi != chi) or np.any(new_ups != upsilon) or np.any(new_zeta != zeta)
+            )
+            chi, upsilon, zeta = new_chi, new_ups, new_zeta
+            if not changed:
+                break
+        val = float(np.einsum("ijk,i,j,k->", C, chi, upsilon, zeta))
+        if val > best:
+            best, best_strat = val, (chi, upsilon, zeta)
+    return best, best_strat
+
+
 class TestClassicalHeuristic:
+    def test_lockstep_matches_per_restart_oracle(self):
+        games = [
+            game_from_tensor(sample_tensor(n, SamplerConfig(seed=row_seed(0, n, k)))).game
+            for n, count in ((2, 8), (3, 2))
+            for k in range(count)
+        ]
+        games.append(mermin_game())
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            C = rng.standard_normal((3, 3, 3))
+            C[rng.random((3, 3, 3)) < 0.4] = 0.0
+            C[0] = 0.0  # a whole slice of zero sums
+            games.append(game_from_cost_tensor(C))
+        for idx, G in enumerate(games):
+            want, (chi, ups, zeta) = per_restart_heuristic(G, restarts=32, seed=idx)
+            got, strat = classical_bias_heuristic(G, restarts=32, seed=idx)
+            assert np.array_equal(strat.chi, chi), idx
+            assert np.array_equal(strat.upsilon, ups), idx
+            assert np.array_equal(strat.zeta, zeta), idx
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), idx
+
+    def test_lockstep_reproducible_and_single_restart(self):
+        G = game_from_tensor(sample_tensor(2, SamplerConfig(seed=row_seed(0, 2, 0)))).game
+        a_val, a = classical_bias_heuristic(G, restarts=32, seed=7)
+        b_val, b = classical_bias_heuristic(G, restarts=32, seed=7)
+        assert a_val == b_val
+        for name in ("chi", "upsilon", "zeta"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        val, strat = classical_bias_heuristic(G, restarts=1, seed=7)
+        want, oracle = per_restart_heuristic(G, restarts=1, seed=7)
+        for name, signs in zip(("chi", "upsilon", "zeta"), oracle):
+            assert np.array_equal(getattr(strat, name), signs)
+        assert val == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_mermin_reaches_exact(self):
         val, _ = classical_bias_heuristic(mermin_game(), restarts=32, seed=0)
         assert val == pytest.approx(0.5, abs=1e-15)
@@ -227,7 +287,20 @@ class TestEntangledEval:
 
     def test_chsh_optimal_qubit_strategy(self):
         G = embedded_chsh_game()
-        val = entangled_bias_eval(G, chsh_optimal_strategy())
+        X = np.array([[0, 1], [1, 0]], dtype=complex)
+        Z = np.array([[1, 0], [0, -1]], dtype=complex)
+        I2 = np.eye(2, dtype=complex)
+        pad = [I2] * (G.Q - 2)
+        S = EntangledStrategy(
+            dims=(2, 2, 2),
+            state=np.kron([1.0, 0.0, 0.0, 1.0], [1.0, 0.0]) / np.sqrt(2.0),
+            observables=(
+                [Z, X] + pad,
+                [(Z + X) / np.sqrt(2.0), (Z - X) / np.sqrt(2.0)] + pad,
+                [I2] * G.Q,
+            ),
+        )
+        val = entangled_bias_eval(G, S)
         assert val == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-12)
         beta, _ = classical_bias_exact(G)
         assert val >= np.sqrt(2.0) * beta - 1e-12

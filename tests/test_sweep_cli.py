@@ -274,6 +274,10 @@ class TestCli:
         short_game.write_text("q1,q2,q3,pi,sign\n0,0,0,1.0\n")
         empty_game = tmp_path / "empty_game.csv"
         empty_game.write_text("q1,q2,q3,pi,sign\n")
+        negative_game = tmp_path / "negative_game.csv"
+        negative_game.write_text("q1,q2,q3,pi,sign\n0,0,0,0.0,1\n-1,0,0,1.0,1\n")
+        repeated_game = tmp_path / "repeated_game.csv"
+        repeated_game.write_text("q1,q2,q3,pi,sign\n0,0,0,0.5,1\n0,0,0,0.5,-1\n")
         short_gap = tmp_path / "short_gap.csv"
         short_gap.write_text(",".join(GAP_COLUMNS) + "\n1,2,3\n")
         (tmp_path / "short_gap.csv.resume").write_text('{"next": [1, 1]}')
@@ -289,6 +293,8 @@ class TestCli:
             (["bias", "classical", "--game", str(short_game)], "line 2: 4 fields, need 5"),
             (["show", str(short_game)], "line 2: 4 fields, need 5"),
             (["bias", "classical", "--game", str(empty_game)], "no question rows"),
+            (["bias", "classical", "--game", str(negative_game)], "line 3: negative question index"),
+            (["bias", "classical", "--game", str(repeated_game)], "line 3: repeated question triple (0, 0, 0)"),
             (["show", str(short_gap)], "line 2: 3 fields, need 11"),
             (gap_resume + ["--resume"], "line 2: 3 fields, need 11"),
             (["bias", "entangled", "--game", str(mermin), "--strategy", str(stateless)], "lacks state"),

@@ -26,6 +26,12 @@ def random_hermitian(rng, N, unit=True):
     return H / np.linalg.norm(H) if unit else H
 
 
+def entry(T, i, ip, j, jp, k, kp):
+    """Tensor entry at index pairs (i,i'), (j,j'), (k,k') of the matrix view."""
+    N = T.N
+    return complex(T.matrix[(i * N + j) * N + k, (ip * N + jp) * N + kp])
+
+
 def naive_trilinear(T, X, Y, Z):
     """Independent six-index loop for <T, X x Y x Z>."""
     N = T.N
@@ -37,7 +43,7 @@ def naive_trilinear(T, X, Y, Z):
                     for k in range(N):
                         for kp in range(N):
                             total += (
-                                T.entry((i, ip), (j, jp), (k, kp))
+                                entry(T, i, ip, j, jp, k, kp)
                                 * X[i, ip]
                                 * Y[j, jp]
                                 * Z[k, kp]
@@ -56,7 +62,7 @@ class TestSampling:
                         for jp in range(N):
                             for kp in range(N):
                                 if i == ip or j == jp or k == kp:
-                                    assert T.entry((i, ip), (j, jp), (k, kp)) == 0
+                                    assert entry(T, i, ip, j, jp, k, kp) == 0
 
     def test_bernoulli_nonzero_entries_are_signs(self):
         T = sample_tensor(1, SamplerConfig(distribution="bernoulli", seed=7))
@@ -83,7 +89,7 @@ class TestSampling:
                                 want = 0.0
                                 if i != ip and j != jp and k != kp:
                                     want = g[(i * N + j) * N + k] * g[(ip * N + jp) * N + kp]
-                                got = T.entry((i, ip), (j, jp), (k, kp))
+                                got = entry(T, i, ip, j, jp, k, kp)
                                 assert got == pytest.approx(want, abs=1e-15)
 
     def test_reproducible(self):
