@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import DimensionError, ScaleError
 
 PACKING_WINDOW = 10_000
+_SUBSET_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -122,27 +124,14 @@ def sphere_net(N: int, eps: float, seed: int = 0, window: int = PACKING_WINDOW) 
     return SphereNet(dim=N, eps=eps, points=pts)
 
 
-def _span_projector(V: np.ndarray):
-    """Normalized projector onto the column span of V, with its rank."""
-    Q, R = np.linalg.qr(V)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > 1e-10 * max(1.0, diag.max(initial=0.0))))
-    if rank == 0:
-        return None, 0
-    Qr = Q[:, :rank]
-    P = Qr @ Qr.conj().T
-    P = (P + P.conj().T) / 2.0
-    return P / np.sqrt(rank), rank
-
-
 @lru_cache(maxsize=32)
 def projector_net(N: int, k: int, eps: float, seed: int = 0) -> ProjectorNet:
     """Net over normalized rank-k projectors on C^N (N = 2 only).
 
     Elements are spans of k-subsets of an eps/sqrt(2) sphere net, normalized
-    by sqrt(rank); duplicates are merged (results are cached per argument
-    tuple).  Covering radius eps is verified empirically by the callers that
-    need it.
+    by sqrt(rank); duplicates are merged in subset order (results are cached
+    per argument tuple).  Covering radius eps is verified empirically by the
+    callers that need it.
     """
     if N != 2:
         raise ScaleError("projector nets are built only at N = 2")
@@ -151,21 +140,28 @@ def projector_net(N: int, k: int, eps: float, seed: int = 0) -> ProjectorNet:
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     eta = eps / np.sqrt(2.0)
-    S = sphere_net(N, eta, seed=seed)
-    pts = S.points
+    pts = sphere_net(N, eta, seed=seed).points
     seen = {}
-    from itertools import combinations
-
-    for subset in combinations(range(len(pts)), k):
-        V = pts[list(subset)].T  # columns span the subset
-        P, rank = _span_projector(V)
-        if P is None:
-            continue
-        key = tuple(np.round(P.reshape(-1), 9).view(float))
-        if key not in seen:
-            P.setflags(write=False)
-            seen[key] = (P, rank)
-    elements = tuple(P for P, _ in seen.values())
+    subsets = combinations(range(len(pts)), k)
+    # one batched QR per chunk of subsets; chunks bound the working set
+    while (chunk := np.array(list(islice(subsets, _SUBSET_CHUNK)), dtype=np.intp)).size:
+        Q, R = np.linalg.qr(pts[chunk].transpose(0, 2, 1))  # columns span each subset
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        rank_of = np.sum(diag > 1e-10 * np.maximum(1.0, diag.max(axis=1, keepdims=True)), axis=1)
+        P = np.zeros((len(chunk), N, N), dtype=np.complex128)
+        for rank in range(1, k + 1):
+            idx = np.flatnonzero(rank_of == rank)
+            Qr = Q[idx, :, :rank]
+            Pr = Qr @ Qr.conj().transpose(0, 2, 1)
+            P[idx] = (Pr + Pr.conj().transpose(0, 2, 1)) / 2.0 / np.sqrt(rank)
+        keys = np.round(P.reshape(len(chunk), -1), 9).view(float)
+        for i in np.flatnonzero(rank_of > 0):
+            key = tuple(keys[i])
+            if key not in seen:
+                seen[key] = (P[i].copy(), int(rank_of[i]))
+    for M, _ in seen.values():
+        M.setflags(write=False)
+    elements = tuple(M for M, _ in seen.values())
     ranks = tuple(r for _, r in seen.values())
     return ProjectorNet(N=N, k=k, eps=eps, elements=elements, ranks=ranks)
 

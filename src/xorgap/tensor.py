@@ -55,7 +55,7 @@ class Tensor3:
     contracts in place of the dense mode view.
     """
 
-    __slots__ = ("n", "N", "matrix", "raw_g", "_eig", "_herm")
+    __slots__ = ("n", "N", "matrix", "raw_g", "_eig", "_herm", "_sv", "_hermitized")
 
     def __init__(self, n: int, matrix: np.ndarray, raw_g: np.ndarray | None = None):
         if n < 1:
@@ -78,6 +78,8 @@ class Tensor3:
         self.raw_g = raw_g
         self._eig = None
         self._herm = None
+        self._sv = None
+        self._hermitized = None
 
     def mode_view(self) -> np.ndarray:
         """Return the ((i,i'), (j,j'), (k,k')) three-axis view, shape (N^2,)*3."""
@@ -189,12 +191,13 @@ def spectral_norm(T: Tensor3) -> float:
     """Largest singular value of the matrix view.
 
     Hermitian inputs go through the eigendecomposition (retaining a certified
-    top eigenvector); general inputs fall back to singular values.
+    top eigenvector); general inputs fall back to the SVD, whose top singular
+    pair is cached for the ALS anchor.
     """
     if T.is_hermitian():
         lam, _ = top_eigenpair(T)
         return abs(lam)
-    return float(np.linalg.svd(T.matrix, compute_uv=False)[0])
+    return _top_singular(T)[0]
 
 
 def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> complex:
@@ -219,76 +222,113 @@ def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> c
 
 
 def _best_hermitian_factor(A: np.ndarray):
-    """Maximize |sum A∘X| over Hermitian X with ||X||_F <= 1.
+    """Maximize |sum A[r]∘X[r]| over Hermitian X[r] with ||X[r]||_F <= 1, for each r.
 
-    Writing B = conj(A) = H1 + i H2 with H1, H2 Hermitian, the objective is
-    sqrt(tr(H1 X)^2 + tr(H2 X)^2), whose maximum over the unit Frobenius
-    sphere is the top eigenvalue of the 2x2 Gram matrix of (H1, H2); the
-    optimizer lies in their span, along the top eigenvector, taken in closed
-    form (any direction is optimal when the Gram matrix is a multiple of the
-    identity).  Returns (X, value), or (None, 0) when A vanishes.
+    A is a stack (R, N, N).  Writing B = conj(A) = H1 + i H2 with H1, H2
+    Hermitian, the objective is sqrt(tr(H1 X)^2 + tr(H2 X)^2), whose maximum
+    over the unit Frobenius sphere is the top eigenvalue of the 2x2 Gram
+    matrix of (H1, H2); the optimizer lies in their span, along the top
+    eigenvector, taken in closed form (any direction is optimal when the Gram
+    matrix is a multiple of the identity).  Returns (X, val, ok): where A[r]
+    vanishes, ok[r] is False, val[r] is 0 and X[r] is zero.
     """
     B = A.conj()
-    H1 = (B + B.conj().T) / 2.0
-    H2 = (B - B.conj().T) / 2.0j
+    Bh = A.transpose(0, 2, 1)  # B^H
+    H1 = (B + Bh) / 2.0
+    H2 = (B - Bh) / 2.0j
     # tr(P Q) = <P, Q>_F for Hermitian P, Q
-    g11 = np.vdot(H1, H1).real
-    g12 = np.vdot(H1, H2).real
-    g22 = np.vdot(H2, H2).real
-    if g11 + g22 <= 0.0:
-        return None, 0.0
+    g11 = (H1.conj() * H1).real.sum(axis=(1, 2))
+    g12 = (H1.conj() * H2).real.sum(axis=(1, 2))
+    g22 = (H2.conj() * H2).real.sum(axis=(1, 2))
     half = (g11 - g22) / 2.0
-    r = float(np.hypot(half, g12))
+    r = np.hypot(half, g12)
     # (lam - g22, g12) or (g12, lam - g11) with lam = (g11 + g22)/2 + r,
     # whichever avoids cancellation
-    if half < 0.0:
-        c0, c1 = g12, r - half
-    elif r > 0.0:
-        c0, c1 = half + r, g12
-    else:
-        c0, c1 = 1.0, 0.0
-    X = c0 * H1 + c1 * H2
-    nrm = np.linalg.norm(X)
-    if nrm == 0.0:
-        return None, 0.0
-    X = (X + X.conj().T) / (2.0 * nrm)
-    val = abs(complex(np.vdot(B, X)))
-    return X, val
+    neg = half < 0.0
+    pos = ~neg & (r > 0.0)
+    c0 = np.where(neg, g12, np.where(pos, half + r, 1.0))
+    c1 = np.where(neg, r - half, np.where(pos, g12, 0.0))
+    X = c0[:, None, None] * H1 + c1[:, None, None] * H2
+    nrm = np.linalg.norm(X, axis=(1, 2))
+    ok = nrm > 0.0  # H1 = H2 = 0 gives X = 0
+    X = (X + X.conj().transpose(0, 2, 1)) / (2.0 * np.where(ok, nrm, 1.0))[:, None, None]
+    val = np.where(ok, np.abs(np.sum(A * X, axis=(1, 2))), 0.0)
+    return X, val, ok
 
 
 def _mode_contraction(T: Tensor3):
-    """The ALS mode map: contract(mode, F, H) sums the mode view against the
-    flattened factors F and H on the other two modes, in mode order, and
-    returns the N x N matrix A on the remaining mode.
+    """The ALS mode maps on stacks of R restarts, as a pair (hold_z, contract_z).
+
+    hold_z(Z) returns contract_xy(mode, F) for mode 0 or 1: the mode view
+    summed against the flattened factors F (the other of modes 0, 1) and Z
+    (mode 2), as the (R, N, N) stack A on the remaining mode.
+    contract_z(X, Y) sums against X and Y and returns A on mode 2.  Z does not
+    change between the X and Y updates of a sweep, so the dense map forms
+    U = W ×3 Z once for both: with the mode view W, one GEMM per mode, O(N^6 R).
 
     A tensor carrying its sampling vector is g g^T under the collision mask
     (J - I)^{⊗3}, so with G = g.reshape(N, N, N) and that mode moved first,
-    A = offdiag(G_(1) ((G ×2 F0 ×3 H0)_(1))^T), where F0 and H0 are F and H
-    with zeroed diagonals: three matmuls, O(N^4).  Any other tensor
-    contracts its dense mode view, O(N^6).
+    A = offdiag(G_(1) ((G ×2 F0 ×3 H0)_(1))^T), where F0 and H0 are the
+    factors with zeroed diagonals: three batched matmuls, O(N^4 R).
     """
     N = T.N
+    N2 = N * N
     if T.raw_g is None:
         W = T.mode_view()
-        patterns = ("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")
+        W_ab_c = W.reshape(N2 * N2, N2)
+        W_a_bc = W.reshape(N2, N2 * N2)
 
-        def contract(mode, F, H):
-            return np.einsum(patterns[mode], W, F.ravel(), H.ravel()).reshape(N, N)
+        def hold_z(Z):
+            R = Z.shape[0]
+            U = (Z.reshape(R, N2) @ W_ab_c.T).reshape(R, N2, N2)  # (r, a, b)
 
-        return contract
+            def contract_xy(mode, F):
+                f = F.reshape(R, N2)
+                if mode == 0:
+                    A = (U @ f[:, :, None])[:, :, 0]
+                else:
+                    A = (f[:, None, :] @ U)[:, 0, :]
+                return A.reshape(R, N, N)
+
+            return contract_xy
+
+        def contract_z(X, Y):
+            R = X.shape[0]
+            V = (X.reshape(R, N2) @ W_a_bc).reshape(R, N2, N2)  # (r, b, c)
+            return (Y.reshape(R, 1, N2) @ V)[:, 0, :].reshape(R, N, N)
+
+        return hold_z, contract_z
 
     G = T.raw_g.reshape(N, N, N).astype(np.complex128)
     moved = [np.ascontiguousarray(G.transpose(axes)) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
     off = 1.0 - np.eye(N)
 
     def contract(mode, F, H):
+        R = F.shape[0]
         Gm = moved[mode]
-        S = (Gm.reshape(N * N, N) @ (H * off).T).reshape(N, N, N)  # (a', b', c)
-        S = (F * off) @ S  # (a', b, c)
-        A = Gm.reshape(N, N * N) @ S.reshape(N, N * N).T  # (a, a')
+        S = (Gm.reshape(N2, N) @ (H * off).transpose(0, 2, 1)).reshape(R, N, N, N)  # (r, a', b', c)
+        S = (F * off)[:, None] @ S  # F0 contracts the middle axis: (r, a', b, c)
+        A = Gm.reshape(N, N2) @ S.reshape(R, N, N2).transpose(0, 2, 1)  # (r, a, a')
         return A * off
 
-    return contract
+    def hold_z(Z):
+        return lambda mode, F: contract(mode, F, Z)
+
+    return hold_z, lambda X, Y: contract(2, X, Y)
+
+
+def _top_singular(T: Tensor3) -> tuple[float, np.ndarray]:
+    """Largest singular value of the matrix view and its left singular vector.
+
+    One SVD per tensor, cached: `spectral_norm` and the ALS anchor of a
+    non-Hermitian tensor share it.
+    """
+    if T._sv is None:
+        U, s, _ = np.linalg.svd(T.matrix)
+        u = np.ascontiguousarray(U[:, 0])
+        u.setflags(write=False)
+        T._sv = (float(s[0]), u)
+    return T._sv
 
 
 def _anchor_factors(T: Tensor3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,7 +337,7 @@ def _anchor_factors(T: Tensor3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if T.is_hermitian():
         _, psi = top_eigenpair(T)
     else:
-        psi = np.linalg.svd(T.matrix)[0][:, 0]
+        _, psi = _top_singular(T)
     p3 = psi.reshape(N, N, N)
     outs = []
     for pattern in ("ajk,bjk->ab", "jak,jbk->ab", "jka,jkb->ab"):
@@ -322,14 +362,20 @@ def trilinear_norm_lower(
     factors held fixed, so the objective never decreases within a run.  One
     restart starts from the dominant-eigenvector partial traces; the rest
     start from seeded random Hermitian matrices (restart r draws from
-    (seed, r)).  The best value across restarts is returned together with the
-    achieving witness; it is a guaranteed lower bound on the trilinear norm.
+    (seed, r)).  All restarts advance in lockstep on (R, N, N) factor stacks;
+    a restart leaves after the sweep whose gain falls below tol times its
+    previous value, or after max_iters sweeps, so each keeps its own
+    trajectory.  The best value across restarts (the first, on a tie) is
+    returned together with the achieving witness; it is a guaranteed lower
+    bound on the trilinear norm.
 
     on_sweep, when given, is called as on_sweep(restart, iteration, value)
-    after every full sweep.
+    once per unconverged restart per sweep, in iteration-major order: every
+    restart still running reports iteration i, in increasing restart order,
+    before any reports iteration i + 1.
 
-    A mode update costs O(N^4) on a sampled tensor (one carrying its raw
-    vector g) and O(N^6) on any other tensor; see :func:`_mode_contraction`.
+    A sweep costs O(N^4 R) on a sampled tensor (one carrying its raw vector
+    g) and O(N^6 R) on any other tensor; see :func:`_mode_contraction`.
     The returned value is re-evaluated on the stored matrix, and ValueError
     is raised when it differs from the best ALS value by more than 1e-9
     relative (a raw vector that does not reproduce the matrix).
@@ -337,7 +383,7 @@ def trilinear_norm_lower(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     N = T.N
-    contract = _mode_contraction(T)
+    hold_z, contract_z = _mode_contraction(T)
 
     def rand_herm(rng):
         M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
@@ -345,36 +391,36 @@ def trilinear_norm_lower(
         nrm = np.linalg.norm(H)
         return H / nrm if nrm > 0 else np.eye(N) / np.sqrt(N)
 
-    best_val = -1.0
-    best_fac = None
-    for r in range(restarts):
-        if r == 0:
-            X, Y, Z = _anchor_factors(T)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-            X, Y, Z = rand_herm(rng), rand_herm(rng), rand_herm(rng)
-        prev = 0.0
-        val = 0.0
-        for it in range(max_iters):
-            Xn, v = _best_hermitian_factor(contract(0, Y, Z))
-            if Xn is not None:
-                X = Xn
-            Yn, v = _best_hermitian_factor(contract(1, X, Z))
-            if Yn is not None:
-                Y = Yn
-            Zn, v = _best_hermitian_factor(contract(2, X, Y))
-            if Zn is not None:
-                Z = Zn
-            val = v
-            if on_sweep is not None:
-                on_sweep(r, it, val)
-            if val - prev < tol * max(prev, 1e-300):
-                break
-            prev = val
-        if val > best_val:
-            best_val = val
-            best_fac = (X, Y, Z)
-    X, Y, Z = best_fac
+    X, Y, Z = np.empty((3, restarts, N, N), dtype=np.complex128)
+    X[0], Y[0], Z[0] = _anchor_factors(T)
+    for r in range(1, restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
+        X[r], Y[r], Z[r] = rand_herm(rng), rand_herm(rng), rand_herm(rng)
+
+    def update(A, old):
+        new, v, ok = _best_hermitian_factor(A)
+        return np.where(ok[:, None, None], new, old), v
+
+    last = np.zeros(restarts)  # each restart's value after its latest sweep
+    act = np.arange(restarts)
+    for it in range(max_iters):
+        Xa, Ya, Za = X[act], Y[act], Z[act]
+        contract_xy = hold_z(Za)
+        Xa, _ = update(contract_xy(0, Ya), Xa)
+        Ya, _ = update(contract_xy(1, Xa), Ya)
+        Za, v = update(contract_z(Xa, Ya), Za)
+        X[act], Y[act], Z[act] = Xa, Ya, Za
+        if on_sweep is not None:
+            for r, vr in zip(act.tolist(), v.tolist()):
+                on_sweep(r, it, vr)
+        done = v - last[act] < tol * np.maximum(last[act], 1e-300)
+        last[act] = v
+        act = act[~done]
+        if act.size == 0:
+            break
+    best = int(np.argmax(last))
+    X, Y, Z = X[best], Y[best], Z[best]
+    best_val = float(last[best])
     value = trilinear_eval(T, X, Y, Z)
     if abs(abs(value) - best_val) > 1e-9 * max(abs(value), best_val):
         raise ValueError(
@@ -430,15 +476,18 @@ def hermitize(T: Tensor3) -> Tensor3:
     An exactly Hermitian input is returned as is: its symmetric part is the
     same matrix bit for bit, so the raw sampling vector and any cached
     eigenpair stay with it.  Otherwise both candidates (Hermitian as
-    N^3 x N^3 matrices) are eigensolved and the winner is returned with its
-    eigenpair cached and no raw vector; ties go to the symmetric part.
+    N^3 x N^3 matrices) are eigensolved once per tensor, and the winner is
+    cached on T and returned with its eigenpair cached and no raw vector;
+    ties go to the symmetric part.
     """
-    M = T.matrix
-    if np.array_equal(M, M.conj().T):
-        return T
-    cand_s = Tensor3(T.n, (M + M.conj().T) / 2.0)
-    cand_a = Tensor3(T.n, 1j * (M - M.conj().T) / 2.0)
-    return cand_a if spectral_norm(cand_a) > spectral_norm(cand_s) else cand_s
+    if T._hermitized is None:
+        M = T.matrix
+        if np.array_equal(M, M.conj().T):
+            return T
+        cand_s = Tensor3(T.n, (M + M.conj().T) / 2.0)
+        cand_a = Tensor3(T.n, 1j * (M - M.conj().T) / 2.0)
+        T._hermitized = cand_a if spectral_norm(cand_a) > spectral_norm(cand_s) else cand_s
+    return T._hermitized
 
 
 def save_tensor(path, T: Tensor3) -> None:

@@ -84,6 +84,30 @@ class TestProjectorNet:
         target = np.eye(2) / np.sqrt(2.0)
         assert net.nearest_distance(target) <= 1e-9
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_per_subset_oracle(self, k):
+        # the batched QR build equals one QR per subset bit for bit, in the
+        # same order and with the same ranks; k = 2 spans 41 chunks of subsets
+        eps = 0.5
+        from itertools import combinations
+
+        pts = sphere_net(2, eps / np.sqrt(2.0), seed=0).points
+        seen = {}
+        for subset in combinations(range(len(pts)), k):
+            Q, R = np.linalg.qr(pts[list(subset)].T)
+            diag = np.abs(np.diag(R))
+            rank = int(np.sum(diag > 1e-10 * max(1.0, diag.max(initial=0.0))))
+            if rank == 0:
+                continue
+            Qr = Q[:, :rank]
+            P = Qr @ Qr.conj().T
+            P = (P + P.conj().T) / 2.0 / np.sqrt(rank)
+            seen.setdefault(tuple(np.round(P.reshape(-1), 9).view(float)), (P, rank))
+        net = projector_net(2, k, eps, seed=0)
+        assert net.ranks == tuple(r for _, r in seen.values())
+        assert len(net.elements) == len(seen)
+        assert all(np.array_equal(X, P) for X, (P, _) in zip(net.elements, seen.values()))
+
     def test_scale_guard(self):
         with pytest.raises(ScaleError):
             projector_net(3, 1, 0.5)

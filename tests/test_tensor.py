@@ -51,6 +51,116 @@ def naive_trilinear(T, X, Y, Z):
     return total
 
 
+def _oracle_best_hermitian_factor(A):
+    """Single-matrix closed-form mode update (the per-restart reference)."""
+    B = A.conj()
+    H1 = (B + B.conj().T) / 2.0
+    H2 = (B - B.conj().T) / 2.0j
+    g11 = np.vdot(H1, H1).real
+    g12 = np.vdot(H1, H2).real
+    g22 = np.vdot(H2, H2).real
+    if g11 + g22 <= 0.0:
+        return None, 0.0
+    half = (g11 - g22) / 2.0
+    r = float(np.hypot(half, g12))
+    if half < 0.0:
+        c0, c1 = g12, r - half
+    elif r > 0.0:
+        c0, c1 = half + r, g12
+    else:
+        c0, c1 = 1.0, 0.0
+    X = c0 * H1 + c1 * H2
+    nrm = np.linalg.norm(X)
+    if nrm == 0.0:
+        return None, 0.0
+    X = (X + X.conj().T) / (2.0 * nrm)
+    return X, abs(complex(np.vdot(B, X)))
+
+
+def _oracle_contraction(T):
+    """Single-restart mode map: O(N^4) from g when present, else the dense einsum."""
+    N = T.N
+    if T.raw_g is None:
+        W = T.mode_view()
+        patterns = ("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")
+        return lambda mode, F, H: np.einsum(patterns[mode], W, F.ravel(), H.ravel()).reshape(N, N)
+    G = T.raw_g.reshape(N, N, N).astype(np.complex128)
+    moved = [np.ascontiguousarray(G.transpose(axes)) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    off = 1.0 - np.eye(N)
+
+    def contract(mode, F, H):
+        Gm = moved[mode]
+        S = (Gm.reshape(N * N, N) @ (H * off).T).reshape(N, N, N)
+        S = (F * off) @ S
+        return (Gm.reshape(N, N * N) @ S.reshape(N, N * N).T) * off
+
+    return contract
+
+
+def oracle_trilinear_lower(T, restarts=8, max_iters=200, tol=1e-9, seed=0, on_sweep=None):
+    """The per-restart ALS loop: restarts run one after another.  Returns
+    (best value, winning restart)."""
+    from xorgap.tensor import _anchor_factors
+
+    N = T.N
+    contract = _oracle_contraction(T)
+
+    def rand_herm(rng):
+        M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        H = (M + M.conj().T) / 2.0
+        nrm = np.linalg.norm(H)
+        return H / nrm if nrm > 0 else np.eye(N) / np.sqrt(N)
+
+    best_val, best_r = -1.0, None
+    for r in range(restarts):
+        if r == 0:
+            X, Y, Z = _anchor_factors(T)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
+            X, Y, Z = rand_herm(rng), rand_herm(rng), rand_herm(rng)
+        prev = 0.0
+        val = 0.0
+        for it in range(max_iters):
+            Xn, v = _oracle_best_hermitian_factor(contract(0, Y, Z))
+            if Xn is not None:
+                X = Xn
+            Yn, v = _oracle_best_hermitian_factor(contract(1, X, Z))
+            if Yn is not None:
+                Y = Yn
+            Zn, v = _oracle_best_hermitian_factor(contract(2, X, Y))
+            if Zn is not None:
+                Z = Zn
+            val = v
+            if on_sweep is not None:
+                on_sweep(r, it, val)
+            if val - prev < tol * max(prev, 1e-300):
+                break
+            prev = val
+        if val > best_val:
+            best_val, best_r = val, r
+    return best_val, best_r
+
+
+def _lockstep_cases():
+    """(name, tensor, ALS keyword arguments) for the lockstep-vs-oracle check."""
+    from xorgap.sweep import row_seed
+
+    cases = []
+    for key in range(3):  # dense complex n = 3 tensors, short runs to bound the oracle's cost
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(17, key)))
+        M = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+        cases.append((f"dense-n3-{key}", Tensor3(3, M), dict(restarts=4, max_iters=40)))
+    for n, count in ((1, 8), (2, 8), (3, 5)):
+        for k in range(count):
+            s = row_seed(0, n, k)
+            cases.append((f"row-n{n}-{k}", sample_tensor(n, SamplerConfig(seed=s)), dict(seed=s)))
+    rng = np.random.default_rng(3)
+    A, B, C = (random_hermitian(rng, 2) for _ in range(3))
+    W = np.einsum("ab,cd,ef->acebdf", A, B, C).reshape(8, 8)
+    cases.append(("unit-product", Tensor3(1, W), dict(restarts=6, seed=5)))
+    return cases
+
+
 class TestSampling:
     def test_zero_pattern_on_colliding_pairs(self):
         T = sample_tensor(1, SamplerConfig(seed=42))
@@ -240,9 +350,10 @@ class TestTrilinearLower:
         from xorgap.tensor import _best_hermitian_factor
 
         rng = np.random.default_rng(N)
-        for _ in range(20):
-            A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-            X, val = _best_hermitian_factor(A)
+        As = rng.standard_normal((20, N, N)) + 1j * rng.standard_normal((20, N, N))
+        Xs, vals, ok = _best_hermitian_factor(As)
+        assert ok.all()
+        for A, X, val in zip(As, Xs, vals):
             assert np.abs(X - X.conj().T).max() <= 1e-12
             assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
             assert abs(np.sum(A * X)) == pytest.approx(val, rel=1e-12)
@@ -262,7 +373,8 @@ class TestTrilinearLower:
         # conj(A) or i conj(A), normalized, attains Cauchy-Schwarz: ||A||_F
         from xorgap.tensor import _best_hermitian_factor
 
-        X, val = _best_hermitian_factor(A)
+        (X,), (val,), (ok,) = _best_hermitian_factor(A[None])
+        assert ok
         assert np.abs(X - X.conj().T).max() <= 1e-12
         assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
         assert val == pytest.approx(np.linalg.norm(A), rel=1e-12)
@@ -275,7 +387,8 @@ class TestTrilinearLower:
         H1 = np.diag([1.0, -1.0])
         H2 = np.array([[0.0, 1.0], [1.0, 0.0]])
         A = (H1 + 1j * H2).conj()
-        X, val = _best_hermitian_factor(A)
+        (X,), (val,), (ok,) = _best_hermitian_factor(A[None])
+        assert ok
         assert np.abs(X - X.conj().T).max() <= 1e-12
         assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
         assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
@@ -284,7 +397,20 @@ class TestTrilinearLower:
     def test_mode_update_zero_input(self):
         from xorgap.tensor import _best_hermitian_factor
 
-        assert _best_hermitian_factor(np.zeros((3, 3), dtype=complex)) == (None, 0.0)
+        X, val, ok = _best_hermitian_factor(np.zeros((1, 3, 3), dtype=complex))
+        assert not ok[0] and val[0] == 0.0
+
+    def test_mode_update_zero_slice_beside_nonzero(self):
+        # one restart's A vanishes, the other's does not: only the first is flagged
+        from xorgap.tensor import _best_hermitian_factor
+
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        X, val, ok = _best_hermitian_factor(np.stack([np.zeros((3, 3), dtype=complex), A]))
+        assert ok.tolist() == [False, True]
+        assert val[0] == 0.0 and np.all(X[0] == 0)
+        (X1,), (v1,), _ = _best_hermitian_factor(A[None])
+        assert val[1] == v1 and np.array_equal(X[1], X1)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_structured_contraction_matches_dense(self, n):
@@ -293,13 +419,16 @@ class TestTrilinearLower:
         T = sample_tensor(n, SamplerConfig(seed=n))
         N = T.N
         W = T.mode_view()
-        contract = _mode_contraction(T)
         rng = np.random.default_rng(n)
-        for mode, pattern in enumerate(("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")):
-            F, H = random_hermitian(rng, N), random_hermitian(rng, N)
-            want = np.einsum(pattern, W, F.ravel(), H.ravel()).reshape(N, N)
-            got = contract(mode, F, H)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for tensor in (T, Tensor3(n, T.matrix)):  # structured, then dense
+            hold_z, contract_z = _mode_contraction(tensor)
+            for mode, pattern in enumerate(("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")):
+                F = np.array([random_hermitian(rng, N) for _ in range(3)])
+                H = np.array([random_hermitian(rng, N) for _ in range(3)])
+                got = contract_z(F, H) if mode == 2 else hold_z(H)(mode, F)
+                for r in range(3):
+                    want = np.einsum(pattern, W, F[r].ravel(), H[r].ravel()).reshape(N, N)
+                    assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n,seed", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 0)])
     def test_structured_als_matches_dense(self, n, seed):
@@ -310,6 +439,34 @@ class TestTrilinearLower:
         slow, _ = trilinear_norm_lower(dense, seed=seed, on_sweep=lambda *a: slow_sweeps.append(a))
         assert fast == pytest.approx(slow, rel=1e-12)
         assert len(fast_sweeps) == len(slow_sweeps)
+
+    def test_lockstep_matches_per_restart_oracle(self):
+        # same per-restart sweep counts, per-sweep values within 1e-12 and the
+        # same winning restart as restarts run one after another; where
+        # restarts tie to rounding (the unit product tensor: all reach 1
+        # within 4e-16) the winner need only be one of the tied best
+        for name, T, kw in _lockstep_cases():
+            got, want = {}, {}
+            val, wit = trilinear_norm_lower(
+                T, on_sweep=lambda r, i, v: got.setdefault(r, []).append(v), **kw
+            )
+            best, best_r = oracle_trilinear_lower(
+                T, on_sweep=lambda r, i, v: want.setdefault(r, []).append(v), **kw
+            )
+            assert {r: len(h) for r, h in got.items()} == {r: len(h) for r, h in want.items()}, name
+            for r in want:
+                assert np.allclose(got[r], want[r], rtol=1e-12, atol=0.0), name
+            finals = np.array([got[r][-1] for r in sorted(got)])
+            tied = np.flatnonzero(finals >= finals.max() * (1.0 - 1e-12))
+            assert int(np.argmax(finals)) == best_r or (len(tied) > 1 and best_r in tied), name
+            assert val == pytest.approx(best, rel=1e-12), name
+
+    def test_on_sweep_is_iteration_major(self):
+        T = sample_tensor(2, SamplerConfig(seed=3))
+        calls = []
+        trilinear_norm_lower(T, restarts=4, seed=3, on_sweep=lambda r, i, v: calls.append((i, r)))
+        assert calls == sorted(calls)
+        assert {r for _, r in calls} == {0, 1, 2, 3}
 
     def test_raw_vector_not_reproducing_matrix_raises(self):
         # the ALS runs on g, the final evaluation on the stored matrix
@@ -395,6 +552,31 @@ class TestHermitize:
         out = hermitize(Tensor3(1, M))
         assert np.abs(out.matrix - out.matrix.conj().T).max() <= 1e-12
         assert out.raw_g is None  # certificate does not survive a real change
+
+    def test_general_tensor_factored_once(self, monkeypatch):
+        # a general-tensor pass: the game build and the Pauli strategy share one
+        # hermitize (two N^3-sized eigh), and the norms share one SVD
+        from xorgap.game import game_from_tensor, pauli_strategy
+
+        rng = np.random.default_rng(10)
+        T = Tensor3(2, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        counted = {"eigh": 0, "svd": 0}
+
+        def counting(name, fn):
+            def wrapped(a, *args, **kwargs):
+                if np.shape(a) == (64, 64):
+                    counted[name] += 1
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        spectral_norm(T)
+        trilinear_norm_lower(T, restarts=2)
+        game_from_tensor(T)
+        pauli_strategy(hermitize(T))
+        assert counted == {"eigh": 2, "svd": 1}
 
 
 class TestBinaryFormat:
