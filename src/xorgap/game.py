@@ -28,6 +28,9 @@ EXACT_ENUMERATION_LIMIT = 30  # largest 2Q handled by exact enumeration
 
 _OBS_TOL = 1e-10
 
+_SEESAW_MAX_SWEEPS = 500  # per see-saw restart
+_SEESAW_TOL = 1e-9  # a see-saw restart stops after a sweep that gains less
+
 
 def _as_signs(arr) -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64)
@@ -311,11 +314,28 @@ def pauli_strategy(T: Tensor3) -> EntangledStrategy:
     )
 
 
-def _matrix_sign(H: np.ndarray) -> np.ndarray:
-    """Observable closest to H: flip its eigenvalues to +/-1 (zeros to +1)."""
-    w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+def _matrix_sign(H: np.ndarray) -> tuple[np.ndarray, float]:
+    """Observables closest to a (Q, d, d) stack H, and sum_q tr(sign(H_q) H_q).
+
+    Each Hermitian part's eigenvalues flip to +/-1 (zeros to +1); the trace
+    sum is the sum of their magnitudes.
+    """
+    w, V = np.linalg.eigh((H + H.conj().transpose(0, 2, 1)) / 2.0)
     s = np.where(w >= 0.0, 1.0, -1.0)
-    return (V * s) @ V.conj().T
+    return (V * s[:, None, :]) @ V.conj().transpose(0, 2, 1), float(np.abs(w).sum())
+
+
+def _best_response(C: np.ndarray, p3: np.ndarray, B: np.ndarray, Cm: np.ndarray):
+    """Player 1's optimal observables given the state p3 (d, d, d), B and Cm.
+
+    With E_i[x, a] = sum_jk C_ijk <psi| |a><x| ⊗ B_j ⊗ Cm_k |psi>, the bias
+    is sum_i tr(A_i E_i), which A_i = sign(E_i) maximizes; returns those
+    observables and the bias they reach.  The other players call this with
+    their axes of C and p3 moved to the front.
+    """
+    t = np.einsum("jbp,kcq,apq->jkabc", B, Cm, p3, optimize=True)
+    K = np.einsum("abc,jkxbc->jkax", p3.conj(), t, optimize=True)
+    return _matrix_sign(np.einsum("ijk,jkax->ixa", C, K, optimize=True))
 
 
 def _game_operator(C: np.ndarray, A: np.ndarray, B: np.ndarray, Cm: np.ndarray):
@@ -330,9 +350,7 @@ def seesaw_entangled_bias(
     G: XorGame,
     d: int,
     restarts: int = 8,
-    iters: int = 500,
     seed: int = 0,
-    tol: float = 1e-9,
     on_sweep=None,
 ) -> tuple[float, EntangledStrategy]:
     """Alternating lower-bound heuristic for the entangled bias at local dimension d.
@@ -340,9 +358,12 @@ def seesaw_entangled_bias(
     A sweep updates the shared state (top eigenvector of the current game
     operator) and then each player's observables in turn; with the rest
     fixed, the optimal observable for a question is the matrix sign of its
-    effective operator, so the bias never decreases.  Runs from several
-    seeded starts and returns the best strategy found.  Values are always
-    achievable, hence lower bounds.
+    effective operator, so the bias never decreases.  The sweep's bias is
+    the one its last update reaches; a restart stops after a sweep that
+    gains less than 1e-9, or after 500 sweeps.  Runs from several seeded
+    starts and returns the best strategy found (the first, on a tie) with
+    its explicitly evaluated bias, so the value is always achievable, hence
+    a lower bound.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -350,52 +371,28 @@ def seesaw_entangled_bias(
         raise ValueError("restarts must be >= 1")
     Q = G.Q
     C = G.cost_tensor()
-    children = np.random.SeedSequence(seed).spawn(restarts)
     best = -np.inf
     best_strat = None
-    for r, ss in enumerate(children):
+    for r, ss in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
         rng = np.random.default_rng(ss)
 
         def rand_obs():
-            M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            return _matrix_sign(M + M.conj().T)
+            M = rng.standard_normal((Q, 2, d, d))
+            M = M[:, 0] + 1j * M[:, 1]
+            return _matrix_sign(M + M.conj().transpose(0, 2, 1))[0]
 
-        A = np.array([rand_obs() for _ in range(Q)])
-        B = np.array([rand_obs() for _ in range(Q)])
-        Cm = np.array([rand_obs() for _ in range(Q)])
-        psi = rng.standard_normal(d**3) + 1j * rng.standard_normal(d**3)
-        psi /= np.linalg.norm(psi)
+        A, B, Cm = rand_obs(), rand_obs(), rand_obs()
         prev = -np.inf
-        val = prev
-        for sweep in range(iters):
-            op = _game_operator(C, A, B, Cm)
-            _, V = np.linalg.eigh(op)
+        for sweep in range(_SEESAW_MAX_SWEEPS):
+            _, V = np.linalg.eigh(_game_operator(C, A, B, Cm))
             psi = V[:, -1]
             p3 = psi.reshape(d, d, d)
-            # player 1: effective operators E_i with tr(A_i E_i) the bias share
-            t = np.einsum("jbp,kcq,apq->jkabc", B, Cm, p3, optimize=True)
-            K = np.einsum("abc,jkxbc->jkax", p3.conj(), t, optimize=True)
-            E = np.einsum("ijk,jkax->ixa", C, K, optimize=True)
-            A = np.array([_matrix_sign(E[i]) for i in range(Q)])
-            # player 2
-            t = np.einsum("iap,kcq,pbq->ikabc", A, Cm, p3, optimize=True)
-            K = np.einsum("abc,ikayc->ikby", p3.conj(), t, optimize=True)
-            E = np.einsum("ijk,ikby->jyb", C, K, optimize=True)
-            B = np.array([_matrix_sign(E[j]) for j in range(Q)])
-            # player 3
-            t = np.einsum("iap,jbq,pqc->ijabc", A, B, p3, optimize=True)
-            K = np.einsum("abc,ijabz->ijcz", p3.conj(), t, optimize=True)
-            E = np.einsum("ijk,ijcz->kzc", C, K, optimize=True)
-            Cm = np.array([_matrix_sign(E[k]) for k in range(Q)])
-            S = EntangledStrategy(
-                dims=(d, d, d),
-                state=psi,
-                observables=(list(A), list(B), list(Cm)),
-            )
-            val = entangled_bias_eval(G, S)
+            A, _ = _best_response(C, p3, B, Cm)
+            B, _ = _best_response(C.transpose(1, 0, 2), p3.transpose(1, 0, 2), A, Cm)
+            Cm, val = _best_response(C.transpose(2, 0, 1), p3.transpose(2, 0, 1), A, B)
             if on_sweep is not None:
                 on_sweep(r, sweep, val)
-            if val - prev < tol:
+            if val - prev < _SEESAW_TOL:
                 break
             prev = val
         if val > best:
@@ -405,7 +402,7 @@ def seesaw_entangled_bias(
                 state=psi,
                 observables=(list(A), list(B), list(Cm)),
             )
-    return best, best_strat
+    return entangled_bias_eval(G, best_strat), best_strat
 
 
 def check_question_bound(G: XorGame, beta_star_lb: float, beta: float) -> BoundReport:

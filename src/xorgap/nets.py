@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import DimensionError, ScaleError
 
-PACKING_WINDOW = 10_000
+PACKING_WINDOW = 10_000  # consecutive rejections that end a sphere-net packing
 _SUBSET_CHUNK = 1024
+_EIG_CUTOFF = 1e-12  # decomposition drops eigenvalues below this times the largest
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,16 @@ class HermDecomposition:
 
 
 @lru_cache(maxsize=32)
-def sphere_net(N: int, eps: float, seed: int = 0, window: int = PACKING_WINDOW) -> SphereNet:
+def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
     """Greedy maximal eps-packing of the unit sphere of C^N (an eps-net).
 
-    Deterministic for fixed (N, eps, seed, window); results are cached and
-    shared (all stored arrays are read-only).  N is capped at 4; the
+    Candidates come in seeded batches of 256.  A batch is screened against
+    the points kept before it in one array operation; the candidates that
+    pass are then tested, in order, against the points accepted earlier in
+    the same batch, so the result is the one-candidate-at-a-time packing.
+    Construction stops after PACKING_WINDOW consecutive rejections, even
+    mid-batch.  Deterministic for fixed (N, eps, seed); results are cached
+    and shared (all stored arrays are read-only).  N is capped at 4; the
     construction is combinatorial in nature and larger dimensions are
     rejected rather than silently approximated.
     """
@@ -96,30 +102,29 @@ def sphere_net(N: int, eps: float, seed: int = 0, window: int = PACKING_WINDOW) 
     if not 1 <= N <= 4:
         raise ScaleError("sphere nets are built only for complex dimension <= 4")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, N)))
-    kept = []
-    P = None
+    pts = np.empty((0, N), dtype=np.complex128)
     rejects = 0
     eps2 = eps * eps
-    while rejects < window:
+    while rejects < PACKING_WINDOW:
         batch = rng.standard_normal((256, 2 * N))
         vecs = batch[:, :N] + 1j * batch[:, N:]
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        for v in vecs:
-            if P is None:
-                kept.append(v)
-                P = np.array(kept)
-                rejects = 0
-                continue
-            d2 = np.sum(np.abs(P - v) ** 2, axis=1).min()
-            if d2 > eps2:
-                kept.append(v)
-                P = np.array(kept)
+        # coordinate by coordinate keeps the temporaries (256, len(pts)) and
+        # adds the squares in the same order as the per-candidate sum below
+        d2 = sum(np.abs(vecs[:, i, None] - pts[:, i]) ** 2 for i in range(N))
+        far = d2.min(axis=1, initial=np.inf) > eps2
+        fresh = np.empty_like(vecs)
+        m = 0
+        for v, ok in zip(vecs, far):
+            if ok and np.sum(np.abs(fresh[:m] - v) ** 2, axis=1).min(initial=np.inf) > eps2:
+                fresh[m] = v
+                m += 1
                 rejects = 0
             else:
                 rejects += 1
-                if rejects >= window:
+                if rejects >= PACKING_WINDOW:
                     break
-    pts = np.array(kept)
+        pts = np.concatenate([pts, fresh[:m]])
     pts.setflags(write=False)
     return SphereNet(dim=N, eps=eps, points=pts)
 
@@ -182,7 +187,7 @@ def triple_net_size(N: int, eps: float, seed: int = 0) -> int:
     return total
 
 
-def lorentz_decompose(X: np.ndarray, tol: float = 1e-12) -> HermDecomposition:
+def lorentz_decompose(X: np.ndarray) -> HermDecomposition:
     """Write a Hermitian X with ||X||_F <= 1 as a signed sum of normalized projectors.
 
     Eigenvalues of each sign are treated separately.  Sorting the positive
@@ -209,7 +214,7 @@ def lorentz_decompose(X: np.ndarray, tol: float = 1e-12) -> HermDecomposition:
     if fro == 0.0:
         return HermDecomposition(N=N, terms=[])
     w, V = np.linalg.eigh(X)
-    cutoff = tol * np.abs(w).max()
+    cutoff = _EIG_CUTOFF * np.abs(w).max()
     terms = []
     for sign in (+1.0, -1.0):
         idx = np.where(sign * w > cutoff)[0]

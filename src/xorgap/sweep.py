@@ -32,6 +32,7 @@ GAP_COLUMNS = [
 ]
 
 RATIO_BOUND_FACTOR = 4.0  # loss budgeted for hermitization
+ROW_NET_EPS = 0.5  # resolution of a row's net upper bound
 
 
 @dataclass
@@ -81,33 +82,26 @@ def row_seed(master_seed: int, n: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(master_seed, n, index)).generate_state(1)[0])
 
 
-def compute_gap_row(
-    n: int,
-    sample_seed: int,
-    als_restarts: int = 8,
-    als_iters: int = 200,
-    als_tol: float = 1e-9,
-    heuristic_restarts: int = 32,
-    net_eps: float = 0.5,
-) -> GapRow:
-    """Full pipeline for one sampled tensor."""
+def compute_gap_row(n: int, sample_seed: int) -> GapRow:
+    """Full pipeline for one sampled tensor.
+
+    The ALS lower bound and the classical heuristic run with their default
+    restarts and stopping rules; the net upper bound (N = 2 only) uses
+    resolution ROW_NET_EPS.
+    """
     N = 2**n
     T = tensor.sample_tensor(n, tensor.SamplerConfig(seed=sample_seed))
     spectral = tensor.spectral_norm(T)
-    lower, _ = tensor.trilinear_norm_lower(
-        T, restarts=als_restarts, max_iters=als_iters, tol=als_tol, seed=sample_seed
-    )
+    lower, _ = tensor.trilinear_norm_lower(T, seed=sample_seed)
     upper = None
     if N == 2:
-        upper = tensor.trilinear_norm_upper_net(T, net_eps)
+        upper = tensor.trilinear_norm_upper_net(T, ROW_NET_EPS)
     report = game.game_from_tensor(T)
     if 2 * report.game.Q <= game.EXACT_ENUMERATION_LIMIT:
         classical, _ = game.classical_bias_exact(report.game)
         method = "exact"
     else:
-        classical, _ = game.classical_bias_heuristic(
-            report.game, restarts=heuristic_restarts, seed=sample_seed
-        )
+        classical, _ = game.classical_bias_heuristic(report.game, seed=sample_seed)
         method = "heuristic"
     ratio = report.pauli_bias / classical
     prop31 = None
@@ -172,7 +166,6 @@ def gap_sweep(
     out=None,
     budget_s: float = 1800.0,
     resume: tuple | None = None,
-    **row_kwargs,
 ) -> tuple[list[GapRow], tuple | None]:
     """One row per (n, sample index), deterministic given the master seed.
 
@@ -215,7 +208,7 @@ def gap_sweep(
         if time.monotonic() - started > budget_s:
             token = (n, idx)
             break
-        rows.append(compute_gap_row(n, row_seed(seed, n, idx), **row_kwargs))
+        rows.append(compute_gap_row(n, row_seed(seed, n, idx)))
     if out is not None:
         write_gap_csv(out, kept + rows)
         token_path = str(out) + ".resume"

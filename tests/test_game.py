@@ -28,6 +28,7 @@ from xorgap import (
     seesaw_entangled_bias,
 )
 from xorgap.game import (
+    _game_operator,
     game_from_cost_tensor,
     load_game_csv,
     save_game_csv,
@@ -408,7 +409,87 @@ class TestPauliStrategy:
         assert np.abs(tri.imag).max() <= 1e-10
 
 
+def oracle_matrix_sign(H):
+    w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+    s = np.where(w >= 0.0, 1.0, -1.0)
+    return (V * s) @ V.conj().T
+
+
+def oracle_seesaw(G, d, restarts=8, seed=0, on_sweep=None):
+    """The see-saw written out once per player, with an explicit evaluation
+    every sweep; the packaged routine must retrace it sweep for sweep."""
+    Q = G.Q
+    C = G.cost_tensor()
+    best = -np.inf
+    best_strat = None
+    for r, ss in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+        rng = np.random.default_rng(ss)
+
+        def rand_obs():
+            M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return oracle_matrix_sign(M + M.conj().T)
+
+        A = np.array([rand_obs() for _ in range(Q)])
+        B = np.array([rand_obs() for _ in range(Q)])
+        Cm = np.array([rand_obs() for _ in range(Q)])
+        prev = -np.inf
+        for sweep in range(500):
+            _, V = np.linalg.eigh(_game_operator(C, A, B, Cm))
+            psi = V[:, -1]
+            p3 = psi.reshape(d, d, d)
+            t = np.einsum("jbp,kcq,apq->jkabc", B, Cm, p3, optimize=True)
+            K = np.einsum("abc,jkxbc->jkax", p3.conj(), t, optimize=True)
+            E = np.einsum("ijk,jkax->ixa", C, K, optimize=True)
+            A = np.array([oracle_matrix_sign(E[i]) for i in range(Q)])
+            t = np.einsum("iap,kcq,pbq->ikabc", A, Cm, p3, optimize=True)
+            K = np.einsum("abc,ikayc->ikby", p3.conj(), t, optimize=True)
+            E = np.einsum("ijk,ikby->jyb", C, K, optimize=True)
+            B = np.array([oracle_matrix_sign(E[j]) for j in range(Q)])
+            t = np.einsum("iap,jbq,pqc->ijabc", A, B, p3, optimize=True)
+            K = np.einsum("abc,ijabz->ijcz", p3.conj(), t, optimize=True)
+            E = np.einsum("ijk,ijcz->kzc", C, K, optimize=True)
+            Cm = np.array([oracle_matrix_sign(E[k]) for k in range(Q)])
+            S = EntangledStrategy(dims=(d, d, d), state=psi, observables=(list(A), list(B), list(Cm)))
+            val = entangled_bias_eval(G, S)
+            on_sweep(r, sweep, val)
+            if val - prev < 1e-9:
+                break
+            prev = val
+        if val > best:
+            best, best_strat = val, S
+    return best, best_strat
+
+
 class TestSeesaw:
+    def test_matches_per_player_oracle(self):
+        # one best-response routine for all players and the bias read off
+        # the last update retrace the written-out see-saw: same sweeps per
+        # restart, same values, and the returned value is the evaluated one
+        n1 = [game_from_tensor(sample_tensor(1, SamplerConfig(seed=row_seed(0, 1, k)))).game for k in (0, 1)]
+        cases = [
+            (embedded_chsh_game(), 2, 6, 0),
+            (mermin_game(), 2, 6, 0),
+            (mermin_game(), 1, 8, 3),
+            (n1[0], 2, 8, 0),
+            (n1[1], 2, 8, 0),
+        ]
+        for G, d, restarts, seed in cases:
+            got, want = {}, {}
+            val, strat = seesaw_entangled_bias(
+                G, d, restarts=restarts, seed=seed,
+                on_sweep=lambda r, s, v: got.setdefault(r, []).append(v),
+            )
+            ref, _ = oracle_seesaw(
+                G, d, restarts=restarts, seed=seed,
+                on_sweep=lambda r, s, v: want.setdefault(r, []).append(v),
+            )
+            assert sorted(got) == sorted(want) == list(range(restarts))
+            for r in want:
+                assert len(got[r]) == len(want[r])
+                assert np.abs(np.subtract(got[r], want[r])).max() <= 1e-12
+            assert abs(val - ref) <= 1e-12
+            assert val == entangled_bias_eval(G, strat)
+
     def test_chsh_reaches_tsirelson_value(self):
         val, strat = seesaw_entangled_bias(embedded_chsh_game(), 2, restarts=6, seed=0)
         assert val >= np.sqrt(2.0) / 2.0 - 1e-4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xorgap import ScaleError, lorentz_decompose, projector_net, sphere_net
-from xorgap.nets import coefficient_bound, coefficient_bound_sharp, triple_net_size
+from xorgap.nets import PACKING_WINDOW, coefficient_bound, coefficient_bound_sharp, triple_net_size
 
 
 def random_unit(rng, N):
@@ -18,7 +18,37 @@ def random_unit_hermitian(rng, N):
     return H / np.linalg.norm(H)
 
 
+def oracle_sphere_net(N, eps, seed):
+    """Greedy packing one candidate at a time, rebuilding the kept array on
+    every acceptance."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, N)))
+    kept = []
+    P = None
+    rejects = 0
+    while rejects < PACKING_WINDOW:
+        batch = rng.standard_normal((256, 2 * N))
+        vecs = batch[:, :N] + 1j * batch[:, N:]
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        for v in vecs:
+            if P is None or np.sum(np.abs(P - v) ** 2, axis=1).min() > eps * eps:
+                kept.append(v)
+                P = np.array(kept)
+                rejects = 0
+            else:
+                rejects += 1
+                if rejects >= PACKING_WINDOW:
+                    break
+    return np.array(kept)
+
+
 class TestSphereNet:
+    @pytest.mark.parametrize(
+        "N,eps", [(2, 0.5), (1, 1.0), (2, 0.5 / np.sqrt(2.0))], ids=["2-0.5", "1-1", "2-sweep"]
+    )
+    def test_matches_per_candidate_oracle(self, N, eps):
+        # screening a batch at once keeps the sequential accept rule exactly
+        assert np.array_equal(sphere_net(N, eps, seed=0).points, oracle_sphere_net(N, eps, 0))
+
     def test_points_are_unit(self):
         S = sphere_net(2, 0.5, seed=1)
         assert np.abs(np.linalg.norm(S.points, axis=1) - 1.0).max() <= 1e-12
