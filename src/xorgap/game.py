@@ -158,8 +158,9 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     The tensor is hermitized and its coefficient table, real for a Hermitian
     tensor, is l1-normalized into (pi, signs).  The explicit Pauli strategy's
     bias on that game is reported in closed form, N^3 lambda / l1 (see
-    :func:`pauli_strategy`), from the top eigenpair that `hermitize` or
-    `spectral_norm` already cached; no strategy is evaluated.
+    :func:`pauli_strategy`), from the Lanczos top eigenpair that `hermitize`
+    or `spectral_norm` already cached (computed from g for a sampled tensor);
+    no strategy is evaluated.
     """
     if not np.any(T.matrix):
         raise DegenerateGameError("zero tensor yields no game")

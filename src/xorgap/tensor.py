@@ -51,8 +51,9 @@ class Tensor3:
     `matrix` is the canonical storage: rows are flattened (i, j, k), columns
     (i', j', k'), both row-major.  `raw_g` keeps the sampling vector when the
     tensor came out of :func:`sample_tensor`, which is what certifies the net
-    upper bound on the trilinear norm and what the alternating lower bound
-    contracts in place of the dense mode view.
+    upper bound on the trilinear norm, what the alternating lower bound
+    contracts in place of the dense mode view, and what the Lanczos top
+    eigenpair multiplies by in place of the matrix.
     """
 
     __slots__ = ("n", "N", "matrix", "raw_g", "_eig", "_herm", "_sv", "_hermitized")
@@ -165,23 +166,97 @@ def _masked_outer(g: np.ndarray, N: int) -> np.ndarray:
     return M
 
 
+_LANCZOS_TOL = 1e-14
+
+
+def _lanczos_extremes(matvec, dim: int, dtype) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """Both extreme eigenpairs of a Hermitian operator, as (low, u, high, v).
+
+    Lanczos with full reorthogonalisation (two classical Gram-Schmidt passes)
+    from the fixed start vector default_rng(0).standard_normal(dim).  It stops
+    when the lowest and the highest Ritz pairs both have residual
+    beta_k |s_k| <= 1e-14 max|theta|, which also covers an invariant Krylov
+    space (beta_k = 0), or when the basis spans all dim directions.  The
+    basis grows by doubling, so memory follows the iteration count.
+    """
+    q = np.random.default_rng(0).standard_normal(dim).astype(dtype)
+    q /= np.linalg.norm(q)
+    V = np.empty((min(dim, 32), dim), dtype=dtype)
+    alpha, beta = [], []
+    k = check = 1
+    tol = 0.0
+    while True:
+        if k > V.shape[0]:
+            grow = min(dim, 2 * V.shape[0]) - V.shape[0]
+            V = np.concatenate([V, np.empty((grow, dim), dtype=dtype)])
+        V[k - 1] = q
+        Vk = V[:k]
+        w = matvec(q)
+        h = (Vk @ w.conj()).conj()
+        w = w - h @ Vk
+        h2 = (Vk @ w.conj()).conj()  # the second pass restores orthogonality
+        w = w - h2 @ Vk
+        alpha.append(float(h[-1].real + h2[-1].real))
+        b = float(np.linalg.norm(w))
+        if k == check or k == dim or b <= tol:
+            # the tridiagonal is solved every step up to 8, then about every
+            # k/8 steps (at most 1/8 extra iterations), and at once when b
+            # falls below the last tolerance, which stops the run
+            check = k + max(1, k // 8)
+            Tk = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, S = np.linalg.eigh(Tk)
+            tol = _LANCZOS_TOL * max(abs(theta[0]), abs(theta[-1]))
+            if k == dim or max(abs(S[-1, 0]), abs(S[-1, -1])) * b <= tol:
+                break
+        beta.append(b)
+        q = w / b
+        k += 1
+    return theta[0], S[:, 0] @ Vk, theta[-1], S[:, -1] @ Vk
+
+
 def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
     """Eigenvalue of largest magnitude and its eigenvector (Hermitian input).
 
-    When +s and -s are both eigenvalues of magnitude equal to the spectral
-    norm, the positive branch is returned, so the eigenvector realizes the
-    spectral norm as a positive quadratic form whenever possible.
+    One Lanczos run (see :func:`_lanczos_extremes`) follows both ends of the
+    spectrum, and the end of larger magnitude wins.  When +s and -s are both
+    eigenvalues of magnitude equal to the spectral norm, the positive branch
+    is returned, so the eigenvector realizes the spectral norm as a positive
+    quadratic form whenever possible.  A sampled tensor (one carrying its raw
+    vector g) never touches the matrix: its product is
+    x -> g∘((J - I)^{⊗3}(g∘x)), each J - I factor a sum along one axis minus
+    the input, O(N^3) per product.  Any other tensor multiplies by its matrix
+    view.  The pair is then checked once against the stored matrix, and
+    ValueError is raised when ||M psi - lambda psi|| exceeds 1e-9 of
+    max(|lambda|, max|M|) (a raw vector that does not reproduce the matrix).
     """
     if not T.is_hermitian():
         raise ValueError("top_eigenpair needs a Hermitian matrix view")
     if T._eig is None:
-        w, V = np.linalg.eigh(T.matrix)
-        sn = max(abs(w[0]), abs(w[-1]))
-        if w[-1] >= sn * (1.0 - 1e-12):
-            lam, vec = w[-1], V[:, -1]
+        N = T.N
+        if T.raw_g is None:
+            matvec, dtype = T.matrix.dot, np.complex128
         else:
-            lam, vec = w[0], V[:, 0]
-        vec = np.ascontiguousarray(vec)
+            g = T.raw_g
+
+            def matvec(x):
+                y = (g * x).reshape(N, N, N)
+                for axis in range(3):
+                    y = y.sum(axis=axis, keepdims=True) - y
+                return g * y.reshape(-1)
+
+            dtype = np.float64
+        low, u, high, v = _lanczos_extremes(matvec, N**3, dtype)
+        sn = max(abs(low), abs(high))
+        lam, vec = (high, v) if high >= sn * (1.0 - 1e-12) else (low, u)
+        vec = np.ascontiguousarray(vec / np.linalg.norm(vec), dtype=np.complex128)
+        M = T.matrix
+        res = float(np.linalg.norm(M @ vec - lam * vec))
+        # max|M| <= |lambda| for a correct pair, so it is read only on failure
+        if res > 1e-9 * abs(lam) and res > 1e-9 * float(np.abs(M).max()):
+            raise ValueError(
+                f"eigenpair residual {res!r} on the stored matrix (lambda {lam!r}); "
+                "the raw vector does not reproduce the tensor"
+            )
         vec.setflags(write=False)
         T._eig = (float(lam), vec)
     return T._eig
@@ -190,9 +265,9 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
 def spectral_norm(T: Tensor3) -> float:
     """Largest singular value of the matrix view.
 
-    Hermitian inputs go through the eigendecomposition (retaining a certified
-    top eigenvector); general inputs fall back to the SVD, whose top singular
-    pair is cached for the ALS anchor.
+    Hermitian inputs go through the Lanczos top eigenpair (retaining the top
+    eigenvector, checked against the stored matrix); general inputs fall back
+    to the SVD, whose top singular pair is cached for the ALS anchor.
     """
     if T.is_hermitian():
         lam, _ = top_eigenpair(T)
@@ -472,10 +547,10 @@ def hermitize(T: Tensor3) -> Tensor3:
 
     An exactly Hermitian input is returned as is: its symmetric part is the
     same matrix bit for bit, so the raw sampling vector and any cached
-    eigenpair stay with it.  Otherwise both candidates (Hermitian as
-    N^3 x N^3 matrices) are eigensolved once per tensor, and the winner is
-    cached on T and returned with its eigenpair cached and no raw vector;
-    ties go to the symmetric part.
+    eigenpair stay with it.  Otherwise each candidate (Hermitian as an
+    N^3 x N^3 matrix) gets one Lanczos top eigenpair per tensor, and the
+    winner is cached on T and returned with its eigenpair cached and no raw
+    vector; ties go to the symmetric part.
     """
     if T._hermitized is None:
         M = T.matrix

@@ -123,17 +123,28 @@ class TestGapSweep:
             gap_sweep([1], 4, seed=0, resume=token)
 
     def test_sampled_row_eigensolves_once(self, monkeypatch):
+        # one eigenpair per row, and the N^3 x N^3 matrix view is never handed
+        # to a dense eigh (the Lanczos tridiagonal may reach that size at n = 1)
+        from xorgap import tensor
+
+        M = tensor.sample_tensor(1, tensor.SamplerConfig(seed=row_seed(0, 1, 0))).matrix
         counted = []
-        eigh = np.linalg.eigh
+        dense = []
+        eigh, lanczos = np.linalg.eigh, tensor._lanczos_extremes
 
         def counting_eigh(a, *args, **kwargs):
-            if a.shape[0] == 8:  # the N^3 x N^3 matrix view at n = 1
-                counted.append(a.shape)
+            dense.append(np.shape(a) == M.shape and np.array_equal(a, M))
             return eigh(a, *args, **kwargs)
 
+        def counting_lanczos(*args):
+            counted.append(args[1])
+            return lanczos(*args)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(tensor, "_lanczos_extremes", counting_lanczos)
         compute_gap_row(1, row_seed(0, 1, 0))
-        assert len(counted) == 1
+        assert counted == [8]
+        assert not any(dense)
 
     def test_sampled_row_skips_explicit_strategy_evaluation(self, monkeypatch):
         from xorgap import game, pauli

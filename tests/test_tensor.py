@@ -256,6 +256,75 @@ class TestSpectralNorm:
         assert (psi.conj() @ T.matrix @ psi).real == pytest.approx(lam, rel=1e-10)
 
 
+def _dense_top(M):
+    """Top eigenpair of a dense eigh, ties to the positive branch."""
+    w, V = np.linalg.eigh(M)
+    sn = max(abs(w[0]), abs(w[-1]))
+    j = -1 if w[-1] >= sn * (1.0 - 1e-12) else 0
+    return w[j], V[:, j]
+
+
+_SEED0_ROWS = [(n, k) for n, count in ((1, 8), (2, 8), (3, 5)) for k in range(count)]
+
+
+class TestLanczosEigenpair:
+    @pytest.mark.parametrize("n,k", _SEED0_ROWS)
+    def test_seed0_rows_match_dense_eigh(self, n, k):
+        from xorgap.sweep import row_seed
+
+        T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, k)))
+        lam, psi = top_eigenpair(T)
+        ref, phi = _dense_top(T.matrix)
+        assert abs(lam - ref) <= 1e-12 * abs(ref)
+        assert abs(abs(np.vdot(phi, psi)) - 1.0) <= 1e-12
+        assert np.linalg.norm(T.matrix @ psi - lam * psi) <= 1e-12 * abs(lam)
+        if n == 1:  # J - I is sigma_x at N = 2: an exact +/-lambda pair
+            assert np.linalg.eigvalsh(T.matrix)[0] == pytest.approx(-ref, rel=1e-12)
+            assert lam > 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("dist", ["ones", "bernoulli"])
+    def test_degenerate_spectra(self, n, dist):
+        if dist == "ones":
+            cfg = SamplerConfig("override", override_g=np.ones(8**n))
+        else:
+            cfg = SamplerConfig("bernoulli", seed=0)
+        T = sample_tensor(n, cfg)
+        lam, psi = top_eigenpair(T)
+        ref, _ = _dense_top(T.matrix)
+        assert lam > 0
+        assert abs(lam - ref) <= 1e-12 * abs(ref)
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        assert abs((psi.conj() @ T.matrix @ psi).real - ref) <= 1e-12 * abs(ref)
+
+    def test_zero_tensor(self):
+        T = Tensor3(1, np.zeros((8, 8)))
+        lam, psi = top_eigenpair(T)
+        assert lam == 0.0
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_norm(T) == 0.0
+
+    @pytest.mark.parametrize("fixture", ["antihermitian", "random"])
+    def test_dense_hermitize_candidates(self, fixture):
+        if fixture == "antihermitian":  # the fixtures of TestHermitize
+            rng = np.random.default_rng(4)
+            Hm = rng.standard_normal((8, 8))
+            M = 1j * (Hm + Hm.T) / 2.0
+        else:
+            rng = np.random.default_rng(6)
+            M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        for C in ((M + M.conj().T) / 2.0, 1j * (M - M.conj().T) / 2.0):
+            lam, psi = top_eigenpair(Tensor3(1, C))
+            ref, phi = _dense_top(C)
+            assert abs(lam - ref) <= 1e-12 * abs(ref)  # exact for the zero candidate
+            assert np.linalg.norm(C @ psi - lam * psi) <= 1e-12 * abs(lam)
+
+    def test_raw_vector_not_reproducing_matrix_rejected(self):
+        T = sample_tensor(1, SamplerConfig(seed=3))
+        with pytest.raises(ValueError, match="does not reproduce"):
+            top_eigenpair(Tensor3(1, 1e4 * T.matrix, raw_g=T.raw_g))
+
+
 class TestTrilinearEval:
     def test_identity_tensor_normalized_identity_factors(self):
         for n in (1, 2):
@@ -555,28 +624,31 @@ class TestHermitize:
 
     def test_general_tensor_factored_once(self, monkeypatch):
         # a general-tensor pass: the game build and the Pauli strategy share one
-        # hermitize (two N^3-sized eigh), and the norms share one SVD
+        # hermitize (one eigenpair per candidate), and the norms share one SVD
+        from xorgap import tensor
         from xorgap.game import game_from_tensor, pauli_strategy
 
         rng = np.random.default_rng(10)
         T = Tensor3(2, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
-        counted = {"eigh": 0, "svd": 0}
+        counted = {"eigenpair": 0, "svd": 0}
+        lanczos, svd = tensor._lanczos_extremes, np.linalg.svd
 
-        def counting(name, fn):
-            def wrapped(a, *args, **kwargs):
-                if np.shape(a) == (64, 64):
-                    counted[name] += 1
-                return fn(a, *args, **kwargs)
+        def counting_lanczos(*args):
+            counted["eigenpair"] += 1
+            return lanczos(*args)
 
-            return wrapped
+        def counting_svd(a, *args, **kwargs):
+            if np.shape(a) == (64, 64):
+                counted["svd"] += 1
+            return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(tensor, "_lanczos_extremes", counting_lanczos)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         spectral_norm(T)
         trilinear_norm_lower(T, restarts=2)
         game_from_tensor(T)
         pauli_strategy(hermitize(T))
-        assert counted == {"eigh": 2, "svd": 1}
+        assert counted == {"eigenpair": 2, "svd": 1}
 
 
 class TestBinaryFormat:
