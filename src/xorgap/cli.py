@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import game as game_mod
-from . import sweep, tensor
+from . import pauli, sweep, tensor
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,6 +82,8 @@ def main(argv=None) -> int:
 
 def _dispatch(parser, args) -> int:
     if args.command == "sample":
+        if not 1 <= args.n <= pauli.MAX_QUBITS:
+            parser.error(f"--n must lie in 1..{pauli.MAX_QUBITS}, got {args.n}")
         cfg = tensor.SamplerConfig(distribution=args.dist, seed=args.seed)
         T = tensor.sample_tensor(args.n, cfg)
         tensor.save_tensor(args.out, T)

@@ -176,13 +176,16 @@ def gap_sweep(
     completes removes any stale `<out>.resume`.  Returns (rows computed by
     this call, resume_token_or_None).
 
-    Raises ValueError, before computing any row, when the token lies outside
-    n_list x range(samples_per_n), or when `out` does not hold exactly the
-    rows of this seed that come before the token in (n, index) order.
+    Raises ValueError, before computing any row, when samples_per_n < 1,
+    when the token lies outside n_list x range(samples_per_n), or when `out`
+    does not hold exactly the rows of this seed that come before the token
+    in (n, index) order.
     """
     n_list = sorted(set(n_list))
     if any(n not in (1, 2, 3) for n in n_list):
         raise ValueError("sweep sizes are limited to n in {1, 2, 3}")
+    if samples_per_n < 1:
+        raise ValueError("samples per n must be >= 1")
     grid = [(n, idx) for n in n_list for idx in range(samples_per_n)]
     start = 0
     kept = []
@@ -344,6 +347,25 @@ def _suite_nets(seed: int) -> SuiteReport:
     lines.append(f"triple net covering: worst {worst:.3f} <= {3*eps}: {'pass' if good else 'FAIL'}")
     if not good:
         lines.append(f"  witness factors: {witness!r}")
+
+    # the pruned net maximum against every triple of the bound's own (seed-0)
+    # net, with the traces kept apart
+    T = tensor.sample_tensor(1, tensor.SamplerConfig(seed=row_seed(seed, 1, 0)))
+    g = T.raw_g
+    E = np.array([M.reshape(-1) for k in (1, 2) for M in nets.projector_net(2, k, eps).elements])
+    tr = E @ np.eye(2).reshape(-1)
+    W = np.outer(g, g).reshape(2, 2, 2, 2, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(4, 4, 4)
+    dev = max(
+        float(np.abs(E @ M @ E.T - t * np.outer(tr, tr)).max())
+        for M, t in zip(np.einsum("abc,pa->pbc", W, E), tr)
+    )
+    full = 64.0 * np.log(2) ** 1.5 * (dev + 3 * eps * (2**1.5 + g @ g))
+    got = tensor.trilinear_norm_upper_net(T, eps)
+    good = abs(got - full) <= 1e-12 * full
+    ok &= good
+    lines.append(
+        f"net upper bound {got:.6f} == every-triple maximum {full:.6f}: {'pass' if good else 'FAIL'}"
+    )
     return SuiteReport("nets", ok, lines)
 
 

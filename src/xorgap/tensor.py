@@ -22,6 +22,7 @@ _MAGIC = b"XGT1"
 _FLAG_RAW_G = 1
 
 _HERM_TOL = 1e-12
+_PRUNE_MARGIN = 1e-12  # relative rounding slack of the net maximum's pruning bounds
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class Tensor3:
     eigenpair multiplies by in place of the matrix.
     """
 
-    __slots__ = ("n", "N", "matrix", "raw_g", "_eig", "_herm", "_sv", "_hermitized")
+    __slots__ = ("n", "N", "matrix", "raw_g", "_eig", "_herm", "_exact_herm", "_sv", "_hermitized")
 
     def __init__(self, n: int, matrix: np.ndarray, raw_g: np.ndarray | None = None):
         if n < 1:
@@ -79,6 +80,7 @@ class Tensor3:
         self.raw_g = raw_g
         self._eig = None
         self._herm = None
+        self._exact_herm = None  # True, False, or None until known
         self._sv = None
         self._hermitized = None
 
@@ -92,11 +94,16 @@ class Tensor3:
 
     def is_hermitian(self) -> bool:
         """Whether the matrix view is Hermitian to 1e-12 of its largest entry
-        (at least 1); computed once, since the tensor is immutable."""
+        (at least 1); computed once, since the tensor is immutable.  A tensor
+        known to be exactly Hermitian (sampled, or loaded with its raw vector)
+        skips the N^6 comparison."""
         if self._herm is None:
-            M = self.matrix
-            scale = max(1.0, np.abs(M).max())
-            self._herm = bool(np.abs(M - M.conj().T).max() <= _HERM_TOL * scale)
+            if self._exact_herm:
+                self._herm = True
+            else:
+                M = self.matrix
+                scale = max(1.0, np.abs(M).max())
+                self._herm = bool(np.abs(M - M.conj().T).max() <= _HERM_TOL * scale)
         return self._herm
 
     def frobenius_norm(self) -> float:
@@ -152,7 +159,15 @@ def sample_tensor(n: int, cfg: SamplerConfig) -> Tensor3:
             raise DimensionError(
                 f"override vector must have length {N**3}, got {g.shape[0]}"
             )
-    return Tensor3(n, _masked_outer(g, N), raw_g=g)
+    return _with_raw_vector(n, _masked_outer(g, N), g)
+
+
+def _with_raw_vector(n: int, M: np.ndarray, g: np.ndarray) -> Tensor3:
+    """The tensor of a matrix known to be _masked_outer(g, N), marked exactly
+    Hermitian: g g^T is symmetric bit for bit, and so is the mask."""
+    T = Tensor3(n, M, raw_g=g)
+    T._exact_herm = True
+    return T
 
 
 def _masked_outer(g: np.ndarray, N: int) -> np.ndarray:
@@ -457,6 +472,8 @@ def trilinear_norm_lower(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     N = T.N
     hold_z, contract_z = _mode_contraction(T)
 
@@ -514,7 +531,19 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
 
         64 (ln N)^{3/2} ( max |<g| X⊗Y⊗Z |g> - tr(X⊗Y⊗Z)| + 3 eps (N^{3/2} + ||g||^2) )
 
-    with the max streamed over the triple net at resolution eps.
+    with the max taken over the triple net at resolution eps.
+
+    The max is exact but pruned.  With the trace term folded into the mode
+    view, the deviation at (E[p], E[q], E[r]) is |E[q] M1[p] E[r]^T|, where
+    M1[p] is the folded form contracted with E[p].  Every net element has
+    unit Frobenius norm, so by Cauchy-Schwarz ||E[q] M1[p]|| bounds the
+    deviation at every r, and sigma_max(M1[p]) bounds it at every (q, r).
+    X is visited in decreasing sigma_max, the loop stops once
+    sigma_max (1 + 1e-12) is at most the best value so far, and a visited X
+    evaluates only the Y rows whose bound, with the same margin, exceeds
+    it.  A skipped triple's deviation is at most its bound, and the margin
+    covers the rounding of bound and value, so the skipped triples cannot
+    raise the maximum.
     """
     from . import nets
 
@@ -535,8 +564,15 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
     # view makes the deviation one trilinear form in the flattened factors
     vec_i = np.eye(N).reshape(-1)
     Wg = Wg.reshape(N * N, N * N, N * N) - np.einsum("a,b,c->abc", vec_i, vec_i, vec_i)
-    M1 = np.einsum("abc,pa->pbc", Wg, E)  # stream over the first factor
-    max_dev = max(float(np.abs(E @ M @ E.T).max()) for M in M1)
+    M1 = np.einsum("abc,pa->pbc", Wg, E)  # (m, N^2, N^2), one form per first factor
+    sigma = np.linalg.norm(M1, ord=2, axis=(1, 2))
+    max_dev = 0.0
+    for p in np.argsort(-sigma, kind="stable"):
+        if sigma[p] * (1.0 + _PRUNE_MARGIN) <= max_dev:
+            break
+        R = E @ M1[p]
+        keep = np.linalg.norm(R, axis=1) * (1.0 + _PRUNE_MARGIN) > max_dev
+        max_dev = max(max_dev, float(np.abs(R[keep] @ E.T).max(initial=0.0)))
     gnorm2 = float(g @ g)
     prefactor = 64.0 * np.log(N) ** 1.5
     return float(prefactor * (max_dev + 3.0 * eps * (N**1.5 + gnorm2)))
@@ -547,15 +583,19 @@ def hermitize(T: Tensor3) -> Tensor3:
 
     An exactly Hermitian input is returned as is: its symmetric part is the
     same matrix bit for bit, so the raw sampling vector and any cached
-    eigenpair stay with it.  Otherwise each candidate (Hermitian as an
-    N^3 x N^3 matrix) gets one Lanczos top eigenpair per tensor, and the
-    winner is cached on T and returned with its eigenpair cached and no raw
-    vector; ties go to the symmetric part.
+    eigenpair stay with it.  A sampled or loaded tensor with its raw vector
+    is marked exactly Hermitian and is not compared entry by entry; any
+    other input is compared once, and the answer is cached.  Otherwise each
+    candidate (Hermitian as an N^3 x N^3 matrix) gets one Lanczos top
+    eigenpair per tensor, and the winner is cached on T and returned with
+    its eigenpair cached and no raw vector; ties go to the symmetric part.
     """
+    M = T.matrix
+    if T._exact_herm is None:
+        T._exact_herm = bool(np.array_equal(M, M.conj().T))
+    if T._exact_herm:
+        return T
     if T._hermitized is None:
-        M = T.matrix
-        if np.array_equal(M, M.conj().T):
-            return T
         cand_s = Tensor3(T.n, (M + M.conj().T) / 2.0)
         cand_a = Tensor3(T.n, 1j * (M - M.conj().T) / 2.0)
         T._hermitized = cand_a if spectral_norm(cand_a) > spectral_norm(cand_s) else cand_s
@@ -607,6 +647,9 @@ def load_tensor(path) -> Tensor3:
                 raise ValueError("raw vector must be real")
             g = gc.real.astype(np.float64)
         M = np.frombuffer(fh.read(16 * N**6), dtype="<c16").reshape(N**3, N**3)
-    if g is not None and not np.array_equal(M, _masked_outer(g, N)):
+    M = M.astype(np.complex128)
+    if g is None:
+        return Tensor3(n, M)
+    if not np.array_equal(M, _masked_outer(g, N)):
         raise ValueError("raw vector does not reproduce the stored matrix")
-    return Tensor3(n, M.astype(np.complex128), raw_g=g)
+    return _with_raw_vector(n, M, g)

@@ -161,9 +161,14 @@ class TestGapSweep:
         with pytest.raises(ValueError):
             gap_sweep([4], 1, seed=0)
 
+    def test_samples_guard(self, tmp_path):
+        with pytest.raises(ValueError, match="samples per n"):
+            gap_sweep([1], 0, seed=0, out=tmp_path / "gap.csv")
+        assert not (tmp_path / "gap.csv").exists()
+
 
 class TestVerifySuites:
-    @pytest.mark.parametrize("name", ["identities", "lorentz", "theorems"])
+    @pytest.mark.parametrize("name", ["identities", "lorentz", "theorems", "nets"])
     def test_fast_suites_pass(self, name):
         rep = verify_suite(name, seed=0)
         assert rep.passed, "\n".join(rep.lines)
@@ -317,6 +322,26 @@ class TestCli:
             err = capsys.readouterr().err
             assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
             assert problem in err.splitlines()[-1]
+
+    def test_bad_arguments_exit_two(self, tmp_path, capsys):
+        # n = 8 must fail before anything is drawn; n = 5..7 would ask for gigabytes
+        tpath = tmp_path / "t.xgt"
+        main(["sample", "--n", "1", "--out", str(tpath)])
+        gpath = tmp_path / "gap.csv"
+        for argv, problem in (
+            (["sample", "--n", "0", "--out", str(tmp_path / "s0.xgt")], "--n must lie in 1..4"),
+            (["sample", "--n", "8", "--out", str(tmp_path / "s8.xgt")], "--n must lie in 1..4"),
+            (["gap-sweep", "--n-list", "1", "--samples", "0", "--out", str(gpath)], "samples per n must be >= 1"),
+            (["norms", "--in", str(tpath), "--als-iters", "0"], "max_iters must be >= 1"),
+        ):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
+            assert problem in err.splitlines()[-1]
+        assert not any((tmp_path / f).exists() for f in ("s0.xgt", "s8.xgt", "gap.csv"))
 
     def test_seed_changes_sample(self, tmp_path):
         A, B = str(tmp_path / "a.xgt"), str(tmp_path / "b.xgt")

@@ -215,6 +215,35 @@ class TestSampling:
     def test_sampled_tensor_is_hermitian(self):
         assert sample_tensor(2, SamplerConfig(seed=0)).is_hermitian()
 
+    def test_hermiticity_marked_not_scanned(self, tmp_path, monkeypatch):
+        # a sampled or loaded tensor is g g^T under the mask, exactly Hermitian,
+        # so is_hermitian and hermitize never compare its N^6 entries; a tensor
+        # built directly, even with a raw vector, is still compared
+        T = sample_tensor(2, SamplerConfig(seed=0))
+        save_tensor(tmp_path / "t.xgt", T)
+        loaded = load_tensor(tmp_path / "t.xgt")
+        direct = Tensor3(2, T.matrix, raw_g=T.raw_g)
+        scans = set()
+        absolute, array_equal = np.abs, np.array_equal
+
+        def counting_abs(a, *args, **kwargs):
+            if np.shape(a) == (64, 64):
+                scans.add("is_hermitian")
+            return absolute(a, *args, **kwargs)
+
+        def counting_array_equal(a, b, *args, **kwargs):
+            if np.shape(a) == (64, 64):
+                scans.add("hermitize")
+            return array_equal(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "abs", counting_abs)
+        monkeypatch.setattr(np, "array_equal", counting_array_equal)
+        for marked in (T, loaded):
+            assert marked.is_hermitian() and hermitize(marked) is marked
+        assert scans == set()
+        assert direct.is_hermitian() and hermitize(direct) is direct
+        assert scans == {"is_hermitian", "hermitize"}
+
 
 class TestSpectralNorm:
     def test_zero_tensor(self):
@@ -537,6 +566,11 @@ class TestTrilinearLower:
         assert calls == sorted(calls)
         assert {r for _, r in calls} == {0, 1, 2, 3}
 
+    def test_max_iters_below_one_rejected(self):
+        T = sample_tensor(1, SamplerConfig(seed=1))
+        with pytest.raises(ValueError, match="max_iters"):
+            trilinear_norm_lower(T, max_iters=0)
+
     def test_raw_vector_not_reproducing_matrix_raises(self):
         # the ALS runs on g, the final evaluation on the stored matrix
         T = sample_tensor(1, SamplerConfig(seed=1))
@@ -544,7 +578,35 @@ class TestTrilinearLower:
             trilinear_norm_lower(Tensor3(1, 1e4 * T.matrix, raw_g=T.raw_g), restarts=2)
 
 
+def _exhaustive_net_upper(T, eps):
+    """The net bound with the maximum taken over every triple (the per-X loop
+    of the unpruned implementation)."""
+    from xorgap.nets import projector_net
+
+    g, N = T.raw_g, T.N
+    E = np.array([M.reshape(-1) for k in (1, 2) for M in projector_net(N, k, eps).elements])
+    Wg = np.outer(g, g).reshape(N, N, N, N, N, N).transpose(0, 3, 1, 4, 2, 5)
+    vec_i = np.eye(N).reshape(-1)
+    Wg = Wg.reshape(N * N, N * N, N * N) - np.einsum("a,b,c->abc", vec_i, vec_i, vec_i)
+    M1 = np.einsum("abc,pa->pbc", Wg, E)
+    max_dev = max(float(np.abs(E @ M @ E.T).max()) for M in M1)
+    return float(64.0 * np.log(N) ** 1.5 * (max_dev + 3.0 * eps * (N**1.5 + g @ g)))
+
+
 class TestTrilinearUpperNet:
+    @pytest.mark.parametrize("eps", [0.5, 0.9])
+    def test_pruned_max_matches_exhaustive_oracle(self, eps):
+        from xorgap.sweep import row_seed
+
+        cases = [SamplerConfig(seed=row_seed(0, 1, k)) for k in range(8)]
+        # zero g: the maximum sits on the rank-2 element; all-ones g: the hollow cube
+        cases += [SamplerConfig(distribution="override", override_g=v) for v in (np.zeros(8), np.ones(8))]
+        for cfg in cases:
+            T = sample_tensor(1, cfg)
+            assert trilinear_norm_upper_net(T, eps) == pytest.approx(
+                _exhaustive_net_upper(T, eps), rel=1e-12, abs=0.0
+            )
+
     def test_upper_dominates_lower_across_seeds(self):
         for seed in range(6):
             T = sample_tensor(1, SamplerConfig(seed=seed))
