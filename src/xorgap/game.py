@@ -341,9 +341,9 @@ def _best_response(C: np.ndarray, p3: np.ndarray, B: np.ndarray, Cm: np.ndarray)
 
 def _game_operator(C: np.ndarray, A: np.ndarray, B: np.ndarray, Cm: np.ndarray):
     d = A.shape[1]
-    D = np.einsum("ijk,kcz->ijcz", C, Cm)
-    E2 = np.einsum("jby,ijcz->ibcyz", B, D)
-    op = np.einsum("iax,ibcyz->abcxyz", A, E2).reshape(d**3, d**3)
+    D = np.einsum("ijk,kcz->ijcz", C, Cm, optimize=True)
+    E2 = np.einsum("jby,ijcz->ibcyz", B, D, optimize=True)
+    op = np.einsum("iax,ibcyz->abcxyz", A, E2, optimize=True).reshape(d**3, d**3)
     return (op + op.conj().T) / 2.0
 
 

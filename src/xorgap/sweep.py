@@ -176,12 +176,14 @@ def gap_sweep(
     completes removes any stale `<out>.resume`.  Returns (rows computed by
     this call, resume_token_or_None).
 
-    Raises ValueError, before computing any row, when samples_per_n < 1,
-    when the token lies outside n_list x range(samples_per_n), or when `out`
-    does not hold exactly the rows of this seed that come before the token
-    in (n, index) order.
+    Raises ValueError, before computing any row, when n_list is empty, when
+    samples_per_n < 1, when the token lies outside n_list x
+    range(samples_per_n), or when `out` does not hold exactly the rows of
+    this seed that come before the token in (n, index) order.
     """
     n_list = sorted(set(n_list))
+    if not n_list:
+        raise ValueError("n_list must name at least one n")
     if any(n not in (1, 2, 3) for n in n_list):
         raise ValueError("sweep sizes are limited to n in {1, 2, 3}")
     if samples_per_n < 1:

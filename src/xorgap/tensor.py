@@ -314,36 +314,28 @@ def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> c
 def _best_hermitian_factor(A: np.ndarray):
     """Maximize |sum A[r]∘X[r]| over Hermitian X[r] with ||X[r]||_F <= 1, for each r.
 
-    A is a stack (R, N, N).  Writing B = conj(A) = H1 + i H2 with H1, H2
-    Hermitian, the objective is sqrt(tr(H1 X)^2 + tr(H2 X)^2), whose maximum
-    over the unit Frobenius sphere is the top eigenvalue of the 2x2 Gram
-    matrix of (H1, H2); the optimizer lies in their span, along the top
-    eigenvector, taken in closed form (any direction is optimal when the Gram
-    matrix is a multiple of the identity).  Returns (X, val, ok): where A[r]
-    vanishes, ok[r] is False, val[r] is 0 and X[r] is zero.
+    A is a stack (R, N, N).  With B = conj(A) the objective is |<B, X>_F|,
+    the largest over phases φ of Re<C, X> = <(C + C^H)/2, X> with
+    C = e^{-iφ} B.  For one phase the maximizer is X = (C + C^H)/||C + C^H||_F,
+    reaching ||C + C^H||_F / 2, and ||C + C^H||_F^2 = 2||B||_F^2 +
+    2 Re(e^{-2iφ} u) with u = tr(B B).  So the best phase is θ = arg(u)/2 and
+    the maximum is sqrt((||A||_F^2 + |u|)/2): a few array operations, no
+    eigensolve.  Writing B = H1 + i H2 with H1, H2 Hermitian, the maximizer
+    is cos θ H1 + sin θ H2, normalized: the top eigenvector of the 2x2 Gram
+    matrix of (H1, H2), since u = g11 - g22 + 2i g12.
+
+    Sign: θ lies in (-π/2, π/2], so X has a nonnegative component along H1
+    (a positive one along H2 when that is zero).  When u = 0 every phase is
+    optimal and θ = 0.  Returns (X, val, ok): where A[r] vanishes, ok[r] is
+    False, val[r] is 0 and X[r] is zero.
     """
     B = A.conj()
-    Bh = A.transpose(0, 2, 1)  # B^H
-    H1 = (B + Bh) / 2.0
-    H2 = (B - Bh) / 2.0j
-    # tr(P Q) = <P, Q>_F for Hermitian P, Q
-    g11 = (H1.conj() * H1).real.sum(axis=(1, 2))
-    g12 = (H1.conj() * H2).real.sum(axis=(1, 2))
-    g22 = (H2.conj() * H2).real.sum(axis=(1, 2))
-    half = (g11 - g22) / 2.0
-    r = np.hypot(half, g12)
-    # (lam - g22, g12) or (g12, lam - g11) with lam = (g11 + g22)/2 + r,
-    # whichever avoids cancellation
-    neg = half < 0.0
-    pos = ~neg & (r > 0.0)
-    c0 = np.where(neg, g12, np.where(pos, half + r, 1.0))
-    c1 = np.where(neg, r - half, np.where(pos, g12, 0.0))
-    X = c0[:, None, None] * H1 + c1[:, None, None] * H2
-    nrm = np.linalg.norm(X, axis=(1, 2))
-    ok = nrm > 0.0  # H1 = H2 = 0 gives X = 0
-    X = (X + X.conj().transpose(0, 2, 1)) / (2.0 * np.where(ok, nrm, 1.0))[:, None, None]
-    val = np.where(ok, np.abs(np.sum(A * X, axis=(1, 2))), 0.0)
-    return X, val, ok
+    u = np.einsum("rij,rji->r", B, B)
+    val = np.sqrt((np.einsum("rij,rij->r", A, B).real + np.abs(u)) / 2.0)
+    ok = val > 0.0
+    # C = e^{-iθ} B / ||C + C^H||, so that X = C + C^H has unit norm
+    C = B * (np.exp(-0.5j * np.angle(u)) / (2.0 * np.where(ok, val, 1.0)))[:, None, None]
+    return C + C.conj().transpose(0, 2, 1), val, ok
 
 
 def _mode_contraction(T: Tensor3):
@@ -359,7 +351,10 @@ def _mode_contraction(T: Tensor3):
     A tensor carrying its sampling vector is g g^T under the collision mask
     (J - I)^{⊗3}, so with G = g.reshape(N, N, N) and that mode moved first,
     A = offdiag(G_(1) ((G ×2 F0 ×3 H0)_(1))^T), where F0 and H0 are the
-    factors with zeroed diagonals: three batched matmuls, O(N^4 R).
+    factors with zeroed diagonals: three batched matmuls, O(N^4 R).  Modes
+    0 and 1 share S = G ×3 Z0 (indexed (r, a', b', c)): hold_z forms it
+    once, mode 0 reads it as is and mode 1 with its first two axes swapped,
+    so each of them costs two batched matmuls.
     """
     N = T.N
     N2 = N * N
@@ -393,18 +388,19 @@ def _mode_contraction(T: Tensor3):
     moved = [np.ascontiguousarray(G.transpose(axes)) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
     off = 1.0 - np.eye(N)
 
-    def contract(mode, F, H):
-        R = F.shape[0]
-        Gm = moved[mode]
-        S = (Gm.reshape(N2, N) @ (H * off).transpose(0, 2, 1)).reshape(R, N, N, N)  # (r, a', b', c)
+    def held(mode, H):  # G with `mode` moved first, ×3 H0: (r, a', b', c)
+        return (moved[mode].reshape(N2, N) @ (H * off).transpose(0, 2, 1)).reshape(-1, N, N, N)
+
+    def finish(mode, F, S):
         S = (F * off)[:, None] @ S  # F0 contracts the middle axis: (r, a', b, c)
-        A = Gm.reshape(N, N2) @ S.reshape(R, N, N2).transpose(0, 2, 1)  # (r, a, a')
+        A = moved[mode].reshape(N, N2) @ S.reshape(-1, N, N2).transpose(0, 2, 1)  # (r, a, a')
         return A * off
 
     def hold_z(Z):
-        return lambda mode, F: contract(mode, F, Z)
+        S = held(0, Z)
+        return lambda mode, F: finish(mode, F, S if mode == 0 else S.transpose(0, 2, 1, 3))
 
-    return hold_z, lambda X, Y: contract(2, X, Y)
+    return hold_z, lambda X, Y: finish(2, X, held(2, Y))
 
 
 def _top_singular(T: Tensor3) -> tuple[float, np.ndarray]:
@@ -449,7 +445,8 @@ def trilinear_norm_lower(
     """Alternating maximization of |<T, X⊗Y⊗Z>| over Hermitian unit-Frobenius balls.
 
     Each mode update is the exact closed-form maximizer with the other two
-    factors held fixed, so the objective never decreases within a run.  One
+    factors held fixed (a phase rotation, see :func:`_best_hermitian_factor`),
+    so the objective never decreases within a run.  One
     restart starts from the dominant-eigenvector partial traces; the rest
     start from seeded random Hermitian matrices (restart r draws from
     (seed, r)).  All restarts advance in lockstep on (R, N, N) factor stacks;
@@ -465,7 +462,10 @@ def trilinear_norm_lower(
     before any reports iteration i + 1.
 
     A sweep costs O(N^4 R) on a sampled tensor (one carrying its raw vector
-    g) and O(N^6 R) on any other tensor; see :func:`_mode_contraction`.
+    g) and O(N^6 R) on any other tensor; see :func:`_mode_contraction`.  At
+    these sizes a sweep is dominated by per-call overhead, so it is kept to a
+    fixed handful of array operations: the running restarts' stacks are kept
+    between sweeps and regathered only in a sweep where some restart leaves.
     The returned value is re-evaluated on the stored matrix, and ValueError
     is raised when it differs from the best ALS value by more than 1e-9
     relative (a raw vector that does not reproduce the matrix).
@@ -491,25 +491,32 @@ def trilinear_norm_lower(
 
     def update(A, old):
         new, v, ok = _best_hermitian_factor(A)
-        return np.where(ok[:, None, None], new, old), v
+        if not ok.all():  # a vanished slice keeps its old factor
+            new = np.where(ok[:, None, None], new, old)
+        return new, v
 
+    # X, Y, Z hold each restart's factors once it leaves; Xa, Ya, Za are
+    # the stacks of the restarts in `act`, still running
     last = np.zeros(restarts)  # each restart's value after its latest sweep
     act = np.arange(restarts)
+    Xa, Ya, Za = X, Y, Z
     for it in range(max_iters):
-        Xa, Ya, Za = X[act], Y[act], Z[act]
         contract_xy = hold_z(Za)
         Xa, _ = update(contract_xy(0, Ya), Xa)
         Ya, _ = update(contract_xy(1, Xa), Ya)
         Za, v = update(contract_z(Xa, Ya), Za)
-        X[act], Y[act], Z[act] = Xa, Ya, Za
         if on_sweep is not None:
             for r, vr in zip(act.tolist(), v.tolist()):
                 on_sweep(r, it, vr)
         done = v - last[act] < tol * np.maximum(last[act], 1e-300)
         last[act] = v
-        act = act[~done]
-        if act.size == 0:
-            break
+        if done.any():
+            X[act[done]], Y[act[done]], Z[act[done]] = Xa[done], Ya[done], Za[done]
+            keep = ~done
+            act, Xa, Ya, Za = act[keep], Xa[keep], Ya[keep], Za[keep]
+            if act.size == 0:
+                break
+    X[act], Y[act], Z[act] = Xa, Ya, Za
     best = int(np.argmax(last))
     X, Y, Z = X[best], Y[best], Z[best]
     best_val = float(last[best])

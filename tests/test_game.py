@@ -490,6 +490,25 @@ class TestSeesaw:
             assert abs(val - ref) <= 1e-12
             assert val == entangled_bias_eval(G, strat)
 
+    @pytest.mark.parametrize("Q,d", [(2, 2), (4, 3)])
+    def test_game_operator_matches_unordered_einsum(self, Q, d):
+        # the ordered contractions build the same operator as the plain
+        # left-to-right einsums
+        rng = np.random.default_rng(Q * 10 + d)
+        C = rng.standard_normal((Q, Q, Q))
+
+        def obs():
+            M = rng.standard_normal((Q, d, d)) + 1j * rng.standard_normal((Q, d, d))
+            return M + M.conj().transpose(0, 2, 1)
+
+        A, B, Cm = obs(), obs(), obs()
+        D = np.einsum("ijk,kcz->ijcz", C, Cm)
+        E2 = np.einsum("jby,ijcz->ibcyz", B, D)
+        op = np.einsum("iax,ibcyz->abcxyz", A, E2).reshape(d**3, d**3)
+        want = (op + op.conj().T) / 2.0
+        got = _game_operator(C, A, B, Cm)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_chsh_reaches_tsirelson_value(self):
         val, strat = seesaw_entangled_bias(embedded_chsh_game(), 2, restarts=6, seed=0)
         assert val >= np.sqrt(2.0) / 2.0 - 1e-4

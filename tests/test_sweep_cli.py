@@ -161,6 +161,11 @@ class TestGapSweep:
         with pytest.raises(ValueError):
             gap_sweep([4], 1, seed=0)
 
+    def test_empty_n_list_guard(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one n"):
+            gap_sweep([], 1, seed=0, out=tmp_path / "gap.csv")
+        assert not (tmp_path / "gap.csv").exists()
+
     def test_samples_guard(self, tmp_path):
         with pytest.raises(ValueError, match="samples per n"):
             gap_sweep([1], 0, seed=0, out=tmp_path / "gap.csv")
@@ -235,6 +240,16 @@ class TestCli:
         assert main(["gap-sweep", "--n-list", "1", "--samples", "2", "--seed", "0", "--out", path]) == 0
         assert "wrote 2 rows" in capsys.readouterr().out
         assert main(["show", path]) == 0
+
+    def test_gap_sweep_empty_n_list_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["gap-sweep", "--n-list", "", "--samples", "2", "--out", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
+        assert "n_list must name at least one n" in err.splitlines()[-1]
+        assert not path.exists()
 
     def test_gap_sweep_resume_flag(self, tmp_path, monkeypatch, capsys):
         whole, path = tmp_path / "whole.csv", tmp_path / "gap.csv"
