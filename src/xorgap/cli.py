@@ -92,6 +92,9 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "norms":
         T = tensor.load_tensor(args.infile)
+        # the net bound goes first, so a bad eps or an N != 2 tensor fails
+        # before the ALS; nothing is printed until every value is known
+        ub = None if args.net_eps is None else tensor.trilinear_norm_upper_net(T, args.net_eps)
         sn = tensor.spectral_norm(T)
         lower, _ = tensor.trilinear_norm_lower(
             T,
@@ -102,8 +105,7 @@ def _dispatch(parser, args) -> int:
         )
         print(f"spectral_norm      = {sn!r}")
         print(f"trilinear_lower    = {lower!r}")
-        if args.net_eps is not None:
-            ub = tensor.trilinear_norm_upper_net(T, args.net_eps)
+        if ub is not None:
             print(f"trilinear_upper    = {ub!r}  (eps={args.net_eps})")
         return 0
 

@@ -266,18 +266,29 @@ def classical_bias_heuristic(
 
 
 def strategy_correlations(S: EntangledStrategy) -> np.ndarray:
-    """All correlations <psi| A_i ⊗ B_j ⊗ C_k |psi> as a real (Q1, Q2, Q3) array."""
+    """All correlations <psi| A_i ⊗ B_j ⊗ C_k |psi> as a real (Q1, Q2, Q3) array.
+
+    Player 3 is contracted on both the ket and the bra side first, giving
+    rho_k = (psi ×3 C_k) psi^H, a (d1 d2) x (d1 d2) matrix per question k;
+    then player 2 gives sigma[j, k, x, a] = sum_by B_j[b, y] rho_k[xy, ab], and
+    player 1 gives w[i, j, k] = sum_ax A_i[a, x] sigma[j, k, x, a].  Each step
+    is one matrix product (BLAS), and no intermediate is larger than
+    Q2 Q3 d1^2 or Q3 d1^2 d2^2 entries.  ValueError is raised when an
+    imaginary part exceeds 1e-9 (observables that are not Hermitian).
+    """
     d1, d2, d3 = S.dims
-    psi = S.state.reshape(d1, d2, d3)
-    A = np.array(S.observables[0])
-    B = np.array(S.observables[1])
-    Cm = np.array(S.observables[2])
-    # contract the ket side player by player, pairing with the bra before the
-    # third player so no intermediate ever carries all three question axes
-    t1 = np.einsum("iax,xbc->iabc", A, psi)
-    t2 = np.einsum("jby,iayc->ijabc", B, t1)
-    r = np.einsum("ijabz,abc->ijcz", t2, psi.conj())
-    w = np.einsum("kcz,ijcz->ijk", Cm, r)
+    Q1, Q2, Q3 = (len(obs) for obs in S.observables)
+    psi = S.state.reshape(d1 * d2, d3)
+    A = np.asarray(S.observables[0], dtype=complex).reshape(Q1, d1 * d1)  # (i, (a, x))
+    B = np.asarray(S.observables[1], dtype=complex).reshape(Q2, d2 * d2)  # (j, (b, y))
+    Cm = np.asarray(S.observables[2], dtype=complex)
+    # phi[xy, (k, c)] = sum_z psi[xy, z] C_k[c, z]; rho[(x, y, k), ab] = sum_c phi conj(psi[ab, c])
+    phi = psi @ Cm.transpose(2, 0, 1).reshape(d3, Q3 * d3)
+    rho = phi.reshape(d1 * d2 * Q3, d3) @ psi.conj().T
+    rho = rho.reshape(d1, d2, Q3, d1, d2).transpose(2, 0, 3, 4, 1)  # (k, x, a, b, y)
+    sigma = rho.reshape(Q3 * d1 * d1, d2 * d2) @ B.T  # ((k, x, a), j)
+    sigma = sigma.reshape(Q3, d1, d1, Q2).transpose(2, 1, 3, 0)  # (a, x, j, k)
+    w = (A @ sigma.reshape(d1 * d1, Q2 * Q3)).reshape(Q1, Q2, Q3)
     if np.abs(w.imag).max(initial=0.0) > 1e-9:
         raise ValueError("correlations came out non-real; invalid strategy")
     return w.real
@@ -547,23 +558,45 @@ def strategy_to_json(S: EntangledStrategy) -> str:
 
 
 def strategy_from_json(text: str) -> EntangledStrategy:
-    """Read a strategy written by :func:`strategy_to_json` (ValueError when
-    the payload is not an object with dims, state and observables)."""
+    """Read a strategy written by :func:`strategy_to_json`.
+
+    Raises ValueError, naming the field, when the payload is not an object
+    with dims (three positive integers), state (a list of [re, im] number
+    pairs) and observables (three lists of such pair lists, one d x d matrix
+    each), or when the strategy they describe is invalid.
+    """
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("strategy JSON must be an object")
     missing = [key for key in ("dims", "state", "observables") if key not in payload]
     if missing:
         raise ValueError(f"strategy JSON lacks {', '.join(missing)}")
-    dims = tuple(payload["dims"])
+    dims = payload["dims"]
+    if not (
+        isinstance(dims, list)
+        and len(dims) == 3
+        and all(type(d) is int and d >= 1 for d in dims)
+    ):
+        raise ValueError("strategy JSON dims must be a list of three positive integers")
+    dims = tuple(dims)
 
-    def unvec(pairs, shape):
-        flat = np.array([complex(re, im) for re, im in pairs])
-        return flat.reshape(shape)
+    def unvec(pairs, field, count=None):
+        """[[re, im], ...] as a complex vector (of `count` entries when given)."""
+        try:
+            flat = np.array(pairs)
+        except ValueError:  # ragged nesting
+            flat = np.array(None)
+        if flat.dtype.kind not in "iuf" or flat.ndim != 2 or flat.shape[1] != 2 or count not in (None, len(flat)):
+            what = "[re, im] number pairs" if count is None else f"{count} [re, im] number pairs"
+            raise ValueError(f"strategy JSON {field} must be a list of {what}")
+        return flat[:, 0] + 1j * flat[:, 1]
 
-    state = unvec(payload["state"], (-1,))
+    obs = payload["observables"]
+    if not (isinstance(obs, list) and len(obs) == 3 and all(isinstance(o, list) for o in obs)):
+        raise ValueError("strategy JSON observables must be a list of three lists")
     observables = tuple(
-        [unvec(O, (d, d)) for O in obs]
-        for d, obs in zip(dims, payload["observables"])
+        [unvec(O, f"observables[{p}][{q}]", d * d).reshape(d, d) for q, O in enumerate(obs[p])]
+        for p, d in enumerate(dims)
     )
+    state = unvec(payload["state"], "state")
     return EntangledStrategy(dims=dims, state=state, observables=observables)

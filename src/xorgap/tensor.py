@@ -54,7 +54,9 @@ class Tensor3:
     tensor came out of :func:`sample_tensor`, which is what certifies the net
     upper bound on the trilinear norm, what the alternating lower bound
     contracts in place of the dense mode view, and what the Lanczos top
-    eigenpair multiplies by in place of the matrix.
+    eigenpair multiplies by in place of the matrix.  A general tensor gets its
+    top eigenpair or singular pair from the same Lanczos solver, multiplying
+    by the matrix; each pair is computed once and cached on the tensor.
     """
 
     __slots__ = ("n", "N", "matrix", "raw_g", "_eig", "_herm", "_exact_herm", "_sv", "_hermitized")
@@ -281,8 +283,10 @@ def spectral_norm(T: Tensor3) -> float:
     """Largest singular value of the matrix view.
 
     Hermitian inputs go through the Lanczos top eigenpair (retaining the top
-    eigenvector, checked against the stored matrix); general inputs fall back
-    to the SVD, whose top singular pair is cached for the ALS anchor.
+    eigenvector, checked against the stored matrix); general inputs go
+    through the same solver on the Hermitian dilation (see
+    :func:`_top_singular`), whose top singular pair is cached for the ALS
+    anchor.  No SVD and no dense eigensolve of the matrix view runs.
     """
     if T.is_hermitian():
         lam, _ = top_eigenpair(T)
@@ -406,14 +410,31 @@ def _mode_contraction(T: Tensor3):
 def _top_singular(T: Tensor3) -> tuple[float, np.ndarray]:
     """Largest singular value of the matrix view and its left singular vector.
 
-    One SVD per tensor, cached: `spectral_norm` and the ALS anchor of a
-    non-Hermitian tensor share it.
+    One Lanczos run (see :func:`_lanczos_extremes`) on the Hermitian dilation
+    [[0, M], [M^H, 0]], whose eigenvalues are the singular values of M and
+    their negatives: its top eigenvalue is sigma_1, and the two halves of its
+    eigenvector, normalized, are the singular vectors u and v.  The phase of
+    u is arbitrary; the ALS anchor only reads partial traces of u u^H.  The
+    pair is checked against the stored matrix, and ValueError is raised when
+    ||M v - sigma u|| exceeds 1e-9 sigma (or is not a number).  Cached per
+    tensor: `spectral_norm` and the ALS anchor of a non-Hermitian tensor
+    share it.
     """
     if T._sv is None:
-        U, s, _ = np.linalg.svd(T.matrix)
-        u = np.ascontiguousarray(U[:, 0])
+        M = T.matrix
+        D = M.shape[0]
+
+        def matvec(x):  # M^H x1 as conj(x1^H M), so M^H is never formed
+            return np.concatenate([M @ x[D:], (x[:D].conj() @ M).conj()])
+
+        _, _, sigma, w = _lanczos_extremes(matvec, 2 * D, np.complex128)
+        # M v = sigma u and M^H u = sigma v, so both halves have norm 1/sqrt(2)
+        u, v = w[:D] / np.linalg.norm(w[:D]), w[D:] / np.linalg.norm(w[D:])
+        res = float(np.linalg.norm(M @ v - sigma * u))
+        if not res <= 1e-9 * sigma:
+            raise ValueError(f"singular pair residual {res!r} on the stored matrix (sigma {sigma!r})")
         u.setflags(write=False)
-        T._sv = (float(s[0]), u)
+        T._sv = (float(sigma), u)
     return T._sv
 
 
@@ -468,12 +489,16 @@ def trilinear_norm_lower(
     between sweeps and regathered only in a sweep where some restart leaves.
     The returned value is re-evaluated on the stored matrix, and ValueError
     is raised when it differs from the best ALS value by more than 1e-9
-    relative (a raw vector that does not reproduce the matrix).
+    relative (a raw vector that does not reproduce the matrix).  ValueError
+    is also raised up front for restarts or max_iters below 1 and for a tol
+    that is negative or not finite (a NaN tol would never stop a restart).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     N = T.N
     hold_z, contract_z = _mode_contraction(T)
 
@@ -593,9 +618,17 @@ def hermitize(T: Tensor3) -> Tensor3:
     eigenpair stay with it.  A sampled or loaded tensor with its raw vector
     is marked exactly Hermitian and is not compared entry by entry; any
     other input is compared once, and the answer is cached.  Otherwise each
-    candidate (Hermitian as an N^3 x N^3 matrix) gets one Lanczos top
-    eigenpair per tensor, and the winner is cached on T and returned with
-    its eigenpair cached and no raw vector; ties go to the symmetric part.
+    candidate gets one Lanczos top eigenpair per tensor, and the winner is
+    cached on T and returned with its eigenpair cached and no raw vector;
+    ties go to the symmetric part.
+
+    Both candidates are marked exactly Hermitian, so neither is scanned
+    entry by entry: they are Hermitian bit for bit.  Entry (j, i) of
+    M + M^H is M_ji + conj(M_ij), the conjugate of entry (i, j) because IEEE
+    addition commutes and conjugation is exact; likewise M - M^H is exactly
+    anti-Hermitian, since a - b = -(b - a) in IEEE arithmetic.  Halving and
+    multiplying by i (which swaps the components and negates one) act on
+    each component alone, so they keep the symmetry.
     """
     M = T.matrix
     if T._exact_herm is None:
@@ -605,6 +638,7 @@ def hermitize(T: Tensor3) -> Tensor3:
     if T._hermitized is None:
         cand_s = Tensor3(T.n, (M + M.conj().T) / 2.0)
         cand_a = Tensor3(T.n, 1j * (M - M.conj().T) / 2.0)
+        cand_s._exact_herm = cand_a._exact_herm = True
         T._hermitized = cand_a if spectral_norm(cand_a) > spectral_norm(cand_s) else cand_s
     return T._hermitized
 

@@ -29,9 +29,11 @@ from xorgap import (
 )
 from xorgap.game import (
     _game_operator,
+    _matrix_sign,
     game_from_cost_tensor,
     load_game_csv,
     save_game_csv,
+    strategy_correlations,
     strategy_from_json,
     strategy_to_json,
 )
@@ -273,7 +275,40 @@ class TestClassicalHeuristic:
             assert heur <= exact + 1e-12
 
 
+def _oracle_correlations(S):
+    """The player-by-player einsum chain: <psi| A_i ⊗ B_j ⊗ C_k |psi>."""
+    d1, d2, d3 = S.dims
+    psi = S.state.reshape(d1, d2, d3)
+    A, B, Cm = (np.array(obs) for obs in S.observables)
+    t1 = np.einsum("iax,xbc->iabc", A, psi)
+    t2 = np.einsum("jby,iayc->ijabc", B, t1)
+    r = np.einsum("ijabz,abc->ijcz", t2, psi.conj())
+    return np.einsum("kcz,ijcz->ijk", Cm, r)
+
+
+def _random_strategy(rng, dims, Qs):
+    observables = []
+    for d, Q in zip(dims, Qs):
+        M = rng.standard_normal((Q, d, d)) + 1j * rng.standard_normal((Q, d, d))
+        observables.append(list(_matrix_sign(M + M.conj().transpose(0, 2, 1))[0]))
+    state = rng.standard_normal(np.prod(dims)) + 1j * rng.standard_normal(np.prod(dims))
+    return EntangledStrategy(
+        dims=tuple(dims), state=state / np.linalg.norm(state), observables=tuple(observables)
+    )
+
+
 class TestEntangledEval:
+    @pytest.mark.parametrize(
+        "dims,Qs", [((2, 3, 4), (5, 6, 7)), ((4, 1, 3), (2, 3, 1)), ((3, 2, 2), (4, 4, 6))]
+    )
+    def test_correlations_match_einsum_chain(self, dims, Qs):
+        S = _random_strategy(np.random.default_rng(sum(dims) + sum(Qs)), dims, Qs)
+        got = strategy_correlations(S)
+        want = _oracle_correlations(S)
+        assert got.shape == Qs
+        assert np.abs(want.imag).max() <= 1e-12
+        assert np.abs(got - want.real).max() <= 1e-12
+
     def test_identity_observables_sum_signed_mass(self):
         G = mermin_game()
         I2 = np.eye(2, dtype=complex)

@@ -348,6 +348,8 @@ class TestCli:
             (["sample", "--n", "8", "--out", str(tmp_path / "s8.xgt")], "--n must lie in 1..4"),
             (["gap-sweep", "--n-list", "1", "--samples", "0", "--out", str(gpath)], "samples per n must be >= 1"),
             (["norms", "--in", str(tpath), "--als-iters", "0"], "max_iters must be >= 1"),
+            (["norms", "--in", str(tpath), "--tol", "nan"], "tol must be finite and >= 0"),
+            (["norms", "--in", str(tpath), "--tol", "-1"], "tol must be finite and >= 0"),
         ):
             capsys.readouterr()
             with pytest.raises(SystemExit) as exc:
@@ -357,6 +359,50 @@ class TestCli:
             assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
             assert problem in err.splitlines()[-1]
         assert not any((tmp_path / f).exists() for f in ("s0.xgt", "s8.xgt", "gap.csv"))
+
+    @pytest.mark.parametrize(
+        "field,value,problem",
+        [
+            ("state", [["a", 0]], "state must be a list of [re, im] number pairs"),
+            ("observables", None, "observables must be a list of three lists"),
+            ("dims", "abc", "dims must be a list of three positive integers"),
+            ("state", 5, "state must be a list of [re, im] number pairs"),
+        ],
+    )
+    def test_malformed_strategy_json_exits_two(self, tmp_path, capsys, field, value, problem):
+        import json
+
+        from xorgap.game import ghz_strategy, strategy_to_json
+
+        gpath = tmp_path / "mermin.csv"
+        save_game_csv(gpath, mermin_game())
+        payload = json.loads(strategy_to_json(ghz_strategy()))
+        payload[field] = value
+        spath = tmp_path / "bad.json"
+        spath.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["bias", "entangled", "--game", str(gpath), "--strategy", str(spath)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("xorgap: error:")]
+        assert errors == [err.splitlines()[-1]]
+        assert problem in errors[0]
+
+    @pytest.mark.parametrize("n,eps", [(1, "0"), (2, "0.5")])
+    def test_norms_net_eps_fails_before_output(self, tmp_path, capsys, n, eps):
+        # a bad eps, or a tensor the net does not cover, fails before any
+        # value is printed
+        tpath = str(tmp_path / "t.xgt")
+        main(["sample", "--n", str(n), "--out", tpath])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["norms", "--in", tpath, "--net-eps", eps])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("xorgap: error:")
 
     def test_seed_changes_sample(self, tmp_path):
         A, B = str(tmp_path / "a.xgt"), str(tmp_path / "b.xgt")

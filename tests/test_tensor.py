@@ -717,7 +717,8 @@ class TestHermitize:
 
     def test_general_tensor_factored_once(self, monkeypatch):
         # a general-tensor pass: the game build and the Pauli strategy share one
-        # hermitize (one eigenpair per candidate), and the norms share one SVD
+        # hermitize (one eigenpair per candidate), and the norms share one
+        # singular pair; no SVD runs
         from xorgap import tensor
         from xorgap.game import game_from_tensor, pauli_strategy
 
@@ -741,7 +742,73 @@ class TestHermitize:
         trilinear_norm_lower(T, restarts=2)
         game_from_tensor(T)
         pauli_strategy(hermitize(T))
-        assert counted == {"eigenpair": 2, "svd": 1}
+        # one Lanczos run for the singular pair, one per hermitize candidate
+        assert counted == {"eigenpair": 3, "svd": 0}
+
+    def test_candidates_exactly_hermitian_and_marked(self, monkeypatch):
+        # both candidates are Hermitian bit for bit, so hermitize marks them
+        # and spectral_norm never scans their entries
+        from xorgap import tensor
+
+        candidates = []
+
+        def recording_spectral_norm(C):
+            candidates.append(C)
+            return spectral_norm(C)
+
+        monkeypatch.setattr(tensor, "spectral_norm", recording_spectral_norm)
+        rng = np.random.default_rng(12)
+        for n in (1, 2):
+            D = 8**n
+            M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+            wide = M * 10.0 ** rng.integers(-200, 200, (D, D))  # wide exponents
+            for C in ((wide + wide.conj().T) / 2.0, 1j * (wide - wide.conj().T) / 2.0):
+                assert np.array_equal(C, C.conj().T)
+            candidates.clear()
+            out = hermitize(Tensor3(n, M))
+            assert len(candidates) == 2 and any(C is out for C in candidates)
+            for C in candidates:
+                assert np.array_equal(C.matrix, C.matrix.conj().T)
+                assert C._exact_herm is True
+
+
+def _random_general(rng, D):
+    return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+
+
+class TestTopSingular:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["random", "rank_one"])
+    def test_matches_svd(self, n, kind):
+        from xorgap.tensor import _top_singular
+
+        rng = np.random.default_rng(20 + n)
+        D = 8**n
+        if kind == "random":
+            M = _random_general(rng, D)
+        else:
+            a, b = _random_general(rng, D)[:2]
+            M = np.outer(a, b.conj())
+        sigma, u = _top_singular(Tensor3(n, M))
+        U, s, _ = np.linalg.svd(M)
+        assert abs(sigma - s[0]) <= 1e-12 * s[0]
+        assert abs(np.vdot(U[:, 0], u)) >= 1.0 - 1e-10
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+
+    def test_wrong_vector_fails_residual_check(self, monkeypatch):
+        from xorgap import tensor
+
+        lanczos = tensor._lanczos_extremes
+
+        def wrong(*args):
+            low, u, high, v = lanczos(*args)
+            return low, u, high, np.roll(v, 1)
+
+        monkeypatch.setattr(tensor, "_lanczos_extremes", wrong)
+        T = Tensor3(1, _random_general(np.random.default_rng(3), 8))
+        with pytest.raises(ValueError, match="singular pair residual"):
+            spectral_norm(T)
+        assert T._sv is None  # nothing cached from a failed check
 
 
 class TestBinaryFormat:
