@@ -73,9 +73,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(parser, args)
-    except FileNotFoundError as exc:
-        parser.error(f"cannot open {exc.filename}")
-    except ValueError as exc:  # malformed input files and bad arguments
+    # unreadable paths (missing, a directory), malformed files, bad arguments
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
     return 2
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGameError, DimensionError, ScaleError
-from .pauli import build_basis, fourier
+from .pauli import MAX_QUBITS, build_basis, fourier
 from .tensor import Tensor3, hermitize, top_eigenpair
 
 GROTHENDIECK_REAL = 1.783
@@ -52,9 +52,9 @@ class XorGame:
         signs = _as_signs(self.signs)
         if pi.shape != (self.Q,) * 3 or signs.shape != (self.Q,) * 3:
             raise DimensionError(f"pi and signs must have shape ({self.Q},)*3")
-        if pi.min() < 0.0:
+        if not pi.min() >= 0.0:  # written so that NaN fails both checks
             raise ValueError("pi must be nonnegative")
-        if abs(pi.sum() - 1.0) > 1e-12:
+        if not abs(pi.sum() - 1.0) <= 1e-12:
             raise ValueError(f"pi must sum to 1, got {pi.sum()!r}")
         pi.setflags(write=False)
         signs.setflags(write=False)
@@ -160,10 +160,8 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     bias on that game is reported in closed form, N^3 lambda / l1 (see
     :func:`pauli_strategy`), from the Lanczos top eigenpair that `hermitize`
     or `spectral_norm` already cached (computed from g for a sampled tensor);
-    no strategy is evaluated.
+    no strategy is evaluated.  l1 = 0 (DegenerateGameError) exactly when T = 0.
     """
-    if not np.any(T.matrix):
-        raise DegenerateGameError("zero tensor yields no game")
     H = hermitize(T)
     coeff = fourier(H).coefficients.real
     l1 = float(np.abs(coeff).sum())
@@ -514,8 +512,8 @@ def load_game_csv(path) -> XorGame:
     """Read a game written by :func:`save_game_csv`.
 
     Raises ValueError for a missing header, a row with fewer than five
-    fields, a negative question index, a repeated question triple, or a
-    file without question rows.
+    fields, a question index outside 0..4^MAX_QUBITS - 1 (no tensor here
+    yields a larger game), a repeated triple, or no question rows.
     """
     rows = {}
     with open(path, newline="") as fh:
@@ -528,6 +526,8 @@ def load_game_csv(path) -> XorGame:
             key = (int(row[0]), int(row[1]), int(row[2]))
             if min(key) < 0:
                 raise ValueError(f"game CSV line {r.line_num}: negative question index")
+            if max(key) >= 4**MAX_QUBITS:
+                raise ValueError(f"game CSV line {r.line_num}: question index above {4**MAX_QUBITS - 1}")
             if key in rows:
                 raise ValueError(f"game CSV line {r.line_num}: repeated question triple {key}")
             rows[key] = (float(row[3]), float(row[4]))

@@ -177,7 +177,8 @@ def gap_sweep(
     this call, resume_token_or_None).
 
     Raises ValueError, before computing any row, when n_list is empty, when
-    samples_per_n < 1, when the token lies outside n_list x
+    samples_per_n < 1, when budget_s is negative or NaN (a NaN budget would
+    never stop the sweep), when the token lies outside n_list x
     range(samples_per_n), or when `out` does not hold exactly the rows of
     this seed that come before the token in (n, index) order.
     """
@@ -188,6 +189,8 @@ def gap_sweep(
         raise ValueError("sweep sizes are limited to n in {1, 2, 3}")
     if samples_per_n < 1:
         raise ValueError("samples per n must be >= 1")
+    if not budget_s >= 0.0:
+        raise ValueError(f"budget must be a number of seconds >= 0, got {budget_s!r}")
     grid = [(n, idx) for n in n_list for idx in range(samples_per_n)]
     start = 0
     kept = []

@@ -47,44 +47,55 @@ class SamplerConfig:
 
 
 class Tensor3:
-    """Immutable N^2 x N^2 x N^2 complex tensor with its N^3 x N^3 matrix view.
+    """Immutable N^2 x N^2 x N^2 complex tensor, given by exactly one thing.
 
-    `matrix` is the canonical storage: rows are flattened (i, j, k), columns
-    (i', j', k'), both row-major.  `raw_g` keeps the sampling vector when the
-    tensor came out of :func:`sample_tensor`, which is what certifies the net
-    upper bound on the trilinear norm, what the alternating lower bound
-    contracts in place of the dense mode view, and what the Lanczos top
-    eigenpair multiplies by in place of the matrix.  A general tensor gets its
-    top eigenpair or singular pair from the same Lanczos solver, multiplying
-    by the matrix; each pair is computed once and cached on the tensor.
+    A general tensor is its N^3 x N^3 matrix view (rows flattened (i, j, k),
+    columns (i', j', k'), both row-major).  A sampled tensor is its raw
+    vector g: its matrix view, g g^T under the collision mask, is built on
+    first read and cached.  Passing both, or neither, raises ValueError.  A
+    tensor with g is exactly Hermitian by construction, and its spectral and
+    trilinear norms never build the matrix: the Lanczos top eigenpair
+    multiplies by g, the ALS and `trilinear_eval` contract it, and it
+    certifies the net upper bound.  A general tensor's top eigenpair or
+    singular pair comes from the same solver multiplying by the matrix; each
+    pair is cached on the tensor.
     """
 
-    __slots__ = ("n", "N", "matrix", "raw_g", "_eig", "_herm", "_exact_herm", "_sv", "_hermitized")
+    __slots__ = ("n", "N", "_matrix", "raw_g", "_eig", "_herm", "_exact_herm", "_sv", "_hermitized")
 
-    def __init__(self, n: int, matrix: np.ndarray, raw_g: np.ndarray | None = None):
+    def __init__(self, n: int, matrix: np.ndarray | None = None, raw_g: np.ndarray | None = None):
         if n < 1:
             raise ValueError("n must be >= 1")
+        if (matrix is None) == (raw_g is None):
+            raise ValueError("a tensor is given by exactly one of its matrix view and its raw vector")
         N = 2**n
-        matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
-        if matrix.shape != (N**3, N**3):
-            raise DimensionError(
-                f"matrix view must be {N**3}x{N**3} for n={n}, got {matrix.shape}"
-            )
-        matrix.setflags(write=False)
-        if raw_g is not None:
+        if matrix is not None:
+            matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
+            if matrix.shape != (N**3, N**3):
+                raise DimensionError(f"matrix view must be {N**3}x{N**3} for n={n}, got {matrix.shape}")
+            matrix.setflags(write=False)
+        else:
             raw_g = np.ascontiguousarray(raw_g, dtype=np.float64)
             if raw_g.shape != (N**3,):
                 raise DimensionError(f"raw vector must have length {N**3}")
             raw_g.setflags(write=False)
         self.n = n
         self.N = N
-        self.matrix = matrix
+        self._matrix = matrix
         self.raw_g = raw_g
         self._eig = None
         self._herm = None
-        self._exact_herm = None  # True, False, or None until known
+        self._exact_herm = True if raw_g is not None else None  # True, False, or None until known
         self._sv = None
         self._hermitized = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The N^3 x N^3 matrix view; for a sampled tensor built from g on first read."""
+        if self._matrix is None:
+            self._matrix = np.ascontiguousarray(_masked_outer(self.raw_g, self.N), dtype=np.complex128)
+            self._matrix.setflags(write=False)
+        return self._matrix
 
     def mode_view(self) -> np.ndarray:
         """Return the ((i,i'), (j,j'), (k,k')) three-axis view, shape (N^2,)*3."""
@@ -97,8 +108,8 @@ class Tensor3:
     def is_hermitian(self) -> bool:
         """Whether the matrix view is Hermitian to 1e-12 of its largest entry
         (at least 1); computed once, since the tensor is immutable.  A tensor
-        known to be exactly Hermitian (sampled, or loaded with its raw vector)
-        skips the N^6 comparison."""
+        known to be exactly Hermitian (one with a raw vector, or a `hermitize`
+        candidate) skips the N^6 comparison."""
         if self._herm is None:
             if self._exact_herm:
                 self._herm = True
@@ -146,7 +157,8 @@ def sample_tensor(n: int, cfg: SamplerConfig) -> Tensor3:
     """Draw g per cfg and form the masked outer product tensor.
 
     The matrix view is g g^T with every entry zeroed whenever i == i' or
-    j == j' or k == k'.  The raw vector is retained on the result.
+    j == j' or k == k'.  The result is given by g alone; its matrix view is
+    built only if something reads it.
     """
     N = 2**n
     if cfg.distribution == "gaussian":
@@ -161,15 +173,7 @@ def sample_tensor(n: int, cfg: SamplerConfig) -> Tensor3:
             raise DimensionError(
                 f"override vector must have length {N**3}, got {g.shape[0]}"
             )
-    return _with_raw_vector(n, _masked_outer(g, N), g)
-
-
-def _with_raw_vector(n: int, M: np.ndarray, g: np.ndarray) -> Tensor3:
-    """The tensor of a matrix known to be _masked_outer(g, N), marked exactly
-    Hermitian: g g^T is symmetric bit for bit, and so is the mask."""
-    T = Tensor3(n, M, raw_g=g)
-    T._exact_herm = True
-    return T
+    return Tensor3(n, raw_g=g)
 
 
 def _masked_outer(g: np.ndarray, N: int) -> np.ndarray:
@@ -238,13 +242,12 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
     spectrum, and the end of larger magnitude wins.  When +s and -s are both
     eigenvalues of magnitude equal to the spectral norm, the positive branch
     is returned, so the eigenvector realizes the spectral norm as a positive
-    quadratic form whenever possible.  A sampled tensor (one carrying its raw
-    vector g) never touches the matrix: its product is
-    x -> g∘((J - I)^{⊗3}(g∘x)), each J - I factor a sum along one axis minus
-    the input, O(N^3) per product.  Any other tensor multiplies by its matrix
-    view.  The pair is then checked once against the stored matrix, and
-    ValueError is raised when ||M psi - lambda psi|| exceeds 1e-9 of
-    max(|lambda|, max|M|) (a raw vector that does not reproduce the matrix).
+    quadratic form whenever possible.  A sampled tensor never builds its
+    matrix: its product is x -> g∘((J - I)^{⊗3}(g∘x)), each J - I factor a
+    sum along one axis minus the input, O(N^3) per product.  Any other
+    tensor multiplies by its matrix view.
+    The pair is checked once with the same product, and ValueError is raised
+    when ||A psi - lambda psi|| exceeds 1e-9 |lambda| (or is not a number).
     """
     if not T.is_hermitian():
         raise ValueError("top_eigenpair needs a Hermitian matrix view")
@@ -265,15 +268,11 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
         low, u, high, v = _lanczos_extremes(matvec, N**3, dtype)
         sn = max(abs(low), abs(high))
         lam, vec = (high, v) if high >= sn * (1.0 - 1e-12) else (low, u)
-        vec = np.ascontiguousarray(vec / np.linalg.norm(vec), dtype=np.complex128)
-        M = T.matrix
-        res = float(np.linalg.norm(M @ vec - lam * vec))
-        # max|M| <= |lambda| for a correct pair, so it is read only on failure
-        if res > 1e-9 * abs(lam) and res > 1e-9 * float(np.abs(M).max()):
-            raise ValueError(
-                f"eigenpair residual {res!r} on the stored matrix (lambda {lam!r}); "
-                "the raw vector does not reproduce the tensor"
-            )
+        vec = vec / np.linalg.norm(vec)
+        res = float(np.linalg.norm(matvec(vec) - lam * vec))
+        if not res <= 1e-9 * abs(lam):
+            raise ValueError(f"eigenpair residual {res!r} (lambda {lam!r})")
+        vec = np.ascontiguousarray(vec, dtype=np.complex128)
         vec.setflags(write=False)
         T._eig = (float(lam), vec)
     return T._eig
@@ -283,7 +282,7 @@ def spectral_norm(T: Tensor3) -> float:
     """Largest singular value of the matrix view.
 
     Hermitian inputs go through the Lanczos top eigenpair (retaining the top
-    eigenvector, checked against the stored matrix); general inputs go
+    eigenvector; a sampled tensor's matrix is never built); general inputs go
     through the same solver on the Hermitian dilation (see
     :func:`_top_singular`), whose top singular pair is cached for the ALS
     anchor.  No SVD and no dense eigensolve of the matrix view runs.
@@ -297,22 +296,20 @@ def spectral_norm(T: Tensor3) -> float:
 def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> complex:
     """Pair the tensor with X ⊗ Y ⊗ Z entrywise: sum T[(ii'),(jj'),(kk')] X[ii'] Y[jj'] Z[kk'].
 
-    Computed mode by mode rather than through a six-index loop.
+    Computed as <contract_z(X, Y), Z> with the ALS's mode map (see
+    :func:`_mode_contraction`): O(N^4) from g for a sampled tensor, whose
+    matrix is never built, and two GEMMs on the mode view otherwise.
     """
     N = T.N
     for name, M in (("X", X), ("Y", Y), ("Z", Z)):
         if np.shape(M) != (N, N):
             raise DimensionError(f"{name} must be {N}x{N}")
-    W = T.mode_view()
-    v = np.einsum(
-        "abc,a,b,c->",
-        W,
-        np.asarray(X, dtype=complex).ravel(),
-        np.asarray(Y, dtype=complex).ravel(),
-        np.asarray(Z, dtype=complex).ravel(),
-        optimize=True,
-    )
-    return complex(v)
+    return _pair(_mode_contraction(T)[1], np.asarray(X), np.asarray(Y), Z)
+
+
+def _pair(contract_z, X: np.ndarray, Y: np.ndarray, Z) -> complex:
+    """<contract_z(X, Y), Z> for one factor triple."""
+    return complex(np.sum(contract_z(X[None], Y[None])[0] * Z))
 
 
 def _best_hermitian_factor(A: np.ndarray):
@@ -487,11 +484,11 @@ def trilinear_norm_lower(
     these sizes a sweep is dominated by per-call overhead, so it is kept to a
     fixed handful of array operations: the running restarts' stacks are kept
     between sweeps and regathered only in a sweep where some restart leaves.
-    The returned value is re-evaluated on the stored matrix, and ValueError
-    is raised when it differs from the best ALS value by more than 1e-9
-    relative (a raw vector that does not reproduce the matrix).  ValueError
-    is also raised up front for restarts or max_iters below 1 and for a tol
-    that is negative or not finite (a NaN tol would never stop a restart).
+    The winner is paired again through the same contraction, and ValueError
+    is raised when that differs from its ALS value by more than 1e-9
+    relative.  ValueError is also raised up front for restarts or max_iters
+    below 1 and for a tol that is negative or not finite (a NaN tol would
+    never stop a restart).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -545,12 +542,9 @@ def trilinear_norm_lower(
     best = int(np.argmax(last))
     X, Y, Z = X[best], Y[best], Z[best]
     best_val = float(last[best])
-    value = trilinear_eval(T, X, Y, Z)
+    value = _pair(contract_z, X, Y, Z)
     if abs(abs(value) - best_val) > 1e-9 * max(abs(value), best_val):
-        raise ValueError(
-            f"ALS value {best_val!r} does not match the stored matrix ({abs(value)!r}); "
-            "the raw vector does not reproduce the tensor"
-        )
+        raise ValueError(f"ALS value {best_val!r} does not match its witness ({abs(value)!r})")
     return abs(value), TrilinearWitness(X=X, Y=Y, Z=Z, value=value)
 
 
@@ -615,9 +609,9 @@ def hermitize(T: Tensor3) -> Tensor3:
 
     An exactly Hermitian input is returned as is: its symmetric part is the
     same matrix bit for bit, so the raw sampling vector and any cached
-    eigenpair stay with it.  A sampled or loaded tensor with its raw vector
-    is marked exactly Hermitian and is not compared entry by entry; any
-    other input is compared once, and the answer is cached.  Otherwise each
+    eigenpair stay with it.  A tensor with a raw vector is exactly Hermitian
+    by construction, so its matrix is neither built nor compared; any other
+    input is compared once, and the answer is cached.  Otherwise each
     candidate gets one Lanczos top eigenpair per tensor, and the winner is
     cached on T and returned with its eigenpair cached and no raw vector;
     ties go to the symmetric part.
@@ -630,12 +624,12 @@ def hermitize(T: Tensor3) -> Tensor3:
     multiplying by i (which swaps the components and negates one) act on
     each component alone, so they keep the symmetry.
     """
-    M = T.matrix
     if T._exact_herm is None:
-        T._exact_herm = bool(np.array_equal(M, M.conj().T))
+        T._exact_herm = bool(np.array_equal(T.matrix, T.matrix.conj().T))
     if T._exact_herm:
         return T
     if T._hermitized is None:
+        M = T.matrix
         cand_s = Tensor3(T.n, (M + M.conj().T) / 2.0)
         cand_a = Tensor3(T.n, 1j * (M - M.conj().T) / 2.0)
         cand_s._exact_herm = cand_a._exact_herm = True
@@ -663,9 +657,10 @@ def save_tensor(path, T: Tensor3) -> None:
 def load_tensor(path) -> Tensor3:
     """Read a tensor written by :func:`save_tensor`.
 
-    Raises ValueError for a bad magic, a header whose n does not match the
-    file size, or a raw vector whose masked outer product is not the stored
-    matrix (the net upper bound would then certify a different tensor).
+    A file with a raw vector yields the tensor given by g.  Raises ValueError
+    for a bad magic, a header whose n does not match the file size, or a raw
+    vector whose masked outer product is not the stored matrix (the net
+    upper bound would then certify a different tensor).
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -688,9 +683,8 @@ def load_tensor(path) -> Tensor3:
                 raise ValueError("raw vector must be real")
             g = gc.real.astype(np.float64)
         M = np.frombuffer(fh.read(16 * N**6), dtype="<c16").reshape(N**3, N**3)
-    M = M.astype(np.complex128)
     if g is None:
         return Tensor3(n, M)
     if not np.array_equal(M, _masked_outer(g, N)):
         raise ValueError("raw vector does not reproduce the stored matrix")
-    return _with_raw_vector(n, M, g)
+    return Tensor3(n, raw_g=g)

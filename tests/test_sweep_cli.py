@@ -171,6 +171,18 @@ class TestGapSweep:
             gap_sweep([1], 0, seed=0, out=tmp_path / "gap.csv")
         assert not (tmp_path / "gap.csv").exists()
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_budget_guard(self, tmp_path, monkeypatch, budget):
+        from xorgap import sweep
+
+        def forbidden(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(sweep, "compute_gap_row", forbidden)
+        with pytest.raises(ValueError, match="budget must be a number of seconds >= 0"):
+            gap_sweep([1], 2, seed=0, out=tmp_path / "gap.csv", budget_s=budget)
+        assert not (tmp_path / "gap.csv").exists()
+
 
 class TestVerifySuites:
     @pytest.mark.parametrize("name", ["identities", "lorentz", "theorems", "nets"])
@@ -284,13 +296,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "suite identities: PASS" in out
 
-    def test_usage_errors_exit_two(self, tmp_path):
+    def test_usage_errors_exit_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             main(["bias", "entangled", "--game", str(tmp_path / "missing.csv")])
         assert exc.value.code == 2
+        for argv in (["show", str(tmp_path)], ["norms", "--in", str(tmp_path)]):  # a directory
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
+            assert "Is a directory" in err.splitlines()[-1]
 
     def test_malformed_files_exit_two(self, tmp_path, capsys):
         junk = tmp_path / "junk.xgt"
@@ -309,6 +329,10 @@ class TestCli:
         negative_game.write_text("q1,q2,q3,pi,sign\n0,0,0,0.0,1\n-1,0,0,1.0,1\n")
         repeated_game = tmp_path / "repeated_game.csv"
         repeated_game.write_text("q1,q2,q3,pi,sign\n0,0,0,0.5,1\n0,0,0,0.5,-1\n")
+        nan_game = tmp_path / "nan_game.csv"
+        nan_game.write_text("q1,q2,q3,pi,sign\n0,0,0,nan,1\n")
+        huge_game = tmp_path / "huge_game.csv"  # Q = 3001 would ask for Q^3 floats
+        huge_game.write_text("q1,q2,q3,pi,sign\n0,0,0,0.0,1\n3000,0,0,1.0,1\n")
         short_gap = tmp_path / "short_gap.csv"
         short_gap.write_text(",".join(GAP_COLUMNS) + "\n1,2,3\n")
         (tmp_path / "short_gap.csv.resume").write_text('{"next": [1, 1]}')
@@ -326,6 +350,8 @@ class TestCli:
             (["bias", "classical", "--game", str(empty_game)], "no question rows"),
             (["bias", "classical", "--game", str(negative_game)], "line 3: negative question index"),
             (["bias", "classical", "--game", str(repeated_game)], "line 3: repeated question triple (0, 0, 0)"),
+            (["bias", "classical", "--game", str(nan_game)], "pi must be nonnegative"),
+            (["bias", "classical", "--game", str(huge_game)], "line 3: question index above 255"),
             (["show", str(short_gap)], "line 2: 3 fields, need 11"),
             (gap_resume + ["--resume"], "line 2: 3 fields, need 11"),
             (["bias", "entangled", "--game", str(mermin), "--strategy", str(stateless)], "lacks state"),
@@ -347,6 +373,7 @@ class TestCli:
             (["sample", "--n", "0", "--out", str(tmp_path / "s0.xgt")], "--n must lie in 1..4"),
             (["sample", "--n", "8", "--out", str(tmp_path / "s8.xgt")], "--n must lie in 1..4"),
             (["gap-sweep", "--n-list", "1", "--samples", "0", "--out", str(gpath)], "samples per n must be >= 1"),
+            (["gap-sweep", "--n-list", "1", "--budget-s", "nan", "--out", str(gpath)], "budget must be a number"),
             (["norms", "--in", str(tpath), "--als-iters", "0"], "max_iters must be >= 1"),
             (["norms", "--in", str(tpath), "--tol", "nan"], "tol must be finite and >= 0"),
             (["norms", "--in", str(tpath), "--tol", "-1"], "tol must be finite and >= 0"),

@@ -217,12 +217,12 @@ class TestSampling:
 
     def test_hermiticity_marked_not_scanned(self, tmp_path, monkeypatch):
         # a sampled or loaded tensor is g g^T under the mask, exactly Hermitian,
-        # so is_hermitian and hermitize never compare its N^6 entries; a tensor
-        # built directly, even with a raw vector, is still compared
+        # so is_hermitian and hermitize never compare its N^6 entries; the same
+        # matrix given as a general tensor is still compared
         T = sample_tensor(2, SamplerConfig(seed=0))
         save_tensor(tmp_path / "t.xgt", T)
         loaded = load_tensor(tmp_path / "t.xgt")
-        direct = Tensor3(2, T.matrix, raw_g=T.raw_g)
+        direct = Tensor3(2, T.matrix)
         scans = set()
         absolute, array_equal = np.abs, np.array_equal
 
@@ -243,6 +243,43 @@ class TestSampling:
         assert scans == set()
         assert direct.is_hermitian() and hermitize(direct) is direct
         assert scans == {"is_hermitian", "hermitize"}
+
+    def test_given_by_exactly_one_representation(self):
+        T = sample_tensor(1, SamplerConfig(seed=0))
+        with pytest.raises(ValueError, match="exactly one"):
+            Tensor3(1, T.matrix, raw_g=T.raw_g)
+        with pytest.raises(ValueError, match="exactly one"):
+            Tensor3(1)
+        assert Tensor3(1, raw_g=T.raw_g).raw_g is not None
+        assert Tensor3(1, T.matrix).raw_g is None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_norms_leave_sampled_matrix_unbuilt(self, n, monkeypatch):
+        # the norms of a sampled tensor work from g; its matrix is built on
+        # the first read only, once, and kept read-only
+        from xorgap import tensor
+
+        built = []
+        masked_outer = tensor._masked_outer
+
+        def counting_masked_outer(g, N):
+            built.append(N)
+            return masked_outer(g, N)
+
+        monkeypatch.setattr(tensor, "_masked_outer", counting_masked_outer)
+        T = sample_tensor(n, SamplerConfig(seed=n))
+        E = np.eye(T.N) / np.sqrt(T.N)
+        assert T.is_hermitian() and hermitize(T) is T
+        spectral_norm(T)
+        top_eigenpair(T)
+        trilinear_norm_lower(T, restarts=2, max_iters=5)
+        trilinear_eval(T, E, E, E)
+        if n == 1:
+            trilinear_norm_upper_net(T, 0.9)
+        assert built == []
+        M = T.matrix
+        assert T.matrix is M and not M.flags.writeable and M.dtype == np.complex128
+        assert built == [T.N]
 
 
 class TestSpectralNorm:
@@ -348,10 +385,24 @@ class TestLanczosEigenpair:
             assert abs(lam - ref) <= 1e-12 * abs(ref)  # exact for the zero candidate
             assert np.linalg.norm(C @ psi - lam * psi) <= 1e-12 * abs(lam)
 
-    def test_raw_vector_not_reproducing_matrix_rejected(self):
+    @pytest.mark.parametrize("given", ["raw_g", "matrix"])
+    def test_wrong_vector_fails_residual_check(self, given, monkeypatch):
+        # the residual is taken with the solver's own product, g or matrix
+        from xorgap import tensor
+
+        lanczos = tensor._lanczos_extremes
+
+        def wrong(*args):
+            low, u, high, v = lanczos(*args)
+            return low, np.roll(u, 1), high, np.roll(v, 1)
+
+        monkeypatch.setattr(tensor, "_lanczos_extremes", wrong)
         T = sample_tensor(1, SamplerConfig(seed=3))
-        with pytest.raises(ValueError, match="does not reproduce"):
-            top_eigenpair(Tensor3(1, 1e4 * T.matrix, raw_g=T.raw_g))
+        if given == "matrix":
+            T = Tensor3(1, T.matrix)
+        with pytest.raises(ValueError, match="eigenpair residual"):
+            top_eigenpair(T)
+        assert T._eig is None  # nothing cached from a failed check
 
 
 class TestTrilinearEval:
@@ -390,6 +441,21 @@ class TestTrilinearEval:
         T = sample_tensor(1, SamplerConfig(seed=0))
         with pytest.raises(DimensionError):
             trilinear_eval(T, np.eye(4), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sampled_matches_dense(self, n):
+        # the pairing from g against the same tensor given by its matrix, with
+        # Hermitian and general complex factors
+        rng = np.random.default_rng(30 + n)
+        T = sample_tensor(n, SamplerConfig(seed=n))
+        dense = Tensor3(n, T.matrix)
+        N = T.N
+        for _ in range(3):
+            factors = [random_hermitian(rng, N) for _ in range(3)]
+            factors += [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)) for _ in range(3)]
+            for X, Y, Z in (factors[:3], factors[3:]):
+                want = trilinear_eval(dense, X, Y, Z)
+                assert abs(trilinear_eval(T, X, Y, Z) - want) <= 1e-12 * abs(want)
 
 
 class TestTrilinearLower:
@@ -602,11 +668,21 @@ class TestTrilinearLower:
         with pytest.raises(ValueError, match="max_iters"):
             trilinear_norm_lower(T, max_iters=0)
 
-    def test_raw_vector_not_reproducing_matrix_raises(self):
-        # the ALS runs on g, the final evaluation on the stored matrix
+    def test_value_not_matching_witness_raises(self, monkeypatch):
+        # the winner is paired again with its own factors; a value the ALS
+        # bookkeeping got wrong no longer matches
+        from xorgap import tensor
+
+        update = tensor._best_hermitian_factor
+
+        def doubled_value(A):
+            X, val, ok = update(A)
+            return X, 2.0 * val, ok
+
+        monkeypatch.setattr(tensor, "_best_hermitian_factor", doubled_value)
         T = sample_tensor(1, SamplerConfig(seed=1))
-        with pytest.raises(ValueError, match="raw vector"):
-            trilinear_norm_lower(Tensor3(1, 1e4 * T.matrix, raw_g=T.raw_g), restarts=2)
+        with pytest.raises(ValueError, match="does not match its witness"):
+            trilinear_norm_lower(T, restarts=2)
 
 
 def _exhaustive_net_upper(T, eps):
@@ -868,9 +944,12 @@ class TestBinaryFormat:
     def test_mismatched_raw_vector_rejected(self, tmp_path):
         # a scaled matrix with the original g would let the net bound certify
         # the wrong tensor (upper bound below the ALS lower bound)
-        T = sample_tensor(1, SamplerConfig(seed=1))
         path = tmp_path / "t.xgt"
-        save_tensor(path, Tensor3(1, 1e4 * T.matrix, raw_g=T.raw_g))
+        save_tensor(path, sample_tensor(1, SamplerConfig(seed=1)))
+        raw = path.read_bytes()
+        head = 12 + 16 * 8  # header and the raw vector
+        scaled = 1e4 * np.frombuffer(raw[head:], dtype="<c16")
+        path.write_bytes(raw[:head] + scaled.astype("<c16").tobytes())
         with pytest.raises(ValueError, match="raw vector"):
             load_tensor(path)
 
