@@ -29,6 +29,7 @@ from .game import (
     XorGame,
     check_dimension_bound,
     check_question_bound,
+    classical_bias,
     classical_bias_exact,
     classical_bias_heuristic,
     embedded_chsh_game,

@@ -121,14 +121,9 @@ def _dispatch(parser, args) -> int:
     if args.command == "bias":
         G = game_mod.load_game_csv(args.game)
         if args.kind == "classical":
-            if 2 * G.Q <= game_mod.EXACT_ENUMERATION_LIMIT:
-                val, _ = game_mod.classical_bias_exact(G)
-                print(f"classical_bias = {val!r}  (exact)")
-            else:
-                val, _ = game_mod.classical_bias_heuristic(
-                    G, restarts=args.restarts, seed=args.seed
-                )
-                print(f"classical_bias = {val!r}  (heuristic lower bound)")
+            val, _, method = game_mod.classical_bias(G, restarts=args.restarts, seed=args.seed)
+            label = "exact" if method == "exact" else "heuristic lower bound"
+            print(f"classical_bias = {val!r}  ({label})")
             return 0
         if args.kind == "entangled":
             if args.strategy is not None:

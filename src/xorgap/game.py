@@ -263,6 +263,20 @@ def classical_bias_heuristic(
     return float(values[r]), ClassicalStrategy(chi=chi[r], upsilon=upsilon[r], zeta=zeta[r])
 
 
+def classical_bias(
+    G: XorGame, restarts: int = 32, seed: int = 0
+) -> tuple[float, ClassicalStrategy, str]:
+    """Classical bias by the best method the game's size allows, and its name.
+
+    A game with 2Q <= EXACT_ENUMERATION_LIMIT is enumerated ("exact");
+    a larger one gets the coordinate ascent from `restarts` seeded starts
+    ("heuristic"), whose value is a lower bound.
+    """
+    if 2 * G.Q <= EXACT_ENUMERATION_LIMIT:
+        return (*classical_bias_exact(G), "exact")
+    return (*classical_bias_heuristic(G, restarts=restarts, seed=seed), "heuristic")
+
+
 def strategy_correlations(S: EntangledStrategy) -> np.ndarray:
     """All correlations <psi| A_i ⊗ B_j ⊗ C_k |psi> as a real (Q1, Q2, Q3) array.
 
@@ -375,8 +389,8 @@ def seesaw_entangled_bias(
     its explicitly evaluated bias, so the value is always achievable, hence
     a lower bound.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if not 1 <= d <= 2**MAX_QUBITS:
+        raise ValueError(f"d must lie in 1..{2**MAX_QUBITS}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     Q = G.Q

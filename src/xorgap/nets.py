@@ -4,25 +4,24 @@ Sphere nets come from greedy maximal packing: seeded candidates are kept
 whenever they sit farther than eps from every point kept so far, and
 construction stops after a long run of consecutive rejections.  A maximal
 eps-packing is an eps-net, but the stopping rule is probabilistic, so covering
-is additionally verified by sampling.  Projector nets take spans of k-subsets
-of a sphere net at resolution eps/sqrt(2) and normalize by the square root of
-the rank; the triple net is the union over rank triples of elementwise tensor
-products, and only its size is computed here (the net upper bound on the
-trilinear norm streams the products itself).
+is additionally verified by sampling.  Projector nets are built at N = 2 only,
+where the spans of k-subsets of a sphere net at resolution eps/sqrt(2) have
+closed forms: the rank-1 net is v v^H for each sphere-net point v, and the
+rank-2 net is the single element I/sqrt(2).  The triple net is the union over
+rank triples of elementwise tensor products, and only its size is computed
+here (the net upper bound on the trilinear norm streams the products itself).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import DimensionError, ScaleError
 
 PACKING_WINDOW = 10_000  # consecutive rejections that end a sphere-net packing
-_SUBSET_CHUNK = 1024
 _EIG_CUTOFF = 1e-12  # decomposition drops eigenvalues below this times the largest
 
 
@@ -44,13 +43,12 @@ class SphereNet:
 
 @dataclass(frozen=True)
 class ProjectorNet:
-    """Normalized projectors X/sqrt(rank X) with rank at most k on C^N."""
+    """Normalized projectors X/sqrt(k) of rank k on C^N."""
 
     N: int
     k: int
     eps: float
     elements: tuple  # of (N, N) complex arrays, Frobenius norm 1
-    ranks: tuple
 
     def __len__(self):
         return len(self.elements)
@@ -133,10 +131,13 @@ def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
 def projector_net(N: int, k: int, eps: float, seed: int = 0) -> ProjectorNet:
     """Net over normalized rank-k projectors on C^N (N = 2 only).
 
-    Elements are spans of k-subsets of an eps/sqrt(2) sphere net, normalized
-    by sqrt(rank); duplicates are merged in subset order (results are cached
-    per argument tuple).  Covering radius eps is verified empirically by the
-    callers that need it.
+    The net is the spans of k-subsets of an eps/sqrt(2) sphere net,
+    normalized by sqrt(k), in closed form.  For k = N every spanning subset
+    spans C^N, so the net is the one element I/sqrt(N) and no sphere net is
+    built.  For k = 1 the elements are the projectors v v^H of the sphere-net
+    points, in point order, as read-only views of one array (results are
+    cached per argument tuple).  Covering radius eps is verified empirically
+    by the callers that need it.
     """
     if N != 2:
         raise ScaleError("projector nets are built only at N = 2")
@@ -144,31 +145,13 @@ def projector_net(N: int, k: int, eps: float, seed: int = 0) -> ProjectorNet:
         raise ValueError("k must lie in [1, N]")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    eta = eps / np.sqrt(2.0)
-    pts = sphere_net(N, eta, seed=seed).points
-    seen = {}
-    subsets = combinations(range(len(pts)), k)
-    # one batched QR per chunk of subsets; chunks bound the working set
-    while (chunk := np.array(list(islice(subsets, _SUBSET_CHUNK)), dtype=np.intp)).size:
-        Q, R = np.linalg.qr(pts[chunk].transpose(0, 2, 1))  # columns span each subset
-        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        rank_of = np.sum(diag > 1e-10 * np.maximum(1.0, diag.max(axis=1, keepdims=True)), axis=1)
-        P = np.zeros((len(chunk), N, N), dtype=np.complex128)
-        for rank in range(1, k + 1):
-            idx = np.flatnonzero(rank_of == rank)
-            Qr = Q[idx, :, :rank]
-            Pr = Qr @ Qr.conj().transpose(0, 2, 1)
-            P[idx] = (Pr + Pr.conj().transpose(0, 2, 1)) / 2.0 / np.sqrt(rank)
-        keys = np.round(P.reshape(len(chunk), -1), 9).view(float)
-        for i in np.flatnonzero(rank_of > 0):
-            key = tuple(keys[i])
-            if key not in seen:
-                seen[key] = (P[i].copy(), int(rank_of[i]))
-    for M, _ in seen.values():
-        M.setflags(write=False)
-    elements = tuple(M for M, _ in seen.values())
-    ranks = tuple(r for _, r in seen.values())
-    return ProjectorNet(N=N, k=k, eps=eps, elements=elements, ranks=ranks)
+    if k == N:
+        P = np.eye(N, dtype=np.complex128)[None] / np.sqrt(N)
+    else:
+        pts = sphere_net(N, eps / np.sqrt(2.0), seed=seed).points
+        P = pts[:, :, None] * pts[:, None, :].conj()
+    P.setflags(write=False)
+    return ProjectorNet(N=N, k=k, eps=eps, elements=tuple(P))
 
 
 def triple_net_size(N: int, eps: float, seed: int = 0) -> int:
@@ -176,15 +159,10 @@ def triple_net_size(N: int, eps: float, seed: int = 0) -> int:
 
     The triple net is the union over rank triples (k, l, m) in [N]^3 of the
     elementwise tensor products X⊗Y⊗Z of the rank-k, rank-l and rank-m
-    projector nets, so its size is the sum of the three nets' size products.
+    projector nets; summing the size products over all rank triples gives
+    the cube of the summed net sizes.
     """
-    sizes = [len(projector_net(N, k, eps, seed=seed)) for k in range(1, N + 1)]
-    total = 0
-    for a in sizes:
-        for b in sizes:
-            for c in sizes:
-                total += a * b * c
-    return total
+    return sum(len(projector_net(N, k, eps, seed=seed)) for k in range(1, N + 1)) ** 3
 
 
 def lorentz_decompose(X: np.ndarray) -> HermDecomposition:

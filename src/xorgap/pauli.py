@@ -115,4 +115,6 @@ def pauli_expectations(n: int, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape != (N**3,):
         raise DimensionError(f"state must have length {N**3}")
-    return fourier(Tensor3(n, np.outer(state, state.conj()))).coefficients.real
+    rho = np.outer(state, state.conj())
+    rho.setflags(write=False)  # handed over, so the tensor need not copy it
+    return fourier(Tensor3(n, rho)).coefficients.real

@@ -97,12 +97,7 @@ def compute_gap_row(n: int, sample_seed: int) -> GapRow:
     if N == 2:
         upper = tensor.trilinear_norm_upper_net(T, ROW_NET_EPS)
     report = game.game_from_tensor(T)
-    if 2 * report.game.Q <= game.EXACT_ENUMERATION_LIMIT:
-        classical, _ = game.classical_bias_exact(report.game)
-        method = "exact"
-    else:
-        classical, _ = game.classical_bias_heuristic(report.game, seed=sample_seed)
-        method = "heuristic"
+    classical, _, method = game.classical_bias(report.game, seed=sample_seed)
     ratio = report.pauli_bias / classical
     prop31 = None
     if upper is not None:

@@ -46,6 +46,16 @@ class SamplerConfig:
             raise ValueError("override distribution needs override_g")
 
 
+def _read_only(a, dtype) -> np.ndarray:
+    """a as a read-only C-contiguous array; a writeable input is copied, so
+    the caller's own array stays writeable and cannot change the tensor."""
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out.flags.writeable and np.may_share_memory(out, a):
+        out = out.copy()
+    out.setflags(write=False)
+    return out
+
+
 class Tensor3:
     """Immutable N^2 x N^2 x N^2 complex tensor, given by exactly one thing.
 
@@ -70,15 +80,13 @@ class Tensor3:
             raise ValueError("a tensor is given by exactly one of its matrix view and its raw vector")
         N = 2**n
         if matrix is not None:
-            matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
+            matrix = _read_only(matrix, np.complex128)
             if matrix.shape != (N**3, N**3):
                 raise DimensionError(f"matrix view must be {N**3}x{N**3} for n={n}, got {matrix.shape}")
-            matrix.setflags(write=False)
         else:
-            raw_g = np.ascontiguousarray(raw_g, dtype=np.float64)
+            raw_g = _read_only(raw_g, np.float64)
             if raw_g.shape != (N**3,):
                 raise DimensionError(f"raw vector must have length {N**3}")
-            raw_g.setflags(write=False)
         self.n = n
         self.N = N
         self._matrix = matrix
@@ -128,7 +136,8 @@ class Tensor3:
         if W.shape != (N * N, N * N, N * N):
             raise DimensionError(f"mode view must be ({N*N},)*3, got {W.shape}")
         t6 = W.reshape(N, N, N, N, N, N)  # (i i') (j j') (k k')
-        M = t6.transpose(0, 2, 4, 1, 3, 5).reshape(N**3, N**3)
+        M = t6.transpose(0, 2, 4, 1, 3, 5).copy().reshape(N**3, N**3)
+        M.setflags(write=False)
         return cls(n, M)
 
 
@@ -630,8 +639,10 @@ def hermitize(T: Tensor3) -> Tensor3:
         return T
     if T._hermitized is None:
         M = T.matrix
-        cand_s = Tensor3(T.n, (M + M.conj().T) / 2.0)
-        cand_a = Tensor3(T.n, 1j * (M - M.conj().T) / 2.0)
+        sym, anti = (M + M.conj().T) / 2.0, 1j * (M - M.conj().T) / 2.0
+        sym.setflags(write=False)
+        anti.setflags(write=False)
+        cand_s, cand_a = Tensor3(T.n, sym), Tensor3(T.n, anti)
         cand_s._exact_herm = cand_a._exact_herm = True
         T._hermitized = cand_a if spectral_norm(cand_a) > spectral_norm(cand_s) else cand_s
     return T._hermitized
@@ -681,7 +692,7 @@ def load_tensor(path) -> Tensor3:
             gc = np.frombuffer(fh.read(16 * N**3), dtype="<c16")
             if np.abs(gc.imag).max(initial=0.0) > 0:
                 raise ValueError("raw vector must be real")
-            g = gc.real.astype(np.float64)
+            g = gc.real
         M = np.frombuffer(fh.read(16 * N**6), dtype="<c16").reshape(N**3, N**3)
     if g is None:
         return Tensor3(n, M)

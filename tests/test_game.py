@@ -14,6 +14,7 @@ from xorgap import (
     XorGame,
     check_dimension_bound,
     check_question_bound,
+    classical_bias,
     classical_bias_exact,
     classical_bias_heuristic,
     embedded_chsh_game,
@@ -273,6 +274,18 @@ class TestClassicalHeuristic:
             exact, _ = classical_bias_exact(G)
             heur, _ = classical_bias_heuristic(G, restarts=8, seed=trial)
             assert heur <= exact + 1e-12
+
+    @pytest.mark.parametrize("n,method", [(1, "exact"), (2, "heuristic")])
+    def test_classical_bias_picks_method_by_size(self, n, method):
+        # n = 1 (2Q = 8) is within enumeration reach, n = 2 (2Q = 32) is not
+        G = game_from_tensor(sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 0)))).game
+        val, strat, got = classical_bias(G, restarts=4, seed=3)
+        if method == "exact":
+            want, want_strat = classical_bias_exact(G)
+        else:
+            want, want_strat = classical_bias_heuristic(G, restarts=4, seed=3)
+        assert got == method and val == want
+        assert np.array_equal(strat.chi, want_strat.chi)
 
 
 def _oracle_correlations(S):

@@ -89,12 +89,12 @@ class TestProjectorNet:
     def test_elements_are_normalized_projectors(self):
         for k in (1, 2):
             net = projector_net(2, k, 0.5, seed=0)
-            for X, rank in zip(net.elements, net.ranks):
-                assert rank <= k
+            for X in net.elements:
                 assert np.abs(X - X.conj().T).max() <= 1e-12
                 assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-10)
-                P = np.sqrt(rank) * X
+                P = np.sqrt(k) * X
                 assert np.abs(P @ P - P).max() <= 1e-10
+                assert np.linalg.matrix_rank(P, tol=1e-10) == k
 
     def test_net_member_distance_zero(self):
         net = projector_net(2, 1, 0.5, seed=0)
@@ -114,11 +114,11 @@ class TestProjectorNet:
         target = np.eye(2) / np.sqrt(2.0)
         assert net.nearest_distance(target) <= 1e-9
 
+    @pytest.mark.parametrize("eps", [0.5, 0.8])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_matches_per_subset_oracle(self, k):
-        # the batched QR build equals one QR per subset bit for bit, in the
-        # same order and with the same ranks; k = 2 spans 41 chunks of subsets
-        eps = 0.5
+    def test_matches_span_oracle(self, k, eps):
+        # the closed forms equal the spans of k-subsets of the eps/sqrt(2)
+        # sphere net, one QR per subset, duplicates merged in subset order
         from itertools import combinations
 
         pts = sphere_net(2, eps / np.sqrt(2.0), seed=0).points
@@ -127,16 +127,23 @@ class TestProjectorNet:
             Q, R = np.linalg.qr(pts[list(subset)].T)
             diag = np.abs(np.diag(R))
             rank = int(np.sum(diag > 1e-10 * max(1.0, diag.max(initial=0.0))))
-            if rank == 0:
-                continue
-            Qr = Q[:, :rank]
-            P = Qr @ Qr.conj().T
-            P = (P + P.conj().T) / 2.0 / np.sqrt(rank)
-            seen.setdefault(tuple(np.round(P.reshape(-1), 9).view(float)), (P, rank))
+            assert rank == k
+            P = Q @ Q.conj().T / np.sqrt(k)
+            seen.setdefault(tuple(np.round(P.reshape(-1), 9).view(float)), P)
         net = projector_net(2, k, eps, seed=0)
-        assert net.ranks == tuple(r for _, r in seen.values())
         assert len(net.elements) == len(seen)
-        assert all(np.array_equal(X, P) for X, (P, _) in zip(net.elements, seen.values()))
+        for X, P in zip(net.elements, seen.values()):
+            assert np.abs(X - P).max() <= 1e-15
+
+    def test_full_rank_net_is_normalized_identity_without_sphere_net(self):
+        # no sphere-net call at all, so not even a cached one is looked up
+        projector_net.cache_clear()
+        hits, misses = sphere_net.cache_info()[:2]
+        net = projector_net(2, 2, 0.5, seed=0)
+        assert projector_net.cache_info().misses == 1
+        assert sphere_net.cache_info()[:2] == (hits, misses)
+        assert len(net.elements) == 1
+        assert np.array_equal(net.elements[0], np.eye(2) / np.sqrt(2.0))
 
     def test_scale_guard(self):
         with pytest.raises(ScaleError):

@@ -365,9 +365,12 @@ class TestCli:
             assert problem in err.splitlines()[-1]
 
     def test_bad_arguments_exit_two(self, tmp_path, capsys):
-        # n = 8 must fail before anything is drawn; n = 5..7 would ask for gigabytes
+        # n = 8 must fail before anything is drawn (n = 5..7 would ask for
+        # gigabytes), and see-saw d = 64 before its 1 TiB game operator
         tpath = tmp_path / "t.xgt"
         main(["sample", "--n", "1", "--out", str(tpath)])
+        game_path = tmp_path / "g.csv"
+        main(["game", "--in", str(tpath), "--out", str(game_path)])
         gpath = tmp_path / "gap.csv"
         for argv, problem in (
             (["sample", "--n", "0", "--out", str(tmp_path / "s0.xgt")], "--n must lie in 1..4"),
@@ -377,6 +380,7 @@ class TestCli:
             (["norms", "--in", str(tpath), "--als-iters", "0"], "max_iters must be >= 1"),
             (["norms", "--in", str(tpath), "--tol", "nan"], "tol must be finite and >= 0"),
             (["norms", "--in", str(tpath), "--tol", "-1"], "tol must be finite and >= 0"),
+            (["bias", "seesaw", "--game", str(game_path), "--d", "64"], "d must lie in 1..16"),
         ):
             capsys.readouterr()
             with pytest.raises(SystemExit) as exc:

@@ -253,6 +253,25 @@ class TestSampling:
         assert Tensor3(1, raw_g=T.raw_g).raw_g is not None
         assert Tensor3(1, T.matrix).raw_g is None
 
+    def test_caller_arrays_stay_writeable_and_detached(self):
+        rng = np.random.default_rng(0)
+        M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        g = rng.standard_normal(8)
+        T, S = Tensor3(1, M), Tensor3(1, raw_g=g)
+        assert M.flags.writeable and g.flags.writeable
+        want_M, want_g = T.matrix.copy(), S.raw_g.copy()
+        M[:] = 0.0
+        g[:] = 0.0
+        assert np.array_equal(T.matrix, want_M) and np.array_equal(S.raw_g, want_g)
+        assert not T.matrix.flags.writeable and not S.raw_g.flags.writeable
+        # a read-only input is kept as it is, not copied
+        want_M.setflags(write=False)
+        assert Tensor3(1, want_M).matrix is want_M
+        W = T.mode_view()
+        F = Tensor3.from_mode_view(1, W)
+        assert W.flags.writeable and not np.may_share_memory(F.matrix, W)
+        assert np.array_equal(F.matrix, want_M)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_norms_leave_sampled_matrix_unbuilt(self, n, monkeypatch):
         # the norms of a sampled tensor work from g; its matrix is built on
