@@ -91,25 +91,19 @@ class EntangledStrategy:
         d1, d2, d3 = self.dims
         if state.shape != (d1 * d2 * d3,):
             raise DimensionError("state length must equal the product of dims")
-        if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(state) - 1.0) <= 1e-12:  # NaN fails every check
             raise ValueError("state must be a unit vector")
         if len(self.observables) != 3:
             raise ValueError("need one observable list per player")
         for player, (d, obs) in enumerate(zip(self.dims, self.observables)):
             for q, O in enumerate(obs):
-                O = np.asarray(O)
+                O, where = np.asarray(O), f"player {player} question {q}"
                 if O.shape != (d, d):
-                    raise DimensionError(
-                        f"player {player} question {q}: observable must be {d}x{d}"
-                    )
-                if np.abs(O - O.conj().T).max() > _OBS_TOL:
-                    raise ValueError(
-                        f"player {player} question {q}: observable not Hermitian"
-                    )
-                if np.abs(O @ O - np.eye(d)).max() > _OBS_TOL:
-                    raise ValueError(
-                        f"player {player} question {q}: observable must square to I"
-                    )
+                    raise DimensionError(f"{where}: observable must be {d}x{d}")
+                if not np.abs(O - O.conj().T).max() <= _OBS_TOL:
+                    raise ValueError(f"{where}: observable not Hermitian")
+                if not np.abs(O @ O - np.eye(d)).max() <= _OBS_TOL:
+                    raise ValueError(f"{where}: observable must square to I")
         state.setflags(write=False)
         object.__setattr__(self, "state", state)
 
@@ -277,30 +271,35 @@ def classical_bias(
     return (*classical_bias_heuristic(G, restarts=restarts, seed=seed), "heuristic")
 
 
+def _player_marginal(psi: np.ndarray, B, Cm) -> np.ndarray:
+    """Player 1's marginals sigma[(a, x), (j, k)] = <psi| |a><x| ⊗ B_j ⊗ Cm_k |psi>.
+
+    For psi of shape (d1, d2, d3), returns a (d1^2, Q2 Q3) matrix.  Player 3
+    is contracted on ket and bra first, rho_k = (psi ×3 Cm_k) psi^H, then
+    player 2, one matrix product each; no intermediate exceeds Q2 Q3 d1^2
+    or Q3 d1^2 d2^2 entries.
+    """
+    d1, d2, d3 = psi.shape
+    Q2, Q3 = len(B), len(Cm)
+    psi = psi.reshape(d1 * d2, d3)
+    # phi[xy, (k, c)] = sum_z psi[xy, z] C_k[c, z]; rho[(x, y, k), ab] = sum_c phi conj(psi[ab, c])
+    phi = psi @ np.asarray(Cm, dtype=complex).transpose(2, 0, 1).reshape(d3, Q3 * d3)
+    rho = (phi.reshape(-1, d3) @ psi.conj().T).reshape(d1, d2, Q3, d1, d2)
+    rho = rho.transpose(2, 0, 3, 4, 1).reshape(Q3 * d1 * d1, d2 * d2)  # ((k, x, a), (b, y))
+    sigma = rho @ np.asarray(B, dtype=complex).reshape(Q2, d2 * d2).T  # ((k, x, a), j)
+    return sigma.reshape(Q3, d1, d1, Q2).transpose(2, 1, 3, 0).reshape(d1 * d1, Q2 * Q3)
+
+
 def strategy_correlations(S: EntangledStrategy) -> np.ndarray:
     """All correlations <psi| A_i ⊗ B_j ⊗ C_k |psi> as a real (Q1, Q2, Q3) array.
 
-    Player 3 is contracted on both the ket and the bra side first, giving
-    rho_k = (psi ×3 C_k) psi^H, a (d1 d2) x (d1 d2) matrix per question k;
-    then player 2 gives sigma[j, k, x, a] = sum_by B_j[b, y] rho_k[xy, ab], and
-    player 1 gives w[i, j, k] = sum_ax A_i[a, x] sigma[j, k, x, a].  Each step
-    is one matrix product (BLAS), and no intermediate is larger than
-    Q2 Q3 d1^2 or Q3 d1^2 d2^2 entries.  ValueError is raised when an
-    imaginary part exceeds 1e-9 (observables that are not Hermitian).
+    One matrix product A_(1) sigma with player 1's marginals (shared with
+    the see-saw's best response, :func:`_player_marginal`).  ValueError
+    when an imaginary part exceeds 1e-9 (observables not Hermitian).
     """
-    d1, d2, d3 = S.dims
     Q1, Q2, Q3 = (len(obs) for obs in S.observables)
-    psi = S.state.reshape(d1 * d2, d3)
-    A = np.asarray(S.observables[0], dtype=complex).reshape(Q1, d1 * d1)  # (i, (a, x))
-    B = np.asarray(S.observables[1], dtype=complex).reshape(Q2, d2 * d2)  # (j, (b, y))
-    Cm = np.asarray(S.observables[2], dtype=complex)
-    # phi[xy, (k, c)] = sum_z psi[xy, z] C_k[c, z]; rho[(x, y, k), ab] = sum_c phi conj(psi[ab, c])
-    phi = psi @ Cm.transpose(2, 0, 1).reshape(d3, Q3 * d3)
-    rho = phi.reshape(d1 * d2 * Q3, d3) @ psi.conj().T
-    rho = rho.reshape(d1, d2, Q3, d1, d2).transpose(2, 0, 3, 4, 1)  # (k, x, a, b, y)
-    sigma = rho.reshape(Q3 * d1 * d1, d2 * d2) @ B.T  # ((k, x, a), j)
-    sigma = sigma.reshape(Q3, d1, d1, Q2).transpose(2, 1, 3, 0)  # (a, x, j, k)
-    w = (A @ sigma.reshape(d1 * d1, Q2 * Q3)).reshape(Q1, Q2, Q3)
+    A = np.asarray(S.observables[0], dtype=complex).reshape(Q1, -1)  # (i, (a, x))
+    w = (A @ _player_marginal(S.state.reshape(S.dims), *S.observables[1:])).reshape(Q1, Q2, Q3)
     if np.abs(w.imag).max(initial=0.0) > 1e-9:
         raise ValueError("correlations came out non-real; invalid strategy")
     return w.real
@@ -352,14 +351,15 @@ def _matrix_sign(H: np.ndarray) -> tuple[np.ndarray, float]:
 def _best_response(C: np.ndarray, p3: np.ndarray, B: np.ndarray, Cm: np.ndarray):
     """Player 1's optimal observables given the state p3 (d, d, d), B and Cm.
 
-    With E_i[x, a] = sum_jk C_ijk <psi| |a><x| ⊗ B_j ⊗ Cm_k |psi>, the bias
-    is sum_i tr(A_i E_i), which A_i = sign(E_i) maximizes; returns those
-    observables and the bias they reach.  The other players call this with
-    their axes of C and p3 moved to the front.
+    E_i[x, a] = sum_jk C_ijk sigma[(a, x), (j, k)] is one matrix product
+    C_(1) sigma^T with the marginals of :func:`_player_marginal`; the bias
+    sum_i tr(A_i E_i) is maximized by A_i = sign(E_i).  Returns those
+    observables and that bias.  The other players call this with their axes
+    of C and p3 moved to the front.
     """
-    t = np.einsum("jbp,kcq,apq->jkabc", B, Cm, p3, optimize=True)
-    K = np.einsum("abc,jkxbc->jkax", p3.conj(), t, optimize=True)
-    return _matrix_sign(np.einsum("ijk,jkax->ixa", C, K, optimize=True))
+    Q, d = len(C), p3.shape[0]
+    E = C.reshape(Q, -1) @ _player_marginal(p3, B, Cm).T  # (i, (a, x))
+    return _matrix_sign(E.reshape(Q, d, d).transpose(0, 2, 1))
 
 
 def _game_operator(C: np.ndarray, A: np.ndarray, B: np.ndarray, Cm: np.ndarray):
@@ -380,14 +380,14 @@ def seesaw_entangled_bias(
     """Alternating lower-bound heuristic for the entangled bias at local dimension d.
 
     A sweep updates the shared state (top eigenvector of the current game
-    operator) and then each player's observables in turn; with the rest
-    fixed, the optimal observable for a question is the matrix sign of its
-    effective operator, so the bias never decreases.  The sweep's bias is
-    the one its last update reaches; a restart stops after a sweep that
-    gains less than 1e-9, or after 500 sweeps.  Runs from several seeded
-    starts and returns the best strategy found (the first, on a tie) with
-    its explicitly evaluated bias, so the value is always achievable, hence
-    a lower bound.
+    operator) and then each player's observables in turn: with the rest
+    fixed, the matrix sign of each question's effective operator, built
+    from the marginals `strategy_correlations` contracts, is optimal, so the
+    bias never decreases.  The sweep's bias is the one its last update
+    reaches; a restart stops after a sweep that gains less than 1e-9, or
+    after 500 sweeps.  Runs from several seeded starts and returns the best
+    strategy found (the first, on a tie) with its explicitly evaluated bias,
+    so the value is always achievable, hence a lower bound.
     """
     if not 1 <= d <= 2**MAX_QUBITS:
         raise ValueError(f"d must lie in 1..{2**MAX_QUBITS}")
@@ -420,11 +420,8 @@ def seesaw_entangled_bias(
                 break
             prev = val
         if val > best:
-            best = val
-            best_strat = EntangledStrategy(
-                dims=(d, d, d),
-                state=psi,
-                observables=(list(A), list(B), list(Cm)),
+            best, best_strat = val, EntangledStrategy(
+                dims=(d, d, d), state=psi, observables=(list(A), list(B), list(Cm))
             )
     return entangled_bias_eval(G, best_strat), best_strat
 

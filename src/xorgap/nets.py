@@ -48,13 +48,13 @@ class ProjectorNet:
     N: int
     k: int
     eps: float
-    elements: tuple  # of (N, N) complex arrays, Frobenius norm 1
+    elements: np.ndarray  # (m, N, N) complex, read-only, each of Frobenius norm 1
 
     def __len__(self):
         return len(self.elements)
 
     def nearest_distance(self, X: np.ndarray) -> float:
-        E = np.array([M.reshape(-1) for M in self.elements])
+        E = self.elements.reshape(len(self), -1)
         d2 = np.sum(np.abs(E - X.reshape(1, -1)) ** 2, axis=1)
         return float(np.sqrt(d2.min()))
 
@@ -135,9 +135,9 @@ def projector_net(N: int, k: int, eps: float, seed: int = 0) -> ProjectorNet:
     normalized by sqrt(k), in closed form.  For k = N every spanning subset
     spans C^N, so the net is the one element I/sqrt(N) and no sphere net is
     built.  For k = 1 the elements are the projectors v v^H of the sphere-net
-    points, in point order, as read-only views of one array (results are
-    cached per argument tuple).  Covering radius eps is verified empirically
-    by the callers that need it.
+    points, in point order.  The elements are one read-only (m, N, N) array
+    (results are cached per argument tuple).  Covering radius eps is
+    verified empirically by the callers that need it.
     """
     if N != 2:
         raise ScaleError("projector nets are built only at N = 2")
@@ -151,7 +151,7 @@ def projector_net(N: int, k: int, eps: float, seed: int = 0) -> ProjectorNet:
         pts = sphere_net(N, eps / np.sqrt(2.0), seed=seed).points
         P = pts[:, :, None] * pts[:, None, :].conj()
     P.setflags(write=False)
-    return ProjectorNet(N=N, k=k, eps=eps, elements=tuple(P))
+    return ProjectorNet(N=N, k=k, eps=eps, elements=P)
 
 
 def triple_net_size(N: int, eps: float, seed: int = 0) -> int:
@@ -182,10 +182,10 @@ def lorentz_decompose(X: np.ndarray) -> HermDecomposition:
         raise DimensionError("input must be square")
     if N < 2:
         raise ScaleError("decomposition needs dimension N > 1")
-    if np.abs(X - X.conj().T).max(initial=0.0) > 1e-10:
+    if not np.abs(X - X.conj().T).max(initial=0.0) <= 1e-10:  # NaN fails both checks
         raise ValueError("input must be Hermitian")
     fro = np.linalg.norm(X)
-    if fro > 1.0 + 1e-12:
+    if not fro <= 1.0 + 1e-12:
         raise ValueError(
             f"input has Frobenius norm {fro:.6g} > 1; rescale before decomposing"
         )

@@ -318,7 +318,7 @@ def _suite_nets(seed: int) -> SuiteReport:
     lines.append(f"triple net size {streamed} == product formula {count}: {'pass' if good else 'FAIL'}")
 
     worst, witness = 0.0, None
-    elems = {k: np.array([M.reshape(-1) for M in pnets[k].elements]) for k in (1, 2)}
+    elems = {k: pnets[k].elements.reshape(len(pnets[k]), -1) for k in (1, 2)}
     for _ in range(300):
         picks = []
         for _mode in range(3):
@@ -352,7 +352,7 @@ def _suite_nets(seed: int) -> SuiteReport:
     # net, with the traces kept apart
     T = tensor.sample_tensor(1, tensor.SamplerConfig(seed=row_seed(seed, 1, 0)))
     g = T.raw_g
-    E = np.array([M.reshape(-1) for k in (1, 2) for M in nets.projector_net(2, k, eps).elements])
+    E = np.concatenate([nets.projector_net(2, k, eps).elements for k in (1, 2)]).reshape(-1, 4)
     tr = E @ np.eye(2).reshape(-1)
     W = np.outer(g, g).reshape(2, 2, 2, 2, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(4, 4, 4)
     dev = max(

@@ -590,10 +590,8 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
         raise ValueError("tensor carries no raw sampling vector; bound not applicable")
     g = T.raw_g
     N = T.N
-    elements = []
-    for k in range(1, N + 1):
-        elements.extend(nets.projector_net(N, k, eps).elements)
-    E = np.array([M.reshape(-1) for M in elements])  # (m, N^2), row-major (i, i')
+    E = np.concatenate([nets.projector_net(N, k, eps).elements for k in range(1, N + 1)])
+    E = E.reshape(-1, N * N)  # (m, N^2), row-major (i, i')
     Wg = np.outer(g, g).reshape(N, N, N, N, N, N).transpose(0, 3, 1, 4, 2, 5)
     # tr X = <vec I, vec X>, so folding -vec I ⊗ vec I ⊗ vec I into the mode
     # view makes the deviation one trilinear form in the flattened factors

@@ -29,6 +29,7 @@ from xorgap import (
     seesaw_entangled_bias,
 )
 from xorgap.game import (
+    _best_response,
     _game_operator,
     _matrix_sign,
     game_from_cost_tensor,
@@ -463,9 +464,25 @@ def oracle_matrix_sign(H):
     return (V * s) @ V.conj().T
 
 
+def oracle_best_responses(C, p3, A, B, Cm):
+    """Each player's effective operators by the einsum chain, player by player."""
+    t = np.einsum("jbp,kcq,apq->jkabc", B, Cm, p3, optimize=True)
+    K = np.einsum("abc,jkxbc->jkax", p3.conj(), t, optimize=True)
+    E1 = np.einsum("ijk,jkax->ixa", C, K, optimize=True)
+    t = np.einsum("iap,kcq,pbq->ikabc", A, Cm, p3, optimize=True)
+    K = np.einsum("abc,ikayc->ikby", p3.conj(), t, optimize=True)
+    E2 = np.einsum("ijk,ikby->jyb", C, K, optimize=True)
+    t = np.einsum("iap,jbq,pqc->ijabc", A, B, p3, optimize=True)
+    K = np.einsum("abc,ijabz->ijcz", p3.conj(), t, optimize=True)
+    E3 = np.einsum("ijk,ijcz->kzc", C, K, optimize=True)
+    return E1, E2, E3
+
+
 def oracle_seesaw(G, d, restarts=8, seed=0, on_sweep=None):
-    """The see-saw written out once per player, with an explicit evaluation
-    every sweep; the packaged routine must retrace it sweep for sweep."""
+    """The see-saw loop written out, one start per question and an explicit
+    evaluation every sweep (the per-player best responses are the package's,
+    checked against the einsum chain separately); the packaged routine must
+    retrace it sweep for sweep."""
     Q = G.Q
     C = G.cost_tensor()
     best = -np.inf
@@ -485,18 +502,9 @@ def oracle_seesaw(G, d, restarts=8, seed=0, on_sweep=None):
             _, V = np.linalg.eigh(_game_operator(C, A, B, Cm))
             psi = V[:, -1]
             p3 = psi.reshape(d, d, d)
-            t = np.einsum("jbp,kcq,apq->jkabc", B, Cm, p3, optimize=True)
-            K = np.einsum("abc,jkxbc->jkax", p3.conj(), t, optimize=True)
-            E = np.einsum("ijk,jkax->ixa", C, K, optimize=True)
-            A = np.array([oracle_matrix_sign(E[i]) for i in range(Q)])
-            t = np.einsum("iap,kcq,pbq->ikabc", A, Cm, p3, optimize=True)
-            K = np.einsum("abc,ikayc->ikby", p3.conj(), t, optimize=True)
-            E = np.einsum("ijk,ikby->jyb", C, K, optimize=True)
-            B = np.array([oracle_matrix_sign(E[j]) for j in range(Q)])
-            t = np.einsum("iap,jbq,pqc->ijabc", A, B, p3, optimize=True)
-            K = np.einsum("abc,ijabz->ijcz", p3.conj(), t, optimize=True)
-            E = np.einsum("ijk,ijcz->kzc", C, K, optimize=True)
-            Cm = np.array([oracle_matrix_sign(E[k]) for k in range(Q)])
+            A = _best_response(C, p3, B, Cm)[0]
+            B = _best_response(C.transpose(1, 0, 2), p3.transpose(1, 0, 2), A, Cm)[0]
+            Cm = _best_response(C.transpose(2, 0, 1), p3.transpose(2, 0, 1), A, B)[0]
             S = EntangledStrategy(dims=(d, d, d), state=psi, observables=(list(A), list(B), list(Cm)))
             val = entangled_bias_eval(G, S)
             on_sweep(r, sweep, val)
@@ -508,20 +516,23 @@ def oracle_seesaw(G, d, restarts=8, seed=0, on_sweep=None):
     return best, best_strat
 
 
+def _seesaw_oracle_cases():
+    n1 = [game_from_tensor(sample_tensor(1, SamplerConfig(seed=row_seed(0, 1, k)))).game for k in (0, 1)]
+    return [
+        (embedded_chsh_game(), 2, 6, 0),
+        (mermin_game(), 2, 6, 0),
+        (mermin_game(), 1, 8, 3),
+        (n1[0], 2, 8, 0),
+        (n1[1], 2, 8, 0),
+    ]
+
+
 class TestSeesaw:
     def test_matches_per_player_oracle(self):
-        # one best-response routine for all players and the bias read off
-        # the last update retrace the written-out see-saw: same sweeps per
+        # the bias read off the last update, the lockstep random starts and
+        # the stopping rule retrace the written-out see-saw: same sweeps per
         # restart, same values, and the returned value is the evaluated one
-        n1 = [game_from_tensor(sample_tensor(1, SamplerConfig(seed=row_seed(0, 1, k)))).game for k in (0, 1)]
-        cases = [
-            (embedded_chsh_game(), 2, 6, 0),
-            (mermin_game(), 2, 6, 0),
-            (mermin_game(), 1, 8, 3),
-            (n1[0], 2, 8, 0),
-            (n1[1], 2, 8, 0),
-        ]
-        for G, d, restarts, seed in cases:
+        for G, d, restarts, seed in _seesaw_oracle_cases():
             got, want = {}, {}
             val, strat = seesaw_entangled_bias(
                 G, d, restarts=restarts, seed=seed,
@@ -537,6 +548,46 @@ class TestSeesaw:
                 assert np.abs(np.subtract(got[r], want[r])).max() <= 1e-12
             assert abs(val - ref) <= 1e-12
             assert val == entangled_bias_eval(G, strat)
+
+    def test_best_response_matches_einsum_chain(self):
+        # each player's best response (through the marginals that
+        # strategy_correlations contracts) gives the einsum chain's
+        # observables and value, on the oracle cases' games and a Q = 16 game
+        rng = np.random.default_rng(11)
+        games = [(G, d) for G, d, _, _ in _seesaw_oracle_cases()]
+        games.append((game_from_cost_tensor(rng.standard_normal((16, 16, 16))), 4))
+        for G, d in games:
+            C = G.cost_tensor()
+            S = _random_strategy(rng, (d, d, d), (G.Q,) * 3)
+            A, B, Cm = (np.array(obs) for obs in S.observables)
+            p3 = S.state.reshape(d, d, d)
+            got = [
+                _best_response(C, p3, B, Cm),
+                _best_response(C.transpose(1, 0, 2), p3.transpose(1, 0, 2), A, Cm),
+                _best_response(C.transpose(2, 0, 1), p3.transpose(2, 0, 1), A, B),
+            ]
+            for (obs, val), E in zip(got, oracle_best_responses(C, p3, A, B, Cm)):
+                want = np.array([oracle_matrix_sign(E_q) for E_q in E])
+                assert np.abs(obs - want).max() <= 1e-12
+                assert abs(val - np.abs(np.linalg.eigvalsh((E + E.conj().transpose(0, 2, 1)) / 2)).sum()) <= 1e-12
+
+    def test_best_response_memory(self):
+        # the marginals keep one best response at Q = 64, d = 8 far below the
+        # 71 MB that a (Q, Q, d, d, d) intermediate takes
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        C = rng.standard_normal((64, 64, 64))
+        S = _random_strategy(rng, (8, 8, 8), (64, 64, 64))
+        B, Cm = (np.array(obs) for obs in S.observables[1:])
+        p3 = S.state.reshape(8, 8, 8)
+        tracemalloc.start()
+        try:
+            _best_response(C, p3, B, Cm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
     @pytest.mark.parametrize("Q,d", [(2, 2), (4, 3)])
     def test_game_operator_matches_unordered_einsum(self, Q, d):

@@ -89,6 +89,7 @@ class TestProjectorNet:
     def test_elements_are_normalized_projectors(self):
         for k in (1, 2):
             net = projector_net(2, k, 0.5, seed=0)
+            assert net.elements.shape == (len(net), 2, 2) and not net.elements.flags.writeable
             for X in net.elements:
                 assert np.abs(X - X.conj().T).max() <= 1e-12
                 assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-10)
@@ -118,18 +119,21 @@ class TestProjectorNet:
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_span_oracle(self, k, eps):
         # the closed forms equal the spans of k-subsets of the eps/sqrt(2)
-        # sphere net, one QR per subset, duplicates merged in subset order
+        # sphere net, one QR per subset (batched), duplicates merged in
+        # subset order
         from itertools import combinations
 
         pts = sphere_net(2, eps / np.sqrt(2.0), seed=0).points
+        subsets = np.array(list(combinations(range(len(pts)), k)))
+        Q, R = np.linalg.qr(pts[subsets].transpose(0, 2, 1))
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        rank = np.sum(diag > 1e-10 * np.maximum(1.0, diag.max(axis=1, keepdims=True)), axis=1)
+        assert np.all(rank == k)
+        spans = Q @ Q.conj().transpose(0, 2, 1) / np.sqrt(k)
+        keys = np.round(spans.reshape(len(spans), -1), 9).view(float)
         seen = {}
-        for subset in combinations(range(len(pts)), k):
-            Q, R = np.linalg.qr(pts[list(subset)].T)
-            diag = np.abs(np.diag(R))
-            rank = int(np.sum(diag > 1e-10 * max(1.0, diag.max(initial=0.0))))
-            assert rank == k
-            P = Q @ Q.conj().T / np.sqrt(k)
-            seen.setdefault(tuple(np.round(P.reshape(-1), 9).view(float)), P)
+        for key, P in zip(map(tuple, keys.tolist()), spans):
+            seen.setdefault(key, P)
         net = projector_net(2, k, eps, seed=0)
         assert len(net.elements) == len(seen)
         for X, P in zip(net.elements, seen.values()):
@@ -181,7 +185,7 @@ class TestTripleNet:
                     k = 2
                 factors.append(X)
                 net = nets[k]
-                E = np.array([M.reshape(-1) for M in net.elements])
+                E = net.elements.reshape(len(net), -1)
                 i = int(np.argmin(np.sum(np.abs(E - X.reshape(-1)) ** 2, axis=1)))
                 approx.append(net.elements[i])
             prod = np.kron(np.kron(factors[0], factors[1]), factors[2])
@@ -244,3 +248,8 @@ class TestLorentzDecomposition:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             lorentz_decompose(np.array([[0.0, 0.5], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("X", [[[np.nan, 0.0], [0.0, 0.5]], [[0.5, np.nan], [np.nan, 0.0]]])
+    def test_nan_rejected(self, X):
+        with pytest.raises(ValueError, match="Hermitian"):
+            lorentz_decompose(np.array(X))

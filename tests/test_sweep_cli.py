@@ -8,6 +8,9 @@ from xorgap.cli import main
 from xorgap.game import mermin_game, save_game_csv
 from xorgap.sweep import GAP_COLUMNS, compute_gap_row, read_gap_csv, row_seed, show
 
+_X = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]  # Pauli X as [re, im] pairs
+_NAN_X = [[float("nan"), 0.0]] + _X[1:]
+
 
 def fake_clock(monkeypatch):
     """Make each budget check in gap_sweep advance one second."""
@@ -398,6 +401,8 @@ class TestCli:
             ("observables", None, "observables must be a list of three lists"),
             ("dims", "abc", "dims must be a list of three positive integers"),
             ("state", 5, "state must be a list of [re, im] number pairs"),
+            ("state", [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7, "state must be a unit vector"),
+            ("observables", [[_NAN_X, _X], [_X, _X], [_X, _X]], "player 0 question 0: observable not Hermitian"),
         ],
     )
     def test_malformed_strategy_json_exits_two(self, tmp_path, capsys, field, value, problem):
