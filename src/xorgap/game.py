@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateGameError, DimensionError, ScaleError
-from .pauli import MAX_QUBITS, build_basis, fourier
-from .tensor import Tensor3, hermitize, top_eigenpair
+from .pauli import MAX_QUBITS, _mode_matrix, build_basis, fourier
+from .tensor import Tensor3, _mode_contraction, hermitize, top_eigenpair
 
 GROTHENDIECK_REAL = 1.783
 GROTHENDIECK_COMPLEX = 1.405
@@ -41,11 +41,18 @@ def _as_signs(arr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class XorGame:
-    """Question distribution pi over [Q]^3 and signs in {-1, +1}."""
+    """Question distribution pi over [Q]^3 and signs in {-1, +1}.
+
+    source is (T, l1) for a game that `game_from_tensor` built from the
+    sampled tensor T: its cost tensor is T's Pauli coefficient table over
+    l1, so the classical ascent can take its partial sums from g instead
+    of the Q^3 table.  It plays no part in equality and is not saved.
+    """
 
     Q: int
     pi: np.ndarray
     signs: np.ndarray
+    source: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=np.float64)
@@ -155,6 +162,8 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     :func:`pauli_strategy`), from the Lanczos top eigenpair that `hermitize`
     or `spectral_norm` already cached (computed from g for a sampled tensor);
     no strategy is evaluated.  l1 = 0 (DegenerateGameError) exactly when T = 0.
+    A sampled tensor is its own hermitization, and the game keeps (T, l1)
+    as its source for the classical ascent.
     """
     H = hermitize(T)
     coeff = fourier(H).coefficients.real
@@ -164,7 +173,8 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     lam, _ = top_eigenpair(H)
     pi = np.abs(coeff) / l1
     signs = np.where(coeff < 0.0, -1.0, 1.0)
-    game = XorGame(Q=T.N * T.N, pi=pi, signs=signs)
+    source = (H, l1) if H.raw_g is not None else None
+    game = XorGame(Q=T.N * T.N, pi=pi, signs=signs, source=source)
     return GameBuildReport(pauli_bias=H.N**3 * lam / l1, l1_norm=l1, game=game)
 
 
@@ -213,6 +223,53 @@ def classical_bias_exact(G: XorGame) -> tuple[float, ClassicalStrategy]:
     return best, ClassicalStrategy(chi=chi, upsilon=upsilon, zeta=zeta)
 
 
+def _cost_partial_sums(G: XorGame):
+    """The dense oracle: partial sums from the cost tensor, as (hold_z, last).
+
+    With C3 = C.reshape(Q^2, Q), hold_z(z) forms Z = z C3^T once, which
+    serves both the chi and the upsilon response because zeta is fixed
+    between them; last(x, y) is the product (x ⊗ y) C3.
+    """
+    Q = G.Q
+    C3 = G.cost_tensor().reshape(Q * Q, Q)
+
+    def hold_z(z):
+        Z = (z @ C3.T).reshape(-1, Q, Q)  # Z[r, i, j] = sum_k C[i, j, k] z[r, k]
+        return lambda mode, v: np.einsum("rij,rj->ri" if mode == 0 else "rij,ri->rj", Z, v)
+
+    return hold_z, lambda x, y: (x[:, :, None] * y[:, None, :]).reshape(-1, Q * Q) @ C3
+
+
+def _pauli_partial_sums(T: Tensor3):
+    """The g oracle: partial sums of the coefficient table c of a sampled
+    tensor, as (hold_z, last), through the ALS mode maps.
+
+    With B = `pauli._mode_matrix(n)` (row p holds conj(P_p)), c_pqr =
+    sum B[p, a] B[q, b] B[r, c] W[a, b, c], so player 1's partial sums are
+    s = Re(A B^T), where A is the mode map of the mode view W applied to the
+    factors upsilon B and zeta B; likewise for the other players.  The sign
+    vectors are real, so both transforms are real GEMMs on the (re, im)
+    float view of B, and nothing of size Q^3 is formed.
+    """
+    N = T.N
+    B = _mode_matrix(T.n)
+    to_factor = B.view(np.float64).reshape(len(B), -1)  # v -> v B, interleaved re, im
+    to_sums = B.conj().view(np.float64).reshape(len(B), -1).T  # A -> Re(A B^T)
+    hold, contract_z = _mode_contraction(T)
+
+    def factor(v):
+        return (v @ to_factor).view(np.complex128).reshape(-1, N, N)
+
+    def sums(A):
+        return A.view(np.float64).reshape(len(A), -1) @ to_sums
+
+    def hold_z(z):
+        given = hold(factor(z))
+        return lambda mode, v: sums(given(mode, factor(v)))
+
+    return hold_z, lambda x, y: sums(contract_z(factor(x), factor(y)))
+
+
 def classical_bias_heuristic(
     G: XorGame, restarts: int = 32, seed: int = 0
 ) -> tuple[float, ClassicalStrategy]:
@@ -224,28 +281,43 @@ def classical_bias_heuristic(
     sweeps never decrease the bias.  Restart r starts from signs drawn from
     the r-th child of `seed` and stops after a sweep that changes none of
     its answers, or after 1000 sweeps.  All restarts advance in lockstep:
-    with C3 = C.reshape(Q^2, Q), a sweep over the unconverged restarts is
-    one matrix product Z = zeta C3^T, which serves both the chi and the
-    upsilon response because zeta is fixed between them, and one product
-    (chi ⊗ upsilon) C3 for the zeta response.  The first restart with the
-    largest value wins; the value is always a lower bound on the classical
-    bias, and never exceeds the exact optimum.
+    a sweep over the unconverged restarts takes the chi and upsilon sums
+    with zeta held, then the zeta sums.  The first restart with the largest
+    value wins; the value is always a lower bound on the classical bias,
+    and never exceeds the exact optimum.
+
+    One loop, two oracles for the partial sums: a game built from a sampled
+    tensor T (its `source` is (T, l1)) takes them from g through the ALS
+    mode maps (see :func:`_pauli_partial_sums`), O(N^4) per restart and
+    player, and reports v / l1 for the value v on the coefficient table;
+    any other game reads its dense cost tensor (see
+    :func:`_cost_partial_sums`).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     Q = G.Q
-    C3 = G.cost_tensor().reshape(Q * Q, Q)
-    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(restarts))
-    starts = np.array([[rng.choice([-1.0, 1.0], Q) for _ in range(3)] for rng in rngs])
-    chi, upsilon, zeta = starts.transpose(1, 0, 2).copy()  # each (restarts, Q)
+    if G.source is None:
+        hold_z, last = _cost_partial_sums(G)
+        scale = 1.0
+    else:
+        T, scale = G.source
+        hold_z, last = _pauli_partial_sums(T)
+    # each restart's three sign vectors are rng.choice([-1.0, 1.0], Q) three
+    # times, drawn as one run of 3Q integers from the same stream (choice
+    # indexes with rng.integers), so the starts are bit for bit the same
+    signs = np.array([-1.0, 1.0])
+    starts = np.array(
+        [signs[np.random.default_rng(ss).integers(0, 2, 3 * Q)] for ss in np.random.SeedSequence(seed).spawn(restarts)]
+    )
+    chi, upsilon, zeta = starts.reshape(restarts, 3, Q).transpose(1, 0, 2).copy()  # each (restarts, Q)
     values = np.empty(restarts)
     active = np.arange(restarts)
     for _ in range(1000):
         x, y, z = chi[active], upsilon[active], zeta[active]
-        Z = (z @ C3.T).reshape(-1, Q, Q)  # Z[r, i, j] = sum_k C[i, j, k] z[r, k]
-        x_new = np.where(np.einsum("rij,rj->ri", Z, y) < 0.0, -1.0, 1.0)
-        y_new = np.where(np.einsum("rij,ri->rj", Z, x_new) < 0.0, -1.0, 1.0)
-        s = (x_new[:, :, None] * y_new[:, None, :]).reshape(-1, Q * Q) @ C3
+        given_z = hold_z(z)
+        x_new = np.where(given_z(0, y) < 0.0, -1.0, 1.0)
+        y_new = np.where(given_z(1, x_new) < 0.0, -1.0, 1.0)
+        s = last(x_new, y_new)
         z_new = np.where(s < 0.0, -1.0, 1.0)
         values[active] = (z_new * s).sum(axis=1)
         changed = np.any((x_new != x) | (y_new != y) | (z_new != z), axis=1)
@@ -254,7 +326,7 @@ def classical_bias_heuristic(
         if active.size == 0:
             break
     r = int(np.argmax(values))
-    return float(values[r]), ClassicalStrategy(chi=chi[r], upsilon=upsilon[r], zeta=zeta[r])
+    return float(values[r] / scale), ClassicalStrategy(chi=chi[r], upsilon=upsilon[r], zeta=zeta[r])
 
 
 def classical_bias(

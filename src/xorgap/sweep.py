@@ -87,7 +87,9 @@ def compute_gap_row(n: int, sample_seed: int) -> GapRow:
 
     The ALS lower bound and the classical heuristic run with their default
     restarts and stopping rules; the net upper bound (N = 2 only) uses
-    resolution ROW_NET_EPS.
+    resolution ROW_NET_EPS.  The game keeps the sampled tensor as its
+    source, so at n >= 2 the heuristic's partial sums come from g, and
+    classical_bias is v / l1; the n = 1 row is enumerated exactly.
     """
     N = 2**n
     T = tensor.sample_tensor(n, tensor.SamplerConfig(seed=sample_seed))
@@ -267,6 +269,20 @@ def _suite_identities(seed: int) -> SuiteReport:
                 abs(explicit - rep.pauli_bias) <= 1e-12 * abs(rep.pauli_bias),
             ),
         ]
+        if n >= 2:
+            # the structured paths against the dense ones, from the same
+            # starts: the classical ascent on g against the cost tensor, and
+            # the ALS from g against the ALS on the built matrix
+            row_s = row_seed(seed, n, 0)
+            from_g, _ = game.classical_bias_heuristic(rep.game, seed=row_s)
+            unsourced = game.XorGame(rep.game.Q, rep.game.pi, rep.game.signs)
+            dense, _ = game.classical_bias_heuristic(unsourced, seed=row_s)
+            als_g, _ = tensor.trilinear_norm_lower(T, seed=row_s)
+            als_dense, _ = tensor.trilinear_norm_lower(tensor.Tensor3(n, T.matrix), seed=row_s)
+            checks += [
+                ("classical ascent from g == from the cost tensor", abs(from_g - dense) <= 1e-12 * dense),
+                ("ALS from g == ALS on the matrix", abs(als_g - als_dense) <= 1e-12 * als_dense),
+            ]
         for label, good in checks:
             ok &= good
             lines.append(f"n={n}: {label}: {'pass' if good else 'FAIL'}")

@@ -128,7 +128,12 @@ class Tensor3:
         return self._herm
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        """||M||_F of the matrix view; for a sampled tensor O(N^3) from g as
+        sqrt((g^2)^T (J - I)^{⊗3} g^2), so its matrix is never built."""
+        if self.raw_g is None:
+            return float(np.linalg.norm(self.matrix))
+        g2 = self.raw_g * self.raw_g
+        return float(np.sqrt(g2 @ _masked_product(g2, self.N)))
 
     @classmethod
     def from_mode_view(cls, n: int, W: np.ndarray) -> "Tensor3":
@@ -196,6 +201,15 @@ def _masked_outer(g: np.ndarray, N: int) -> np.ndarray:
     return M
 
 
+def _masked_product(x: np.ndarray, N: int) -> np.ndarray:
+    """(J - I)^{⊗3} x for a length-N^3 vector x: each J - I factor is a sum
+    along one axis minus the input, O(N^3) in all."""
+    y = x.reshape(N, N, N)
+    for axis in range(3):
+        y = y.sum(axis=axis, keepdims=True) - y
+    return y.reshape(-1)
+
+
 _LANCZOS_TOL = 1e-14
 
 
@@ -252,9 +266,9 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
     eigenvalues of magnitude equal to the spectral norm, the positive branch
     is returned, so the eigenvector realizes the spectral norm as a positive
     quadratic form whenever possible.  A sampled tensor never builds its
-    matrix: its product is x -> g∘((J - I)^{⊗3}(g∘x)), each J - I factor a
-    sum along one axis minus the input, O(N^3) per product.  Any other
-    tensor multiplies by its matrix view.
+    matrix: its product is x -> g∘((J - I)^{⊗3}(g∘x)), O(N^3) per product
+    (see :func:`_masked_product`).  Any other tensor multiplies by its
+    matrix view.
     The pair is checked once with the same product, and ValueError is raised
     when ||A psi - lambda psi|| exceeds 1e-9 |lambda| (or is not a number).
     """
@@ -268,10 +282,7 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
             g = T.raw_g
 
             def matvec(x):
-                y = (g * x).reshape(N, N, N)
-                for axis in range(3):
-                    y = y.sum(axis=axis, keepdims=True) - y
-                return g * y.reshape(-1)
+                return g * _masked_product(g * x, N)
 
             dtype = np.float64
         low, u, high, v = _lanczos_extremes(matvec, N**3, dtype)
@@ -348,23 +359,48 @@ def _best_hermitian_factor(A: np.ndarray):
     return C + C.conj().transpose(0, 2, 1), val, ok
 
 
+def _hermitian_factor(A: np.ndarray):
+    """The mode update of a Hermitian tensor: X[r] = (conj(A[r]) + A[r]^T) / norm.
+
+    For a Hermitian tensor and Hermitian factors every mode image A is
+    Hermitian, so the phase rotation of :func:`_best_hermitian_factor` is
+    the identity (u = tr(conj(A)^2) = ||A||_F^2 >= 0) and its maximizer is
+    conj(A) normalized.  Writing it as conj(A) + A^T keeps X Hermitian bit
+    for bit whatever the rounding in A; the value is ||conj(A) + A^T||_F / 2
+    = Re sum A∘X.  Returns (X, val, ok) as :func:`_best_hermitian_factor`
+    does: where A[r] vanishes, ok[r] is False, val[r] is 0 and X[r] is zero.
+    """
+    X = A.conj()
+    X += A.transpose(0, 2, 1)
+    flat = X.view(np.float64).reshape(len(X), -1)
+    val = np.sqrt(np.einsum("ri,ri->r", flat, flat)) / 2.0
+    ok = val > 0.0
+    X /= (2.0 * np.where(ok, val, 1.0))[:, None, None]
+    return X, val, ok
+
+
 def _mode_contraction(T: Tensor3):
     """The ALS mode maps on stacks of R restarts, as a pair (hold_z, contract_z).
 
     hold_z(Z) returns contract_xy(mode, F) for mode 0 or 1: the mode view
     summed against the flattened factors F (the other of modes 0, 1) and Z
-    (mode 2), as the (R, N, N) stack A on the remaining mode.
-    contract_z(X, Y) sums against X and Y and returns A on mode 2.  Z does not
-    change between the X and Y updates of a sweep, so the dense map forms
-    U = W ×3 Z once for both: with the mode view W, one GEMM per mode, O(N^6 R).
+    (mode 2), as the (R, N, N) complex stack A on the remaining mode.
+    contract_z(X, Y) sums against X and Y and returns A on mode 2.  Factors
+    may be real or complex, read-only or not.  Z does not change between
+    the X and Y updates of a sweep, so the dense map forms U = W ×3 Z once
+    for both: with the mode view W, one GEMM per mode, O(N^6 R).
 
     A tensor carrying its sampling vector is g g^T under the collision mask
-    (J - I)^{⊗3}, so with G = g.reshape(N, N, N) and that mode moved first,
-    A = offdiag(G_(1) ((G ×2 F0 ×3 H0)_(1))^T), where F0 and H0 are the
-    factors with zeroed diagonals: three batched matmuls, O(N^4 R).  Modes
-    0 and 1 share S = G ×3 Z0 (indexed (r, a', b', c)): hold_z forms it
-    once, mode 0 reads it as is and mode 1 with its first two axes swapped,
-    so each of them costs two batched matmuls.
+    (J - I)^{⊗3}.  With G = g.reshape(N, N, N), the mode moved first, and
+    F0, H0 the factors with zeroed diagonals,
+    A[r, a, a'] = offdiag(sum P[r, a, c, b'] S[r, a', b', c]), where
+    P = G ×2 F0 and S = G ×3 H0.  G is real, so P and S are real GEMMs of G
+    against the (re, im) float view of the factor stack, one BLAS call per
+    restart; S is then transposed to P's (c, b') order and A is one complex
+    GEMM per restart: O(N^4 R) in all.  S, its transpose and P, the large
+    intermediates, go to two work arrays the pair keeps between calls (none
+    outlives a call), so a sweep at N >= 16 does not page-fault fresh memory
+    on every map.
     """
     N = T.N
     N2 = N * N
@@ -394,23 +430,46 @@ def _mode_contraction(T: Tensor3):
 
         return hold_z, contract_z
 
-    G = T.raw_g.reshape(N, N, N).astype(np.complex128)
-    moved = [np.ascontiguousarray(G.transpose(axes)) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    G = T.raw_g.reshape(N, N, N)
     off = 1.0 - np.eye(N)
+    # G with each mode moved first, rows (a, b) against the contracted c and
+    # rows (a, c) against the contracted b
+    moved = [G.transpose(axes) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    by_c = [np.ascontiguousarray(Gm).reshape(N2, N) for Gm in moved]
+    by_b = [np.ascontiguousarray(Gm.transpose(0, 2, 1)).reshape(N2, N) for Gm in moved]
+    work = {}
 
-    def held(mode, H):  # G with `mode` moved first, ×3 H0: (r, a', b', c)
-        return (moved[mode].reshape(N2, N) @ (H * off).transpose(0, 2, 1)).reshape(-1, N, N, N)
+    def work_array(name, shape, dtype):
+        buf = work.get(name)
+        if buf is None or len(buf) < shape[0]:
+            buf = work[name] = np.empty(shape, dtype)
+        return buf[: shape[0]]
 
-    def finish(mode, F, S):
-        S = (F * off)[:, None] @ S  # F0 contracts the middle axis: (r, a', b, c)
-        A = moved[mode].reshape(N, N2) @ S.reshape(-1, N, N2).transpose(0, 2, 1)  # (r, a, a')
-        return A * off
+    def real_gemm(Gr, F0):  # Gr (N^2, N) against each F0[r], as (R, N^2, N) complex
+        R = len(F0)
+        out = work_array("gemm", (R, N2, 2 * N), np.float64)
+        return np.matmul(Gr, F0.view(np.float64).reshape(R, N, 2 * N), out=out).view(np.complex128)
+
+    def mode_map(mode, F, H0T):  # H0T holds H0[r] transposed, complex and C-ordered
+        R = len(H0T)
+        S = real_gemm(by_c[mode], H0T).reshape(R, N, N, N)  # (r, a', b', c)
+        St = work_array("St", (R, N, N, N), np.complex128)
+        np.copyto(St, S.transpose(0, 1, 3, 2))  # (r, a', c, b')
+        F0 = np.multiply(F, off, dtype=np.complex128, order="C")
+        # P takes over S's work array; S has been copied out to St
+        P = real_gemm(by_b[mode], F0).reshape(R, N, N2)  # (r, a, (c, b'))
+        A = P @ St.reshape(R, N, N2).transpose(0, 2, 1)
+        A *= off
+        return A
+
+    def masked_t(H):
+        return np.multiply(np.asarray(H).transpose(0, 2, 1), off, dtype=np.complex128, order="C")
 
     def hold_z(Z):
-        S = held(0, Z)
-        return lambda mode, F: finish(mode, F, S if mode == 0 else S.transpose(0, 2, 1, 3))
+        Z0T = masked_t(Z)
+        return lambda mode, F: mode_map(mode, F, Z0T)
 
-    return hold_z, lambda X, Y: finish(2, X, held(2, Y))
+    return hold_z, lambda X, Y: mode_map(2, X, masked_t(Y))
 
 
 def _top_singular(T: Tensor3) -> tuple[float, np.ndarray]:
@@ -472,8 +531,11 @@ def trilinear_norm_lower(
     """Alternating maximization of |<T, X⊗Y⊗Z>| over Hermitian unit-Frobenius balls.
 
     Each mode update is the exact closed-form maximizer with the other two
-    factors held fixed (a phase rotation, see :func:`_best_hermitian_factor`),
-    so the objective never decreases within a run.  One
+    factors held fixed, so the objective never decreases within a run.  On
+    a Hermitian tensor (every sampled one) each mode image A is Hermitian
+    and the update is X = (conj(A) + A^T) / ||conj(A) + A^T||_F (see
+    :func:`_hermitian_factor`); any other tensor keeps the phase rotation of
+    :func:`_best_hermitian_factor`.  One
     restart starts from the dominant-eigenvector partial traces; the rest
     start from seeded random Hermitian matrices (restart r draws from
     (seed, r)).  All restarts advance in lockstep on (R, N, N) factor stacks;
@@ -520,8 +582,10 @@ def trilinear_norm_lower(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
         X[r], Y[r], Z[r] = rand_herm(rng), rand_herm(rng), rand_herm(rng)
 
+    factor = _hermitian_factor if T.is_hermitian() else _best_hermitian_factor
+
     def update(A, old):
-        new, v, ok = _best_hermitian_factor(A)
+        new, v, ok = factor(A)
         if not ok.all():  # a vanished slice keeps its old factor
             new = np.where(ok[:, None, None], new, old)
         return new, v

@@ -238,6 +238,24 @@ class TestClassicalHeuristic:
             assert np.array_equal(strat.zeta, zeta), idx
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), idx
 
+    def test_partial_sum_oracles_agree(self):
+        # the g oracle of a sampled tensor against the dense cost tensor of
+        # its game, scaled by l1, on random sign stacks for every player
+        from xorgap.game import _cost_partial_sums, _pauli_partial_sums
+
+        for n in (1, 2, 3):
+            T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 1)))
+            rep = game_from_tensor(T)
+            Q = rep.game.Q
+            x, y, z = np.random.default_rng(n).choice([-1.0, 1.0], (3, 5, Q))
+            (d_hold, d_last), (g_hold, g_last) = _cost_partial_sums(rep.game), _pauli_partial_sums(T)
+            pairs = [(d_hold(z)(0, y), g_hold(z)(0, y)), (d_hold(z)(1, x), g_hold(z)(1, x))]
+            pairs.append((d_last(x, y), g_last(x, y)))
+            for dense, from_g in pairs:
+                want = dense * rep.l1_norm
+                assert from_g.shape == (5, Q)
+                assert np.abs(from_g - want).max() <= 1e-12 * np.abs(want).max(), n
+
     def test_lockstep_reproducible_and_single_restart(self):
         G = game_from_tensor(sample_tensor(2, SamplerConfig(seed=row_seed(0, 2, 0)))).game
         a_val, a = classical_bias_heuristic(G, restarts=32, seed=7)

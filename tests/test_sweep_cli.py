@@ -45,6 +45,34 @@ class TestGapSweep:
         assert r.trilinear_upper is None and r.prop31_lower is None
         assert r.pauli_bias <= 1.0 + 1e-12
 
+    def test_sampled_row_never_reads_cost_tensor(self, monkeypatch):
+        # an n = 3 row takes its classical partial sums from g; a general
+        # tensor's game has no sampled source and reads its cost tensor
+        from xorgap import game
+        from xorgap.tensor import Tensor3
+
+        calls = []
+        cost_tensor = game.XorGame.cost_tensor
+
+        def counting_cost_tensor(self):
+            calls.append(self.Q)
+            return cost_tensor(self)
+
+        monkeypatch.setattr(game.XorGame, "cost_tensor", counting_cost_tensor)
+        row = compute_gap_row(3, row_seed(0, 3, 0))
+        assert row.classical_method == "heuristic" and calls == []
+
+        def forbidden(T):
+            raise AssertionError("the g oracle ran on a general tensor")
+
+        monkeypatch.setattr(game, "_pauli_partial_sums", forbidden)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(0, 0)))
+        M = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+        report = game.game_from_tensor(Tensor3(3, M))
+        assert report.game.source is None
+        game.classical_bias_heuristic(report.game, restarts=4)
+        assert calls == [64]
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "gap.csv"
         rows, _ = gap_sweep([1], 3, seed=1, out=path)

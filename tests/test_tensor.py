@@ -293,12 +293,22 @@ class TestSampling:
         top_eigenpair(T)
         trilinear_norm_lower(T, restarts=2, max_iters=5)
         trilinear_eval(T, E, E, E)
+        T.frobenius_norm()
         if n == 1:
             trilinear_norm_upper_net(T, 0.9)
         assert built == []
         M = T.matrix
         assert T.matrix is M and not M.flags.writeable and M.dtype == np.complex128
         assert built == [T.N]
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_frobenius_norm_from_g_matches_dense(self, n):
+        # sqrt((g^2)^T (J - I)^{⊗3} g^2) against the norm of the built matrix
+        for cfg in (SamplerConfig(seed=n), SamplerConfig(distribution="bernoulli", seed=n)):
+            T = sample_tensor(n, cfg)
+            want = float(np.linalg.norm(Tensor3(n, T.matrix).matrix))
+            assert abs(T.frobenius_norm() - want) <= 1e-12 * want
 
 
 class TestSpectralNorm:
@@ -460,6 +470,39 @@ class TestTrilinearEval:
         T = sample_tensor(1, SamplerConfig(seed=0))
         with pytest.raises(DimensionError):
             trilinear_eval(T, np.eye(4), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_factor_dtypes_agree(self, n):
+        # real float, complex and read-only Hermitian factors give the same
+        # pairing and the same mode maps, on the sampled and the dense path
+        from xorgap.tensor import _mode_contraction
+
+        rng = np.random.default_rng(40 + n)
+        T = sample_tensor(n, SamplerConfig(seed=n))
+        N = T.N
+        real = [rng.standard_normal((N, N)) for _ in range(3)]
+        real = [(M + M.T) / 2.0 for M in real]
+        frozen = [M.astype(np.complex128) for M in real]
+        for M in frozen:
+            M.setflags(write=False)
+        E = np.eye(N) / np.sqrt(N)
+        for tensor in (T, Tensor3(n, T.matrix)):
+            want = trilinear_eval(tensor, *(M.astype(np.complex128) for M in real))
+            for X, Y, Z in (real, frozen, (real[0], frozen[1], real[2])):
+                assert abs(trilinear_eval(tensor, X, Y, Z) - want) <= 1e-12 * abs(want)
+            e_want = trilinear_eval(tensor, *(E.astype(np.complex128),) * 3)
+            assert trilinear_eval(tensor, E, E, E) == pytest.approx(e_want, rel=1e-12)
+            hold_z, contract_z = _mode_contraction(tensor)
+            stack = np.array(real)
+            frozen_stack = stack.astype(np.complex128)
+            frozen_stack.setflags(write=False)
+            for F in (stack, frozen_stack):
+                contract_xy = hold_z(F)
+                got = [contract_xy(0, F), contract_xy(1, F), contract_z(F, F)]
+                ref_xy = hold_z(stack.astype(np.complex128))
+                ref = [ref_xy(0, stack + 0j), ref_xy(1, stack + 0j), contract_z(stack + 0j, stack + 0j)]
+                for a, b in zip(got, ref):
+                    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sampled_matches_dense(self, n):
@@ -689,19 +732,51 @@ class TestTrilinearLower:
 
     def test_value_not_matching_witness_raises(self, monkeypatch):
         # the winner is paired again with its own factors; a value the ALS
-        # bookkeeping got wrong no longer matches
+        # bookkeeping got wrong no longer matches, under either update rule:
+        # the Hermitian one (a sampled tensor) and the phase rotation (a
+        # non-Hermitian dense tensor)
         from xorgap import tensor
 
-        update = tensor._best_hermitian_factor
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        cases = [
+            ("_hermitian_factor", sample_tensor(1, SamplerConfig(seed=1))),
+            ("_best_hermitian_factor", Tensor3(1, M)),
+        ]
+        for name, T in cases:
+            update = getattr(tensor, name)
 
-        def doubled_value(A):
-            X, val, ok = update(A)
-            return X, 2.0 * val, ok
+            def doubled_value(A, update=update):
+                X, val, ok = update(A)
+                return X, 2.0 * val, ok
 
-        monkeypatch.setattr(tensor, "_best_hermitian_factor", doubled_value)
-        T = sample_tensor(1, SamplerConfig(seed=1))
-        with pytest.raises(ValueError, match="does not match its witness"):
-            trilinear_norm_lower(T, restarts=2)
+            with monkeypatch.context() as patch:
+                patch.setattr(tensor, name, doubled_value)
+                with pytest.raises(ValueError, match="does not match its witness"):
+                    trilinear_norm_lower(T, restarts=2)
+            trilinear_norm_lower(T, restarts=2)  # unpatched, the same run passes
+
+    @pytest.mark.parametrize("N", [2, 4, 8])
+    def test_hermitian_update_matches_phase_rotation(self, N):
+        # on Hermitian images the phase rotation is the identity: the
+        # Hermitian rule gives the same factor and value, and an exactly
+        # Hermitian factor even where A is Hermitian only to rounding
+        from xorgap.tensor import _best_hermitian_factor, _hermitian_factor
+
+        rng = np.random.default_rng(200 + N)
+        H = np.array([random_hermitian(rng, N, unit=False) for _ in range(6)])
+        H[3] = 0.0  # a vanished slice beside non-zero ones
+        H[4] += 1e-15 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+        X, val, ok = _hermitian_factor(H)
+        want_X, want_val, want_ok = _best_hermitian_factor(H)
+        assert ok.tolist() == want_ok.tolist() == [True, True, True, False, True, True]
+        assert val[3] == 0.0 and np.all(X[3] == 0)
+        assert np.allclose(val, want_val, rtol=1e-12, atol=0.0)
+        assert np.abs(X - want_X).max() <= 1e-12
+        assert np.array_equal(X, X.conj().transpose(0, 2, 1))
+        for A, Xr, v in zip(H[ok], X[ok], val[ok]):
+            assert np.linalg.norm(Xr) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.sum(A * Xr)) == pytest.approx(v, rel=1e-12)
 
 
 def _exhaustive_net_upper(T, eps):
