@@ -44,7 +44,11 @@ class PauliBasis:
 
 @dataclass(frozen=True)
 class FourierTable:
-    """Coefficients of a tensor in the triple Pauli basis, shape (N^2,)*3."""
+    """Coefficients of a tensor in the triple Pauli basis, shape (N^2,)*3.
+
+    The table of a sampled tensor (one given by its raw vector g) is real
+    float64, computed from g; any other tensor's table is complex.
+    """
 
     n: int
     N: int
@@ -85,15 +89,62 @@ def _mode_matrix(n: int) -> np.ndarray:
     return B
 
 
-def _transform_modes(W: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.einsum("pa,qb,rc,abc->pqr", B, B, B, W, optimize=True)
-    return out
+@lru_cache(maxsize=None)
+def _real_mode_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real per-mode transform of a sampled tensor, as (R0, phase).
+
+    Row p of `_mode_matrix(n)` is (-i)^{y_p} R_p, where y_p counts the Y
+    letters of P_p and R_p is real with entries 0 and +/-1.  R0 holds the
+    R_p flattened over (i, i') with the collision entries (i, i) zeroed, so
+    the collision mask rides on the transform.  phase[p, q, r] is
+    Re((-i)^{y_p + y_q + y_r}) as int8, taken from the integer Y counts.
+    """
+    B = _mode_matrix(n)
+    y = np.array([label.count("Y") for label in build_basis(n).labels], dtype=np.int8)
+    N = 2**n
+    R0 = np.ascontiguousarray((B * np.array([1, 1j, -1, -1j])[y % 4][:, None]).real).reshape(-1, N, N)
+    R0[:, np.arange(N), np.arange(N)] = 0.0
+    R0 = R0.reshape(N * N, N * N)
+    phase = np.array([1, 0, -1, 0], dtype=np.int8)[(y[:, None, None] + y[:, None] + y) % 4]
+    R0.setflags(write=False)
+    phase.setflags(write=False)
+    return R0, phase
+
+
+def _fourier_from_g(n: int, g: np.ndarray) -> np.ndarray:
+    """The coefficient table of g g^T under the collision mask, real float64.
+
+    c_pqr = phase[p, q, r] sum R0_p[i,i'] R0_q[j,j'] R0_r[k,k'] g_ijk g_i'j'k'
+    (see `_real_mode_matrix`).  Mode 1 is rank one: with G = g.reshape(N, N^2)
+    it is G^T R0_p G for every p, O(N^7); modes 2 and 3 are one transpose
+    and one real GEMM each, O(N^8).  The three intermediates all have N^6
+    entries and share two buffers.  Entries whose Y counts sum to an odd
+    number, and entries with an I/Z-only string in any mode, are exactly 0.
+    """
+    R0, phase = _real_mode_matrix(n)
+    N = 2**n
+    Q = N * N
+    G = g.reshape(N, Q)
+    H = np.matmul(G.T, R0.reshape(Q, N, N) @ G)  # (p, (j, k), (j', k'))
+    X = np.empty_like(H)
+    X.reshape(Q, N, N, N, N)[...] = H.reshape(Q, N, N, N, N).transpose(0, 1, 3, 2, 4)  # (p, j, j', k, k')
+    np.matmul(X.reshape(Q * Q, Q), R0.T, out=H.reshape(Q * Q, Q))  # (p, (j, j'), r)
+    np.matmul(R0, H, out=X)  # (p, q, r)
+    X *= phase
+    return X
 
 
 def fourier(T: Tensor3) -> FourierTable:
-    """Coefficient table c(P,Q,R) = <T, P⊗Q⊗R> via three mode transforms."""
+    """Coefficient table c(P,Q,R) = <T, P⊗Q⊗R> via three mode transforms.
+
+    A sampled tensor's table comes from g in real arithmetic (see
+    `_fourier_from_g`), so its matrix is never built; any other tensor's
+    comes from one complex einsum over its mode view.
+    """
+    if T.raw_g is not None:
+        return FourierTable(n=T.n, N=T.N, coefficients=_fourier_from_g(T.n, T.raw_g))
     B = _mode_matrix(T.n)
-    C = _transform_modes(T.mode_view(), B)
+    C = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
     return FourierTable(n=T.n, N=T.N, coefficients=C)
 
 

@@ -250,6 +250,8 @@ def _suite_identities(seed: int) -> SuiteReport:
         N = 2**n
         T = tensor.sample_tensor(n, tensor.SamplerConfig(seed=row_seed(seed, n, 0)))
         table = pauli.fourier(T)
+        dense_table = pauli.fourier(tensor.Tensor3(n, T.matrix)).coefficients
+        from_g_err = float(np.abs(table.coefficients - dense_table).max())
         back = pauli.inverse_fourier(table)
         rt_err = float(np.abs(back.matrix - T.matrix).max())
         fro2 = T.frobenius_norm() ** 2
@@ -261,6 +263,7 @@ def _suite_identities(seed: int) -> SuiteReport:
         rep = game.game_from_tensor(T)
         explicit = game.entangled_bias_eval(rep.game, game.pauli_strategy(T))
         checks = [
+            ("fourier from g == fourier of the built matrix", from_g_err <= 1e-12 * np.abs(dense_table).max()),
             ("fourier round trip", rt_err <= 1e-9),
             ("parseval", pars_err <= 1e-8 * N**3 * fro2),
             ("pauli strategy identity", ident_err <= 1e-8 * N**3 * sn),

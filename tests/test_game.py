@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xorgap import (
+    ClassicalStrategy,
     DegenerateGameError,
     EntangledStrategy,
     SamplerConfig,
@@ -66,6 +67,22 @@ class TestXorGameType:
             XorGame(Q=2, pi=pi, signs=np.full((2, 2, 2), 0.5))
         with pytest.raises(ValueError):
             XorGame(Q=2, pi=-pi, signs=np.ones((2, 2, 2)))
+
+    def test_sign_predicate_pinned(self):
+        # entries within 1e-12 of +/-1 are snapped to exactly +/-1, anything
+        # else is rejected, through the game and the strategy alike
+        near = np.array([1.0 + 5e-13, 1.0 - 5e-13, -1.0 + 5e-13, -1.0 - 5e-13])
+        S = ClassicalStrategy(chi=near, upsilon=near, zeta=near)
+        assert np.array_equal(S.chi, [1.0, 1.0, -1.0, -1.0]) and S.chi.dtype == np.float64
+        signs = np.resize(near, (2, 2, 2))
+        G = XorGame(Q=2, pi=np.full((2, 2, 2), 1 / 8), signs=signs)
+        assert np.array_equal(G.signs, np.sign(signs)) and not np.may_share_memory(G.signs, signs)
+        for bad in (1.0 + 2e-12, 0.0, 2.0, np.nan, np.inf, -np.inf):
+            v = np.array([1.0, bad, -1.0])
+            with pytest.raises(ValueError, match="sign entries must be \\+1 or -1"):
+                ClassicalStrategy(chi=v, upsilon=near[:3], zeta=near[:3])
+            with pytest.raises(ValueError, match="sign entries must be \\+1 or -1"):
+                XorGame(Q=1, pi=np.ones((1, 1, 1)), signs=np.full((1, 1, 1), bad))
 
     def test_cost_tensor_merge_and_split(self):
         G = mermin_game()

@@ -102,6 +102,47 @@ class TestFourier:
         rhs = a * fourier(Tensor3(1, A)).coefficients + b * fourier(Tensor3(1, B)).coefficients
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_from_g_matches_dense(self, n):
+        # the real transform from g against the complex einsum on the built
+        # matrix; odd-Y triples and I/Z-only strings come out exactly 0
+        N = 2**n
+        labels = build_basis(n).labels
+        y = np.array([label.count("Y") for label in labels])
+        odd = (y[:, None, None] + y[:, None] + y) % 2 == 1
+        iz = np.array([set(label) <= set("IZ") for label in labels])
+        cfgs = (
+            SamplerConfig(seed=n),
+            SamplerConfig(distribution="bernoulli", seed=n),
+            SamplerConfig(distribution="override", override_g=np.ones(N**3)),
+        )
+        for cfg in cfgs:
+            T = sample_tensor(n, cfg)
+            got = fourier(T).coefficients
+            want = fourier(Tensor3(n, T.matrix)).coefficients
+            assert got.dtype == np.float64 and got.shape == (N * N,) * 3
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.all(got[odd] == 0.0)
+            assert np.all(got[iz] == 0.0) and np.all(got[:, iz] == 0.0) and np.all(got[:, :, iz] == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_real_mode_matrix_factors_mode_matrix(self, n):
+        # row p of the mode matrix is (-i)^{y_p} R_p, R_p real; R0 is R off
+        # the collision diagonal, and phase is Re((-i)^{y_p + y_q + y_r})
+        from xorgap.pauli import _mode_matrix, _real_mode_matrix
+
+        N = 2**n
+        R0, phase = _real_mode_matrix(n)
+        y = np.array([label.count("Y") for label in build_basis(n).labels])
+        R = (_mode_matrix(n) * 1j ** y[:, None]).reshape(-1, N, N)
+        diag = np.eye(N, dtype=bool)
+        assert not R.imag.any()
+        assert np.array_equal(R0.reshape(-1, N, N)[:, ~diag], R.real[:, ~diag])
+        assert np.all(R0.reshape(-1, N, N)[:, diag] == 0.0)
+        rng = np.random.default_rng(n)
+        p, q, r = rng.integers(0, N * N, (3, 500))
+        assert np.array_equal(phase[p, q, r], np.real((-1j) ** (y[p] + y[q] + y[r])))
+
     def test_hermitian_tensor_has_real_coefficients(self):
         T = sample_tensor(1, SamplerConfig(seed=3))
         F = fourier(T).coefficients

@@ -73,6 +73,22 @@ class TestGapSweep:
         game.classical_bias_heuristic(report.game, restarts=4)
         assert calls == [64]
 
+    def test_sampled_row_never_builds_matrix(self, monkeypatch):
+        # every stage of a sampled row, the game build included, works from g
+        from xorgap import tensor
+
+        built = []
+        masked_outer = tensor._masked_outer
+
+        def counting_masked_outer(g, N):
+            built.append(N)
+            return masked_outer(g, N)
+
+        monkeypatch.setattr(tensor, "_masked_outer", counting_masked_outer)
+        for n in (1, 2, 3):
+            compute_gap_row(n, row_seed(0, n, 0))
+        assert built == []
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "gap.csv"
         rows, _ = gap_sweep([1], 3, seed=1, out=path)
