@@ -33,16 +33,23 @@ _SEESAW_TOL = 1e-9  # a see-saw restart stops after a sweep that gains less
 
 
 def _as_signs(arr) -> np.ndarray:
-    """A new float64 array of exact +/-1 from entries within 1e-12 of +/-1.
+    """A float64 array of exact +/-1 from entries within 1e-12 of +/-1.
 
-    Any other entry (NaN and infinities included) raises ValueError.  One
-    scratch buffer holds ||s| - 1| and then np.sign(s), which it returns.
+    Any other entry (NaN and infinities included) raises ValueError.  Input
+    that is exact already passes one boolean test, s == 1 or s == -1, and
+    is copied, unless it is a read-only float64 array, which is returned as
+    it is (nothing the caller can still write is ever frozen).  Otherwise
+    one scratch buffer holds ||s| - 1| and then np.sign(s), which it returns.
     """
     arr = np.asarray(arr, dtype=np.float64)
+    exact = arr == 1.0
+    exact |= arr == -1.0
+    if exact.all():
+        return arr.copy() if arr.flags.writeable else arr
     out = np.abs(arr)
     out -= 1.0
     np.abs(out, out=out)
-    if out.size and not out.max() < 1e-12:  # NaN fails the comparison
+    if not out.max() < 1e-12:  # NaN fails the comparison
         raise ValueError("sign entries must be +1 or -1")
     return np.sign(arr, out=out)
 
@@ -174,7 +181,8 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     or `spectral_norm` already cached (computed from g for a sampled tensor);
     no strategy is evaluated.  l1 = 0 (DegenerateGameError) exactly when T = 0.
     A sampled tensor is its own hermitization, and the game keeps (T, l1)
-    as its source for the classical ascent.
+    as its source for the classical ascent.  The signs are exact, so they
+    are made read-only and the game takes them over without a copy.
     """
     H = hermitize(T)
     # the table is fresh: real for a sampled tensor, otherwise copied out of
@@ -190,6 +198,7 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     lam, _ = top_eigenpair(H)
     pi /= l1
     source = (H, l1) if H.raw_g is not None else None
+    signs.setflags(write=False)  # exact: the game takes it over without a copy
     game = XorGame(Q=T.N * T.N, pi=pi, signs=signs, source=source)
     return GameBuildReport(pauli_bias=H.N**3 * lam / l1, l1_norm=l1, game=game)
 
@@ -265,13 +274,17 @@ def _pauli_partial_sums(T: Tensor3):
     s = Re(A B^T), where A is the mode map of the mode view W applied to the
     factors upsilon B and zeta B; likewise for the other players.  The sign
     vectors are real, so both transforms are real GEMMs on the (re, im)
-    float view of B, and nothing of size Q^3 is formed.
+    float view of B, and nothing of size Q^3 is formed.  The factor
+    transform is B0, B with its (i, i) columns zeroed, so each factor
+    enters the maps with the collision mask applied once and the maps read
+    it as given (masked=True); A comes out masked, so the sums read all of B.
     """
     N = T.N
     B = _mode_matrix(T.n)
-    to_factor = B.view(np.float64).reshape(len(B), -1)  # v -> v B, interleaved re, im
+    # v -> v B0, interleaved re, im
+    to_factor = (B * (1.0 - np.eye(N)).ravel()).view(np.float64).reshape(len(B), -1)
     to_sums = B.conj().view(np.float64).reshape(len(B), -1).T  # A -> Re(A B^T)
-    hold, contract_z = _mode_contraction(T)
+    hold, contract_z = _mode_contraction(T, masked=True)
 
     def factor(v):
         return (v @ to_factor).view(np.complex128).reshape(-1, N, N)

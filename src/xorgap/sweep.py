@@ -311,7 +311,7 @@ def _suite_nets(seed: int) -> SuiteReport:
     if not good:
         lines.append(f"  witness unit vector: {witness!r}")
 
-    snet = nets.sphere_net(2, eps)
+    snet = nets.sphere_net(2, eps, seed=seed)
     for dim_count, label in ((2, "complex"), (4, "real")):
         ref = (1.0 + 2.0 / eps) ** dim_count
         lines.append(

@@ -318,7 +318,9 @@ def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> c
 
     Computed as <contract_z(X, Y), Z> with the ALS's mode map (see
     :func:`_mode_contraction`): O(N^4) from g for a sampled tensor, whose
-    matrix is never built, and two GEMMs on the mode view otherwise.
+    matrix is never built and whose map masks X and Y once as they enter
+    (A comes out masked, so Z's diagonal pairs with zeros), and two GEMMs
+    on the mode view otherwise.
     """
     N = T.N
     for name, M in (("X", X), ("Y", Y), ("Z", Z)):
@@ -359,7 +361,7 @@ def _best_hermitian_factor(A: np.ndarray):
     return C + C.conj().transpose(0, 2, 1), val, ok
 
 
-def _hermitian_factor(A: np.ndarray):
+def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
     """The mode update of a Hermitian tensor: X[r] = (conj(A[r]) + A[r]^T) / norm.
 
     For a Hermitian tensor and Hermitian factors every mode image A is
@@ -368,27 +370,35 @@ def _hermitian_factor(A: np.ndarray):
     conj(A) normalized.  Writing it as conj(A) + A^T keeps X Hermitian bit
     for bit whatever the rounding in A; the value is ||conj(A) + A^T||_F / 2
     = Re sum A∘X.  Returns (X, val, ok) as :func:`_best_hermitian_factor`
-    does: where A[r] vanishes, ok[r] is False, val[r] is 0 and X[r] is zero.
+    does: where A[r] vanishes, ok[r] is False, val[r] is 0 and X[r] is
+    old[r], or zero when old is None.  The update is one norm and one
+    in-place divide; only a vanished slice costs the np.where.
     """
     X = A.conj()
     X += A.transpose(0, 2, 1)
     flat = X.view(np.float64).reshape(len(X), -1)
-    val = np.sqrt(np.einsum("ri,ri->r", flat, flat)) / 2.0
-    ok = val > 0.0
-    X /= (2.0 * np.where(ok, val, 1.0))[:, None, None]
-    return X, val, ok
+    norm = np.sqrt(np.vecdot(flat, flat))
+    ok = norm > 0.0
+    if np.count_nonzero(ok) == len(ok):  # no slice vanished (cheaper than ok.all())
+        X /= norm[:, None, None]
+    else:
+        X /= np.where(ok, norm, 1.0)[:, None, None]
+        if old is not None:
+            X = np.where(ok[:, None, None], X, old)
+    return X, norm / 2.0, ok
 
 
-def _mode_contraction(T: Tensor3):
+def _mode_contraction(T: Tensor3, masked: bool = False):
     """The ALS mode maps on stacks of R restarts, as a pair (hold_z, contract_z).
 
     hold_z(Z) returns contract_xy(mode, F) for mode 0 or 1: the mode view
     summed against the flattened factors F (the other of modes 0, 1) and Z
     (mode 2), as the (R, N, N) complex stack A on the remaining mode.
     contract_z(X, Y) sums against X and Y and returns A on mode 2.  Factors
-    may be real or complex, read-only or not.  Z does not change between
-    the X and Y updates of a sweep, so the dense map forms U = W ×3 Z once
-    for both: with the mode view W, one GEMM per mode, O(N^6 R).
+    may be real or complex, read-only or not (but see masked below).  Z
+    does not change between the X and Y updates of a sweep, so the dense
+    map forms U = W ×3 Z once for both: with the mode view W, one GEMM per
+    mode, O(N^6 R).
 
     A tensor carrying its sampling vector is g g^T under the collision mask
     (J - I)^{⊗3}.  With G = g.reshape(N, N, N), the mode moved first, and
@@ -396,11 +406,24 @@ def _mode_contraction(T: Tensor3):
     A[r, a, a'] = offdiag(sum P[r, a, c, b'] S[r, a', b', c]), where
     P = G ×2 F0 and S = G ×3 H0.  G is real, so P and S are real GEMMs of G
     against the (re, im) float view of the factor stack, one BLAS call per
-    restart; S is then transposed to P's (c, b') order and A is one complex
-    GEMM per restart: O(N^4 R) in all.  S, its transpose and P, the large
-    intermediates, go to two work arrays the pair keeps between calls (none
-    outlives a call), so a sweep at N >= 16 does not page-fault fresh memory
-    on every map.
+    restart; A is one complex GEMM per restart against S transposed to
+    P's (c, b') order: O(N^4 R) in all.  As the dense map does with U,
+    hold_z forms S = G ×3 Z0 once, and the maps of modes 0 and 1 both read
+    it, each through its own transposed copy: (c, b') order for mode 0,
+    (c, a') for mode 1.  A held map stays valid until the next hold_z;
+    contract_z forms its S = G ×2 Y0 elsewhere.  S, the GEMM output and the
+    transposed copy are work arrays the pair keeps between calls, with
+    their views for each stack size, so a sweep at N >= 16 does not
+    page-fault fresh memory on every map.
+
+    masked=True promises complex, C-ordered factors that, on a sampled
+    tensor, are zero on the diagonal, as every ALS update is and as the
+    callers mask
+    them once where they enter (the ALS start stacks, the classical
+    ascent's factor transform); the maps then read them as given.  By
+    default the sampled maps mask a copy of each factor, so any factors may
+    be passed (`trilinear_eval` does so once per argument).  The dense maps
+    ignore masked.
     """
     N = T.N
     N2 = N * N
@@ -432,44 +455,60 @@ def _mode_contraction(T: Tensor3):
 
     G = T.raw_g.reshape(N, N, N)
     off = 1.0 - np.eye(N)
-    # G with each mode moved first, rows (a, b) against the contracted c and
-    # rows (a, c) against the contracted b
-    moved = [G.transpose(axes) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
-    by_c = [np.ascontiguousarray(Gm).reshape(N2, N) for Gm in moved]
-    by_b = [np.ascontiguousarray(Gm.transpose(0, 2, 1)).reshape(N2, N) for Gm in moved]
-    work = {}
+    # G with rows (a', b') against the contracted c, for S = G ×3 Z0, and
+    # rows (c', a') against the contracted b, for mode 2's S = G ×2 Y0
+    by_c = [np.ascontiguousarray(Gm).reshape(N2, N) for Gm in (G, G.transpose(2, 0, 1))]
+    # G with each mode moved first, rows (a, c) against the contracted b, for P
+    by_b = [np.ascontiguousarray(G.transpose(axes)).reshape(N2, N) for axes in ((0, 2, 1), (1, 2, 0), (2, 1, 0))]
+    arrays = []  # held S, the GEMM output and S's transposed copy, for the most restarts seen
+    views = {}  # R -> views of `arrays` for R restarts
 
-    def work_array(name, shape, dtype):
-        buf = work.get(name)
-        if buf is None or len(buf) < shape[0]:
-            buf = work[name] = np.empty(shape, dtype)
-        return buf[: shape[0]]
+    def work(R):
+        if R not in views:
+            if not arrays or len(arrays[0]) < R:
+                views.clear()
+                arrays[:] = np.empty((2, R, N2, 2 * N)), np.empty((R, N, N2), np.complex128)
+            held, gemm = arrays[0][:, :R]
+            St = arrays[1][:R]
+            S, S2 = (out.view(np.complex128).reshape(R, N, N, N) for out in (held, gemm))
+            views[R] = (
+                held,
+                gemm,
+                S2.reshape(R, N, N2),  # P, (r, a, (c, b')), on the GEMM output after S2 is copied
+                # the copy's source for each mode, in P's order: (r, a', c, b'),
+                # (r, b', c, a') and (r, c', b, a')
+                (S.transpose(0, 1, 3, 2), S.transpose(0, 2, 3, 1), S2.transpose(0, 1, 3, 2)),
+                St.reshape(R, N, N, N),
+                St.transpose(0, 2, 1),  # (r, (c, b'), a'), as A = P @ St^T reads it
+            )
+        return views[R]
 
-    def real_gemm(Gr, F0):  # Gr (N^2, N) against each F0[r], as (R, N^2, N) complex
-        R = len(F0)
-        out = work_array("gemm", (R, N2, 2 * N), np.float64)
-        return np.matmul(Gr, F0.view(np.float64).reshape(R, N, 2 * N), out=out).view(np.complex128)
+    def enter(F):  # a copy of F as the maps read it: complex, C-ordered, zero diagonals
+        return np.multiply(F, off, dtype=np.complex128, order="C")
 
-    def mode_map(mode, F, H0T):  # H0T holds H0[r] transposed, complex and C-ordered
-        R = len(H0T)
-        S = real_gemm(by_c[mode], H0T).reshape(R, N, N, N)  # (r, a', b', c)
-        St = work_array("St", (R, N, N, N), np.complex128)
-        np.copyto(St, S.transpose(0, 1, 3, 2))  # (r, a', c, b')
-        F0 = np.multiply(F, off, dtype=np.complex128, order="C")
-        # P takes over S's work array; S has been copied out to St
-        P = real_gemm(by_b[mode], F0).reshape(R, N, N2)  # (r, a, (c, b'))
-        A = P @ St.reshape(R, N, N2).transpose(0, 2, 1)
-        A *= off
+    def enter_t(H):  # H transposed, as the S GEMMs read it
+        Ht = np.asarray(H).transpose(0, 2, 1)
+        return np.ascontiguousarray(Ht) if masked else enter(Ht)
+
+    def mode_map(w, mode, F0):  # A from P = G ×2 F0 and S copied to P's (c, b') order
+        _, gemm, P, S_t, St, StT = w
+        np.copyto(St, S_t[mode])
+        np.matmul(by_b[mode], F0.view(np.float64), out=gemm)
+        A = P @ StT
+        A.reshape(len(A), -1)[:, :: N + 1] = 0.0  # the collision mask on A's mode
         return A
 
-    def masked_t(H):
-        return np.multiply(np.asarray(H).transpose(0, 2, 1), off, dtype=np.complex128, order="C")
-
     def hold_z(Z):
-        Z0T = masked_t(Z)
-        return lambda mode, F: mode_map(mode, F, Z0T)
+        w = work(len(Z))
+        np.matmul(by_c[0], enter_t(Z).view(np.float64), out=w[0])  # S, (r, a', b', c)
+        return lambda mode, F: mode_map(w, mode, F if masked else enter(F))
 
-    return hold_z, lambda X, Y: mode_map(2, X, masked_t(Y))
+    def contract_z(X, Y):
+        w = work(len(X))
+        np.matmul(by_c[1], enter_t(Y).view(np.float64), out=w[1])  # S2, (r, c', a', b)
+        return mode_map(w, 2, X if masked else enter(X))
+
+    return hold_z, contract_z
 
 
 def _top_singular(T: Tensor3) -> tuple[float, np.ndarray]:
@@ -555,11 +594,17 @@ def trilinear_norm_lower(
     these sizes a sweep is dominated by per-call overhead, so it is kept to a
     fixed handful of array operations: the running restarts' stacks are kept
     between sweeps and regathered only in a sweep where some restart leaves.
-    The winner is paired again through the same contraction, and ValueError
-    is raised when that differs from its ALS value by more than 1e-9
-    relative.  ValueError is also raised up front for restarts or max_iters
-    below 1 and for a tol that is negative or not finite (a NaN tol would
-    never stop a restart).
+    On a sampled tensor one contraction S = G ×3 Z serves both the X and the
+    Y update of a sweep, and the factors are masked once where they enter:
+    the start stacks have their diagonals zeroed (the collision mask pairs
+    nothing with them) and every update's diagonal is zero already, so the
+    maps read the stacks as given.  The Hermitian update is one norm and one
+    in-place divide per stack, and the random starts are drawn and
+    normalized as one stack.  The winner is paired again through the same
+    contraction, and ValueError is raised when that differs from its ALS
+    value by more than 1e-9 relative.  ValueError is also raised up front
+    for restarts or max_iters below 1 and for a tol that is negative or not
+    finite (a NaN tol would never stop a restart).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -568,50 +613,68 @@ def trilinear_norm_lower(
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     N = T.N
-    hold_z, contract_z = _mode_contraction(T)
+    hold_z, contract_z = _mode_contraction(T, masked=True)
 
-    def rand_herm(rng):
-        M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        H = (M + M.conj().T) / 2.0
-        nrm = np.linalg.norm(H)
-        return H / nrm if nrm > 0 else np.eye(N) / np.sqrt(N)
-
-    X, Y, Z = np.empty((3, restarts, N, N), dtype=np.complex128)
+    starts = np.empty((3, restarts, N, N), dtype=np.complex128)
+    X, Y, Z = starts
     X[0], Y[0], Z[0] = _anchor_factors(T)
-    for r in range(1, restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-        X[r], Y[r], Z[r] = rand_herm(rng), rand_herm(rng), rand_herm(rng)
+    if restarts > 1:
+        # restart r draws X, Y, Z in turn from (seed, r), each the Hermitian
+        # part of a complex gaussian matrix (real parts first), unit norm
+        draws = np.array(
+            [
+                np.random.default_rng(np.random.SeedSequence(entropy=(seed, r))).standard_normal((3, 2, N, N))
+                for r in range(1, restarts)
+            ]
+        )
+        M = draws[:, :, 0] + 1j * draws[:, :, 1]
+        H = (M + M.conj().transpose(0, 1, 3, 2)) / 2.0
+        re, im = (part.reshape(restarts - 1, 3, -1) for part in (H.real, H.imag))
+        nrm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))  # as np.linalg.norm sums
+        ok = nrm > 0.0
+        H /= np.where(ok, nrm, 1.0)[:, :, None, None]
+        H[~ok] = np.eye(N) / np.sqrt(N)
+        starts[:, 1:] = H.transpose(1, 0, 2, 3)
+    if T.raw_g is not None:
+        # the collision mask pairs nothing with a diagonal entry: zero the
+        # starts' diagonals once, as every update's already is, and the
+        # sampled maps read the factors as given
+        starts.reshape(3 * restarts, N * N)[:, :: N + 1] = 0.0
 
-    factor = _hermitian_factor if T.is_hermitian() else _best_hermitian_factor
+    if T.is_hermitian():
+        update = _hermitian_factor  # a vanished slice keeps its old factor
+    else:
 
-    def update(A, old):
-        new, v, ok = factor(A)
-        if not ok.all():  # a vanished slice keeps its old factor
-            new = np.where(ok[:, None, None], new, old)
-        return new, v
+        def update(A, old):
+            new, v, ok = _best_hermitian_factor(A)
+            if not ok.all():  # a vanished slice keeps its old factor
+                new = np.where(ok[:, None, None], new, old)
+            return new, v, ok
 
-    # X, Y, Z hold each restart's factors once it leaves; Xa, Ya, Za are
-    # the stacks of the restarts in `act`, still running
-    last = np.zeros(restarts)  # each restart's value after its latest sweep
+    # X, Y, Z and `last` hold each restart's factors and value once it
+    # leaves; Xa, Ya, Za and `prev` are those of the restarts in `act`,
+    # still running, after their latest sweep
+    last = np.zeros(restarts)
     act = np.arange(restarts)
-    Xa, Ya, Za = X, Y, Z
+    Xa, Ya, Za, prev = X, Y, Z, np.zeros(restarts)
     for it in range(max_iters):
         contract_xy = hold_z(Za)
-        Xa, _ = update(contract_xy(0, Ya), Xa)
-        Ya, _ = update(contract_xy(1, Xa), Ya)
-        Za, v = update(contract_z(Xa, Ya), Za)
+        Xa = update(contract_xy(0, Ya), Xa)[0]
+        Ya = update(contract_xy(1, Xa), Ya)[0]
+        Za, v, _ = update(contract_z(Xa, Ya), Za)
         if on_sweep is not None:
             for r, vr in zip(act.tolist(), v.tolist()):
                 on_sweep(r, it, vr)
-        done = v - last[act] < tol * np.maximum(last[act], 1e-300)
-        last[act] = v
-        if done.any():
-            X[act[done]], Y[act[done]], Z[act[done]] = Xa[done], Ya[done], Za[done]
+        done = v - prev < tol * np.maximum(prev, 1e-300)
+        prev = v
+        if np.count_nonzero(done):
+            gone = act[done]
+            X[gone], Y[gone], Z[gone], last[gone] = Xa[done], Ya[done], Za[done], v[done]
             keep = ~done
-            act, Xa, Ya, Za = act[keep], Xa[keep], Ya[keep], Za[keep]
+            act, Xa, Ya, Za, prev = act[keep], Xa[keep], Ya[keep], Za[keep], v[keep]
             if act.size == 0:
                 break
-    X[act], Y[act], Z[act] = Xa, Ya, Za
+    X[act], Y[act], Z[act], last[act] = Xa, Ya, Za, prev
     best = int(np.argmax(last))
     X, Y, Z = X[best], Y[best], Z[best]
     best_val = float(last[best])

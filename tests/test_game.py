@@ -84,6 +84,20 @@ class TestXorGameType:
             with pytest.raises(ValueError, match="sign entries must be \\+1 or -1"):
                 XorGame(Q=1, pi=np.ones((1, 1, 1)), signs=np.full((1, 1, 1), bad))
 
+    def test_exact_signs_copied_unless_read_only(self):
+        # exact input takes the fast test; the caller's writeable array is
+        # copied and stays writeable, and only a read-only one is shared
+        pi = np.full((2, 2, 2), 1 / 8)
+        signs = np.resize([1.0, -1.0, -1.0], (2, 2, 2))
+        G = XorGame(Q=2, pi=pi, signs=signs)
+        assert signs.flags.writeable and not np.may_share_memory(G.signs, signs)
+        assert np.array_equal(G.signs, signs) and not G.signs.flags.writeable
+        frozen = signs.copy()
+        frozen.setflags(write=False)
+        assert XorGame(Q=2, pi=pi, signs=frozen).signs is frozen
+        ints = np.ones((2, 2, 2), dtype=int)
+        assert XorGame(Q=2, pi=pi, signs=ints).signs.dtype == np.float64 and ints.flags.writeable
+
     def test_cost_tensor_merge_and_split(self):
         G = mermin_game()
         C = G.cost_tensor()
@@ -272,6 +286,28 @@ class TestClassicalHeuristic:
                 want = dense * rep.l1_norm
                 assert from_g.shape == (5, Q)
                 assert np.abs(from_g - want).max() <= 1e-12 * np.abs(want).max(), n
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_partial_sum_oracles_agree_on_diagonal_strings(self, n):
+        # sign vectors supported on the I/Z-only Pauli strings, whose factors
+        # are diagonal: the g oracle's factor transform zeroes them as the
+        # collision mask does, so both oracles give the dense cost tensor's sums
+        from xorgap.game import _cost_partial_sums, _pauli_partial_sums
+
+        T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 2)))
+        rep = game_from_tensor(T)
+        Q = rep.game.Q
+        diagonal = np.array([set(label) <= {"I", "Z"} for label in build_basis(n).labels])
+        rng = np.random.default_rng(80 + n)
+        full = rng.choice([-1.0, 1.0], (3, 4, Q))
+        masked = full * diagonal
+        (d_hold, d_last), (g_hold, g_last) = _cost_partial_sums(rep.game), _pauli_partial_sums(T)
+        scale = np.abs(d_last(full[0], full[1])).max() * rep.l1_norm
+        for x, y, z in ((masked[0], full[1], full[2]), (full[0], masked[1], full[2]), (full[0], full[1], masked[2])):
+            pairs = [(d_hold(z)(0, y), g_hold(z)(0, y)), (d_hold(z)(1, x), g_hold(z)(1, x))]
+            pairs.append((d_last(x, y), g_last(x, y)))
+            for dense, from_g in pairs:
+                assert np.abs(from_g - dense * rep.l1_norm).max() <= 1e-12 * scale, n
 
     def test_lockstep_reproducible_and_single_restart(self):
         G = game_from_tensor(sample_tensor(2, SamplerConfig(seed=row_seed(0, 2, 0)))).game

@@ -241,6 +241,18 @@ class TestVerifySuites:
         with pytest.raises(ValueError):
             verify_suite("nonsense")
 
+    def test_nets_suite_sphere_net_follows_seed(self, capsys):
+        # the printed sphere net is the one built with the suite's seed; seed 3
+        # packs a net of another size than seed 0 does
+        from xorgap.nets import sphere_net
+
+        size = len(sphere_net(2, 0.5, seed=3))
+        assert size != len(sphere_net(2, 0.5, seed=0))
+        assert main(["verify", "--suite", "nets", "--seed", "3"]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("sphere net cardinality")]
+        assert len(printed) == 2
+        assert all(line.startswith(f"sphere net cardinality {size} vs") for line in printed)
+
 
 class TestShow:
     def test_tensor_summary(self, tmp_path):

@@ -505,6 +505,21 @@ class TestTrilinearEval:
                     assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_large_diagonals_masked_on_entry(self, n):
+        # the sampled path masks each argument once where it enters; the
+        # factors' diagonals, however large, pair with nothing
+        rng = np.random.default_rng(60 + n)
+        T = sample_tensor(n, SamplerConfig(seed=n))
+        dense = Tensor3(n, T.matrix)
+        N = T.N
+        for scale in (1e3, -1e6):
+            X, Y, Z = (random_hermitian(rng, N) + scale * np.diag(rng.standard_normal(N)) for _ in range(3))
+            want = trilinear_eval(dense, X, Y, Z)
+            assert abs(trilinear_eval(T, X, Y, Z) - want) <= 1e-12 * abs(want)
+            offdiag = [M - np.diag(np.diag(M)) for M in (X, Y, Z)]
+            assert trilinear_eval(T, *offdiag) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sampled_matches_dense(self, n):
         # the pairing from g against the same tensor given by its matrix, with
         # Hermitian and general complex factors
@@ -687,6 +702,29 @@ class TestTrilinearLower:
                     want = np.einsum(pattern, W, F[r].ravel(), H[r].ravel()).reshape(N, N)
                     assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_held_map_reused_across_modes(self, n):
+        # one held map serves mode 0, mode 1 and mode 0 again, with the z
+        # map run in between: the work arrays it keeps are not overwritten
+        from xorgap.tensor import _mode_contraction
+
+        T = sample_tensor(n, SamplerConfig(seed=10 + n))
+        N, R = T.N, 3
+        rng = np.random.default_rng(70 + n)
+        oracle = _oracle_contraction(T)
+        hold_z, contract_z = _mode_contraction(T)
+        H = np.array([random_hermitian(rng, N) for _ in range(R)])
+        contract_xy = hold_z(H)
+        for mode in (0, 1, 2, 0):
+            F = np.array([random_hermitian(rng, N) for _ in range(R)])
+            if mode == 2:
+                contract_z(F, F)
+                continue
+            got = contract_xy(mode, F)
+            for r in range(R):
+                want = oracle(mode, F[r], H[r])
+                assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (mode, r)
+
     @pytest.mark.parametrize("n,seed", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 0)])
     def test_structured_als_matches_dense(self, n, seed):
         T = sample_tensor(n, SamplerConfig(seed=seed))
@@ -733,8 +771,9 @@ class TestTrilinearLower:
     def test_value_not_matching_witness_raises(self, monkeypatch):
         # the winner is paired again with its own factors; a value the ALS
         # bookkeeping got wrong no longer matches, under either update rule:
-        # the Hermitian one (a sampled tensor) and the phase rotation (a
-        # non-Hermitian dense tensor)
+        # the Hermitian one (a sampled tensor; the ALS calls it with the old
+        # factors as well, which the patch passes on) and the phase rotation
+        # (a non-Hermitian dense tensor)
         from xorgap import tensor
 
         rng = np.random.default_rng(4)
@@ -746,8 +785,8 @@ class TestTrilinearLower:
         for name, T in cases:
             update = getattr(tensor, name)
 
-            def doubled_value(A, update=update):
-                X, val, ok = update(A)
+            def doubled_value(*args, update=update):
+                X, val, ok = update(*args)
                 return X, 2.0 * val, ok
 
             with monkeypatch.context() as patch:
@@ -777,6 +816,22 @@ class TestTrilinearLower:
         for A, Xr, v in zip(H[ok], X[ok], val[ok]):
             assert np.linalg.norm(Xr) == pytest.approx(1.0, abs=1e-12)
             assert abs(np.sum(A * Xr)) == pytest.approx(v, rel=1e-12)
+
+    def test_hermitian_update_keeps_old_factor_where_vanished(self):
+        # given the old factors, a vanished slice keeps its old factor and the
+        # others are the update without them, bit for bit
+        from xorgap.tensor import _hermitian_factor
+
+        rng = np.random.default_rng(210)
+        H = np.array([random_hermitian(rng, 4, unit=False) for _ in range(3)])
+        old = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        want_X, want_val, _ = _hermitian_factor(H)
+        X, val, ok = _hermitian_factor(H, old)
+        assert ok.all() and np.array_equal(X, want_X) and np.array_equal(val, want_val)
+        H[1] = 0.0
+        X, val, ok = _hermitian_factor(H, old)
+        assert ok.tolist() == [True, False, True] and val[1] == 0.0
+        assert np.array_equal(X[1], old[1]) and np.array_equal(X[[0, 2]], want_X[[0, 2]])
 
 
 def _exhaustive_net_upper(T, eps):
