@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateGameError, DimensionError, ScaleError
 from .pauli import MAX_QUBITS, _mode_matrix, build_basis, fourier
-from .tensor import Tensor3, _mode_contraction, hermitize, top_eigenpair
+from .tensor import Tensor3, _array_maps, _lockstep_ascent, _mode_contraction, _read_only, hermitize, top_eigenpair
 
 GROTHENDIECK_REAL = 1.783
 GROTHENDIECK_COMPLEX = 1.405
@@ -58,6 +58,10 @@ def _as_signs(arr) -> np.ndarray:
 class XorGame:
     """Question distribution pi over [Q]^3 and signs in {-1, +1}.
 
+    Both are held as read-only float64 arrays: a writeable input is copied,
+    so the caller's array stays writeable and cannot change the game, and a
+    read-only one is shared.
+
     source is (T, l1) for a game that `game_from_tensor` built from the
     sampled tensor T: its cost tensor is T's Pauli coefficient table over
     l1, so the classical ascent can take its partial sums from g instead
@@ -70,7 +74,7 @@ class XorGame:
     source: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=np.float64)
+        pi = _read_only(self.pi, np.float64)
         signs = _as_signs(self.signs)
         if pi.shape != (self.Q,) * 3 or signs.shape != (self.Q,) * 3:
             raise DimensionError(f"pi and signs must have shape ({self.Q},)*3")
@@ -78,7 +82,6 @@ class XorGame:
             raise ValueError("pi must be nonnegative")
         if not abs(pi.sum() - 1.0) <= 1e-12:
             raise ValueError(f"pi must sum to 1, got {pi.sum()!r}")
-        pi.setflags(write=False)
         signs.setflags(write=False)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "signs", signs)
@@ -102,14 +105,19 @@ class ClassicalStrategy:
 
 @dataclass(frozen=True)
 class EntangledStrategy:
-    """Shared unit state plus per-question +/-1-observables for each player."""
+    """Shared unit state plus per-question +/-1-observables for each player.
+
+    The state and every observable are held as read-only complex arrays:
+    a writeable input is copied, so the caller's arrays cannot change the
+    strategy, and a read-only one is shared.
+    """
 
     dims: tuple
     state: np.ndarray
-    observables: tuple  # three sequences of (d, d) Hermitian matrices
+    observables: tuple  # three tuples of (d, d) Hermitian matrices
 
     def __post_init__(self):
-        state = np.asarray(self.state, dtype=complex).reshape(-1)
+        state = _read_only(self.state, np.complex128).reshape(-1)
         d1, d2, d3 = self.dims
         if state.shape != (d1 * d2 * d3,):
             raise DimensionError("state length must equal the product of dims")
@@ -117,17 +125,18 @@ class EntangledStrategy:
             raise ValueError("state must be a unit vector")
         if len(self.observables) != 3:
             raise ValueError("need one observable list per player")
-        for player, (d, obs) in enumerate(zip(self.dims, self.observables)):
+        observables = tuple(tuple(_read_only(O, np.complex128) for O in obs) for obs in self.observables)
+        for player, (d, obs) in enumerate(zip(self.dims, observables)):
             for q, O in enumerate(obs):
-                O, where = np.asarray(O), f"player {player} question {q}"
+                where = f"player {player} question {q}"
                 if O.shape != (d, d):
                     raise DimensionError(f"{where}: observable must be {d}x{d}")
                 if not np.abs(O - O.conj().T).max() <= _OBS_TOL:
                     raise ValueError(f"{where}: observable not Hermitian")
                 if not np.abs(O @ O - np.eye(d)).max() <= _OBS_TOL:
                     raise ValueError(f"{where}: observable must square to I")
-        state.setflags(write=False)
         object.__setattr__(self, "state", state)
+        object.__setattr__(self, "observables", observables)
 
 
 @dataclass(frozen=True)
@@ -156,18 +165,6 @@ class BoundReport:
     ok: bool
 
 
-def game_from_cost_tensor(C: np.ndarray) -> XorGame:
-    """Inverse merge: pi = |C| (renormalized), signs = sign(C), +1 on zeros."""
-    C = np.asarray(C, dtype=np.float64)
-    Q = C.shape[0]
-    total = np.abs(C).sum()
-    if total == 0.0:
-        raise DegenerateGameError("cost tensor has no support")
-    pi = np.abs(C) / total
-    signs = np.where(C < 0.0, -1.0, 1.0)
-    return XorGame(Q=Q, pi=pi, signs=signs)
-
-
 def game_from_tensor(T: Tensor3) -> GameBuildReport:
     """Build the Pauli-question game of a tensor.
 
@@ -181,8 +178,8 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     or `spectral_norm` already cached (computed from g for a sampled tensor);
     no strategy is evaluated.  l1 = 0 (DegenerateGameError) exactly when T = 0.
     A sampled tensor is its own hermitization, and the game keeps (T, l1)
-    as its source for the classical ascent.  The signs are exact, so they
-    are made read-only and the game takes them over without a copy.
+    as its source for the classical ascent.  pi and the exact signs are
+    made read-only, so the game takes them over without a copy.
     """
     H = hermitize(T)
     # the table is fresh: real for a sampled tensor, otherwise copied out of
@@ -198,7 +195,9 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     lam, _ = top_eigenpair(H)
     pi /= l1
     source = (H, l1) if H.raw_g is not None else None
-    signs.setflags(write=False)  # exact: the game takes it over without a copy
+    # both are fresh and signs are exact, so the game takes them over as they are
+    pi.setflags(write=False)
+    signs.setflags(write=False)
     game = XorGame(Q=T.N * T.N, pi=pi, signs=signs, source=source)
     return GameBuildReport(pauli_bias=H.N**3 * lam / l1, l1_norm=l1, game=game)
 
@@ -248,43 +247,27 @@ def classical_bias_exact(G: XorGame) -> tuple[float, ClassicalStrategy]:
     return best, ClassicalStrategy(chi=chi, upsilon=upsilon, zeta=zeta)
 
 
-def _cost_partial_sums(G: XorGame):
-    """The dense oracle: partial sums from the cost tensor, as (hold_z, last).
-
-    With C3 = C.reshape(Q^2, Q), hold_z(z) forms Z = z C3^T once, which
-    serves both the chi and the upsilon response because zeta is fixed
-    between them; last(x, y) is the product (x ⊗ y) C3.
-    """
-    Q = G.Q
-    C3 = G.cost_tensor().reshape(Q * Q, Q)
-
-    def hold_z(z):
-        Z = (z @ C3.T).reshape(-1, Q, Q)  # Z[r, i, j] = sum_k C[i, j, k] z[r, k]
-        return lambda mode, v: np.einsum("rij,rj->ri" if mode == 0 else "rij,ri->rj", Z, v)
-
-    return hold_z, lambda x, y: (x[:, :, None] * y[:, None, :]).reshape(-1, Q * Q) @ C3
-
-
 def _pauli_partial_sums(T: Tensor3):
-    """The g oracle: partial sums of the coefficient table c of a sampled
-    tensor, as (hold_z, last), through the ALS mode maps.
+    """The partial sums of a sampled tensor's coefficient table c from g,
+    as the maps (hold_z, contract_z) of :func:`_lockstep_ascent` on stacks
+    of sign vectors.
 
     With B = `pauli._mode_matrix(n)` (row p holds conj(P_p)), c_pqr =
     sum B[p, a] B[q, b] B[r, c] W[a, b, c], so player 1's partial sums are
-    s = Re(A B^T), where A is the mode map of the mode view W applied to the
-    factors upsilon B and zeta B; likewise for the other players.  The sign
-    vectors are real, so both transforms are real GEMMs on the (re, im)
-    float view of B, and nothing of size Q^3 is formed.  The factor
-    transform is B0, B with its (i, i) columns zeroed, so each factor
-    enters the maps with the collision mask applied once and the maps read
-    it as given (masked=True); A comes out masked, so the sums read all of B.
+    s = Re(A B^T), where A is the tensor's mode map (see
+    :func:`_mode_contraction`) applied to the factors upsilon B and zeta B;
+    likewise for the other players.  The sign vectors are real, so both
+    transforms are real GEMMs on the (re, im) float view of B, and nothing
+    of size Q^3 is formed.  The factor transform is B passed once through
+    the maps' `enter`, so each factor v B0 enters as the maps read it; A
+    comes out masked, so the sums read all of B.
     """
     N = T.N
     B = _mode_matrix(T.n)
+    enter, hold, contract_z = _mode_contraction(T)
     # v -> v B0, interleaved re, im
-    to_factor = (B * (1.0 - np.eye(N)).ravel()).view(np.float64).reshape(len(B), -1)
+    to_factor = enter(B.reshape(len(B), N, N)).view(np.float64).reshape(len(B), -1)
     to_sums = B.conj().view(np.float64).reshape(len(B), -1).T  # A -> Re(A B^T)
-    hold, contract_z = _mode_contraction(T, masked=True)
 
     def factor(v):
         return (v @ to_factor).view(np.complex128).reshape(-1, N, N)
@@ -299,6 +282,16 @@ def _pauli_partial_sums(T: Tensor3):
     return hold_z, lambda x, y: sums(contract_z(factor(x), factor(y)))
 
 
+def _sign_update(s, old):
+    """The best response to partial sums s, zeros to +1, and its value."""
+    new = np.where(s < 0.0, -1.0, 1.0)
+    return new, (new * s).sum(axis=1)
+
+
+def _no_answer_changed(prev, v, old, new):
+    return np.all((new[0] == old[0]) & (new[1] == old[1]) & (new[2] == old[2]), axis=1)
+
+
 def classical_bias_heuristic(
     G: XorGame, restarts: int = 32, seed: int = 0
 ) -> tuple[float, ClassicalStrategy]:
@@ -309,28 +302,27 @@ def classical_bias_heuristic(
     questions contribute nothing) while escaping balanced-sign saddles, so
     sweeps never decrease the bias.  Restart r starts from signs drawn from
     the r-th child of `seed` and stops after a sweep that changes none of
-    its answers, or after 1000 sweeps.  All restarts advance in lockstep:
-    a sweep over the unconverged restarts takes the chi and upsilon sums
-    with zeta held, then the zeta sums.  The first restart with the largest
-    value wins; the value is always a lower bound on the classical bias,
-    and never exceeds the exact optimum.
+    its answers, or after 1000 sweeps.  All restarts advance in lockstep
+    (see :func:`tensor._lockstep_ascent`, which the ALS shares).  The first
+    restart with the largest value wins; the value is always a lower bound
+    on the classical bias, and never exceeds the exact optimum.
 
-    One loop, two oracles for the partial sums: a game built from a sampled
-    tensor T (its `source` is (T, l1)) takes them from g through the ALS
-    mode maps (see :func:`_pauli_partial_sums`), O(N^4) per restart and
-    player, and reports v / l1 for the value v on the coefficient table;
-    any other game reads its dense cost tensor (see
-    :func:`_cost_partial_sums`).
+    The partial sums come from one of two map providers: a game built from
+    a sampled tensor T (its `source` is (T, l1)) takes them from g (see
+    :func:`_pauli_partial_sums`), O(N^4) per restart and player, and reports
+    v / l1 for the value v on the coefficient table; any other game's dense
+    cost tensor goes to `tensor._array_maps` with the sign vectors as its
+    factors.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     Q = G.Q
     if G.source is None:
-        hold_z, last = _cost_partial_sums(G)
+        hold_z, contract_z = _array_maps(G.cost_tensor())
         scale = 1.0
     else:
         T, scale = G.source
-        hold_z, last = _pauli_partial_sums(T)
+        hold_z, contract_z = _pauli_partial_sums(T)
     # each restart's three sign vectors are rng.choice([-1.0, 1.0], Q) three
     # times, drawn as one run of 3Q integers from the same stream (choice
     # indexes with rng.integers), so the starts are bit for bit the same
@@ -338,24 +330,11 @@ def classical_bias_heuristic(
     starts = np.array(
         [signs[np.random.default_rng(ss).integers(0, 2, 3 * Q)] for ss in np.random.SeedSequence(seed).spawn(restarts)]
     )
-    chi, upsilon, zeta = starts.reshape(restarts, 3, Q).transpose(1, 0, 2).copy()  # each (restarts, Q)
-    values = np.empty(restarts)
-    active = np.arange(restarts)
-    for _ in range(1000):
-        x, y, z = chi[active], upsilon[active], zeta[active]
-        given_z = hold_z(z)
-        x_new = np.where(given_z(0, y) < 0.0, -1.0, 1.0)
-        y_new = np.where(given_z(1, x_new) < 0.0, -1.0, 1.0)
-        s = last(x_new, y_new)
-        z_new = np.where(s < 0.0, -1.0, 1.0)
-        values[active] = (z_new * s).sum(axis=1)
-        changed = np.any((x_new != x) | (y_new != y) | (z_new != z), axis=1)
-        chi[active], upsilon[active], zeta[active] = x_new, y_new, z_new
-        active = active[changed]
-        if active.size == 0:
-            break
-    r = int(np.argmax(values))
-    return float(values[r] / scale), ClassicalStrategy(chi=chi[r], upsilon=upsilon[r], zeta=zeta[r])
+    starts = starts.reshape(restarts, 3, Q).transpose(1, 0, 2).copy()  # (3, restarts, Q)
+    value, (chi, upsilon, zeta) = _lockstep_ascent(
+        hold_z, contract_z, _sign_update, starts, 1000, _no_answer_changed
+    )
+    return value / scale, ClassicalStrategy(chi=chi, upsilon=upsilon, zeta=zeta)
 
 
 def classical_bias(

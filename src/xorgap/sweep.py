@@ -11,25 +11,11 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import concentration, game, nets, pauli, tensor
-
-GAP_COLUMNS = [
-    "n",
-    "N",
-    "seed",
-    "spectral",
-    "trilinear_lower",
-    "trilinear_upper",
-    "classical_bias",
-    "classical_method",
-    "pauli_bias",
-    "ratio_estimate",
-    "prop31_lower",
-]
 
 RATIO_BOUND_FACTOR = 4.0  # loss budgeted for hermitization
 ROW_NET_EPS = 0.5  # resolution of a row's net upper bound
@@ -59,22 +45,22 @@ class GapRow:
     prop31_lower: float | None
 
     def as_csv_row(self) -> list:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
+        return [_CSV_TYPES[f.type][0](getattr(self, f.name)) for f in fields(self)]
 
-        return [
-            self.n,
-            self.N,
-            self.seed,
-            fmt(self.spectral),
-            fmt(self.trilinear_lower),
-            fmt(self.trilinear_upper),
-            fmt(self.classical_bias),
-            self.classical_method,
-            fmt(self.pauli_bias),
-            fmt(self.ratio_estimate),
-            fmt(self.prop31_lower),
-        ]
+
+def _csv_float(v) -> str:
+    return repr(float(v))
+
+
+# a GapRow field's annotation -> (format, parse) of its CSV column
+_CSV_TYPES = {
+    "int": (str, int),
+    "str": (str, str),
+    "float": (_csv_float, float),
+    "float | None": (lambda v: "" if v is None else _csv_float(v), lambda s: float(s) if s else None),
+}
+
+GAP_COLUMNS = [f.name for f in fields(GapRow)]
 
 
 def row_seed(master_seed: int, n: int, index: int) -> int:
@@ -128,6 +114,7 @@ def write_gap_csv(path, rows) -> None:
 
 
 def read_gap_csv(path) -> list[GapRow]:
+    parse = [_CSV_TYPES[f.type][1] for f in fields(GapRow)]
     out = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -138,21 +125,7 @@ def read_gap_csv(path) -> list[GapRow]:
                 raise ValueError(
                     f"gap CSV line {r.line_num}: {len(row)} fields, need {len(GAP_COLUMNS)}"
                 )
-            out.append(
-                GapRow(
-                    n=int(row[0]),
-                    N=int(row[1]),
-                    seed=int(row[2]),
-                    spectral=float(row[3]),
-                    trilinear_lower=float(row[4]),
-                    trilinear_upper=float(row[5]) if row[5] else None,
-                    classical_bias=float(row[6]),
-                    classical_method=row[7],
-                    pauli_bias=float(row[8]),
-                    ratio_estimate=float(row[9]),
-                    prop31_lower=float(row[10]) if row[10] else None,
-                )
-            )
+            out.append(GapRow(*(p(v) for p, v in zip(parse, row))))
     return out
 
 

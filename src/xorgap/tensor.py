@@ -316,17 +316,17 @@ def spectral_norm(T: Tensor3) -> float:
 def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> complex:
     """Pair the tensor with X ⊗ Y ⊗ Z entrywise: sum T[(ii'),(jj'),(kk')] X[ii'] Y[jj'] Z[kk'].
 
-    Computed as <contract_z(X, Y), Z> with the ALS's mode map (see
-    :func:`_mode_contraction`): O(N^4) from g for a sampled tensor, whose
-    matrix is never built and whose map masks X and Y once as they enter
-    (A comes out masked, so Z's diagonal pairs with zeros), and two GEMMs
-    on the mode view otherwise.
+    Computed as <contract_z(X, Y), Z> with the ALS's mode maps (see
+    :func:`_mode_contraction`), X and Y passed through its `enter` once:
+    O(N^4) from g for a sampled tensor, whose matrix is never built, and two
+    GEMMs on the mode view otherwise.
     """
     N = T.N
     for name, M in (("X", X), ("Y", Y), ("Z", Z)):
         if np.shape(M) != (N, N):
             raise DimensionError(f"{name} must be {N}x{N}")
-    return _pair(_mode_contraction(T)[1], np.asarray(X), np.asarray(Y), Z)
+    enter, _, contract_z = _mode_contraction(T)
+    return _pair(contract_z, enter(np.asarray(X)), enter(np.asarray(Y)), Z)
 
 
 def _pair(contract_z, X: np.ndarray, Y: np.ndarray, Z) -> complex:
@@ -334,7 +334,7 @@ def _pair(contract_z, X: np.ndarray, Y: np.ndarray, Z) -> complex:
     return complex(np.sum(contract_z(X[None], Y[None])[0] * Z))
 
 
-def _best_hermitian_factor(A: np.ndarray):
+def _best_hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
     """Maximize |sum A[r]∘X[r]| over Hermitian X[r] with ||X[r]||_F <= 1, for each r.
 
     A is a stack (R, N, N).  With B = conj(A) the objective is |<B, X>_F|,
@@ -349,8 +349,9 @@ def _best_hermitian_factor(A: np.ndarray):
 
     Sign: θ lies in (-π/2, π/2], so X has a nonnegative component along H1
     (a positive one along H2 when that is zero).  When u = 0 every phase is
-    optimal and θ = 0.  Returns (X, val, ok): where A[r] vanishes, ok[r] is
-    False, val[r] is 0 and X[r] is zero.
+    optimal and θ = 0.  Returns (X, val, ok) as :func:`_hermitian_factor`
+    does: where A[r] vanishes, ok[r] is False, val[r] is 0 and X[r] is
+    old[r], or zero when old is None.
     """
     B = A.conj()
     u = np.einsum("rij,rji->r", B, B)
@@ -358,7 +359,10 @@ def _best_hermitian_factor(A: np.ndarray):
     ok = val > 0.0
     # C = e^{-iθ} B / ||C + C^H||, so that X = C + C^H has unit norm
     C = B * (np.exp(-0.5j * np.angle(u)) / (2.0 * np.where(ok, val, 1.0)))[:, None, None]
-    return C + C.conj().transpose(0, 2, 1), val, ok
+    X = C + C.conj().transpose(0, 2, 1)
+    if old is not None and not ok.all():
+        X = np.where(ok[:, None, None], X, old)
+    return X, val, ok
 
 
 def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
@@ -369,10 +373,10 @@ def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
     the identity (u = tr(conj(A)^2) = ||A||_F^2 >= 0) and its maximizer is
     conj(A) normalized.  Writing it as conj(A) + A^T keeps X Hermitian bit
     for bit whatever the rounding in A; the value is ||conj(A) + A^T||_F / 2
-    = Re sum A∘X.  Returns (X, val, ok) as :func:`_best_hermitian_factor`
-    does: where A[r] vanishes, ok[r] is False, val[r] is 0 and X[r] is
-    old[r], or zero when old is None.  The update is one norm and one
-    in-place divide; only a vanished slice costs the np.where.
+    = Re sum A∘X.  Returns (X, val, ok): where A[r] vanishes, ok[r] is
+    False, val[r] is 0 and X[r] is old[r], or zero when old is None.  The
+    update is one norm and one in-place divide; only a vanished slice costs
+    the np.where.
     """
     X = A.conj()
     X += A.transpose(0, 2, 1)
@@ -388,21 +392,62 @@ def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
     return X, norm / 2.0, ok
 
 
-def _mode_contraction(T: Tensor3, masked: bool = False):
-    """The ALS mode maps on stacks of R restarts, as a pair (hold_z, contract_z).
+def _array_maps(W: np.ndarray):
+    """The mode maps of a dense (d, d, d) array on stacks of R factors, as
+    (hold_z, contract_z).
 
-    hold_z(Z) returns contract_xy(mode, F) for mode 0 or 1: the mode view
-    summed against the flattened factors F (the other of modes 0, 1) and Z
-    (mode 2), as the (R, N, N) complex stack A on the remaining mode.
-    contract_z(X, Y) sums against X and Y and returns A on mode 2.  Factors
-    may be real or complex, read-only or not (but see masked below).  Z
-    does not change between the X and Y updates of a sweep, so the dense
-    map forms U = W ×3 Z once for both: with the mode view W, one GEMM per
-    mode, O(N^6 R).
+    A factor stack has shape (R, *shape) with d entries per factor (N x N
+    matrices against a tensor's mode view, sign vectors of length Q against
+    a game's cost tensor), and every map returns a stack of that shape.
+    hold_z(Z) sums W against Z on mode 2 once, as U = W ×3 Z, and returns
+    contract_xy(mode, F), which sums U against F on the other of modes 0, 1
+    and returns the image on the remaining mode: one GEMM for U, then one
+    batched product per mode.  contract_z(X, Y) sums against X and Y and
+    returns the image on mode 2.  Factors may be real or complex, read-only
+    or not.  O(d^3 R) per map.
+    """
+    d = W.shape[0]
+    W_ab_c = W.reshape(d * d, d)
+    W_a_bc = W.reshape(d, d * d)
+
+    def hold_z(Z):
+        R = Z.shape[0]
+        U = (Z.reshape(R, d) @ W_ab_c.T).reshape(R, d, d)  # (r, a, b)
+
+        def contract_xy(mode, F):
+            f = F.reshape(R, d)
+            if mode == 0:
+                A = (U @ f[:, :, None])[:, :, 0]
+            else:
+                A = (f[:, None, :] @ U)[:, 0, :]
+            return A.reshape(F.shape)
+
+        return contract_xy
+
+    def contract_z(X, Y):
+        R = X.shape[0]
+        V = (X.reshape(R, d) @ W_a_bc).reshape(R, d, d)  # (r, b, c)
+        return (Y.reshape(R, 1, d) @ V)[:, 0, :].reshape(X.shape)
+
+    return hold_z, contract_z
+
+
+def _mode_contraction(T: Tensor3):
+    """The ALS mode maps of a tensor on stacks of R restarts, as
+    (enter, hold_z, contract_z).
+
+    hold_z and contract_z are the maps of :func:`_lockstep_ascent` on
+    (R, N, N) factor stacks; they read factors only as `enter` returns them,
+    and every factor update built from their images keeps that form.  A
+    tensor given by its matrix hands its mode view to :func:`_array_maps`,
+    and enter leaves a stack as it is.
 
     A tensor carrying its sampling vector is g g^T under the collision mask
-    (J - I)^{⊗3}.  With G = g.reshape(N, N, N), the mode moved first, and
-    F0, H0 the factors with zeroed diagonals,
+    (J - I)^{⊗3}, and enter returns a complex, C-ordered copy of a stack
+    with zero diagonals: the mask pairs nothing with a diagonal entry.  The
+    start stacks, `trilinear_eval`'s arguments and the classical ascent's
+    factor transform each pass through it once.  With G = g.reshape(N, N, N),
+    the mode moved first, and F0, H0 entered factors,
     A[r, a, a'] = offdiag(sum P[r, a, c, b'] S[r, a', b', c]), where
     P = G ×2 F0 and S = G ×3 H0.  G is real, so P and S are real GEMMs of G
     against the (re, im) float view of the factor stack, one BLAS call per
@@ -412,46 +457,14 @@ def _mode_contraction(T: Tensor3, masked: bool = False):
     it, each through its own transposed copy: (c, b') order for mode 0,
     (c, a') for mode 1.  A held map stays valid until the next hold_z;
     contract_z forms its S = G ×2 Y0 elsewhere.  S, the GEMM output and the
-    transposed copy are work arrays the pair keeps between calls, with
+    transposed copy are work arrays the maps keep between calls, with
     their views for each stack size, so a sweep at N >= 16 does not
     page-fault fresh memory on every map.
-
-    masked=True promises complex, C-ordered factors that, on a sampled
-    tensor, are zero on the diagonal, as every ALS update is and as the
-    callers mask
-    them once where they enter (the ALS start stacks, the classical
-    ascent's factor transform); the maps then read them as given.  By
-    default the sampled maps mask a copy of each factor, so any factors may
-    be passed (`trilinear_eval` does so once per argument).  The dense maps
-    ignore masked.
     """
     N = T.N
     N2 = N * N
     if T.raw_g is None:
-        W = T.mode_view()
-        W_ab_c = W.reshape(N2 * N2, N2)
-        W_a_bc = W.reshape(N2, N2 * N2)
-
-        def hold_z(Z):
-            R = Z.shape[0]
-            U = (Z.reshape(R, N2) @ W_ab_c.T).reshape(R, N2, N2)  # (r, a, b)
-
-            def contract_xy(mode, F):
-                f = F.reshape(R, N2)
-                if mode == 0:
-                    A = (U @ f[:, :, None])[:, :, 0]
-                else:
-                    A = (f[:, None, :] @ U)[:, 0, :]
-                return A.reshape(R, N, N)
-
-            return contract_xy
-
-        def contract_z(X, Y):
-            R = X.shape[0]
-            V = (X.reshape(R, N2) @ W_a_bc).reshape(R, N2, N2)  # (r, b, c)
-            return (Y.reshape(R, 1, N2) @ V)[:, 0, :].reshape(R, N, N)
-
-        return hold_z, contract_z
+        return (lambda F: F), *_array_maps(T.mode_view())
 
     G = T.raw_g.reshape(N, N, N)
     off = 1.0 - np.eye(N)
@@ -483,12 +496,11 @@ def _mode_contraction(T: Tensor3, masked: bool = False):
             )
         return views[R]
 
-    def enter(F):  # a copy of F as the maps read it: complex, C-ordered, zero diagonals
+    def enter(F):
         return np.multiply(F, off, dtype=np.complex128, order="C")
 
-    def enter_t(H):  # H transposed, as the S GEMMs read it
-        Ht = np.asarray(H).transpose(0, 2, 1)
-        return np.ascontiguousarray(Ht) if masked else enter(Ht)
+    def transposed(H):  # an entered stack transposed, as the S GEMMs read it
+        return np.ascontiguousarray(H.transpose(0, 2, 1)).view(np.float64)
 
     def mode_map(w, mode, F0):  # A from P = G ×2 F0 and S copied to P's (c, b') order
         _, gemm, P, S_t, St, StT = w
@@ -500,15 +512,68 @@ def _mode_contraction(T: Tensor3, masked: bool = False):
 
     def hold_z(Z):
         w = work(len(Z))
-        np.matmul(by_c[0], enter_t(Z).view(np.float64), out=w[0])  # S, (r, a', b', c)
-        return lambda mode, F: mode_map(w, mode, F if masked else enter(F))
+        np.matmul(by_c[0], transposed(Z), out=w[0])  # S, (r, a', b', c)
+        return lambda mode, F: mode_map(w, mode, F)
 
     def contract_z(X, Y):
         w = work(len(X))
-        np.matmul(by_c[1], enter_t(Y).view(np.float64), out=w[1])  # S2, (r, c', a', b)
-        return mode_map(w, 2, X if masked else enter(X))
+        np.matmul(by_c[1], transposed(Y), out=w[1])  # S2, (r, c', a', b)
+        return mode_map(w, 2, X)
 
-    return hold_z, contract_z
+    return enter, hold_z, contract_z
+
+
+def _lockstep_ascent(hold_z, contract_z, update, starts, max_sweeps, stop, on_sweep=None):
+    """Alternating maximization of a trilinear form from R starts in lockstep.
+
+    starts is a (3, R, ...) stack of the starting factors X, Y, Z, as the
+    maps read them.  A sweep holds Z (contract_xy = hold_z(Z)), then updates
+    X from contract_xy(0, Y), Y from contract_xy(1, X) and Z from
+    contract_z(X, Y), each as update(image, old)[:2] = (new factors, values);
+    the values of the Z update are the sweep's.  stop(prev, values, old, new)
+    marks the restarts that leave after the sweep, given their values before
+    and after it (prev is 0 before the first) and their (X, Y, Z) stacks
+    before and after it; a restart also leaves after max_sweeps sweeps.
+    Restarts are independent: each keeps its own trajectory, and the running
+    ones' stacks are regathered only in a sweep where some leave.
+
+    on_sweep, when given, is called as on_sweep(restart, sweep, value) once
+    per running restart per sweep, in sweep-major order: every restart still
+    running reports sweep i, in increasing restart order, before any reports
+    sweep i + 1.
+
+    Each restart's final factors are written back into starts.  Returns
+    (value, (X, Y, Z)) of the first restart with the largest final value.
+    """
+    X, Y, Z = starts
+    R = len(X)
+    # X, Y, Z and `last` hold each restart's factors and value once it
+    # leaves; Xa, Ya, Za and `prev` are those of the restarts in `act`,
+    # still running, after their latest sweep
+    last = np.zeros(R)
+    act = np.arange(R)
+    Xa, Ya, Za, prev = X, Y, Z, np.zeros(R)
+    for it in range(max_sweeps):
+        contract_xy = hold_z(Za)
+        Xn = update(contract_xy(0, Ya), Xa)[0]
+        Yn = update(contract_xy(1, Xn), Ya)[0]
+        Zn, v = update(contract_z(Xn, Yn), Za)[:2]
+        if on_sweep is not None:
+            for r, vr in zip(act.tolist(), v.tolist()):
+                on_sweep(r, it, vr)
+        done = stop(prev, v, (Xa, Ya, Za), (Xn, Yn, Zn))
+        Xa, Ya, Za, prev = Xn, Yn, Zn, v
+        if np.count_nonzero(done):
+            # every running restart is written back, in fewer calls than
+            # picking out the leavers; the others are overwritten later
+            X[act], Y[act], Z[act], last[act] = Xa, Ya, Za, v
+            keep = ~done
+            act, Xa, Ya, Za, prev = act[keep], Xa[keep], Ya[keep], Za[keep], v[keep]
+            if act.size == 0:
+                break
+    X[act], Y[act], Z[act], last[act] = Xa, Ya, Za, prev
+    best = int(np.argmax(last))
+    return float(last[best]), (X[best], Y[best], Z[best])
 
 
 def _top_singular(T: Tensor3) -> tuple[float, np.ndarray]:
@@ -574,15 +639,17 @@ def trilinear_norm_lower(
     a Hermitian tensor (every sampled one) each mode image A is Hermitian
     and the update is X = (conj(A) + A^T) / ||conj(A) + A^T||_F (see
     :func:`_hermitian_factor`); any other tensor keeps the phase rotation of
-    :func:`_best_hermitian_factor`.  One
-    restart starts from the dominant-eigenvector partial traces; the rest
-    start from seeded random Hermitian matrices (restart r draws from
-    (seed, r)).  All restarts advance in lockstep on (R, N, N) factor stacks;
-    a restart leaves after the sweep whose gain falls below tol times its
-    previous value, or after max_iters sweeps, so each keeps its own
-    trajectory.  The best value across restarts (the first, on a tie) is
-    returned together with the achieving witness; it is a guaranteed lower
-    bound on the trilinear norm.
+    :func:`_best_hermitian_factor`.  Either keeps a restart's old factor
+    where its image vanishes.  One restart starts from the
+    dominant-eigenvector partial traces; the rest start from seeded random
+    Hermitian matrices (restart r draws from (seed, r)), drawn and
+    normalized as one stack.  The starts pass once through the maps'
+    `enter` (see :func:`_mode_contraction`), and all restarts advance in
+    lockstep (see :func:`_lockstep_ascent`); a restart leaves after the
+    sweep whose gain falls below tol times its previous value, or after
+    max_iters sweeps.  The best value across restarts (the first, on a tie)
+    is returned together with the achieving witness; it is a guaranteed
+    lower bound on the trilinear norm.
 
     on_sweep, when given, is called as on_sweep(restart, iteration, value)
     once per unconverged restart per sweep, in iteration-major order: every
@@ -590,21 +657,11 @@ def trilinear_norm_lower(
     before any reports iteration i + 1.
 
     A sweep costs O(N^4 R) on a sampled tensor (one carrying its raw vector
-    g) and O(N^6 R) on any other tensor; see :func:`_mode_contraction`.  At
-    these sizes a sweep is dominated by per-call overhead, so it is kept to a
-    fixed handful of array operations: the running restarts' stacks are kept
-    between sweeps and regathered only in a sweep where some restart leaves.
-    On a sampled tensor one contraction S = G ×3 Z serves both the X and the
-    Y update of a sweep, and the factors are masked once where they enter:
-    the start stacks have their diagonals zeroed (the collision mask pairs
-    nothing with them) and every update's diagonal is zero already, so the
-    maps read the stacks as given.  The Hermitian update is one norm and one
-    in-place divide per stack, and the random starts are drawn and
-    normalized as one stack.  The winner is paired again through the same
-    contraction, and ValueError is raised when that differs from its ALS
-    value by more than 1e-9 relative.  ValueError is also raised up front
-    for restarts or max_iters below 1 and for a tol that is negative or not
-    finite (a NaN tol would never stop a restart).
+    g) and O(N^6 R) on any other tensor.  The winner is paired again through
+    the same contraction, and ValueError is raised when that differs from
+    its ALS value by more than 1e-9 relative.  ValueError is also raised up
+    front for restarts or max_iters below 1 and for a tol that is negative
+    or not finite (a NaN tol would never stop a restart).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -613,11 +670,10 @@ def trilinear_norm_lower(
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     N = T.N
-    hold_z, contract_z = _mode_contraction(T, masked=True)
+    enter, hold_z, contract_z = _mode_contraction(T)
 
     starts = np.empty((3, restarts, N, N), dtype=np.complex128)
-    X, Y, Z = starts
-    X[0], Y[0], Z[0] = _anchor_factors(T)
+    starts[:, 0] = _anchor_factors(T)
     if restarts > 1:
         # restart r draws X, Y, Z in turn from (seed, r), each the Hermitian
         # part of a complex gaussian matrix (real parts first), unit norm
@@ -635,49 +691,12 @@ def trilinear_norm_lower(
         H /= np.where(ok, nrm, 1.0)[:, :, None, None]
         H[~ok] = np.eye(N) / np.sqrt(N)
         starts[:, 1:] = H.transpose(1, 0, 2, 3)
-    if T.raw_g is not None:
-        # the collision mask pairs nothing with a diagonal entry: zero the
-        # starts' diagonals once, as every update's already is, and the
-        # sampled maps read the factors as given
-        starts.reshape(3 * restarts, N * N)[:, :: N + 1] = 0.0
+    update = _hermitian_factor if T.is_hermitian() else _best_hermitian_factor
 
-    if T.is_hermitian():
-        update = _hermitian_factor  # a vanished slice keeps its old factor
-    else:
+    def stop(prev, v, old, new):
+        return v - prev < tol * np.maximum(prev, 1e-300)
 
-        def update(A, old):
-            new, v, ok = _best_hermitian_factor(A)
-            if not ok.all():  # a vanished slice keeps its old factor
-                new = np.where(ok[:, None, None], new, old)
-            return new, v, ok
-
-    # X, Y, Z and `last` hold each restart's factors and value once it
-    # leaves; Xa, Ya, Za and `prev` are those of the restarts in `act`,
-    # still running, after their latest sweep
-    last = np.zeros(restarts)
-    act = np.arange(restarts)
-    Xa, Ya, Za, prev = X, Y, Z, np.zeros(restarts)
-    for it in range(max_iters):
-        contract_xy = hold_z(Za)
-        Xa = update(contract_xy(0, Ya), Xa)[0]
-        Ya = update(contract_xy(1, Xa), Ya)[0]
-        Za, v, _ = update(contract_z(Xa, Ya), Za)
-        if on_sweep is not None:
-            for r, vr in zip(act.tolist(), v.tolist()):
-                on_sweep(r, it, vr)
-        done = v - prev < tol * np.maximum(prev, 1e-300)
-        prev = v
-        if np.count_nonzero(done):
-            gone = act[done]
-            X[gone], Y[gone], Z[gone], last[gone] = Xa[done], Ya[done], Za[done], v[done]
-            keep = ~done
-            act, Xa, Ya, Za, prev = act[keep], Xa[keep], Ya[keep], Za[keep], v[keep]
-            if act.size == 0:
-                break
-    X[act], Y[act], Z[act], last[act] = Xa, Ya, Za, prev
-    best = int(np.argmax(last))
-    X, Y, Z = X[best], Y[best], Z[best]
-    best_val = float(last[best])
+    best_val, (X, Y, Z) = _lockstep_ascent(hold_z, contract_z, update, enter(starts), max_iters, stop, on_sweep)
     value = _pair(contract_z, X, Y, Z)
     if abs(abs(value) - best_val) > 1e-9 * max(abs(value), best_val):
         raise ValueError(f"ALS value {best_val!r} does not match its witness ({abs(value)!r})")
@@ -794,9 +813,10 @@ def load_tensor(path) -> Tensor3:
     """Read a tensor written by :func:`save_tensor`.
 
     A file with a raw vector yields the tensor given by g.  Raises ValueError
-    for a bad magic, a header whose n does not match the file size, or a raw
-    vector whose masked outer product is not the stored matrix (the net
-    upper bound would then certify a different tensor).
+    for a bad magic, a header whose n does not match the file size, a NaN or
+    infinite entry in the raw vector or the matrix, or a raw vector whose
+    masked outer product is not the stored matrix (the net upper bound would
+    then certify a different tensor).
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -815,10 +835,14 @@ def load_tensor(path) -> Tensor3:
         g = None
         if flags & _FLAG_RAW_G:
             gc = np.frombuffer(fh.read(16 * N**3), dtype="<c16")
+            if not np.isfinite(gc).all():
+                raise ValueError("XGT1 raw vector holds a NaN or infinite entry")
             if np.abs(gc.imag).max(initial=0.0) > 0:
                 raise ValueError("raw vector must be real")
             g = gc.real
         M = np.frombuffer(fh.read(16 * N**6), dtype="<c16").reshape(N**3, N**3)
+    if not np.isfinite(M).all():
+        raise ValueError("XGT1 matrix holds a NaN or infinite entry")
     if g is None:
         return Tensor3(n, M)
     if not np.array_equal(M, _masked_outer(g, N)):

@@ -33,7 +33,6 @@ from xorgap.game import (
     _best_response,
     _game_operator,
     _matrix_sign,
-    game_from_cost_tensor,
     load_game_csv,
     save_game_csv,
     strategy_correlations,
@@ -43,6 +42,12 @@ from xorgap.game import (
 from xorgap.pauli import build_basis, pauli_expectations
 from xorgap.sweep import row_seed
 from xorgap.tensor import top_eigenpair, trilinear_eval
+
+
+def cost_game(C):
+    """The game with pi = |C| / sum |C| and signs = sign(C), +1 on zeros."""
+    C = np.asarray(C, dtype=np.float64)
+    return XorGame(Q=len(C), pi=np.abs(C) / np.abs(C).sum(), signs=np.where(C < 0.0, -1.0, 1.0))
 
 
 def brute_force_classical(C):
@@ -67,6 +72,17 @@ class TestXorGameType:
             XorGame(Q=2, pi=pi, signs=np.full((2, 2, 2), 0.5))
         with pytest.raises(ValueError):
             XorGame(Q=2, pi=-pi, signs=np.ones((2, 2, 2)))
+
+    def test_writeable_pi_copied_read_only_pi_shared(self):
+        # the caller's writeable pi stays writeable and cannot change the game
+        pi = np.full((2, 2, 2), 1 / 8)
+        G = XorGame(Q=2, pi=pi, signs=np.ones((2, 2, 2)))
+        assert pi.flags.writeable and not G.pi.flags.writeable
+        pi[0, 0, 0] = 0.5
+        assert G.pi[0, 0, 0] == 1 / 8
+        frozen = np.full((2, 2, 2), 1 / 8)
+        frozen.setflags(write=False)
+        assert XorGame(Q=2, pi=frozen, signs=np.ones((2, 2, 2))).pi is frozen
 
     def test_sign_predicate_pinned(self):
         # entries within 1e-12 of +/-1 are snapped to exactly +/-1, anything
@@ -97,17 +113,6 @@ class TestXorGameType:
         assert XorGame(Q=2, pi=pi, signs=frozen).signs is frozen
         ints = np.ones((2, 2, 2), dtype=int)
         assert XorGame(Q=2, pi=pi, signs=ints).signs.dtype == np.float64 and ints.flags.writeable
-
-    def test_cost_tensor_merge_and_split(self):
-        G = mermin_game()
-        C = G.cost_tensor()
-        assert np.count_nonzero(C) == 4
-        assert np.abs(np.abs(C[C != 0]) - 0.25).max() == 0
-        back = game_from_cost_tensor(C)
-        assert np.array_equal(back.pi, G.pi)
-        # signs agree wherever pi > 0 (zero-probability signs are conventional)
-        mask = G.pi > 0
-        assert np.array_equal(back.signs[mask], G.signs[mask])
 
     def test_uniform_all_positive(self):
         pi = np.zeros((2, 2, 2))
@@ -210,7 +215,7 @@ class TestClassicalExact:
         rng = np.random.default_rng(17)
         for _ in range(5):
             C = rng.standard_normal((3, 3, 3))
-            G = game_from_cost_tensor(C)
+            G = cost_game(C)
             val, _ = classical_bias_exact(G)
             assert val == pytest.approx(brute_force_classical(G.cost_tensor()), rel=1e-12)
 
@@ -260,7 +265,7 @@ class TestClassicalHeuristic:
             C = rng.standard_normal((3, 3, 3))
             C[rng.random((3, 3, 3)) < 0.4] = 0.0
             C[0] = 0.0  # a whole slice of zero sums
-            games.append(game_from_cost_tensor(C))
+            games.append(cost_game(C))
         for idx, G in enumerate(games):
             want, (chi, ups, zeta) = per_restart_heuristic(G, restarts=32, seed=idx)
             got, strat = classical_bias_heuristic(G, restarts=32, seed=idx)
@@ -272,14 +277,15 @@ class TestClassicalHeuristic:
     def test_partial_sum_oracles_agree(self):
         # the g oracle of a sampled tensor against the dense cost tensor of
         # its game, scaled by l1, on random sign stacks for every player
-        from xorgap.game import _cost_partial_sums, _pauli_partial_sums
+        from xorgap.game import _pauli_partial_sums
+        from xorgap.tensor import _array_maps
 
         for n in (1, 2, 3):
             T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 1)))
             rep = game_from_tensor(T)
             Q = rep.game.Q
             x, y, z = np.random.default_rng(n).choice([-1.0, 1.0], (3, 5, Q))
-            (d_hold, d_last), (g_hold, g_last) = _cost_partial_sums(rep.game), _pauli_partial_sums(T)
+            (d_hold, d_last), (g_hold, g_last) = _array_maps(rep.game.cost_tensor()), _pauli_partial_sums(T)
             pairs = [(d_hold(z)(0, y), g_hold(z)(0, y)), (d_hold(z)(1, x), g_hold(z)(1, x))]
             pairs.append((d_last(x, y), g_last(x, y)))
             for dense, from_g in pairs:
@@ -292,7 +298,8 @@ class TestClassicalHeuristic:
         # sign vectors supported on the I/Z-only Pauli strings, whose factors
         # are diagonal: the g oracle's factor transform zeroes them as the
         # collision mask does, so both oracles give the dense cost tensor's sums
-        from xorgap.game import _cost_partial_sums, _pauli_partial_sums
+        from xorgap.game import _pauli_partial_sums
+        from xorgap.tensor import _array_maps
 
         T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 2)))
         rep = game_from_tensor(T)
@@ -301,7 +308,7 @@ class TestClassicalHeuristic:
         rng = np.random.default_rng(80 + n)
         full = rng.choice([-1.0, 1.0], (3, 4, Q))
         masked = full * diagonal
-        (d_hold, d_last), (g_hold, g_last) = _cost_partial_sums(rep.game), _pauli_partial_sums(T)
+        (d_hold, d_last), (g_hold, g_last) = _array_maps(rep.game.cost_tensor()), _pauli_partial_sums(T)
         scale = np.abs(d_last(full[0], full[1])).max() * rep.l1_norm
         for x, y, z in ((masked[0], full[1], full[2]), (full[0], masked[1], full[2]), (full[0], full[1], masked[2])):
             pairs = [(d_hold(z)(0, y), g_hold(z)(0, y)), (d_hold(z)(1, x), g_hold(z)(1, x))]
@@ -342,7 +349,7 @@ class TestClassicalHeuristic:
     def test_never_exceeds_exact(self):
         rng = np.random.default_rng(23)
         for trial in range(5):
-            G = game_from_cost_tensor(rng.standard_normal((3, 3, 3)))
+            G = cost_game(rng.standard_normal((3, 3, 3)))
             exact, _ = classical_bias_exact(G)
             heur, _ = classical_bias_heuristic(G, restarts=8, seed=trial)
             assert heur <= exact + 1e-12
@@ -457,6 +464,32 @@ class TestEntangledEval:
                 state=np.array([2.0]),
                 observables=([np.eye(1)], [np.eye(1)], [np.eye(1)]),
             )
+
+    def test_writeable_state_copied(self):
+        # a write into the caller's state after construction leaves the
+        # strategy's state, whose unit norm was checked, as it was
+        st = np.zeros(8, dtype=complex)
+        st[0] = 1.0
+        I2 = np.eye(2, dtype=complex)
+        S = EntangledStrategy(dims=(2, 2, 2), state=st, observables=([I2], [I2], [I2]))
+        st[0] = 5.0
+        assert np.linalg.norm(S.state) == 1.0 and not S.state.flags.writeable
+        frozen = st / 5.0
+        frozen.setflags(write=False)
+        shared = EntangledStrategy(dims=(2, 2, 2), state=frozen, observables=([I2], [I2], [I2])).state
+        assert np.shares_memory(shared, frozen)
+
+    def test_writeable_observables_copied(self):
+        # the strategy keeps its own read-only observables, not the caller's
+        X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        I2 = np.eye(2, dtype=complex)
+        S = ghz_strategy()
+        T = EntangledStrategy(dims=(2, 2, 2), state=S.state, observables=([X], [X], [X]))
+        X[:] = I2
+        for obs in T.observables:
+            assert np.array_equal(obs[0], [[0, 1], [1, 0]]) and not obs[0].flags.writeable
+        frozen = EntangledStrategy(dims=(2, 2, 2), state=S.state, observables=S.observables)
+        assert all(a is b for obs_a, obs_b in zip(frozen.observables, S.observables) for a, b in zip(obs_a, obs_b))
 
     def test_question_count_mismatch_rejected(self):
         from xorgap import DimensionError
@@ -626,7 +659,7 @@ class TestSeesaw:
         # observables and value, on the oracle cases' games and a Q = 16 game
         rng = np.random.default_rng(11)
         games = [(G, d) for G, d, _, _ in _seesaw_oracle_cases()]
-        games.append((game_from_cost_tensor(rng.standard_normal((16, 16, 16))), 4))
+        games.append((cost_game(rng.standard_normal((16, 16, 16))), 4))
         for G, d in games:
             C = G.cost_tensor()
             S = _random_strategy(rng, (d, d, d), (G.Q,) * 3)
@@ -729,7 +762,7 @@ class TestBoundChecks:
     def test_classical_certificate_never_violates(self):
         rng = np.random.default_rng(31)
         for trial in range(5):
-            G = game_from_cost_tensor(rng.standard_normal((3, 3, 3)))
+            G = cost_game(rng.standard_normal((3, 3, 3)))
             beta, _ = classical_bias_exact(G)
             qb = check_question_bound(G, beta, beta)
             db = check_dimension_bound(G, beta, 1, beta)

@@ -1,5 +1,7 @@
 """Gap sweep pipeline, verification suites, file summaries, and the CLI."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,12 @@ class TestCli:
         main(["sample", "--n", "1", "--seed", "3", "--out", str(tpath)])
         clipped = tmp_path / "clipped.xgt"
         clipped.write_bytes(tpath.read_bytes()[:100])
+        inf_matrix = tmp_path / "inf_matrix.xgt"  # a general tensor with one inf entry
+        M = np.eye(8, dtype=complex)
+        M[0, 1] = np.inf
+        inf_matrix.write_bytes(b"XGT1" + struct.pack("<II", 1, 0) + M.astype("<c16").tobytes())
+        nan_g = tmp_path / "nan_g.xgt"  # the raw vector's first entry is NaN
+        nan_g.write_bytes(tpath.read_bytes()[:12] + struct.pack("<d", np.nan) + tpath.read_bytes()[20:])
         half = tmp_path / "half.csv"
         half.write_text("q1,q2,q3,pi,sign\n0,0,0,0.5,1\n")
         short_game = tmp_path / "short_game.csv"
@@ -403,6 +411,9 @@ class TestCli:
         for argv, problem in (
             (["norms", "--in", str(junk)], "not an XGT1 file"),
             (["norms", "--in", str(clipped)], "does not match the file size"),
+            (["show", str(inf_matrix)], "XGT1 matrix holds a NaN or infinite entry"),
+            (["norms", "--in", str(inf_matrix)], "XGT1 matrix holds a NaN or infinite entry"),
+            (["game", "--in", str(nan_g), "--out", str(tmp_path / "nan.csv")], "raw vector holds a NaN or infinite entry"),
             (["bias", "classical", "--game", str(half)], "pi must sum to 1"),
             (["bias", "classical", "--game", str(short_game)], "line 2: 4 fields, need 5"),
             (["show", str(short_game)], "line 2: 4 fields, need 5"),

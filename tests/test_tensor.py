@@ -492,15 +492,17 @@ class TestTrilinearEval:
                 assert abs(trilinear_eval(tensor, X, Y, Z) - want) <= 1e-12 * abs(want)
             e_want = trilinear_eval(tensor, *(E.astype(np.complex128),) * 3)
             assert trilinear_eval(tensor, E, E, E) == pytest.approx(e_want, rel=1e-12)
-            hold_z, contract_z = _mode_contraction(tensor)
+            enter, hold_z, contract_z = _mode_contraction(tensor)
             stack = np.array(real)
             frozen_stack = stack.astype(np.complex128)
             frozen_stack.setflags(write=False)
             for F in (stack, frozen_stack):
+                F = enter(F)
                 contract_xy = hold_z(F)
                 got = [contract_xy(0, F), contract_xy(1, F), contract_z(F, F)]
-                ref_xy = hold_z(stack.astype(np.complex128))
-                ref = [ref_xy(0, stack + 0j), ref_xy(1, stack + 0j), contract_z(stack + 0j, stack + 0j)]
+                C = enter(stack.astype(np.complex128))
+                ref_xy = hold_z(C)
+                ref = [ref_xy(0, C), ref_xy(1, C), contract_z(C, C)]
                 for a, b in zip(got, ref):
                     assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -692,12 +694,12 @@ class TestTrilinearLower:
         W = T.mode_view()
         rng = np.random.default_rng(n)
         for tensor in (T, Tensor3(n, T.matrix)):  # structured, then dense
-            hold_z, contract_z = _mode_contraction(tensor)
+            enter, hold_z, contract_z = _mode_contraction(tensor)
             H = np.array([random_hermitian(rng, N) for _ in range(3)])
-            contract_xy = hold_z(H)
+            contract_xy = hold_z(enter(H))
             for mode, pattern in enumerate(("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")):
                 F = np.array([random_hermitian(rng, N) for _ in range(3)])
-                got = contract_z(F, H) if mode == 2 else contract_xy(mode, F)
+                got = contract_z(enter(F), enter(H)) if mode == 2 else contract_xy(mode, enter(F))
                 for r in range(3):
                     want = np.einsum(pattern, W, F[r].ravel(), H[r].ravel()).reshape(N, N)
                     assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max()
@@ -712,15 +714,15 @@ class TestTrilinearLower:
         N, R = T.N, 3
         rng = np.random.default_rng(70 + n)
         oracle = _oracle_contraction(T)
-        hold_z, contract_z = _mode_contraction(T)
+        enter, hold_z, contract_z = _mode_contraction(T)
         H = np.array([random_hermitian(rng, N) for _ in range(R)])
-        contract_xy = hold_z(H)
+        contract_xy = hold_z(enter(H))
         for mode in (0, 1, 2, 0):
             F = np.array([random_hermitian(rng, N) for _ in range(R)])
             if mode == 2:
-                contract_z(F, F)
+                contract_z(enter(F), enter(F))
                 continue
-            got = contract_xy(mode, F)
+            got = contract_xy(mode, enter(F))
             for r in range(R):
                 want = oracle(mode, F[r], H[r])
                 assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (mode, r)
