@@ -299,7 +299,6 @@ def verify_spectral_lb(
     trials: int = 200,
     seed: int = 0,
     distribution: str = "gaussian",
-    override_g=None,
     tau_grid=None,
 ) -> SpectralRatioReport:
     """Sample tensors and report how close spectral_norm/N^3 stays to one.
@@ -317,12 +316,7 @@ def verify_spectral_lb(
     children = np.random.SeedSequence(seed).spawn(trials)
     ratios = np.empty(trials)
     for i, ss in enumerate(children):
-        if distribution == "override":
-            cfg = SamplerConfig(distribution="override", override_g=override_g)
-        else:
-            cfg = SamplerConfig(
-                distribution=distribution, seed=int(ss.generate_state(1)[0])
-            )
+        cfg = SamplerConfig(distribution=distribution, seed=int(ss.generate_state(1)[0]))
         T = sample_tensor(n, cfg)
         ratios[i] = spectral_norm(T) / N**3
     fractions = np.array([np.mean(ratios >= 1.0 - tau / N) for tau in tau_grid])

@@ -8,8 +8,6 @@ report pass/fail lines.
 from __future__ import annotations
 
 import csv
-import json
-import os
 import time
 from dataclasses import dataclass, fields
 
@@ -135,22 +133,22 @@ def gap_sweep(
     seed: int,
     out=None,
     budget_s: float = 1800.0,
-    resume: tuple | None = None,
+    resume: bool = False,
 ) -> tuple[list[GapRow], tuple | None]:
     """One row per (n, sample index), deterministic given the master seed.
 
-    Stops early when the time budget runs out, writing whatever rows exist
-    plus a resume token (also persisted next to `out` as `<out>.resume` JSON);
-    pass the token back as `resume` to continue.  A resumed sweep with `out`
-    keeps the rows already in that file and appends its own; a sweep that
-    completes removes any stale `<out>.resume`.  Returns (rows computed by
-    this call, resume_token_or_None).
+    With `out`, each row is appended and flushed to that CSV as soon as it
+    finishes, so the file always holds a prefix of the (n, index) grid and is
+    itself the resume state.  With resume=True the sweep first checks that
+    `out` holds exactly the first k rows of this seed's grid, then continues
+    at grid point k; a complete file is left as it is.  A sweep stops early
+    when the time budget runs out.  Returns (rows computed by this call, the
+    next (n, index) if the budget stopped it, else None).
 
     Raises ValueError, before computing any row, when n_list is empty, when
     samples_per_n < 1, when budget_s is negative or NaN (a NaN budget would
-    never stop the sweep), when the token lies outside n_list x
-    range(samples_per_n), or when `out` does not hold exactly the rows of
-    this seed that come before the token in (n, index) order.
+    never stop the sweep), or when resuming without `out` or from a file that
+    is not a prefix of this seed's grid.
     """
     n_list = sorted(set(n_list))
     if not n_list:
@@ -163,22 +161,18 @@ def gap_sweep(
         raise ValueError(f"budget must be a number of seconds >= 0, got {budget_s!r}")
     grid = [(n, idx) for n in n_list for idx in range(samples_per_n)]
     start = 0
-    kept = []
-    if resume is not None:
-        resume = tuple(resume)
-        if resume not in grid:
+    if resume:
+        if out is None:
+            raise ValueError("resuming a sweep needs its out CSV")
+        kept = [(r.n, r.seed) for r in read_gap_csv(out)]
+        start = len(kept)
+        if kept != [(n, row_seed(seed, n, idx)) for n, idx in grid[:start]]:
             raise ValueError(
-                f"resume token {resume} lies outside n_list {n_list} x range({samples_per_n})"
+                f"{out} is not a prefix of the rows of seed {seed} "
+                f"over n_list {n_list} x range({samples_per_n})"
             )
-        start = grid.index(resume)
-        if out is not None:
-            kept = read_gap_csv(out)
-            expected = [(n, row_seed(seed, n, idx)) for n, idx in grid[:start]]
-            if [(r.n, r.seed) for r in kept] != expected:
-                raise ValueError(
-                    f"{out} does not hold exactly the {start} rows of seed {seed} "
-                    f"before resume token {resume}"
-                )
+    elif out is not None:
+        write_gap_csv(out, [])  # a fresh sweep starts from the header alone
     started = time.monotonic()
     rows = []
     token = None
@@ -186,23 +180,11 @@ def gap_sweep(
         if time.monotonic() - started > budget_s:
             token = (n, idx)
             break
-        rows.append(compute_gap_row(n, row_seed(seed, n, idx)))
-    if out is not None:
-        write_gap_csv(out, kept + rows)
-        token_path = str(out) + ".resume"
-        if token is None and os.path.exists(token_path):
-            os.remove(token_path)
-        if token is not None:
-            with open(token_path, "w") as fh:
-                json.dump(
-                    {
-                        "seed": seed,
-                        "n_list": list(n_list),
-                        "samples_per_n": samples_per_n,
-                        "next": list(token),
-                    },
-                    fh,
-                )
+        row = compute_gap_row(n, row_seed(seed, n, idx))
+        rows.append(row)
+        if out is not None:
+            with open(out, "a", newline="") as fh:
+                csv.writer(fh).writerow(row.as_csv_row())
     return rows, token
 
 

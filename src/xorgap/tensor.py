@@ -795,28 +795,28 @@ def hermitize(T: Tensor3) -> Tensor3:
 def save_tensor(path, T: Tensor3) -> None:
     """Write the tensor in the XGT1 binary format.
 
-    Layout: magic "XGT1", little-endian u32 n, u32 flags (bit 0 = raw vector
-    present), then the raw vector as N^3 complex float64 pairs when present,
-    then the N^6 matrix entries as complex float64 pairs, rows (i,j,k) by
-    columns (i',j',k'), row-major.
+    Layout: magic "XGT1", little-endian u32 n, u32 flags, then the body.  With
+    flag bit 0 set the body is the raw vector g as N^3 float64 values; with
+    flags 0 it is the N^6 matrix entries as complex float64 pairs, rows
+    (i,j,k) by columns (i',j',k'), row-major.  A sampled tensor is written as
+    g alone, so its matrix is never built.
     """
     flags = _FLAG_RAW_G if T.raw_g is not None else 0
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", T.n, flags))
         if T.raw_g is not None:
-            fh.write(T.raw_g.astype("<c16").tobytes())
-        fh.write(T.matrix.astype("<c16").tobytes())
+            fh.write(T.raw_g.astype("<f8").tobytes())
+        else:
+            fh.write(T.matrix.astype("<c16").tobytes())
 
 
 def load_tensor(path) -> Tensor3:
     """Read a tensor written by :func:`save_tensor`.
 
-    A file with a raw vector yields the tensor given by g.  Raises ValueError
-    for a bad magic, a header whose n does not match the file size, a NaN or
-    infinite entry in the raw vector or the matrix, or a raw vector whose
-    masked outer product is not the stored matrix (the net upper bound would
-    then certify a different tensor).
+    A raw-vector file yields the tensor given by g.  Raises ValueError for a
+    bad magic, a flag bit other than bit 0, a header whose n does not match
+    the file size, or a NaN or infinite entry.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -826,25 +826,22 @@ def load_tensor(path) -> Tensor3:
         if len(header) != 8:
             raise ValueError("truncated XGT1 header")
         n, flags = struct.unpack("<II", header)
+        if flags & ~_FLAG_RAW_G:
+            raise ValueError(f"XGT1 header has unknown flag bits {flags:#x}")
+        raw = bool(flags & _FLAG_RAW_G)
         size = os.fstat(fh.fileno()).st_size
-        # the entry block alone takes 2^(6n+4) bytes; compare exponents first
-        # so a corrupt n never builds a huge integer
-        N = 2**n if 6 * n + 4 < size.bit_length() else None
-        if N is None or size != 12 + 16 * N**6 + (16 * N**3 if flags & _FLAG_RAW_G else 0):
+        # the body alone takes 2^(3n+3) bytes as g, 2^(6n+4) as the matrix;
+        # compare exponents first so a corrupt n never builds a huge integer
+        body_bits = 3 * n + 3 if raw else 6 * n + 4
+        if body_bits >= size.bit_length() or size != 12 + 2**body_bits:
             raise ValueError(f"XGT1 header n={n} does not match the file size {size}")
-        g = None
-        if flags & _FLAG_RAW_G:
-            gc = np.frombuffer(fh.read(16 * N**3), dtype="<c16")
-            if not np.isfinite(gc).all():
+        N = 2**n
+        if raw:
+            g = np.frombuffer(fh.read(8 * N**3), dtype="<f8")
+            if not np.isfinite(g).all():
                 raise ValueError("XGT1 raw vector holds a NaN or infinite entry")
-            if np.abs(gc.imag).max(initial=0.0) > 0:
-                raise ValueError("raw vector must be real")
-            g = gc.real
+            return Tensor3(n, raw_g=g)
         M = np.frombuffer(fh.read(16 * N**6), dtype="<c16").reshape(N**3, N**3)
     if not np.isfinite(M).all():
         raise ValueError("XGT1 matrix holds a NaN or infinite entry")
-    if g is None:
-        return Tensor3(n, M)
-    if not np.array_equal(M, _masked_outer(g, N)):
-        raise ValueError("raw vector does not reproduce the stored matrix")
-    return Tensor3(n, raw_g=g)
+    return Tensor3(n, M)

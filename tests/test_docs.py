@@ -1,14 +1,42 @@
 """The documented examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(heading: str, end: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index(heading)
+    return text[start:text.index(end, start)]
+
+
 def test_readme_quickstart_runs():
     # the first python block after the quickstart heading, executed verbatim
-    text = README.read_text(encoding="utf-8")
-    section = text[text.index("## Library quickstart"):]
+    section = _section("## Library quickstart", "\n## ")
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, f"{README}:quickstart", "exec"), {})
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # every line of the walkthrough block through the CLI in a scratch
+    # directory, then the resume example on the finished sweep's CSV
+    from xorgap.cli import main
+
+    section = _section("## CLI walkthrough", "\n## File formats")
+    walkthrough, resume = re.findall(r"```bash\n(.*?)```", section, re.S)
+    monkeypatch.chdir(tmp_path)
+    for line in walkthrough.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "xorgap"
+        assert main(argv[1:]) == 0, line
+    before = (tmp_path / "gap.csv").read_bytes()
+    (line,) = resume.splitlines()
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "xorgap" and "--resume" in argv
+    capsys.readouterr()
+    assert main(argv[1:]) == 0, line
+    assert "wrote 0 rows" in capsys.readouterr().out
+    assert (tmp_path / "gap.csv").read_bytes() == before

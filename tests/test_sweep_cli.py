@@ -9,6 +9,7 @@ from xorgap import gap_sweep, verify_suite
 from xorgap.cli import main
 from xorgap.game import mermin_game, save_game_csv
 from xorgap.sweep import GAP_COLUMNS, compute_gap_row, read_gap_csv, row_seed, show
+from xorgap.tensor import load_tensor
 
 _X = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]  # Pauli X as [re, im] pairs
 _NAN_X = [[float("nan"), 0.0]] + _X[1:]
@@ -114,62 +115,105 @@ class TestGapSweep:
         assert back.as_csv_row() == row.as_csv_row()
 
     def test_budget_overrun_leaves_resume_token(self, tmp_path):
+        # the CSV the budget stop leaves is the resume state
         path = tmp_path / "gap.csv"
         rows, token = gap_sweep([1], 5, seed=0, out=path, budget_s=0.0)
         assert token is not None
-        assert (tmp_path / "gap.csv.resume").exists()
-        more, token2 = gap_sweep([1], 5, seed=0, resume=token)
+        assert [r.as_csv_row() for r in read_gap_csv(path)] == [r.as_csv_row() for r in rows]
+        more, token2 = gap_sweep([1], 5, seed=0, out=path, resume=True)
         assert token2 is None
         full, _ = gap_sweep([1], 5, seed=0)
         combined = [r.as_csv_row() for r in rows] + [r.as_csv_row() for r in more]
         assert combined == [r.as_csv_row() for r in full]
+        assert [p.name for p in tmp_path.iterdir()] == ["gap.csv"]
 
     def test_resumed_sweep_matches_uninterrupted_run(self, tmp_path, monkeypatch):
-        from types import SimpleNamespace
-
-        from xorgap import sweep
-
         whole = tmp_path / "whole.csv"
         gap_sweep([1], 4, seed=0, out=whole)
         path = tmp_path / "gap.csv"
-        (tmp_path / "gap.csv.resume").write_text("stale")
-        clock = iter(range(100))  # each budget check advances one second
-        monkeypatch.setattr(sweep, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+        fake_clock(monkeypatch)
         rows, token = gap_sweep([1], 4, seed=0, out=path, budget_s=2.5)
         monkeypatch.undo()
         assert len(rows) == 2 and token == (1, 2)
-        more, token2 = gap_sweep([1], 4, seed=0, out=path, resume=token)
+        more, token2 = gap_sweep([1], 4, seed=0, out=path, resume=True)
         assert len(more) == 2 and token2 is None
         assert path.read_text() == whole.read_text()
-        assert not (tmp_path / "gap.csv.resume").exists()
+
+    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, monkeypatch):
+        # each row reaches the file as it finishes, so an exception on the
+        # fourth row leaves three, and a resume completes the file
+        from xorgap import sweep
+
+        whole = tmp_path / "whole.csv"
+        gap_sweep([1, 2], 3, seed=0, out=whole)
+        path = tmp_path / "gap.csv"
+        calls = []
+
+        def failing_row(n, sample_seed):
+            calls.append(n)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return compute_gap_row(n, sample_seed)
+
+        monkeypatch.setattr(sweep, "compute_gap_row", failing_row)
+        with pytest.raises(KeyboardInterrupt):
+            gap_sweep([1, 2], 3, seed=0, out=path)
+        monkeypatch.undo()
+        assert len(read_gap_csv(path)) == 3
+        more, token = gap_sweep([1, 2], 3, seed=0, out=path, resume=True)
+        assert len(more) == 3 and token is None
+        assert path.read_bytes() == whole.read_bytes()
 
     def test_resume_token_twice_rejected(self, tmp_path, monkeypatch):
+        # a second resume of a finished sweep computes nothing; a grid
+        # shorter than the file is rejected, and the file stays as it is
+        from xorgap import sweep
+
         path = tmp_path / "gap.csv"
         fake_clock(monkeypatch)
         rows, token = gap_sweep([1], 2, seed=0, out=path, budget_s=1.5)
         monkeypatch.undo()
         assert len(rows) == 1 and token == (1, 1)
-        gap_sweep([1], 2, seed=0, out=path, resume=token)
+        gap_sweep([1], 2, seed=0, out=path, resume=True)
         before = path.read_text()
-        with pytest.raises(ValueError, match="rows of seed 0"):
-            gap_sweep([1], 2, seed=0, out=path, resume=token)
+
+        def forbidden(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(sweep, "compute_gap_row", forbidden)
+        assert gap_sweep([1], 2, seed=0, out=path, resume=True) == ([], None)
+        with pytest.raises(ValueError, match="not a prefix of the rows of seed 0"):
+            gap_sweep([1], 1, seed=0, out=path, resume=True)
         assert path.read_text() == before
         assert len(read_gap_csv(path)) == 2
 
     def test_resume_with_other_seed_rejected(self, tmp_path, monkeypatch):
         path = tmp_path / "gap.csv"
         fake_clock(monkeypatch)
-        _, token = gap_sweep([1], 2, seed=0, out=path, budget_s=1.5)
+        gap_sweep([1], 2, seed=0, out=path, budget_s=1.5)
         monkeypatch.undo()
         before = path.read_text()
         with pytest.raises(ValueError, match="rows of seed 5"):
-            gap_sweep([1], 2, seed=5, out=path, resume=token)
+            gap_sweep([1], 2, seed=5, out=path, resume=True)
         assert path.read_text() == before
 
-    @pytest.mark.parametrize("token", [(1, 4), (2, 0), (1, -1)])
+    @pytest.mark.parametrize("token", [(1, 4), (2, 0), (1, 2)])
     def test_resume_token_outside_grid_rejected(self, tmp_path, token):
-        with pytest.raises(ValueError, match="outside"):
-            gap_sweep([1], 4, seed=0, resume=token)
+        # the file's second row is the row of `token`, which is not the grid's
+        # second point (1, 1): an index past the samples, an n outside n_list,
+        # or a skipped row
+        from xorgap.sweep import write_gap_csv
+
+        path = tmp_path / "gap.csv"
+        write_gap_csv(path, [compute_gap_row(n, row_seed(0, n, idx)) for n, idx in ((1, 0), token)])
+        before = path.read_text()
+        with pytest.raises(ValueError, match="not a prefix"):
+            gap_sweep([1], 4, seed=0, out=path, resume=True)
+        assert path.read_text() == before
+
+    def test_resume_needs_out(self):
+        with pytest.raises(ValueError, match="needs its out CSV"):
+            gap_sweep([1], 2, seed=0, resume=True)
 
     def test_sampled_row_eigensolves_once(self, monkeypatch):
         # one eigenpair per row, and the N^3 x N^3 matrix view is never handed
@@ -331,26 +375,51 @@ class TestCli:
         fake_clock(monkeypatch)
         assert main(argv + [str(path), "--budget-s", "1.5"]) == 0
         monkeypatch.undo()
-        assert "resume token saved" in capsys.readouterr().out
+        assert "budget exhausted before (n, index) = (1, 1)" in capsys.readouterr().out
         assert main(argv + [str(path), "--resume"]) == 0
         assert "wrote 2 rows" in capsys.readouterr().out
         assert path.read_text() == whole.read_text()
-        with pytest.raises(SystemExit) as exc:  # the completed sweep removed <out>.resume
-            main(argv + [str(path), "--resume"])
-        assert exc.value.code == 2
+        assert main(argv + [str(path), "--resume"]) == 0  # a finished sweep is left as it is
+        assert "wrote 0 rows" in capsys.readouterr().out
+        assert path.read_text() == whole.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.csv", "whole.csv"]
 
     def test_gap_sweep_resume_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
-        path = str(tmp_path / "gap.csv")
-        argv = ["gap-sweep", "--n-list", "1", "--samples", "3", "--out", path]
+        path = tmp_path / "gap.csv"
+        argv = ["gap-sweep", "--samples", "3", "--out", str(path)]
         fake_clock(monkeypatch)
-        assert main(argv + ["--seed", "0", "--budget-s", "1.5"]) == 0
+        assert main(argv + ["--n-list", "1", "--seed", "0", "--budget-s", "1.5"]) == 0
         monkeypatch.undo()
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--seed", "5", "--resume"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
+        before = path.read_text()
+        # another seed, and a grid the file is not a prefix of
+        for extra in (["--n-list", "1", "--seed", "5"], ["--n-list", "2", "--seed", "0"]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra + ["--resume"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
+            assert "is not a prefix of the rows of seed" in err.splitlines()[-1]
+            assert path.read_text() == before
+
+    def test_sampled_file_never_builds_matrix(self, tmp_path, monkeypatch, capsys):
+        # an n = 4 sample is written, summarized and normed from g alone
+        from xorgap import tensor
+
+        built = []
+        masked_outer = tensor._masked_outer
+
+        def counting_masked_outer(g, N):
+            built.append(N)
+            return masked_outer(g, N)
+
+        monkeypatch.setattr(tensor, "_masked_outer", counting_masked_outer)
+        tpath = str(tmp_path / "t4.xgt")
+        assert main(["sample", "--n", "4", "--seed", "0", "--out", tpath]) == 0
+        assert main(["show", tpath]) == 0
+        assert main(["norms", "--in", tpath, "--als-restarts", "2", "--als-iters", "5"]) == 0
+        assert built == []
+        assert (tmp_path / "t4.xgt").stat().st_size == 12 + 8 * 16**3
 
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--suite", "identities"]) == 0
@@ -379,7 +448,14 @@ class TestCli:
         tpath = tmp_path / "t.xgt"
         main(["sample", "--n", "1", "--seed", "3", "--out", str(tpath)])
         clipped = tmp_path / "clipped.xgt"
-        clipped.write_bytes(tpath.read_bytes()[:100])
+        clipped.write_bytes(tpath.read_bytes()[:60])  # the whole file is 76 bytes
+        flags6 = tmp_path / "flags6.xgt"  # unknown flag bits over an 8 x 8 matrix
+        flags6.write_bytes(b"XGT1" + struct.pack("<II", 1, 6) + np.eye(8, dtype="<c16").tobytes())
+        old_layout = tmp_path / "old_layout.xgt"  # g as complex pairs, then the matrix
+        T = load_tensor(tpath)
+        old_layout.write_bytes(
+            tpath.read_bytes()[:12] + T.raw_g.astype("<c16").tobytes() + T.matrix.astype("<c16").tobytes()
+        )
         inf_matrix = tmp_path / "inf_matrix.xgt"  # a general tensor with one inf entry
         M = np.eye(8, dtype=complex)
         M[0, 1] = np.inf
@@ -402,7 +478,6 @@ class TestCli:
         huge_game.write_text("q1,q2,q3,pi,sign\n0,0,0,0.0,1\n3000,0,0,1.0,1\n")
         short_gap = tmp_path / "short_gap.csv"
         short_gap.write_text(",".join(GAP_COLUMNS) + "\n1,2,3\n")
-        (tmp_path / "short_gap.csv.resume").write_text('{"next": [1, 1]}')
         mermin = tmp_path / "mermin.csv"
         save_game_csv(mermin, mermin_game())
         stateless = tmp_path / "stateless.json"
@@ -411,6 +486,8 @@ class TestCli:
         for argv, problem in (
             (["norms", "--in", str(junk)], "not an XGT1 file"),
             (["norms", "--in", str(clipped)], "does not match the file size"),
+            (["show", str(flags6)], "XGT1 header has unknown flag bits 0x6"),
+            (["norms", "--in", str(old_layout)], "does not match the file size"),
             (["show", str(inf_matrix)], "XGT1 matrix holds a NaN or infinite entry"),
             (["norms", "--in", str(inf_matrix)], "XGT1 matrix holds a NaN or infinite entry"),
             (["game", "--in", str(nan_g), "--out", str(tmp_path / "nan.csv")], "raw vector holds a NaN or infinite entry"),
