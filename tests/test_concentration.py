@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from xorgap import UnspecifiedConstantError, empirical_tail, envelope, verify_spectral_lb
+from xorgap import concentration
 from xorgap.concentration import default_grid
+from xorgap.tensor import SamplerConfig, sample_tensor
 
 
 def fixed_hermitian(N, seed=0):
@@ -115,7 +117,28 @@ class TestEmpiricalTails:
         assert np.all(np.diff(grid) > 0)
 
 
+def fixed_g_sampler(g):
+    """A stand-in for sample_tensor that returns the tensor of g on every trial."""
+
+    def sample(n, cfg):
+        return sample_tensor(n, SamplerConfig(distribution="override", override_g=g))
+
+    return sample
+
+
 class TestSpectralRatioReport:
+    def test_all_ones_override_exact_ratio(self, monkeypatch):
+        for n in (1, 2):
+            N = 2**n
+            monkeypatch.setattr(concentration, "sample_tensor", fixed_g_sampler(np.ones(N**3)))
+            rep = verify_spectral_lb(n, trials=3, seed=0)
+            assert np.abs(rep.ratios - (N - 1) ** 3 / N**3).max() <= 1e-12
+
+    def test_zero_vector_reports_zero(self, monkeypatch):
+        monkeypatch.setattr(concentration, "sample_tensor", fixed_g_sampler(np.zeros(8)))
+        rep = verify_spectral_lb(1, trials=2, seed=0)
+        assert np.all(rep.ratios == 0.0)
+
     def test_fraction_grid_monotone(self):
         rep = verify_spectral_lb(2, trials=40, seed=3)
         assert np.all(np.diff(rep.fraction_meeting) >= 0.0)

@@ -323,10 +323,6 @@ class TestSpectralNorm:
         N = 2**n
         T = sample_tensor(n, SamplerConfig(distribution="override", override_g=np.ones(N**3)))
         assert spectral_norm(T) == pytest.approx(expected, rel=1e-9)
-        # the all-ones ratio is exactly (N - 1)^3 / N^3, and a zero g gives 0
-        assert abs(spectral_norm(T) / N**3 - (N - 1) ** 3 / N**3) <= 1e-12
-        zero = sample_tensor(n, SamplerConfig(distribution="override", override_g=np.zeros(N**3)))
-        assert spectral_norm(zero) == 0.0
 
     def test_unmasked_outer_product_is_rank_one(self):
         rng = np.random.default_rng(5)
