@@ -19,7 +19,16 @@ import numpy as np
 
 from .errors import DegenerateGameError, DimensionError, ScaleError
 from .pauli import MAX_QUBITS, _mode_matrix, build_basis, fourier
-from .tensor import Tensor3, _array_maps, _lockstep_ascent, _mode_contraction, _read_only, hermitize, top_eigenpair
+from .tensor import (
+    _TABLE_MAX_N,
+    Tensor3,
+    _array_maps,
+    _lockstep_ascent,
+    _mode_contraction,
+    _read_only,
+    hermitize,
+    top_eigenpair,
+)
 
 GROTHENDIECK_REAL = 1.783
 GROTHENDIECK_COMPLEX = 1.405
@@ -62,10 +71,12 @@ class XorGame:
     so the caller's array stays writeable and cannot change the game, and a
     read-only one is shared.
 
-    source is (T, l1) for a game that `game_from_tensor` built from the
-    sampled tensor T: its cost tensor is T's Pauli coefficient table over
-    l1, so the classical ascent can take its partial sums from g instead
-    of the Q^3 table.  It plays no part in equality and is not saved.
+    source is (T, l1) for a game that `game_from_tensor` built from a
+    sampled tensor T with N >= 8: its cost tensor is T's Pauli coefficient
+    table over l1, so the classical ascent can take its partial sums from g
+    instead of the Q^3 table.  Smaller games carry none, as their dense
+    table is the faster provider.  It plays no part in equality and is not
+    saved.
     """
 
     Q: int
@@ -177,8 +188,10 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     :func:`pauli_strategy`), from the Lanczos top eigenpair that `hermitize`
     or `spectral_norm` already cached (computed from g for a sampled tensor);
     no strategy is evaluated.  l1 = 0 (DegenerateGameError) exactly when T = 0.
-    A sampled tensor is its own hermitization, and the game keeps (T, l1)
-    as its source for the classical ascent.  pi and the exact signs are
+    A sampled tensor is its own hermitization, and at N >= 8 (above
+    `tensor._TABLE_MAX_N`) the game keeps (T, l1) as its source for the
+    classical ascent; below that the ascent on the dense Q^3 cost tensor is
+    faster, and the game carries no source.  pi and the exact signs are
     made read-only, so the game takes them over without a copy.
     """
     H = hermitize(T)
@@ -194,7 +207,7 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
         raise DegenerateGameError("coefficient table vanishes")
     lam, _ = top_eigenpair(H)
     pi /= l1
-    source = (H, l1) if H.raw_g is not None else None
+    source = (H, l1) if H.raw_g is not None and H.N > _TABLE_MAX_N else None
     # both are fresh and signs are exact, so the game takes them over as they are
     pi.setflags(write=False)
     signs.setflags(write=False)
@@ -307,12 +320,14 @@ def classical_bias_heuristic(
     restart with the largest value wins; the value is always a lower bound
     on the classical bias, and never exceeds the exact optimum.
 
-    The partial sums come from one of two map providers: a game built from
-    a sampled tensor T (its `source` is (T, l1)) takes them from g (see
+    The partial sums come from one of two map providers: a game with a
+    `source` (T, l1), which `game_from_tensor` attaches to games from
+    sampled tensors with N >= 8, takes them from g (see
     :func:`_pauli_partial_sums`), O(N^4) per restart and player, and reports
     v / l1 for the value v on the coefficient table; any other game's dense
-    cost tensor goes to `tensor._array_maps` with the sign vectors as its
-    factors.
+    cost tensor (game files, general tensors, and sampled tensors with
+    N <= 4) goes to `tensor._array_maps` with the sign vectors as its
+    factors, O(Q^2) per restart and player.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

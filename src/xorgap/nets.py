@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DimensionError, ScaleError
 
 PACKING_WINDOW = 10_000  # consecutive rejections that end a sphere-net packing
+_SCREEN_MARGIN = 1e-9  # the GEMM screen rejects only below eps^2 minus this
 _EIG_CUTOFF = 1e-12  # decomposition drops eigenvalues below this times the largest
 
 
@@ -86,9 +87,12 @@ def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
     """Greedy maximal eps-packing of the unit sphere of C^N (an eps-net).
 
     Candidates come in seeded batches of 256.  A batch is screened against
-    the points kept before it in one array operation; the candidates that
-    pass are then tested, in order, against the points accepted earlier in
-    the same batch, so the result is the one-candidate-at-a-time packing.
+    the points kept before it with one GEMM, d^2 ~ 2 - 2 Re(v p^H), which
+    rejects a candidate only when its minimum falls below eps^2 - 1e-9, far
+    beyond the expression's rounding of about 1e-15.  The rest get the exact
+    distance sum against those points, and the candidates that pass are
+    then tested, in order, against the points accepted earlier in the same
+    batch, so the result is the one-candidate-at-a-time packing, bit for bit.
     Construction stops after PACKING_WINDOW consecutive rejections, even
     mid-batch.  Deterministic for fixed (N, eps, seed); results are cached
     and shared (all stored arrays are read-only).  N is capped at 4; the
@@ -107,10 +111,17 @@ def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
         batch = rng.standard_normal((256, 2 * N))
         vecs = batch[:, :N] + 1j * batch[:, N:]
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        # coordinate by coordinate keeps the temporaries (256, len(pts)) and
-        # adds the squares in the same order as the per-candidate sum below
-        d2 = sum(np.abs(vecs[:, i, None] - pts[:, i]) ** 2 for i in range(N))
-        far = d2.min(axis=1, initial=np.inf) > eps2
+        # one GEMM screens the batch, |v - p|^2 = 2 - 2 Re(v p^H) to within
+        # about 1e-15, so a screened minimum below eps^2 - _SCREEN_MARGIN is
+        # a rejection by the exact test as well
+        screen = 2.0 - 2.0 * (vecs @ pts.conj().T).real
+        near = screen.min(axis=1, initial=np.inf) < eps2 - _SCREEN_MARGIN
+        # the exact test on the rest, coordinate by coordinate, adding the
+        # squares in the same order as the per-candidate sum below
+        rest = vecs[~near]
+        d2 = sum(np.abs(rest[:, i, None] - pts[:, i]) ** 2 for i in range(N))
+        far = np.zeros(len(vecs), dtype=bool)
+        far[~near] = d2.min(axis=1, initial=np.inf) > eps2
         fresh = np.empty_like(vecs)
         m = 0
         for v, ok in zip(vecs, far):

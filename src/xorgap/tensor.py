@@ -24,6 +24,18 @@ _FLAG_RAW_G = 1
 _HERM_TOL = 1e-12
 _PRUNE_MARGIN = 1e-12  # relative rounding slack of the net maximum's pruning bounds
 
+# Largest N whose sampled tensors ascend on their real Pauli table (Q^3 =
+# N^6 entries, 4096 at N = 4) rather than on g: the ALS in
+# `trilinear_norm_lower`, and the classical ascent through the games that
+# `game.game_from_tensor` builds.  Per-call numpy overhead on 2x2 and 4x4
+# factors is what the table saves, and its O(Q^3) work per map is what it
+# costs at N = 8.  Medians per call over seed-0 rows, one BLAS thread, on 2
+# cores with numpy 2.4.6 and OpenBLAS 0.3.31: the table ALS took 1.97 vs
+# 4.10 ms on g at N = 2 and 5.07 vs 9.67 ms at N = 4, but 69.8 vs 17.1 ms
+# at N = 8; the classical ascent on the dense table took 1.15 vs 1.68 ms on
+# g at Q = 16, but 14.0 vs 6.3 ms at Q = 64.
+_TABLE_MAX_N = 4
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -392,6 +404,23 @@ def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
     return X, norm / 2.0, ok
 
 
+def _unit_factor(a: np.ndarray, old: np.ndarray | None = None):
+    """The mode update on real coordinates: x[r] = a[r] / ||a[r]||.
+
+    A stack (R, d) of real images; the value is ||a[r]||.  Returns (x, val,
+    ok) as :func:`_hermitian_factor` does: where a[r] vanishes, ok[r] is
+    False, val[r] is 0 and x[r] is old[r], or zero when old is None.
+    """
+    norm = np.sqrt(np.vecdot(a, a))
+    ok = norm > 0.0
+    if np.count_nonzero(ok) == len(ok):  # no slice vanished (cheaper than ok.all())
+        return a / norm[:, None], norm, ok
+    x = a / np.where(ok, norm, 1.0)[:, None]
+    if old is not None:
+        x = np.where(ok[:, None], x, old)
+    return x, norm, ok
+
+
 def _array_maps(W: np.ndarray):
     """The mode maps of a dense (d, d, d) array on stacks of R factors, as
     (hold_z, contract_z).
@@ -651,17 +680,30 @@ def trilinear_norm_lower(
     is returned together with the achieving witness; it is a guaranteed
     lower bound on the trilinear norm.
 
+    A sampled tensor with N <= 4 (`_TABLE_MAX_N`) runs the same ascent on
+    its real Pauli table C = `pauli._fourier_from_g(n, g)` / N^{3/2}
+    through :func:`_array_maps`, where per-call overhead, not arithmetic,
+    bounds the g maps.  Each factor is then its real coordinate vector in
+    the orthonormal basis conj(P_p)/sqrt(N): a start F enters as
+    x = Re(F B^H)/sqrt(N) with B = `pauli._mode_matrix(n)`, the update is
+    x = a/||a|| with value ||a|| (see :func:`_unit_factor`), the same
+    maximizer in these coordinates, and the witness leaves as
+    X = x B/sqrt(N).  The table masks the collisions, so the starts need no
+    `enter`.
+
     on_sweep, when given, is called as on_sweep(restart, iteration, value)
     once per unconverged restart per sweep, in iteration-major order: every
     restart still running reports iteration i, in increasing restart order,
     before any reports iteration i + 1.
 
-    A sweep costs O(N^4 R) on a sampled tensor (one carrying its raw vector
-    g) and O(N^6 R) on any other tensor.  The winner is paired again through
-    the same contraction, and ValueError is raised when that differs from
-    its ALS value by more than 1e-9 relative.  ValueError is also raised up
-    front for restarts or max_iters below 1 and for a tol that is negative
-    or not finite (a NaN tol would never stop a restart).
+    A sweep costs O(N^6 R) on the table or on any general tensor and
+    O(N^4 R) on g.  The winner is paired again through the g maps of a
+    sampled tensor (for the table route an independent O(N^4) oracle, so
+    the check never rereads the table that produced the value) or the dense
+    contraction of any other tensor, and ValueError is raised when that
+    differs from its ALS value by more than 1e-9 relative.  ValueError is
+    also raised up front for restarts or max_iters below 1 and for a tol
+    that is negative or not finite (a NaN tol would never stop a restart).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -670,8 +712,6 @@ def trilinear_norm_lower(
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     N = T.N
-    enter, hold_z, contract_z = _mode_contraction(T)
-
     starts = np.empty((3, restarts, N, N), dtype=np.complex128)
     starts[:, 0] = _anchor_factors(T)
     if restarts > 1:
@@ -691,13 +731,25 @@ def trilinear_norm_lower(
         H /= np.where(ok, nrm, 1.0)[:, :, None, None]
         H[~ok] = np.eye(N) / np.sqrt(N)
         starts[:, 1:] = H.transpose(1, 0, 2, 3)
-    update = _hermitian_factor if T.is_hermitian() else _best_hermitian_factor
 
     def stop(prev, v, old, new):
         return v - prev < tol * np.maximum(prev, 1e-300)
 
-    best_val, (X, Y, Z) = _lockstep_ascent(hold_z, contract_z, update, enter(starts), max_iters, stop, on_sweep)
-    value = _pair(contract_z, X, Y, Z)
+    enter, hold_z, contract_z = _mode_contraction(T)
+    if T.raw_g is not None and N <= _TABLE_MAX_N:
+        from .pauli import _fourier_from_g, _mode_matrix  # pauli imports this module
+
+        B = _mode_matrix(T.n)
+        C = _fourier_from_g(T.n, T.raw_g) / N**1.5
+        coords = (starts.reshape(3, restarts, -1) @ B.conj().T).real / np.sqrt(N)
+        best_val, factors = _lockstep_ascent(*_array_maps(C), _unit_factor, coords, max_iters, stop, on_sweep)
+        X, Y, Z = ((x @ B).reshape(N, N) / np.sqrt(N) for x in factors)
+        # paired through the g maps, so the check never rereads the table
+        value = _pair(contract_z, *enter(np.stack([X, Y])), Z)
+    else:
+        update = _hermitian_factor if T.is_hermitian() else _best_hermitian_factor
+        best_val, (X, Y, Z) = _lockstep_ascent(hold_z, contract_z, update, enter(starts), max_iters, stop, on_sweep)
+        value = _pair(contract_z, X, Y, Z)
     if abs(abs(value) - best_val) > 1e-9 * max(abs(value), best_val):
         raise ValueError(f"ALS value {best_val!r} does not match its witness ({abs(value)!r})")
     return abs(value), TrilinearWitness(X=X, Y=Y, Z=Z, value=value)

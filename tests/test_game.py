@@ -141,6 +141,24 @@ class TestGameFromTensor:
             assert rep.game.pi.size == 64
             assert rep.game.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_small_games_ascend_on_their_cost_tensor(self):
+        # a game from an n <= 2 tensor carries no source, so its classical
+        # ascent reads the dense cost tensor; given its source explicitly it
+        # ascends on g, to the same strategy and value; n = 3 keeps g
+        for n in (1, 2):
+            T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 0)))
+            rep = game_from_tensor(T)
+            assert rep.game.source is None
+            sourced = XorGame(rep.game.Q, rep.game.pi, rep.game.signs, source=(T, rep.l1_norm))
+            dense, d = classical_bias_heuristic(rep.game, seed=n)
+            from_g, g = classical_bias_heuristic(sourced, seed=n)
+            assert from_g == pytest.approx(dense, rel=1e-12, abs=0.0)
+            for name in ("chi", "upsilon", "zeta"):
+                assert np.array_equal(getattr(d, name), getattr(g, name))
+        T = sample_tensor(3, SamplerConfig(seed=row_seed(0, 3, 0)))
+        rep = game_from_tensor(T)
+        assert rep.game.source == (T, rep.l1_norm)
+
     def test_all_ones_override_signs_match_recomputed_coefficients(self):
         T = sample_tensor(1, SamplerConfig(distribution="override", override_g=np.ones(8)))
         rep = game_from_tensor(T)

@@ -41,6 +41,33 @@ def oracle_sphere_net(N, eps, seed):
     return np.array(kept)
 
 
+def exact_screen_sphere_net(N, eps, seed):
+    """The batched packing with every candidate screened by the exact
+    distance sum, without the GEMM screen in front of it."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, N)))
+    pts = np.empty((0, N), dtype=np.complex128)
+    rejects = 0
+    while rejects < PACKING_WINDOW:
+        batch = rng.standard_normal((256, 2 * N))
+        vecs = batch[:, :N] + 1j * batch[:, N:]
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        d2 = sum(np.abs(vecs[:, i, None] - pts[:, i]) ** 2 for i in range(N))
+        far = d2.min(axis=1, initial=np.inf) > eps * eps
+        fresh = np.empty_like(vecs)
+        m = 0
+        for v, ok in zip(vecs, far):
+            if ok and np.sum(np.abs(fresh[:m] - v) ** 2, axis=1).min(initial=np.inf) > eps * eps:
+                fresh[m] = v
+                m += 1
+                rejects = 0
+            else:
+                rejects += 1
+                if rejects >= PACKING_WINDOW:
+                    break
+        pts = np.concatenate([pts, fresh[:m]])
+    return pts
+
+
 class TestSphereNet:
     @pytest.mark.parametrize(
         "N,eps", [(2, 0.5), (1, 1.0), (2, 0.5 / np.sqrt(2.0))], ids=["2-0.5", "1-1", "2-sweep"]
@@ -48,6 +75,15 @@ class TestSphereNet:
     def test_matches_per_candidate_oracle(self, N, eps):
         # screening a batch at once keeps the sequential accept rule exactly
         assert np.array_equal(sphere_net(N, eps, seed=0).points, oracle_sphere_net(N, eps, 0))
+
+    @pytest.mark.parametrize(
+        "N,eps",
+        [(2, 0.5 / np.sqrt(2.0)), (2, 0.5), (3, 0.5), (4, 0.9), (1, 0.5)],
+        ids=["2-sweep", "2-0.5", "3-0.5", "4-0.9", "1-0.5"],
+    )
+    def test_gemm_screen_keeps_exact_points(self, N, eps):
+        # the GEMM screen only rejects what the exact sum rejects as well
+        assert np.array_equal(sphere_net(N, eps, seed=0).points, exact_screen_sphere_net(N, eps, 0))
 
     def test_points_are_unit(self):
         S = sphere_net(2, 0.5, seed=1)

@@ -774,16 +774,18 @@ class TestTrilinearLower:
 
     def test_value_not_matching_witness_raises(self, monkeypatch):
         # the winner is paired again with its own factors; a value the ALS
-        # bookkeeping got wrong no longer matches, under either update rule:
-        # the Hermitian one (a sampled tensor; the ALS calls it with the old
-        # factors as well, which the patch passes on) and the phase rotation
-        # (a non-Hermitian dense tensor)
+        # bookkeeping got wrong no longer matches, under each update rule:
+        # the unit vector of the Pauli-table route (a small sampled tensor),
+        # the Hermitian one (a sampled tensor ascending on g; the ALS calls
+        # both with the old factors as well, which the patch passes on) and
+        # the phase rotation (a non-Hermitian dense tensor)
         from xorgap import tensor
 
         rng = np.random.default_rng(4)
         M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         cases = [
-            ("_hermitian_factor", sample_tensor(1, SamplerConfig(seed=1))),
+            ("_unit_factor", sample_tensor(1, SamplerConfig(seed=1))),
+            ("_hermitian_factor", sample_tensor(3, SamplerConfig(seed=1))),
             ("_best_hermitian_factor", Tensor3(1, M)),
         ]
         for name, T in cases:
@@ -798,6 +800,42 @@ class TestTrilinearLower:
                 with pytest.raises(ValueError, match="does not match its witness"):
                     trilinear_norm_lower(T, restarts=2)
             trilinear_norm_lower(T, restarts=2)  # unpatched, the same run passes
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pauli_table_route_matches_g_maps(self, n, monkeypatch):
+        # a small sampled tensor ascends on its real Pauli table; forced onto
+        # the g maps, the seed-0 rows give the same per-restart sweep counts,
+        # values within 1e-12, and on both routes Hermitian unit witnesses
+        # that pair to their value
+        from xorgap import tensor
+        from xorgap.sweep import row_seed
+
+        calls = []
+        unit_factor = tensor._unit_factor
+
+        def counting_unit_factor(*args):
+            calls.append(1)
+            return unit_factor(*args)
+
+        monkeypatch.setattr(tensor, "_unit_factor", counting_unit_factor)
+        for k in range(8):
+            s = row_seed(0, n, k)
+            T = sample_tensor(n, SamplerConfig(seed=s))
+            runs = []
+            for table_max_n in (tensor._TABLE_MAX_N, 1):  # the table route, then the g maps
+                monkeypatch.setattr(tensor, "_TABLE_MAX_N", table_max_n)
+                calls.clear()
+                sweeps = {}
+                val, wit = trilinear_norm_lower(T, seed=s, on_sweep=lambda r, i, v: sweeps.__setitem__(r, i + 1))
+                assert bool(calls) == (T.N <= table_max_n)
+                for M in (wit.X, wit.Y, wit.Z):
+                    assert np.abs(M - M.conj().T).max() <= 1e-12
+                    assert np.linalg.norm(M) == pytest.approx(1.0, abs=1e-12)
+                assert abs(trilinear_eval(T, wit.X, wit.Y, wit.Z)) == pytest.approx(val, rel=1e-12)
+                runs.append((val, sweeps))
+            (table, table_sweeps), (from_g, g_sweeps) = runs
+            assert table_sweeps == g_sweeps, k
+            assert table == pytest.approx(from_g, rel=1e-12), k
 
     @pytest.mark.parametrize("N", [2, 4, 8])
     def test_hermitian_update_matches_phase_rotation(self, N):
