@@ -262,22 +262,23 @@ def classical_bias_exact(G: XorGame) -> tuple[float, ClassicalStrategy]:
 
 def _pauli_partial_sums(T: Tensor3):
     """The partial sums of a sampled tensor's coefficient table c from g,
-    as the maps (hold_z, contract_z) of :func:`_lockstep_ascent` on stacks
-    of sign vectors.
+    as the held map of :func:`_lockstep_ascent` on stacks of sign vectors.
 
     With B = `pauli._mode_matrix(n)` (row p holds conj(P_p)), c_pqr =
     sum B[p, a] B[q, b] B[r, c] W[a, b, c], so player 1's partial sums are
     s = Re(A B^T), where A is the tensor's mode map (see
     :func:`_mode_contraction`) applied to the factors upsilon B and zeta B;
-    likewise for the other players.  The sign vectors are real, so both
-    transforms are real GEMMs on the (re, im) float view of B, and nothing
-    of size Q^3 is formed.  The factor transform is B passed once through
-    the maps' `enter`, so each factor v B0 enters as the maps read it; A
-    comes out masked, so the sums read all of B.
+    likewise for the other players.  hold(h, v) holds v B on mode h, and
+    its image(m, w) returns the partial sums of player m + 1 given w B on
+    the third mode.  The sign vectors are real, so both transforms are real
+    GEMMs on the (re, im) float view of B, and nothing of size Q^3 is
+    formed.  The factor transform is B passed once through the maps'
+    `enter`, so each factor v B0 enters as the maps read it; A comes out
+    masked, so the sums read all of B.
     """
     N = T.N
     B = _mode_matrix(T.n)
-    enter, hold, contract_z = _mode_contraction(T)
+    enter, hold = _mode_contraction(T)
     # v -> v B0, interleaved re, im
     to_factor = enter(B.reshape(len(B), N, N)).view(np.float64).reshape(len(B), -1)
     to_sums = B.conj().view(np.float64).reshape(len(B), -1).T  # A -> Re(A B^T)
@@ -288,17 +289,18 @@ def _pauli_partial_sums(T: Tensor3):
     def sums(A):
         return A.view(np.float64).reshape(len(A), -1) @ to_sums
 
-    def hold_z(z):
-        given = hold(factor(z))
-        return lambda mode, v: sums(given(mode, factor(v)))
+    def held(h, v):
+        image = hold(h, factor(v))
+        return lambda m, w: sums(image(m, factor(w)))
 
-    return hold_z, lambda x, y: sums(contract_z(factor(x), factor(y)))
+    return held
 
 
-def _sign_update(s, old):
-    """The best response to partial sums s, zeros to +1, and its value."""
+def _sign_update(s, old, valued):
+    """The best response to partial sums s, zeros to +1, and its value
+    where valued is set (None otherwise: the ascent reads no other)."""
     new = np.where(s < 0.0, -1.0, 1.0)
-    return new, (new * s).sum(axis=1)
+    return new, ((new * s).sum(axis=1) if valued else None)
 
 
 def _no_answer_changed(prev, v, old, new):
@@ -317,8 +319,9 @@ def classical_bias_heuristic(
     the r-th child of `seed` and stops after a sweep that changes none of
     its answers, or after 1000 sweeps.  All restarts advance in lockstep
     (see :func:`tensor._lockstep_ascent`, which the ALS shares).  The first
-    restart with the largest value wins; the value is always a lower bound
-    on the classical bias, and never exceeds the exact optimum.
+    restart whose value ties the largest to rounding (1e-12 relative) wins;
+    the value is always a lower bound on the classical bias, and never
+    exceeds the exact optimum.
 
     The partial sums come from one of two map providers: a game with a
     `source` (T, l1), which `game_from_tensor` attaches to games from
@@ -333,11 +336,11 @@ def classical_bias_heuristic(
         raise ValueError("restarts must be >= 1")
     Q = G.Q
     if G.source is None:
-        hold_z, contract_z = _array_maps(G.cost_tensor())
+        hold = _array_maps(G.cost_tensor())
         scale = 1.0
     else:
         T, scale = G.source
-        hold_z, contract_z = _pauli_partial_sums(T)
+        hold = _pauli_partial_sums(T)
     # each restart's three sign vectors are rng.choice([-1.0, 1.0], Q) three
     # times, drawn as one run of 3Q integers from the same stream (choice
     # indexes with rng.integers), so the starts are bit for bit the same
@@ -346,9 +349,7 @@ def classical_bias_heuristic(
         [signs[np.random.default_rng(ss).integers(0, 2, 3 * Q)] for ss in np.random.SeedSequence(seed).spawn(restarts)]
     )
     starts = starts.reshape(restarts, 3, Q).transpose(1, 0, 2).copy()  # (3, restarts, Q)
-    value, (chi, upsilon, zeta) = _lockstep_ascent(
-        hold_z, contract_z, _sign_update, starts, 1000, _no_answer_changed
-    )
+    value, (chi, upsilon, zeta) = _lockstep_ascent(hold, _sign_update, starts, 1000, _no_answer_changed)
     return value / scale, ClassicalStrategy(chi=chi, upsilon=upsilon, zeta=zeta)
 
 

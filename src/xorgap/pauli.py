@@ -138,13 +138,21 @@ def fourier(T: Tensor3) -> FourierTable:
     """Coefficient table c(P,Q,R) = <T, P⊗Q⊗R> via three mode transforms.
 
     A sampled tensor's table comes from g in real arithmetic (see
-    `_fourier_from_g`), so its matrix is never built; any other tensor's
-    comes from one complex einsum over its mode view.
+    `_fourier_from_g`), so its matrix is never built.  Any other tensor's
+    comes from its mode view W by three complex GEMMs with
+    B = `_mode_matrix(n)`, one per mode, c = W ×1 B ×2 B ×3 B: the first
+    and last are one GEMM each, the middle one a batch of N^2.  The mode
+    view and one buffer of the same size hold every intermediate, so the
+    transient is two N^6 arrays.
     """
     if T.raw_g is not None:
         return FourierTable(n=T.n, N=T.N, coefficients=_fourier_from_g(T.n, T.raw_g))
     B = _mode_matrix(T.n)
-    C = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
+    d = len(B)
+    W = T.mode_view()  # a fresh copy, overwritten below
+    C = (B @ W.reshape(d, d * d)).reshape(d, d, d)  # (p, b, c)
+    np.matmul(B, C, out=W)  # (p, q, c)
+    np.matmul(W.reshape(d * d, d), B.T, out=C.reshape(d * d, d))  # (p, q, r)
     return FourierTable(n=T.n, N=T.N, coefficients=C)
 
 

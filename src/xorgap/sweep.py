@@ -230,12 +230,23 @@ def _suite_identities(seed: int) -> SuiteReport:
                 abs(explicit - rep.pauli_bias) <= 1e-12 * abs(rep.pauli_bias),
             ),
         ]
+        if n <= 2:
+            # the Golub-Kahan solver of a general tensor's sigma_1 against a
+            # dense SVD, which runs here only
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, n)))
+            M = rng.standard_normal((N**3, N**3)) + 1j * rng.standard_normal((N**3, N**3))
+            sigma, _ = tensor._top_singular(tensor.Tensor3(n, M))
+            svd_sigma = float(np.linalg.svd(M, compute_uv=False)[0])
+            checks.append(
+                ("Golub-Kahan sigma_1 of a general tensor == SVD", abs(sigma - svd_sigma) <= 1e-12 * svd_sigma)
+            )
         if n >= 2:
             # the structured paths against the dense ones, from the same
             # starts: the classical ascent on g (a game given its source
             # explicitly, as small games carry none) against the cost
-            # tensor, and the sampled tensor's ALS (on its Pauli table at
-            # small N, on g above) against the ALS on the built matrix
+            # tensor, and the sampled tensor's ALS (on its Pauli table from
+            # g at small N, on the g maps above) against the ALS on the
+            # Pauli table of the built matrix
             row_s = row_seed(seed, n, 0)
             g_game = game.XorGame(rep.game.Q, rep.game.pi, rep.game.signs, source=(T, rep.l1_norm))
             from_g, _ = game.classical_bias_heuristic(g_game, seed=row_s)
@@ -243,10 +254,13 @@ def _suite_identities(seed: int) -> SuiteReport:
             dense, _ = game.classical_bias_heuristic(unsourced, seed=row_s)
             als_s, _ = tensor.trilinear_norm_lower(T, seed=row_s)
             als_dense, _ = tensor.trilinear_norm_lower(tensor.Tensor3(n, T.matrix), seed=row_s)
-            als_from = "on the Pauli table" if N <= tensor._TABLE_MAX_N else "from g"
+            als_from = "on the Pauli table from g" if N <= tensor._TABLE_MAX_N else "on the g maps"
             checks += [
                 ("classical ascent from g == from the cost tensor", abs(from_g - dense) <= 1e-12 * dense),
-                (f"ALS {als_from} == ALS on the matrix", abs(als_s - als_dense) <= 1e-12 * als_dense),
+                (
+                    f"ALS {als_from} == ALS on the Pauli table of the built matrix",
+                    abs(als_s - als_dense) <= 1e-12 * als_dense,
+                ),
             ]
         for label, good in checks:
             ok &= good

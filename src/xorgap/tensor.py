@@ -22,12 +22,14 @@ _MAGIC = b"XGT1"
 _FLAG_RAW_G = 1
 
 _HERM_TOL = 1e-12
+_TIE_RTOL = 1e-12  # final ascent values this close to the largest are rounding ties
 _PRUNE_MARGIN = 1e-12  # relative rounding slack of the net maximum's pruning bounds
 
 # Largest N whose sampled tensors ascend on their real Pauli table (Q^3 =
 # N^6 entries, 4096 at N = 4) rather than on g: the ALS in
 # `trilinear_norm_lower`, and the classical ascent through the games that
-# `game.game_from_tensor` builds.  Per-call numpy overhead on 2x2 and 4x4
+# `game.game_from_tensor` builds.  A tensor given by its matrix has no g and
+# always ascends on its table.  Per-call numpy overhead on 2x2 and 4x4
 # factors is what the table saves, and its O(Q^3) work per map is what it
 # costs at N = 8.  Medians per call over seed-0 rows, one BLAS thread, on 2
 # cores with numpy 2.4.6 and OpenBLAS 0.3.31: the table ALS took 1.97 vs
@@ -78,9 +80,10 @@ class Tensor3:
     tensor with g is exactly Hermitian by construction, and its spectral and
     trilinear norms never build the matrix: the Lanczos top eigenpair
     multiplies by g, the ALS and `trilinear_eval` contract it, and it
-    certifies the net upper bound.  A general tensor's top eigenpair or
-    singular pair comes from the same solver multiplying by the matrix; each
-    pair is cached on the tensor.
+    certifies the net upper bound.  A general tensor's top eigenpair comes
+    from the same Lanczos solver multiplying by the matrix, and its top
+    singular pair from Golub-Kahan-Lanczos bidiagonalization; each pair is
+    cached on the tensor.
     """
 
     __slots__ = ("n", "N", "_matrix", "raw_g", "_eig", "_herm", "_exact_herm", "_sv", "_hermitized")
@@ -315,7 +318,7 @@ def spectral_norm(T: Tensor3) -> float:
 
     Hermitian inputs go through the Lanczos top eigenpair (retaining the top
     eigenvector; a sampled tensor's matrix is never built); general inputs go
-    through the same solver on the Hermitian dilation (see
+    through Golub-Kahan-Lanczos bidiagonalization of the matrix view (see
     :func:`_top_singular`), whose top singular pair is cached for the ALS
     anchor.  No SVD and no dense eigensolve of the matrix view runs.
     """
@@ -328,63 +331,32 @@ def spectral_norm(T: Tensor3) -> float:
 def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> complex:
     """Pair the tensor with X ⊗ Y ⊗ Z entrywise: sum T[(ii'),(jj'),(kk')] X[ii'] Y[jj'] Z[kk'].
 
-    Computed as <contract_z(X, Y), Z> with the ALS's mode maps (see
-    :func:`_mode_contraction`), X and Y passed through its `enter` once:
-    O(N^4) from g for a sampled tensor, whose matrix is never built, and two
-    GEMMs on the mode view otherwise.
+    Computed with the mode maps of :func:`_mode_contraction`, X and Y passed
+    through its `enter` once (see :func:`_pair`): O(N^4) from g for a
+    sampled tensor, whose matrix is never built, and two products on the
+    mode view otherwise.
     """
     N = T.N
     for name, M in (("X", X), ("Y", Y), ("Z", Z)):
         if np.shape(M) != (N, N):
             raise DimensionError(f"{name} must be {N}x{N}")
-    enter, _, contract_z = _mode_contraction(T)
-    return _pair(contract_z, enter(np.asarray(X)), enter(np.asarray(Y)), Z)
+    enter, hold = _mode_contraction(T)
+    return _pair(hold, enter(np.asarray(X)), enter(np.asarray(Y)), Z)
 
 
-def _pair(contract_z, X: np.ndarray, Y: np.ndarray, Z) -> complex:
-    """<contract_z(X, Y), Z> for one factor triple."""
-    return complex(np.sum(contract_z(X[None], Y[None])[0] * Z))
-
-
-def _best_hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
-    """Maximize |sum A[r]∘X[r]| over Hermitian X[r] with ||X[r]||_F <= 1, for each r.
-
-    A is a stack (R, N, N).  With B = conj(A) the objective is |<B, X>_F|,
-    the largest over phases φ of Re<C, X> = <(C + C^H)/2, X> with
-    C = e^{-iφ} B.  For one phase the maximizer is X = (C + C^H)/||C + C^H||_F,
-    reaching ||C + C^H||_F / 2, and ||C + C^H||_F^2 = 2||B||_F^2 +
-    2 Re(e^{-2iφ} u) with u = tr(B B).  So the best phase is θ = arg(u)/2 and
-    the maximum is sqrt((||A||_F^2 + |u|)/2): a few array operations, no
-    eigensolve.  Writing B = H1 + i H2 with H1, H2 Hermitian, the maximizer
-    is cos θ H1 + sin θ H2, normalized: the top eigenvector of the 2x2 Gram
-    matrix of (H1, H2), since u = g11 - g22 + 2i g12.
-
-    Sign: θ lies in (-π/2, π/2], so X has a nonnegative component along H1
-    (a positive one along H2 when that is zero).  When u = 0 every phase is
-    optimal and θ = 0.  Returns (X, val, ok) as :func:`_hermitian_factor`
-    does: where A[r] vanishes, ok[r] is False, val[r] is 0 and X[r] is
-    old[r], or zero when old is None.
-    """
-    B = A.conj()
-    u = np.einsum("rij,rji->r", B, B)
-    val = np.sqrt((np.einsum("rij,rij->r", A, B).real + np.abs(u)) / 2.0)
-    ok = val > 0.0
-    # C = e^{-iθ} B / ||C + C^H||, so that X = C + C^H has unit norm
-    C = B * (np.exp(-0.5j * np.angle(u)) / (2.0 * np.where(ok, val, 1.0)))[:, None, None]
-    X = C + C.conj().transpose(0, 2, 1)
-    if old is not None and not ok.all():
-        X = np.where(ok[:, None, None], X, old)
-    return X, val, ok
+def _pair(hold, X: np.ndarray, Y: np.ndarray, Z) -> complex:
+    """<A, Z> for one factor triple, A the image on mode 2 with Y held on mode 1."""
+    return complex(np.sum(hold(1, Y[None])(2, X[None])[0] * Z))
 
 
 def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
-    """The mode update of a Hermitian tensor: X[r] = (conj(A[r]) + A[r]^T) / norm.
+    """The mode update of a Hermitian tensor on the g maps: X[r] = (conj(A[r]) + A[r]^T) / norm.
 
     For a Hermitian tensor and Hermitian factors every mode image A is
-    Hermitian, so the phase rotation of :func:`_best_hermitian_factor` is
-    the identity (u = tr(conj(A)^2) = ||A||_F^2 >= 0) and its maximizer is
-    conj(A) normalized.  Writing it as conj(A) + A^T keeps X Hermitian bit
-    for bit whatever the rounding in A; the value is ||conj(A) + A^T||_F / 2
+    Hermitian, and the maximizer of |sum A∘X| over unit-Frobenius Hermitian
+    X is conj(A) normalized (the phase rotation of :func:`_phase_factor` is
+    the identity).  Writing it as conj(A) + A^T keeps X Hermitian bit for
+    bit whatever the rounding in A; the value is ||conj(A) + A^T||_F / 2
     = Re sum A∘X.  Returns (X, val, ok): where A[r] vanishes, ok[r] is
     False, val[r] is 0 and X[r] is old[r], or zero when old is None.  The
     update is one norm and one in-place divide; only a vanished slice costs
@@ -405,7 +377,7 @@ def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
 
 
 def _unit_factor(a: np.ndarray, old: np.ndarray | None = None):
-    """The mode update on real coordinates: x[r] = a[r] / ||a[r]||.
+    """The mode update on real coordinates of a real table: x[r] = a[r] / ||a[r]||.
 
     A stack (R, d) of real images; the value is ||a[r]||.  Returns (x, val,
     ok) as :func:`_hermitian_factor` does: where a[r] vanishes, ok[r] is
@@ -421,87 +393,118 @@ def _unit_factor(a: np.ndarray, old: np.ndarray | None = None):
     return x, norm, ok
 
 
-def _array_maps(W: np.ndarray):
-    """The mode maps of a dense (d, d, d) array on stacks of R factors, as
-    (hold_z, contract_z).
+def _phase_factor(a: np.ndarray, old: np.ndarray | None = None):
+    """The mode update on real coordinates of a complex table, given as planes.
 
-    A factor stack has shape (R, *shape) with d entries per factor (N x N
-    matrices against a tensor's mode view, sign vectors of length Q against
-    a game's cost tensor), and every map returns a stack of that shape.
-    hold_z(Z) sums W against Z on mode 2 once, as U = W ×3 Z, and returns
-    contract_xy(mode, F), which sums U against F on the other of modes 0, 1
-    and returns the image on the remaining mode: one GEMM for U, then one
-    batched product per mode.  contract_z(X, Y) sums against X and Y and
-    returns the image on mode 2.  Factors may be real or complex, read-only
-    or not.  O(d^3 R) per map.
+    a is a stack (R, 2, d) holding Re a[r] and Im a[r] of complex images
+    a[r].  Over real unit x, |a·x|^2 = (Re a·x)^2 + (Im a·x)^2 is largest
+    at the top eigenvector of the 2 x 2 Gram matrix of (Re a, Im a): with
+    u = sum a_p^2 = ||Re a||^2 - ||Im a||^2 + 2i Re a·Im a, the value is
+    sqrt((||a||^2 + |u|)/2) and x = Re(e^{-iθ} a) / value with θ = arg(u)/2.
+    In matrix form, with a the coordinates of a mode image A in an
+    orthonormal Hermitian basis, the maximizer is X = (C + C^H)/||C + C^H||_F
+    with C = e^{iθ} conj(A).  θ lies in (-π/2, π/2], and θ = 0 when u = 0, where every phase is
+    optimal.  Returns (x, val, ok) as :func:`_unit_factor` does.
     """
-    d = W.shape[0]
-    W_ab_c = W.reshape(d * d, d)
-    W_a_bc = W.reshape(d, d * d)
+    re, im = a[:, 0], a[:, 1]
+    rr, ii, ri = np.vecdot(re, re), np.vecdot(im, im), np.vecdot(re, im)
+    diff = rr - ii
+    val = np.sqrt((rr + ii + np.hypot(diff, 2.0 * ri)) / 2.0)
+    ok = val > 0.0
+    theta = np.arctan2(2.0 * ri, diff) / 2.0
+    x = np.cos(theta)[:, None] * re
+    x += np.sin(theta)[:, None] * im
+    x /= np.where(ok, val, 1.0)[:, None]
+    if old is not None and np.count_nonzero(ok) != len(ok):
+        x = np.where(ok[:, None], x, old)
+    return x, val, ok
 
-    def hold_z(Z):
-        R = Z.shape[0]
-        U = (Z.reshape(R, d) @ W_ab_c.T).reshape(R, d, d)  # (r, a, b)
 
-        def contract_xy(mode, F):
-            f = F.reshape(R, d)
-            if mode == 0:
-                A = (U @ f[:, :, None])[:, :, 0]
-            else:
-                A = (f[:, None, :] @ U)[:, 0, :]
-            return A.reshape(F.shape)
+def _array_maps(W: np.ndarray):
+    """The held mode maps of a dense (d, d, d) array, or of a complex one
+    stored as S real planes (S, d, d, d), on stacks of R factors.
 
-        return contract_xy
+    hold(h, F) sums W against the factors F on mode h once, U = W ×h F,
+    and returns image(m, G), which sums U against G on the third mode and
+    returns the image on mode m, one batched product per image.  The hold
+    is one pass over W: one GEMM for an outer mode, a batch of S d small
+    GEMMs for the middle one.  A factor stack has shape (R, *shape) with d
+    real or complex entries per factor (N x N matrices against a tensor's
+    mode view, sign vectors of length Q against a game's cost tensor, real
+    coordinate vectors against a Pauli table), read-only or not; an image
+    has shape (R, *shape), or (R, S, *shape) for planes.  O(d^3 R) per hold.
+    """
+    planes = W.shape[:-3]
+    d = W.shape[-1]
+    P = W.reshape(-1, d, d, d)
+    S = len(P)
+    # W with the held mode as the contracted index of a matrix product
+    by_mode = (P.reshape(S, d, d * d), P.reshape(S * d, d, d), P.reshape(S, d * d, d).transpose(0, 2, 1))
 
-    def contract_z(X, Y):
-        R = X.shape[0]
-        V = (X.reshape(R, d) @ W_a_bc).reshape(R, d, d)  # (r, b, c)
-        return (Y.reshape(R, 1, d) @ V)[:, 0, :].reshape(X.shape)
+    def hold(h, F):
+        R = len(F)
+        U = np.matmul(F.reshape(R, d), by_mode[h])
+        # U[r, s, i, j] over the other two modes i < j, a view
+        U = U.reshape(S, d, R, d).transpose(2, 0, 1, 3) if h == 1 else U.reshape(S, R, d, d).transpose(1, 0, 2, 3)
+        shape = (R, *planes, *F.shape[1:])
 
-    return hold_z, contract_z
+        def image(m, G):
+            if m < 3 - h - m:  # the image's mode comes first in U
+                return (U @ G.reshape(R, 1, d, 1)).reshape(shape)
+            return (G.reshape(R, 1, 1, d) @ U).reshape(shape)
+
+        return image
+
+    return hold
 
 
 def _mode_contraction(T: Tensor3):
-    """The ALS mode maps of a tensor on stacks of R restarts, as
-    (enter, hold_z, contract_z).
+    """The ALS mode maps of a tensor on stacks of R restarts, as (enter, hold).
 
-    hold_z and contract_z are the maps of :func:`_lockstep_ascent` on
-    (R, N, N) factor stacks; they read factors only as `enter` returns them,
-    and every factor update built from their images keeps that form.  A
-    tensor given by its matrix hands its mode view to :func:`_array_maps`,
-    and enter leaves a stack as it is.
+    hold is the map of :func:`_lockstep_ascent` on (R, N, N) factor stacks:
+    hold(h, H) holds H on mode h and returns image(m, F), the image on mode
+    m with F on the third mode.  The maps read factors only as `enter`
+    returns them, and every factor update built from their images keeps
+    that form.  A tensor given by its matrix hands its mode view to
+    :func:`_array_maps`, and enter leaves a stack as it is; the ALS of such
+    a tensor ascends on its Pauli table, so this branch serves
+    `trilinear_eval` and the ALS's witness check.
 
     A tensor carrying its sampling vector is g g^T under the collision mask
     (J - I)^{⊗3}, and enter returns a complex, C-ordered copy of a stack
     with zero diagonals: the mask pairs nothing with a diagonal entry.  The
     start stacks, `trilinear_eval`'s arguments and the classical ascent's
     factor transform each pass through it once.  With G = g.reshape(N, N, N),
-    the mode moved first, and F0, H0 entered factors,
-    A[r, a, a'] = offdiag(sum P[r, a, c, b'] S[r, a', b', c]), where
-    P = G ×2 F0 and S = G ×3 H0.  G is real, so P and S are real GEMMs of G
+    H held on mode h, F on mode o and the image on mode m,
+    A[r, a, a'] = offdiag(sum P[r, a, c, b'] S[r, a', b', c]) in the
+    indices of m, o and h, where P = G ×o F contracts F's row index and
+    S = G ×h H its column index.  G is real, so P and S are real GEMMs of G
     against the (re, im) float view of the factor stack, one BLAS call per
     restart; A is one complex GEMM per restart against S transposed to
-    P's (c, b') order: O(N^4 R) in all.  As the dense map does with U,
-    hold_z forms S = G ×3 Z0 once, and the maps of modes 0 and 1 both read
-    it, each through its own transposed copy: (c, b') order for mode 0,
-    (c, a') for mode 1.  A held map stays valid until the next hold_z;
-    contract_z forms its S = G ×2 Y0 elsewhere.  S, the GEMM output and the
-    transposed copy are work arrays the maps keep between calls, with
-    their views for each stack size, so a sweep at N >= 16 does not
-    page-fault fresh memory on every map.
+    P's (h, o') order: O(N^4 R) in all.  hold forms S once, and both
+    images read it, each through its own transposed copy; a held map stays
+    valid until the next hold.  S, the GEMM output and the transposed copy
+    are work arrays the maps keep between calls, with their views for each
+    stack size, so a sweep at N >= 16 does not page-fault fresh memory on
+    every map.
     """
     N = T.N
     N2 = N * N
     if T.raw_g is None:
-        return (lambda F: F), *_array_maps(T.mode_view())
+        return (lambda F: F), _array_maps(T.mode_view())
 
     G = T.raw_g.reshape(N, N, N)
     off = 1.0 - np.eye(N)
-    # G with rows (a', b') against the contracted c, for S = G ×3 Z0, and
-    # rows (c', a') against the contracted b, for mode 2's S = G ×2 Y0
-    by_c = [np.ascontiguousarray(Gm).reshape(N2, N) for Gm in (G, G.transpose(2, 0, 1))]
-    # G with each mode moved first, rows (a, c) against the contracted b, for P
-    by_b = [np.ascontiguousarray(G.transpose(axes)).reshape(N2, N) for axes in ((0, 2, 1), (1, 2, 0), (2, 1, 0))]
+    # G for S = G ×h H, rows (i', j') over the other modes in cyclic order
+    # after h against the contracted h'
+    by_c = [np.ascontiguousarray(G.transpose((h + 1) % 3, (h + 2) % 3, h)).reshape(N2, N) for h in range(3)]
+    # G for P = G ×o F, rows (m, h) against the contracted o, for each (m, h)
+    by_b = {
+        (m, h): np.ascontiguousarray(G.transpose(m, h, 3 - m - h)).reshape(N2, N)
+        for m in range(3)
+        for h in range(3)
+        if m != h
+    }
     arrays = []  # held S, the GEMM output and S's transposed copy, for the most restarts seen
     views = {}  # R -> views of `arrays` for R restarts
 
@@ -512,59 +515,68 @@ def _mode_contraction(T: Tensor3):
                 arrays[:] = np.empty((2, R, N2, 2 * N)), np.empty((R, N, N2), np.complex128)
             held, gemm = arrays[0][:, :R]
             St = arrays[1][:R]
-            S, S2 = (out.view(np.complex128).reshape(R, N, N, N) for out in (held, gemm))
+            S = held.view(np.complex128).reshape(R, N, N, N)  # (r, i', j', h)
             views[R] = (
                 held,
                 gemm,
-                S2.reshape(R, N, N2),  # P, (r, a, (c, b')), on the GEMM output after S2 is copied
-                # the copy's source for each mode, in P's order: (r, a', c, b'),
-                # (r, b', c, a') and (r, c', b, a')
-                (S.transpose(0, 1, 3, 2), S.transpose(0, 2, 3, 1), S2.transpose(0, 1, 3, 2)),
+                gemm.view(np.complex128).reshape(R, N, N2),  # P, (r, m, (h, o'))
+                # the copy's source for an image on mode h + 1 and on h + 2:
+                # (r, m', h, o') in both
+                (S.transpose(0, 1, 3, 2), S.transpose(0, 2, 3, 1)),
                 St.reshape(R, N, N, N),
-                St.transpose(0, 2, 1),  # (r, (c, b'), a'), as A = P @ St^T reads it
+                St.transpose(0, 2, 1),  # (r, (h, o'), m'), as A = P @ St^T reads it
             )
         return views[R]
 
     def enter(F):
         return np.multiply(F, off, dtype=np.complex128, order="C")
 
-    def transposed(H):  # an entered stack transposed, as the S GEMMs read it
+    def transposed(H):  # an entered stack transposed, as the S GEMM reads it
         return np.ascontiguousarray(H.transpose(0, 2, 1)).view(np.float64)
 
-    def mode_map(w, mode, F0):  # A from P = G ×2 F0 and S copied to P's (c, b') order
-        _, gemm, P, S_t, St, StT = w
-        np.copyto(St, S_t[mode])
-        np.matmul(by_b[mode], F0.view(np.float64), out=gemm)
-        A = P @ StT
-        A.reshape(len(A), -1)[:, :: N + 1] = 0.0  # the collision mask on A's mode
-        return A
+    def hold(h, H):
+        held, gemm, P, S_t, St, StT = work(len(H))
+        np.matmul(by_c[h], transposed(H), out=held)  # S
 
-    def hold_z(Z):
-        w = work(len(Z))
-        np.matmul(by_c[0], transposed(Z), out=w[0])  # S, (r, a', b', c)
-        return lambda mode, F: mode_map(w, mode, F)
+        def image(m, F):
+            np.copyto(St, S_t[(m - h) % 3 - 1])
+            np.matmul(by_b[m, h], F.view(np.float64), out=gemm)
+            A = P @ StT
+            A.reshape(len(A), -1)[:, :: N + 1] = 0.0  # the collision mask on A's mode
+            return A
 
-    def contract_z(X, Y):
-        w = work(len(X))
-        np.matmul(by_c[1], transposed(Y), out=w[1])  # S2, (r, c', a', b)
-        return mode_map(w, 2, X)
+        return image
 
-    return enter, hold_z, contract_z
+    return enter, hold
 
 
-def _lockstep_ascent(hold_z, contract_z, update, starts, max_sweeps, stop, on_sweep=None):
+# The rotating holds of `_lockstep_ascent` over two sweeps, per update: the
+# mode updated, the mode held, and whether the update makes the hold
+_SCHEDULE = (((0, 2, True), (1, 2, False), (2, 1, True)), ((0, 1, False), (1, 0, True), (2, 0, False)))
+
+
+def _lockstep_ascent(hold, update, starts, max_sweeps, stop, on_sweep=None):
     """Alternating maximization of a trilinear form from R starts in lockstep.
 
     starts is a (3, R, ...) stack of the starting factors X, Y, Z, as the
-    maps read them.  A sweep holds Z (contract_xy = hold_z(Z)), then updates
-    X from contract_xy(0, Y), Y from contract_xy(1, X) and Z from
-    contract_z(X, Y), each as update(image, old)[:2] = (new factors, values);
-    the values of the Z update are the sweep's.  stop(prev, values, old, new)
-    marks the restarts that leave after the sweep, given their values before
-    and after it (prev is 0 before the first) and their (X, Y, Z) stacks
-    before and after it; a restart also leaves after max_sweeps sweeps.
-    Restarts are independent: each keeps its own trajectory, and the running
-    ones' stacks are regathered only in a sweep where some leave.
+    maps read them.  A sweep updates X, Y and Z in turn, each from its image
+    given the other two.  hold(h, F) holds the factors F on mode h and
+    returns image(m, G), the image on mode m with G on the third mode, and
+    one hold serves two updates: the factor that neither of the next two
+    updates changes is held.  The schedule is hold Z, update X and Y; hold
+    Y, update Z and X; hold X, update Y and Z; and again, so a sweep makes
+    1.5 holds.  Each update is update(image, old, valued)[:2] = (new
+    factors, values), and the values are read only from the Z update
+    (valued True), whose values are the sweep's.  stop(prev, values, old,
+    new) marks the restarts that leave after the sweep, given their values
+    before and after it (prev is 0 before the first) and their (X, Y, Z)
+    stacks before and after it; a restart also leaves after max_sweeps
+    sweeps.  Restarts are independent: each keeps its own trajectory, and
+    the running ones' stacks are regathered only in a sweep where some
+    leave.  When restarts leave between the two updates of a hold, the
+    second update still runs on every row the map was held for, and the
+    leavers' rows are dropped after it, so a call of s sweeps makes exactly
+    ceil(1.5 s) holds.
 
     on_sweep, when given, is called as on_sweep(restart, sweep, value) once
     per running restart per sweep, in sweep-major order: every restart still
@@ -572,68 +584,132 @@ def _lockstep_ascent(hold_z, contract_z, update, starts, max_sweeps, stop, on_sw
     sweep i + 1.
 
     Each restart's final factors are written back into starts.  Returns
-    (value, (X, Y, Z)) of the first restart with the largest final value.
+    (value, (X, Y, Z)) of the first restart whose final value is within
+    1e-12 relative of the largest: the holds rotate, so restarts that reach
+    one optimum can sum its value in different orders, and such rounding
+    ties go to the first of them.
     """
     X, Y, Z = starts
     R = len(X)
     # X, Y, Z and `last` hold each restart's factors and value once it
-    # leaves; Xa, Ya, Za and `prev` are those of the restarts in `act`,
-    # still running, after their latest sweep
+    # leaves; F and `prev` are those of the restarts in `act`, still
+    # running, after their latest sweep
     last = np.zeros(R)
     act = np.arange(R)
-    Xa, Ya, Za, prev = X, Y, Z, np.zeros(R)
+    F, prev = [X, Y, Z], np.zeros(R)
+    gather = None  # rows of F still running, where restarts left in the middle of a hold
     for it in range(max_sweeps):
-        contract_xy = hold_z(Za)
-        Xn = update(contract_xy(0, Ya), Xa)[0]
-        Yn = update(contract_xy(1, Xn), Ya)[0]
-        Zn, v = update(contract_z(Xn, Yn), Za)[:2]
+        old = tuple(F) if gather is None else tuple(f[gather] for f in F)
+        for m, h, fresh in _SCHEDULE[it % 2]:
+            if fresh:
+                image = hold(h, F[h])
+            F[m], v = update(image(m, F[3 - h - m]), F[m], m == 2)[:2]
+            if gather is not None:
+                # the held map covers every row it was held for, so its second
+                # update ran for the restarts that left as well; drop them now
+                F, gather = [f[gather] for f in F], None
         if on_sweep is not None:
             for r, vr in zip(act.tolist(), v.tolist()):
                 on_sweep(r, it, vr)
-        done = stop(prev, v, (Xa, Ya, Za), (Xn, Yn, Zn))
-        Xa, Ya, Za, prev = Xn, Yn, Zn, v
+        done = stop(prev, v, old, tuple(F))
+        prev = v
         if np.count_nonzero(done):
             # every running restart is written back, in fewer calls than
             # picking out the leavers; the others are overwritten later
-            X[act], Y[act], Z[act], last[act] = Xa, Ya, Za, v
+            X[act], Y[act], Z[act], last[act] = *F, v
             keep = ~done
-            act, Xa, Ya, Za, prev = act[keep], Xa[keep], Ya[keep], Za[keep], v[keep]
+            act, prev = act[keep], v[keep]
+            if it % 2:
+                F = [f[keep] for f in F]
+            else:  # an even sweep ends between the two updates of a hold
+                gather = keep
             if act.size == 0:
                 break
-    X[act], Y[act], Z[act], last[act] = Xa, Ya, Za, prev
-    best = int(np.argmax(last))
+    if gather is not None:
+        F = [f[gather] for f in F]
+    X[act], Y[act], Z[act], last[act] = *F, prev
+    best = int(np.argmax(last >= last.max() * (1.0 - _TIE_RTOL)))
     return float(last[best]), (X[best], Y[best], Z[best])
+
+
+def _golub_kahan(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Top singular triple (sigma, u, v) of a matrix, M v = sigma u.
+
+    Golub-Kahan-Lanczos bidiagonalization from the fixed unit start
+    v_1 = default_rng(0).standard_normal(D), normalized: step k makes one
+    product with M, alpha_k u_k = M v_k, and one with M^H, beta_k v_{k+1} =
+    M^H u_k - alpha_k v_k, each reorthogonalized against its whole basis
+    (see :func:`_orthogonalized`), so M V_k = U_k B_k with B_k upper
+    bidiagonal.  The top singular triple (sigma, p, q) of B_k gives
+    u = U_k p and v = V_k q, with residual ||M^H u - sigma v|| =
+    beta_k |p_k|.  The run stops when that is at most 1e-14 sigma (which
+    also covers an invariant space, beta_k = 0), or when the bases span all
+    D directions.  B_k is solved every step up to 8, then about every k/8
+    steps, and at once when beta_k falls below the last tolerance; the
+    bases grow by doubling, so memory follows the step count, not D x D.
+    M^H u is formed as conj(u^H M), so M^H is never built.
+    """
+    D = M.shape[0]
+    v = np.random.default_rng(0).standard_normal(D).astype(np.complex128)
+    v /= np.linalg.norm(v)
+    U = np.empty((min(D, 32), D), dtype=np.complex128)
+    V = np.empty_like(U)
+    alpha, beta = [], []
+    k = check = 1
+    tol = 0.0
+    while True:
+        if k > len(U):
+            grow = np.empty((min(D, 2 * len(U)) - len(U), D), dtype=np.complex128)
+            U, V = np.concatenate([U, grow]), np.concatenate([V, grow])
+        V[k - 1] = v
+        p = _orthogonalized(M @ v, U[: k - 1])
+        a = float(np.linalg.norm(p))
+        alpha.append(a)
+        U[k - 1] = p / a if a > 0.0 else p  # a zero u_k ends the run below
+        r = _orthogonalized((U[k - 1].conj() @ M).conj(), V[:k])
+        b = float(np.linalg.norm(r))
+        if k == check or k == D or b <= tol:
+            check = k + max(1, k // 8)
+            P, s, Qh = np.linalg.svd(np.diag(alpha) + np.diag(beta, 1))
+            tol = _LANCZOS_TOL * s[0]
+            if k == D or abs(P[-1, 0]) * b <= tol:
+                break
+        beta.append(b)
+        v = r / b
+        k += 1
+    return float(s[0]), P[:, 0] @ U[:k], Qh[0] @ V[:k]
 
 
 def _top_singular(T: Tensor3) -> tuple[float, np.ndarray]:
     """Largest singular value of the matrix view and its left singular vector.
 
-    One Lanczos run (see :func:`_lanczos_extremes`) on the Hermitian dilation
-    [[0, M], [M^H, 0]], whose eigenvalues are the singular values of M and
-    their negatives: its top eigenvalue is sigma_1, and the two halves of its
-    eigenvector, normalized, are the singular vectors u and v.  The phase of
-    u is arbitrary; the ALS anchor only reads partial traces of u u^H.  The
-    pair is checked against the stored matrix, and ValueError is raised when
-    ||M v - sigma u|| exceeds 1e-9 sigma (or is not a number).  Cached per
-    tensor: `spectral_norm` and the ALS anchor of a non-Hermitian tensor
-    share it.
+    One Golub-Kahan-Lanczos run on the matrix view (see
+    :func:`_golub_kahan`): about half the steps of a Lanczos run on the
+    Hermitian dilation [[0, M], [M^H, 0]], with one product with M and one
+    with M^H per step.  The phase of u is arbitrary; the ALS anchor only
+    reads partial traces of u u^H.  The pair is checked against the stored
+    matrix, and ValueError is raised when ||M v - sigma u|| exceeds
+    1e-9 sigma (or is not a number).  Cached per tensor: `spectral_norm`
+    and the ALS anchor of a non-Hermitian tensor share it.
     """
     if T._sv is None:
         M = T.matrix
-        D = M.shape[0]
-
-        def matvec(x):  # M^H x1 as conj(x1^H M), so M^H is never formed
-            return np.concatenate([M @ x[D:], (x[:D].conj() @ M).conj()])
-
-        _, _, sigma, w = _lanczos_extremes(matvec, 2 * D, np.complex128)
-        # M v = sigma u and M^H u = sigma v, so both halves have norm 1/sqrt(2)
-        u, v = w[:D] / np.linalg.norm(w[:D]), w[D:] / np.linalg.norm(w[D:])
+        sigma, u, v = _golub_kahan(M)
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
         res = float(np.linalg.norm(M @ v - sigma * u))
         if not res <= 1e-9 * sigma:
             raise ValueError(f"singular pair residual {res!r} on the stored matrix (sigma {sigma!r})")
         u.setflags(write=False)
-        T._sv = (float(sigma), u)
+        T._sv = (sigma, u)
     return T._sv
+
+
+def _orthogonalized(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """w minus its projection on the orthonormal rows of Q, in two classical
+    Gram-Schmidt passes (the second restores orthogonality)."""
+    for _ in range(2):
+        w = w - (Q @ w.conj()).conj() @ Q
+    return w
 
 
 def _anchor_factors(T: Tensor3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -653,6 +729,26 @@ def _anchor_factors(T: Tensor3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(outs)
 
 
+def _pauli_table(T: Tensor3) -> np.ndarray:
+    """The ALS table C = `pauli.fourier(T)` / N^{3/2}, (d, d, d) with d = N^2.
+
+    A Hermitian tensor's table is real, and C is returned as one real array
+    (the real part of a general tensor's computed table, whose imaginary
+    part is rounding).  Any other tensor's C is complex and is returned as
+    two real planes (2, d, d, d), Re C and Im C, written straight from the
+    complex table, which is then freed.
+    """
+    from .pauli import fourier  # pauli imports this module
+
+    C = fourier(T).coefficients
+    if T.is_hermitian():
+        return C.real / T.N**1.5
+    planes = np.empty((2, *C.shape))
+    np.divide(C.real, T.N**1.5, out=planes[0])
+    np.divide(C.imag, T.N**1.5, out=planes[1])
+    return planes
+
+
 def trilinear_norm_lower(
     T: Tensor3,
     restarts: int = 8,
@@ -664,43 +760,41 @@ def trilinear_norm_lower(
     """Alternating maximization of |<T, X⊗Y⊗Z>| over Hermitian unit-Frobenius balls.
 
     Each mode update is the exact closed-form maximizer with the other two
-    factors held fixed, so the objective never decreases within a run.  On
-    a Hermitian tensor (every sampled one) each mode image A is Hermitian
-    and the update is X = (conj(A) + A^T) / ||conj(A) + A^T||_F (see
-    :func:`_hermitian_factor`); any other tensor keeps the phase rotation of
-    :func:`_best_hermitian_factor`.  Either keeps a restart's old factor
-    where its image vanishes.  One restart starts from the
-    dominant-eigenvector partial traces; the rest start from seeded random
-    Hermitian matrices (restart r draws from (seed, r)), drawn and
-    normalized as one stack.  The starts pass once through the maps'
-    `enter` (see :func:`_mode_contraction`), and all restarts advance in
-    lockstep (see :func:`_lockstep_ascent`); a restart leaves after the
-    sweep whose gain falls below tol times its previous value, or after
-    max_iters sweeps.  The best value across restarts (the first, on a tie)
-    is returned together with the achieving witness; it is a guaranteed
-    lower bound on the trilinear norm.
+    factors held fixed, so the objective never decreases within a run, and
+    each keeps a restart's old factor where its image vanishes.  One restart
+    starts from the dominant-eigenvector partial traces; the rest start from
+    seeded random Hermitian matrices (restart r draws from (seed, r)), drawn
+    and normalized as one stack.  All restarts advance in lockstep (see
+    :func:`_lockstep_ascent`, where one hold of a factor serves two
+    updates); a restart leaves after the sweep whose gain falls below tol
+    times its previous value, or after max_iters sweeps.  The best value
+    across restarts (the first, on a tie) is returned together with the
+    achieving witness; it is a guaranteed lower bound on the trilinear norm.
 
-    A sampled tensor with N <= 4 (`_TABLE_MAX_N`) runs the same ascent on
-    its real Pauli table C = `pauli._fourier_from_g(n, g)` / N^{3/2}
-    through :func:`_array_maps`, where per-call overhead, not arithmetic,
-    bounds the g maps.  Each factor is then its real coordinate vector in
-    the orthonormal basis conj(P_p)/sqrt(N): a start F enters as
-    x = Re(F B^H)/sqrt(N) with B = `pauli._mode_matrix(n)`, the update is
-    x = a/||a|| with value ||a|| (see :func:`_unit_factor`), the same
-    maximizer in these coordinates, and the witness leaves as
-    X = x B/sqrt(N).  The table masks the collisions, so the starts need no
-    `enter`.
+    Every tensor given by its matrix, and a sampled tensor with N <= 4
+    (`_TABLE_MAX_N`), ascends on its Pauli table C = `pauli.fourier(T)` /
+    N^{3/2} (see :func:`_pauli_table`) through :func:`_array_maps`.  Each
+    factor is then its real coordinate vector in the orthonormal basis
+    conj(P_p)/sqrt(N): a start F enters as x = Re(F B^H)/sqrt(N) with
+    B = `pauli._mode_matrix(n)`, and the witness leaves as X = x B/sqrt(N).
+    A Hermitian tensor's table is real and the update is x = a/||a|| with
+    value ||a|| (see :func:`_unit_factor`); any other tensor's table is two
+    real planes, every map is a real GEMM against them, and the update is
+    the phase rotation of :func:`_phase_factor`.  A sampled tensor with
+    N >= 8 ascends on g through the maps of :func:`_mode_contraction`, its
+    starts passed once through their `enter`, with the update
+    X = (conj(A) + A^T) / ||conj(A) + A^T||_F (see :func:`_hermitian_factor`).
 
     on_sweep, when given, is called as on_sweep(restart, iteration, value)
     once per unconverged restart per sweep, in iteration-major order: every
     restart still running reports iteration i, in increasing restart order,
     before any reports iteration i + 1.
 
-    A sweep costs O(N^6 R) on the table or on any general tensor and
-    O(N^4 R) on g.  The winner is paired again through the g maps of a
-    sampled tensor (for the table route an independent O(N^4) oracle, so
-    the check never rereads the table that produced the value) or the dense
-    contraction of any other tensor, and ValueError is raised when that
+    A sweep costs 1.5 passes over the table, O(N^6 R), and O(N^4 R) on g.
+    The winner is paired again through the maps of :func:`_mode_contraction`:
+    the g maps of a sampled tensor or the dense mode view of any other, for
+    the table route an independent oracle, so the check never rereads the
+    table that produced the value.  ValueError is raised when that pairing
     differs from its ALS value by more than 1e-9 relative.  ValueError is
     also raised up front for restarts or max_iters below 1 and for a tol
     that is negative or not finite (a NaN tol would never stop a restart).
@@ -735,21 +829,28 @@ def trilinear_norm_lower(
     def stop(prev, v, old, new):
         return v - prev < tol * np.maximum(prev, 1e-300)
 
-    enter, hold_z, contract_z = _mode_contraction(T)
-    if T.raw_g is not None and N <= _TABLE_MAX_N:
-        from .pauli import _fourier_from_g, _mode_matrix  # pauli imports this module
+    if T.raw_g is None or N <= _TABLE_MAX_N:
+        from .pauli import _mode_matrix  # pauli imports this module
 
         B = _mode_matrix(T.n)
-        C = _fourier_from_g(T.n, T.raw_g) / N**1.5
         coords = (starts.reshape(3, restarts, -1) @ B.conj().T).real / np.sqrt(N)
-        best_val, factors = _lockstep_ascent(*_array_maps(C), _unit_factor, coords, max_iters, stop, on_sweep)
+        rule = _unit_factor if T.is_hermitian() else _phase_factor
+        # the table is passed on unnamed, so it is freed once the ascent returns
+        best_val, factors = _lockstep_ascent(
+            _array_maps(_pauli_table(T)), lambda a, old, valued: rule(a, old), coords, max_iters, stop, on_sweep
+        )
         X, Y, Z = ((x @ B).reshape(N, N) / np.sqrt(N) for x in factors)
-        # paired through the g maps, so the check never rereads the table
-        value = _pair(contract_z, *enter(np.stack([X, Y])), Z)
+        # paired through the g maps or the dense mode view, so the check
+        # never rereads the table; the maps are built only now, so a
+        # general tensor's mode view and table are never held together
+        enter, hold = _mode_contraction(T)
+        value = _pair(hold, *enter(np.stack([X, Y])), Z)
     else:
-        update = _hermitian_factor if T.is_hermitian() else _best_hermitian_factor
-        best_val, (X, Y, Z) = _lockstep_ascent(hold_z, contract_z, update, enter(starts), max_iters, stop, on_sweep)
-        value = _pair(contract_z, X, Y, Z)
+        enter, hold = _mode_contraction(T)
+        best_val, (X, Y, Z) = _lockstep_ascent(
+            hold, lambda A, old, valued: _hermitian_factor(A, old), enter(starts), max_iters, stop, on_sweep
+        )
+        value = _pair(hold, X, Y, Z)
     if abs(abs(value) - best_val) > 1e-9 * max(abs(value), best_val):
         raise ValueError(f"ALS value {best_val!r} does not match its witness ({abs(value)!r})")
     return abs(value), TrilinearWitness(X=X, Y=Y, Z=Z, value=value)

@@ -270,6 +270,20 @@ def per_restart_heuristic(G, restarts=32, seed=0):
     return best, best_strat
 
 
+def held_pairs(d_hold, g_hold, factors):
+    """(dense, from g) partial sums of both held maps, for every held mode and
+    both images of each hold, each player's sums given the other two
+    players' sign vectors in `factors`."""
+    pairs = []
+    for h in range(3):
+        d_image, g_image = d_hold(h, factors[h]), g_hold(h, factors[h])
+        for m in range(3):
+            if m != h:
+                other = factors[3 - m - h]
+                pairs.append((d_image(m, other), g_image(m, other)))
+    return pairs
+
+
 class TestClassicalHeuristic:
     def test_lockstep_matches_per_restart_oracle(self):
         games = [
@@ -303,10 +317,8 @@ class TestClassicalHeuristic:
             rep = game_from_tensor(T)
             Q = rep.game.Q
             x, y, z = np.random.default_rng(n).choice([-1.0, 1.0], (3, 5, Q))
-            (d_hold, d_last), (g_hold, g_last) = _array_maps(rep.game.cost_tensor()), _pauli_partial_sums(T)
-            pairs = [(d_hold(z)(0, y), g_hold(z)(0, y)), (d_hold(z)(1, x), g_hold(z)(1, x))]
-            pairs.append((d_last(x, y), g_last(x, y)))
-            for dense, from_g in pairs:
+            d_hold, g_hold = _array_maps(rep.game.cost_tensor()), _pauli_partial_sums(T)
+            for dense, from_g in held_pairs(d_hold, g_hold, (x, y, z)):
                 want = dense * rep.l1_norm
                 assert from_g.shape == (5, Q)
                 assert np.abs(from_g - want).max() <= 1e-12 * np.abs(want).max(), n
@@ -326,12 +338,10 @@ class TestClassicalHeuristic:
         rng = np.random.default_rng(80 + n)
         full = rng.choice([-1.0, 1.0], (3, 4, Q))
         masked = full * diagonal
-        (d_hold, d_last), (g_hold, g_last) = _array_maps(rep.game.cost_tensor()), _pauli_partial_sums(T)
-        scale = np.abs(d_last(full[0], full[1])).max() * rep.l1_norm
-        for x, y, z in ((masked[0], full[1], full[2]), (full[0], masked[1], full[2]), (full[0], full[1], masked[2])):
-            pairs = [(d_hold(z)(0, y), g_hold(z)(0, y)), (d_hold(z)(1, x), g_hold(z)(1, x))]
-            pairs.append((d_last(x, y), g_last(x, y)))
-            for dense, from_g in pairs:
+        d_hold, g_hold = _array_maps(rep.game.cost_tensor()), _pauli_partial_sums(T)
+        scale = np.abs(d_hold(0, full[0])(2, full[1])).max() * rep.l1_norm
+        for factors in ((masked[0], full[1], full[2]), (full[0], masked[1], full[2]), (full[0], full[1], masked[2])):
+            for dense, from_g in held_pairs(d_hold, g_hold, factors):
                 assert np.abs(from_g - dense * rep.l1_norm).max() <= 1e-12 * scale, n
 
     def test_lockstep_reproducible_and_single_restart(self):

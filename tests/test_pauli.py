@@ -104,8 +104,8 @@ class TestFourier:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_from_g_matches_dense(self, n):
-        # the real transform from g against the complex einsum on the built
-        # matrix; odd-Y triples and I/Z-only strings come out exactly 0
+        # the real transform from g against the complex mode GEMMs on the
+        # built matrix; odd-Y triples and I/Z-only strings come out exactly 0
         N = 2**n
         labels = build_basis(n).labels
         y = np.array([label.count("Y") for label in labels])
@@ -124,6 +124,22 @@ class TestFourier:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.all(got[odd] == 0.0)
             assert np.all(got[iz] == 0.0) and np.all(got[:, iz] == 0.0) and np.all(got[:, :, iz] == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mode_gemms_match_einsum(self, n):
+        # a general tensor's table by three mode GEMMs against the one-einsum
+        # transform it replaced, on a complex and on a Hermitian tensor
+        from xorgap.pauli import _mode_matrix
+
+        D = 8**n
+        rng = np.random.default_rng(50 + n)
+        M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        B = _mode_matrix(n)
+        for T in (Tensor3(n, M), Tensor3(n, (M + M.conj().T) / 2.0)):
+            want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
+            got = fourier(T).coefficients
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_real_mode_matrix_factors_mode_matrix(self, n):

@@ -79,6 +79,29 @@ def _oracle_best_hermitian_factor(A):
     return X, abs(complex(np.vdot(B, X)))
 
 
+def _hermitian_basis(N):
+    """An orthonormal basis of the N x N Hermitian matrices, as (N^2, N, N)."""
+    E = np.zeros((N, N, N, N), dtype=complex)
+    for i in range(N):
+        E[i, i, i, i] = 1.0
+        for j in range(i + 1, N):
+            E[i, j, i, j] = E[i, j, j, i] = 1.0 / np.sqrt(2.0)
+            E[j, i, i, j], E[j, i, j, i] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    return E.reshape(N * N, N, N)
+
+
+def phase_update(As, old=None):
+    """`_phase_factor` on a stack of matrix images A[r]: in the coordinates
+    a_k = sum A∘E_k of an orthonormal Hermitian basis E the pairing
+    sum A∘X is a·x for X = sum x_k E_k, so X comes back as sum x_k E_k."""
+    from xorgap.tensor import _phase_factor
+
+    E = _hermitian_basis(As.shape[-1])
+    a = np.einsum("rij,kij->rk", As, E)
+    x, val, ok = _phase_factor(np.stack([a.real, a.imag], axis=1), old)
+    return np.einsum("rk,kij->rij", x, E), val, ok
+
+
 def _oracle_contraction(T):
     """Single-restart mode map: O(N^4) from g when present, else the dense einsum."""
     N = T.N
@@ -494,19 +517,20 @@ class TestTrilinearEval:
                 assert abs(trilinear_eval(tensor, X, Y, Z) - want) <= 1e-12 * abs(want)
             e_want = trilinear_eval(tensor, *(E.astype(np.complex128),) * 3)
             assert trilinear_eval(tensor, E, E, E) == pytest.approx(e_want, rel=1e-12)
-            enter, hold_z, contract_z = _mode_contraction(tensor)
+            enter, hold = _mode_contraction(tensor)
             stack = np.array(real)
             frozen_stack = stack.astype(np.complex128)
             frozen_stack.setflags(write=False)
+            C = enter(stack.astype(np.complex128))
             for F in (stack, frozen_stack):
                 F = enter(F)
-                contract_xy = hold_z(F)
-                got = [contract_xy(0, F), contract_xy(1, F), contract_z(F, F)]
-                C = enter(stack.astype(np.complex128))
-                ref_xy = hold_z(C)
-                ref = [ref_xy(0, C), ref_xy(1, C), contract_z(C, C)]
-                for a, b in zip(got, ref):
-                    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+                for h in range(3):
+                    image = hold(h, F)
+                    got = [image(m, F) for m in range(3) if m != h]
+                    ref_image = hold(h, C)
+                    ref = [ref_image(m, C) for m in range(3) if m != h]
+                    for a, b in zip(got, ref):
+                        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_large_diagonals_masked_on_entry(self, n):
@@ -592,11 +616,9 @@ class TestTrilinearLower:
     def test_mode_update_is_exact_maximizer(self, N):
         # the single-mode subproblem max |sum A∘X| over unit-Frobenius
         # Hermitian X has a closed form; no sampled feasible point may beat it
-        from xorgap.tensor import _best_hermitian_factor
-
         rng = np.random.default_rng(N)
         As = rng.standard_normal((20, N, N)) + 1j * rng.standard_normal((20, N, N))
-        Xs, vals, ok = _best_hermitian_factor(As)
+        Xs, vals, ok = phase_update(As)
         assert ok.all()
         for A, X, val in zip(As, Xs, vals):
             assert np.abs(X - X.conj().T).max() <= 1e-12
@@ -616,9 +638,7 @@ class TestTrilinearLower:
     )
     def test_mode_update_one_sided_input(self, A):
         # conj(A) or i conj(A), normalized, attains Cauchy-Schwarz: ||A||_F
-        from xorgap.tensor import _best_hermitian_factor
-
-        (X,), (val,), (ok,) = _best_hermitian_factor(A[None])
+        (X,), (val,), (ok,) = phase_update(A[None])
         assert ok
         assert np.abs(X - X.conj().T).max() <= 1e-12
         assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
@@ -627,12 +647,10 @@ class TestTrilinearLower:
 
     def test_mode_update_degenerate_gram(self):
         # H1, H2 orthogonal with equal norms: every unit c in the span is optimal
-        from xorgap.tensor import _best_hermitian_factor
-
         H1 = np.diag([1.0, -1.0])
         H2 = np.array([[0.0, 1.0], [1.0, 0.0]])
         A = (H1 + 1j * H2).conj()
-        (X,), (val,), (ok,) = _best_hermitian_factor(A[None])
+        (X,), (val,), (ok,) = phase_update(A[None])
         assert ok
         assert np.abs(X - X.conj().T).max() <= 1e-12
         assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
@@ -640,21 +658,17 @@ class TestTrilinearLower:
         assert abs(np.sum(A * X)) == pytest.approx(val, rel=1e-12)
 
     def test_mode_update_zero_input(self):
-        from xorgap.tensor import _best_hermitian_factor
-
-        X, val, ok = _best_hermitian_factor(np.zeros((1, 3, 3), dtype=complex))
+        X, val, ok = phase_update(np.zeros((1, 3, 3), dtype=complex))
         assert not ok[0] and val[0] == 0.0
 
     def test_mode_update_zero_slice_beside_nonzero(self):
         # one restart's A vanishes, the other's does not: only the first is flagged
-        from xorgap.tensor import _best_hermitian_factor
-
         rng = np.random.default_rng(8)
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        X, val, ok = _best_hermitian_factor(np.stack([np.zeros((3, 3), dtype=complex), A]))
+        X, val, ok = phase_update(np.stack([np.zeros((3, 3), dtype=complex), A]))
         assert ok.tolist() == [False, True]
         assert val[0] == 0.0 and np.all(X[0] == 0)
-        (X1,), (v1,), _ = _best_hermitian_factor(A[None])
+        (X1,), (v1,), _ = phase_update(A[None])
         assert val[1] == v1 and np.array_equal(X[1], X1)
 
     @pytest.mark.parametrize("N", [2, 4, 8])
@@ -663,8 +677,6 @@ class TestTrilinearLower:
         # rule: same value, same X up to a global sign; zero slices beside
         # non-zero ones and an exactly degenerate Gram matrix (u = tr(BB) = 0)
         # ride in the same stack
-        from xorgap.tensor import _best_hermitian_factor
-
         rng = np.random.default_rng(100 + N)
         G = rng.standard_normal((6, N, N)) + 1j * rng.standard_normal((6, N, N))
         H = (G + G.conj().transpose(0, 2, 1)) / 2.0
@@ -674,7 +686,7 @@ class TestTrilinearLower:
         As = np.concatenate(
             [G, H, 1j * H, [zero, (H1 + 1j * H2).conj(), zero, 2.5 * (H1 - 1j * H2).conj()]]
         )
-        Xs, vals, ok = _best_hermitian_factor(As)
+        Xs, vals, ok = phase_update(As)
         for A, X, val, flag in zip(As, Xs, vals, ok):
             want_X, want_val = _oracle_best_hermitian_factor(A)
             if want_X is None:
@@ -687,8 +699,9 @@ class TestTrilinearLower:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_structured_contraction_matches_dense(self, n):
-        # modes 0 and 1 come from one hold_z closure, as the ALS loop calls
-        # them, so the structured path's shared intermediate serves both
+        # both images of a hold come from one closure, as the ALS loop calls
+        # them, so the structured path's held intermediate serves both, for
+        # every held mode
         from xorgap.tensor import _mode_contraction
 
         T = sample_tensor(n, SamplerConfig(seed=n))
@@ -696,35 +709,37 @@ class TestTrilinearLower:
         W = T.mode_view()
         rng = np.random.default_rng(n)
         for tensor in (T, Tensor3(n, T.matrix)):  # structured, then dense
-            enter, hold_z, contract_z = _mode_contraction(tensor)
-            H = np.array([random_hermitian(rng, N) for _ in range(3)])
-            contract_xy = hold_z(enter(H))
-            for mode, pattern in enumerate(("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")):
-                F = np.array([random_hermitian(rng, N) for _ in range(3)])
-                got = contract_z(enter(F), enter(H)) if mode == 2 else contract_xy(mode, enter(F))
-                for r in range(3):
-                    want = np.einsum(pattern, W, F[r].ravel(), H[r].ravel()).reshape(N, N)
-                    assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max()
+            enter, hold = _mode_contraction(tensor)
+            for h in range(3):
+                H = np.array([random_hermitian(rng, N) for _ in range(3)])
+                image = hold(h, enter(H))
+                for mode in range(3):
+                    if mode == h:
+                        continue
+                    F = np.array([random_hermitian(rng, N) for _ in range(3)])
+                    got = image(mode, enter(F))
+                    for r in range(3):
+                        other = "abc"[3 - mode - h]  # F on the third mode, H on the held one
+                        pattern = f"abc,{other},{'abc'[h]}->{'abc'[mode]}"
+                        want = np.einsum(pattern, W, F[r].ravel(), H[r].ravel()).reshape(N, N)
+                        assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (h, mode)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_held_map_reused_across_modes(self, n):
-        # one held map serves mode 0, mode 1 and mode 0 again, with the z
-        # map run in between: the work arrays it keeps are not overwritten
+        # one held map serves one image mode, the other, and the first again:
+        # an image does not overwrite the held work array the next one reads
         from xorgap.tensor import _mode_contraction
 
         T = sample_tensor(n, SamplerConfig(seed=10 + n))
         N, R = T.N, 3
         rng = np.random.default_rng(70 + n)
         oracle = _oracle_contraction(T)
-        enter, hold_z, contract_z = _mode_contraction(T)
+        enter, hold = _mode_contraction(T)
         H = np.array([random_hermitian(rng, N) for _ in range(R)])
-        contract_xy = hold_z(enter(H))
-        for mode in (0, 1, 2, 0):
+        image = hold(2, enter(H))
+        for mode in (0, 1, 0):
             F = np.array([random_hermitian(rng, N) for _ in range(R)])
-            if mode == 2:
-                contract_z(enter(F), enter(F))
-                continue
-            got = contract_xy(mode, enter(F))
+            got = image(mode, enter(F))
             for r in range(R):
                 want = oracle(mode, F[r], H[r])
                 assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (mode, r)
@@ -760,6 +775,73 @@ class TestTrilinearLower:
             assert int(np.argmax(finals)) == best_r or (len(tied) > 1 and best_r in tied), name
             assert val == pytest.approx(best, rel=1e-12), name
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["hermitian", "general"])
+    def test_general_tensors_match_per_restart_oracle(self, n, kind):
+        # a tensor given by its matrix ascends on its Pauli table (real for a
+        # Hermitian tensor, two real planes otherwise); against the dense
+        # per-restart oracle: the same sweep count per restart, values within
+        # 1e-12, and Hermitian unit witnesses that pair to the value
+        D = 8**n
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(23, n)))
+        M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        if kind == "hermitian":
+            M = (M + M.conj().T) / 2.0
+        T = Tensor3(n, M)
+        assert T.is_hermitian() == (kind == "hermitian")
+        kw = dict(restarts=4, max_iters=40 if n == 3 else 200, seed=n)
+        got, want = {}, {}
+        val, wit = trilinear_norm_lower(T, on_sweep=lambda r, i, v: got.setdefault(r, []).append(v), **kw)
+        best, _ = oracle_trilinear_lower(T, on_sweep=lambda r, i, v: want.setdefault(r, []).append(v), **kw)
+        assert {r: len(h) for r, h in got.items()} == {r: len(h) for r, h in want.items()}
+        for r in want:
+            assert np.allclose(got[r], want[r], rtol=1e-12, atol=0.0), r
+        assert val == pytest.approx(best, rel=1e-12)
+        for F in (wit.X, wit.Y, wit.Z):
+            assert np.abs(F - F.conj().T).max() <= 1e-12
+            assert np.linalg.norm(F) == pytest.approx(1.0, abs=1e-12)
+        assert abs(trilinear_eval(T, wit.X, wit.Y, wit.Z)) == pytest.approx(val, rel=1e-12)
+
+    def test_holds_per_call_bounded(self, monkeypatch):
+        # one hold serves two updates: a call of s sweeps makes ceil(1.5 s)
+        # holds, also when restarts leave between the two updates of a hold,
+        # whatever the provider: the Pauli table (real, or planes), the g
+        # maps or a game's cost tensor
+        from xorgap import game, tensor
+        from xorgap.sweep import row_seed
+
+        ascent, runs = tensor._lockstep_ascent, []
+
+        def counting_ascent(hold, update, starts, max_sweeps, stop, on_sweep=None):
+            holds, sweeps = [], {}
+
+            def counted(*args):
+                holds.append(args[0])
+                return hold(*args)
+
+            out = ascent(counted, update, starts, max_sweeps, stop, lambda r, i, v: sweeps.__setitem__(r, i + 1))
+            most = max(sweeps.values())
+            # a restart that leaves after an odd sweep, before the last, leaves
+            # between the two updates of a hold
+            runs.append((len(holds), most, any(c % 2 and c < most for c in sweeps.values())))
+            return out
+
+        monkeypatch.setattr(tensor, "_lockstep_ascent", counting_ascent)
+        monkeypatch.setattr(game, "_lockstep_ascent", counting_ascent)
+        rng = np.random.default_rng(31)
+        M = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        for T in (Tensor3(2, M), Tensor3(2, (M + M.conj().T) / 2.0)):
+            trilinear_norm_lower(T, restarts=8)
+        for n in (2, 3):
+            T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 0)))
+            trilinear_norm_lower(T, restarts=8)
+            G = game.game_from_tensor(T).game
+            game.classical_bias_heuristic(G, restarts=32, seed=3)
+        assert len(runs) == 6
+        for holds, sweeps, _ in runs:
+            assert holds == np.ceil(1.5 * sweeps)
+        assert sum(mid_hold for *_, mid_hold in runs) >= 3
+
     def test_on_sweep_is_iteration_major(self):
         T = sample_tensor(2, SamplerConfig(seed=3))
         calls = []
@@ -778,7 +860,7 @@ class TestTrilinearLower:
         # the unit vector of the Pauli-table route (a small sampled tensor),
         # the Hermitian one (a sampled tensor ascending on g; the ALS calls
         # both with the old factors as well, which the patch passes on) and
-        # the phase rotation (a non-Hermitian dense tensor)
+        # the coordinate phase rotation (a non-Hermitian dense tensor's table)
         from xorgap import tensor
 
         rng = np.random.default_rng(4)
@@ -786,7 +868,7 @@ class TestTrilinearLower:
         cases = [
             ("_unit_factor", sample_tensor(1, SamplerConfig(seed=1))),
             ("_hermitian_factor", sample_tensor(3, SamplerConfig(seed=1))),
-            ("_best_hermitian_factor", Tensor3(1, M)),
+            ("_phase_factor", Tensor3(1, M)),
         ]
         for name, T in cases:
             update = getattr(tensor, name)
@@ -842,14 +924,14 @@ class TestTrilinearLower:
         # on Hermitian images the phase rotation is the identity: the
         # Hermitian rule gives the same factor and value, and an exactly
         # Hermitian factor even where A is Hermitian only to rounding
-        from xorgap.tensor import _best_hermitian_factor, _hermitian_factor
+        from xorgap.tensor import _hermitian_factor
 
         rng = np.random.default_rng(200 + N)
         H = np.array([random_hermitian(rng, N, unit=False) for _ in range(6)])
         H[3] = 0.0  # a vanished slice beside non-zero ones
         H[4] += 1e-15 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
         X, val, ok = _hermitian_factor(H)
-        want_X, want_val, want_ok = _best_hermitian_factor(H)
+        want_X, want_val, want_ok = phase_update(H)
         assert ok.tolist() == want_ok.tolist() == [True, True, True, False, True, True]
         assert val[3] == 0.0 and np.all(X[3] == 0)
         assert np.allclose(val, want_val, rtol=1e-12, atol=0.0)
@@ -984,32 +1066,39 @@ class TestHermitize:
     def test_general_tensor_factored_once(self, monkeypatch):
         # a general-tensor pass: the game build and the Pauli strategy share one
         # hermitize (one eigenpair per candidate), and the norms share one
-        # singular pair; no SVD runs
+        # singular pair; no SVD of the matrix runs (Golub-Kahan solves only
+        # its small real bidiagonal)
         from xorgap import tensor
         from xorgap.game import game_from_tensor, pauli_strategy
 
         rng = np.random.default_rng(10)
         T = Tensor3(2, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
-        counted = {"eigenpair": 0, "svd": 0}
-        lanczos, svd = tensor._lanczos_extremes, np.linalg.svd
+        counted = {"eigenpair": 0, "golub_kahan": 0, "svd": 0}
+        lanczos, golub_kahan, svd = tensor._lanczos_extremes, tensor._golub_kahan, np.linalg.svd
 
         def counting_lanczos(*args):
             counted["eigenpair"] += 1
             return lanczos(*args)
 
+        def counting_golub_kahan(*args):
+            counted["golub_kahan"] += 1
+            return golub_kahan(*args)
+
         def counting_svd(a, *args, **kwargs):
-            if np.shape(a) == (64, 64):
+            if np.iscomplexobj(a) and np.shape(a) == (64, 64):
                 counted["svd"] += 1
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(tensor, "_lanczos_extremes", counting_lanczos)
+        monkeypatch.setattr(tensor, "_golub_kahan", counting_golub_kahan)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         spectral_norm(T)
         trilinear_norm_lower(T, restarts=2)
         game_from_tensor(T)
         pauli_strategy(hermitize(T))
-        # one Lanczos run for the singular pair, one per hermitize candidate
-        assert counted == {"eigenpair": 3, "svd": 0}
+        # one Golub-Kahan run for the singular pair, one Lanczos run per
+        # hermitize candidate
+        assert counted == {"eigenpair": 2, "golub_kahan": 1, "svd": 0}
 
     def test_candidates_exactly_hermitian_and_marked(self, monkeypatch):
         # both candidates are Hermitian bit for bit, so hermitize marks them
@@ -1064,13 +1153,13 @@ class TestTopSingular:
     def test_wrong_vector_fails_residual_check(self, monkeypatch):
         from xorgap import tensor
 
-        lanczos = tensor._lanczos_extremes
+        golub_kahan = tensor._golub_kahan
 
         def wrong(*args):
-            low, u, high, v = lanczos(*args)
-            return low, u, high, np.roll(v, 1)
+            sigma, u, v = golub_kahan(*args)
+            return sigma, np.roll(u, 1), v
 
-        monkeypatch.setattr(tensor, "_lanczos_extremes", wrong)
+        monkeypatch.setattr(tensor, "_golub_kahan", wrong)
         T = Tensor3(1, _random_general(np.random.default_rng(3), 8))
         with pytest.raises(ValueError, match="singular pair residual"):
             spectral_norm(T)
