@@ -87,14 +87,17 @@ def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
     """Greedy maximal eps-packing of the unit sphere of C^N (an eps-net).
 
     Candidates come in seeded batches of 256.  A batch is screened against
-    the points kept before it with one GEMM, d^2 ~ 2 - 2 Re(v p^H), which
-    rejects a candidate only when its minimum falls below eps^2 - 1e-9, far
-    beyond the expression's rounding of about 1e-15.  The rest get the exact
-    distance sum against those points, and the candidates that pass are
-    then tested, in order, against the points accepted earlier in the same
-    batch, so the result is the one-candidate-at-a-time packing, bit for bit.
-    Construction stops after PACKING_WINDOW consecutive rejections, even
-    mid-batch.  Deterministic for fixed (N, eps, seed); results are cached
+    the points kept before it with one real GEMM: Re(v p^H) is the dot of
+    the interleaved (re, im) rows of v and p, and d^2 = 2 - 2 Re(v p^H), so
+    a candidate is rejected only where that d^2 falls below eps^2 - 1e-9,
+    far beyond the expression's rounding of about 1e-15.  The kept points'
+    column block grows only when a batch keeps points.  The rest get the
+    exact distance sum against those points, and only the candidates that
+    pass it are then tested, in order, against the points accepted earlier
+    in the same batch; the rejections between them are counted, not
+    visited.  So the result is the one-candidate-at-a-time packing, bit for
+    bit.  Construction stops after PACKING_WINDOW consecutive rejections,
+    even mid-batch.  Deterministic for fixed (N, eps, seed); results are cached
     and shared (all stored arrays are read-only).  N is capped at 4; the
     construction is combinatorial in nature and larger dimensions are
     rejected rather than silently approximated.
@@ -105,35 +108,43 @@ def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
         raise ScaleError("sphere nets are built only for complex dimension <= 4")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, N)))
     pts = np.empty((0, N), dtype=np.complex128)
+    cols = np.empty((2 * N, 0))  # the kept points' interleaved (re, im) as columns
     rejects = 0
     eps2 = eps * eps
+    # |v - p|^2 = 2 - 2 Re(v p^H) to within about 1e-15 for unit v and p, so
+    # Re(v p^H) above this is an exact-test rejection as well
+    top = 1.0 - (eps2 - _SCREEN_MARGIN) / 2.0
     while rejects < PACKING_WINDOW:
         batch = rng.standard_normal((256, 2 * N))
         vecs = batch[:, :N] + 1j * batch[:, N:]
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        # one GEMM screens the batch, |v - p|^2 = 2 - 2 Re(v p^H) to within
-        # about 1e-15, so a screened minimum below eps^2 - _SCREEN_MARGIN is
-        # a rejection by the exact test as well
-        screen = 2.0 - 2.0 * (vecs @ pts.conj().T).real
-        near = screen.min(axis=1, initial=np.inf) < eps2 - _SCREEN_MARGIN
+        # Re(v p^H) is the dot of the interleaved (re, im) rows: one real GEMM
+        near = (vecs.view(np.float64) @ cols).max(axis=1, initial=-np.inf) > top
         # the exact test on the rest, coordinate by coordinate, adding the
         # squares in the same order as the per-candidate sum below
-        rest = vecs[~near]
-        d2 = sum(np.abs(rest[:, i, None] - pts[:, i]) ** 2 for i in range(N))
-        far = np.zeros(len(vecs), dtype=bool)
-        far[~near] = d2.min(axis=1, initial=np.inf) > eps2
+        rest = np.flatnonzero(~near)
+        d2 = sum(np.abs(vecs[rest, i, None] - pts[:, i]) ** 2 for i in range(N))
         fresh = np.empty_like(vecs)
         m = 0
-        for v, ok in zip(vecs, far):
-            if ok and np.sum(np.abs(fresh[:m] - v) ** 2, axis=1).min(initial=np.inf) > eps2:
+        last = -1
+        # the candidates that pass, in order; the ones between are rejections
+        for j in rest[d2.min(axis=1, initial=np.inf) > eps2]:
+            rejects += j - last - 1
+            last = j
+            if rejects >= PACKING_WINDOW:
+                break
+            v = vecs[j]
+            if np.sum(np.abs(fresh[:m] - v) ** 2, axis=1).min(initial=np.inf) > eps2:
                 fresh[m] = v
                 m += 1
                 rejects = 0
             else:
                 rejects += 1
-                if rejects >= PACKING_WINDOW:
-                    break
-        pts = np.concatenate([pts, fresh[:m]])
+        else:
+            rejects += len(vecs) - last - 1
+        if m:
+            pts = np.concatenate([pts, fresh[:m]])
+            cols = np.concatenate([cols, fresh[:m].view(np.float64).T], axis=1)
     pts.setflags(write=False)
     return SphereNet(dim=N, eps=eps, points=pts)
 

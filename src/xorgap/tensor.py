@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -510,7 +511,7 @@ def _mode_contraction(T: Tensor3):
 
     def work(R):
         if R not in views:
-            if not arrays or len(arrays[0]) < R:
+            if not arrays or arrays[0].shape[1] < R:  # axis 0 is the held/GEMM pair
                 views.clear()
                 arrays[:] = np.empty((2, R, N2, 2 * N)), np.empty((R, N, N2), np.complex128)
             held, gemm = arrays[0][:, :R]
@@ -856,6 +857,39 @@ def trilinear_norm_lower(
     return abs(value), TrilinearWitness(X=X, Y=Y, Z=Z, value=value)
 
 
+@lru_cache(maxsize=8)
+def _net_frame(N: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The net-invariant arrays of the net upper bound at (N, eps), read-only.
+
+    E stacks the flattened elements of every projector net, (m, N^2) in
+    row-major (i, i'); trace[p] = -tr(E[p]) vec I ⊗ vec I is the trace term
+    -vec I ⊗ vec I ⊗ vec I contracted with E[p].
+    """
+    from . import nets
+
+    E = np.concatenate([nets.projector_net(N, k, eps).elements for k in range(1, N + 1)])
+    E = E.reshape(-1, N * N)
+    vec_i = np.eye(N).reshape(-1)
+    trace = -(E @ vec_i)[:, None, None] * np.outer(vec_i, vec_i)
+    E.setflags(write=False)
+    trace.setflags(write=False)
+    return E, trace
+
+
+def _net_forms(T: Tensor3, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The net bound's stacked net elements E, (m, N^2); its folded forms
+    M1, (m, N^2, N^2), one per first factor; and their pruning bounds
+    sigma_max(M1[p]), from one stacked `eigvalsh` of the Grams M1[p]^H M1[p]."""
+    N = T.N
+    E, trace = _net_frame(N, eps)
+    Wg = np.outer(T.raw_g, T.raw_g).reshape(N, N, N, N, N, N).transpose(0, 3, 1, 4, 2, 5)
+    # tr X = <vec I, vec X>, so folding the trace term into the mode view
+    # makes the deviation one trilinear form in the flattened factors
+    M1 = (E @ Wg.reshape(N * N, -1)).reshape(trace.shape) + trace
+    sigma = np.sqrt(np.linalg.eigvalsh(M1.conj().transpose(0, 2, 1) @ M1)[:, -1])
+    return E, M1, sigma
+
+
 def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
     """Certified upper bound on the trilinear norm via the projector triple net.
 
@@ -872,15 +906,16 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
     M1[p] is the folded form contracted with E[p].  Every net element has
     unit Frobenius norm, so by Cauchy-Schwarz ||E[q] M1[p]|| bounds the
     deviation at every r, and sigma_max(M1[p]) bounds it at every (q, r).
-    X is visited in decreasing sigma_max, the loop stops once
-    sigma_max (1 + 1e-12) is at most the best value so far, and a visited X
-    evaluates only the Y rows whose bound, with the same margin, exceeds
-    it.  A skipped triple's deviation is at most its bound, and the margin
-    covers the rounding of bound and value, so the skipped triples cannot
-    raise the maximum.
+    sigma_max(M1[p]) is the square root of the largest eigenvalue of the
+    N^2 x N^2 Gram M1[p]^H M1[p], one stacked `eigvalsh` for all p, which
+    is accurate to a few units in 1e-16 relative.  X is visited in
+    decreasing sigma_max, the loop stops once sigma_max (1 + 1e-12) is at
+    most the best value so far, and a visited X evaluates only the Y rows
+    whose bound, with the same margin, exceeds it.  A skipped triple's
+    deviation is at most its bound, and the margin covers the rounding of
+    bound and value, so the skipped triples cannot raise the maximum.  The
+    nets and the arrays built from them alone are made once per (N, eps).
     """
-    from . import nets
-
     if T.N != 2:
         raise ScaleError("net upper bound is only certified at N = 2")
     if not (0.0 < eps <= 1.0):
@@ -889,15 +924,7 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
         raise ValueError("tensor carries no raw sampling vector; bound not applicable")
     g = T.raw_g
     N = T.N
-    E = np.concatenate([nets.projector_net(N, k, eps).elements for k in range(1, N + 1)])
-    E = E.reshape(-1, N * N)  # (m, N^2), row-major (i, i')
-    Wg = np.outer(g, g).reshape(N, N, N, N, N, N).transpose(0, 3, 1, 4, 2, 5)
-    # tr X = <vec I, vec X>, so folding -vec I ⊗ vec I ⊗ vec I into the mode
-    # view makes the deviation one trilinear form in the flattened factors
-    vec_i = np.eye(N).reshape(-1)
-    Wg = Wg.reshape(N * N, N * N, N * N) - np.einsum("a,b,c->abc", vec_i, vec_i, vec_i)
-    M1 = np.einsum("abc,pa->pbc", Wg, E)  # (m, N^2, N^2), one form per first factor
-    sigma = np.linalg.norm(M1, ord=2, axis=(1, 2))
+    E, M1, sigma = _net_forms(T, eps)
     max_dev = 0.0
     for p in np.argsort(-sigma, kind="stable"):
         if sigma[p] * (1.0 + _PRUNE_MARGIN) <= max_dev:
@@ -929,14 +956,27 @@ def hermitize(T: Tensor3) -> Tensor3:
     anti-Hermitian, since a - b = -(b - a) in IEEE arithmetic.  Halving and
     multiplying by i (which swaps the components and negates one) act on
     each component alone, so they keep the symmetry.
+
+    The candidates take two N^6 buffers and the expressions' own operations,
+    so they match the expressions bit for bit: M^H once into the first
+    buffer, which also serves the exactness test, and M - M^H into the
+    second; then M is added to the first (IEEE addition commutes) and it is
+    halved, and the second is multiplied by i and halved, in place.
     """
-    if T._exact_herm is None:
-        T._exact_herm = bool(np.array_equal(T.matrix, T.matrix.conj().T))
     if T._exact_herm:
         return T
     if T._hermitized is None:
         M = T.matrix
-        sym, anti = (M + M.conj().T) / 2.0, 1j * (M - M.conj().T) / 2.0
+        sym = np.conjugate(M.T, out=np.empty_like(M))
+        if T._exact_herm is None:
+            T._exact_herm = bool(np.array_equal(M, sym))
+            if T._exact_herm:
+                return T
+        anti = np.subtract(M, sym)
+        sym += M
+        sym /= 2.0
+        anti *= 1j
+        anti /= 2.0
         sym.setflags(write=False)
         anti.setflags(write=False)
         cand_s, cand_a = Tensor3(T.n, sym), Tensor3(T.n, anti)

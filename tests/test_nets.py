@@ -18,26 +18,31 @@ def random_unit_hermitian(rng, N):
     return H / np.linalg.norm(H)
 
 
-def oracle_sphere_net(N, eps, seed):
+def oracle_sphere_net(N, eps, seed, window=PACKING_WINDOW, events=None):
     """Greedy packing one candidate at a time, rebuilding the kept array on
-    every acceptance."""
+    every acceptance; appends (batch, candidate, accepted) to `events`."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, N)))
     kept = []
     P = None
     rejects = 0
-    while rejects < PACKING_WINDOW:
+    b = 0
+    while rejects < window:
         batch = rng.standard_normal((256, 2 * N))
         vecs = batch[:, :N] + 1j * batch[:, N:]
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        for v in vecs:
-            if P is None or np.sum(np.abs(P - v) ** 2, axis=1).min() > eps * eps:
+        for j, v in enumerate(vecs):
+            ok = P is None or np.sum(np.abs(P - v) ** 2, axis=1).min() > eps * eps
+            if events is not None:
+                events.append((b, j, ok))
+            if ok:
                 kept.append(v)
                 P = np.array(kept)
                 rejects = 0
             else:
                 rejects += 1
-                if rejects >= PACKING_WINDOW:
+                if rejects >= window:
                     break
+        b += 1
     return np.array(kept)
 
 
@@ -74,7 +79,23 @@ class TestSphereNet:
     )
     def test_matches_per_candidate_oracle(self, N, eps):
         # screening a batch at once keeps the sequential accept rule exactly
-        assert np.array_equal(sphere_net(N, eps, seed=0).points, oracle_sphere_net(N, eps, 0))
+        for seed in (0, 1, 7):
+            assert np.array_equal(sphere_net(N, eps, seed=seed).points, oracle_sphere_net(N, eps, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_window_ends_mid_batch_after_acceptances(self, monkeypatch, seed):
+        # a short window ends inside a batch that accepted points before the
+        # stop: those points are kept, and no later candidate is looked at
+        from xorgap import nets
+
+        window = 40
+        events = []
+        want = oracle_sphere_net(2, 0.5, seed, window=window, events=events)
+        b_stop, j_stop, _ = events[-1]
+        accepted = [(b, j) for b, j, ok in events if ok]
+        assert accepted[-1][0] == b_stop and j_stop < 255  # the case this test is for
+        monkeypatch.setattr(nets, "PACKING_WINDOW", window)
+        assert np.array_equal(sphere_net.__wrapped__(2, 0.5, seed).points, want)
 
     @pytest.mark.parametrize(
         "N,eps",
@@ -83,7 +104,8 @@ class TestSphereNet:
     )
     def test_gemm_screen_keeps_exact_points(self, N, eps):
         # the GEMM screen only rejects what the exact sum rejects as well
-        assert np.array_equal(sphere_net(N, eps, seed=0).points, exact_screen_sphere_net(N, eps, 0))
+        for seed in (0, 1, 7):
+            assert np.array_equal(sphere_net(N, eps, seed=seed).points, exact_screen_sphere_net(N, eps, seed))
 
     def test_points_are_unit(self):
         S = sphere_net(2, 0.5, seed=1)

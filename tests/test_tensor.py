@@ -744,6 +744,31 @@ class TestTrilinearLower:
                 want = oracle(mode, F[r], H[r])
                 assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (mode, r)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_work_arrays_grow_with_restarts(self, n):
+        # holding more restarts than any earlier hold regrows the maps' work
+        # arrays; each image still matches the einsum oracle
+        from xorgap.tensor import _mode_contraction
+
+        T = sample_tensor(n, SamplerConfig(seed=20 + n))
+        N = T.N
+        W = T.mode_view()
+        rng = np.random.default_rng(80 + n)
+        enter, hold = _mode_contraction(T)
+        for R in (1, 2, 3):
+            for h in range(3):
+                H = np.array([random_hermitian(rng, N) for _ in range(R)])
+                image = hold(h, enter(H))
+                for mode in {0, 1, 2} - {h}:
+                    F = np.array([random_hermitian(rng, N) for _ in range(R)])
+                    got = image(mode, enter(F))
+                    assert got.shape == (R, N, N)
+                    other = "abc"[3 - mode - h]
+                    pattern = f"abc,{other},{'abc'[h]}->{'abc'[mode]}"
+                    for r in range(R):
+                        want = np.einsum(pattern, W, F[r].ravel(), H[r].ravel()).reshape(N, N)
+                        assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (R, h, mode)
+
     @pytest.mark.parametrize("n,seed", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 0)])
     def test_structured_als_matches_dense(self, n, seed):
         T = sample_tensor(n, SamplerConfig(seed=seed))
@@ -987,6 +1012,36 @@ class TestTrilinearUpperNet:
                 _exhaustive_net_upper(T, eps), rel=1e-12, abs=0.0
             )
 
+    @pytest.mark.parametrize("eps", [0.5, 0.9])
+    def test_pruning_bounds_match_spectral_norms(self, eps):
+        # sigma_max from the Gram eigenvalues: within the pruning margin of
+        # the SVD's value, and never below it by more than that margin
+        from xorgap.sweep import row_seed
+        from xorgap.tensor import _PRUNE_MARGIN, _net_forms
+
+        for k in range(8):
+            T = sample_tensor(1, SamplerConfig(seed=row_seed(0, 1, k)))
+            _, M1, sigma = _net_forms(T, eps)
+            want = np.linalg.norm(M1, ord=2, axis=(1, 2))
+            assert np.all(np.abs(sigma - want) <= _PRUNE_MARGIN * want)
+            assert np.all(sigma * (1.0 + _PRUNE_MARGIN) >= want)
+
+    def test_second_row_builds_no_net(self):
+        # the nets and the arrays made from them alone are built once per
+        # (N, eps): a second n=1 row looks up neither net
+        from xorgap import nets
+        from xorgap.sweep import ROW_NET_EPS, compute_gap_row
+        from xorgap.tensor import _net_frame
+
+        compute_gap_row(1, 11)
+        before = (nets.sphere_net.cache_info(), nets.projector_net.cache_info(), _net_frame.cache_info())
+        frame = _net_frame(2, ROW_NET_EPS)
+        compute_gap_row(1, 12)
+        assert nets.sphere_net.cache_info() == before[0]
+        assert nets.projector_net.cache_info() == before[1]
+        assert _net_frame.cache_info().misses == before[2].misses
+        assert _net_frame(2, ROW_NET_EPS) is frame
+
     def test_upper_dominates_lower_across_seeds(self):
         for seed in range(6):
             T = sample_tensor(1, SamplerConfig(seed=seed))
@@ -1099,6 +1154,29 @@ class TestHermitize:
         # one Golub-Kahan run for the singular pair, one Lanczos run per
         # hermitize candidate
         assert counted == {"eigenpair": 2, "golub_kahan": 1, "svd": 0}
+
+    def test_candidates_match_expressions_bytewise(self, monkeypatch):
+        # the in-place buffers give the expressions' bytes, signed zeros and
+        # extreme exponents included
+        from xorgap import tensor
+
+        candidates = []
+        monkeypatch.setattr(tensor, "spectral_norm", lambda C: candidates.append(C) or 0.0)
+        rng = np.random.default_rng(14)
+        D = 64
+        M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        wide = M * 10.0 ** rng.integers(-300, 300, (D, D))
+        zeros = M.copy()
+        zeros.real[rng.random((D, D)) < 0.3] = -0.0
+        zeros.imag[rng.random((D, D)) < 0.3] = 0.0
+        zeros.imag[rng.random((D, D)) < 0.3] = -0.0
+        for A in (M, wide, zeros):
+            candidates.clear()
+            hermitize(Tensor3(2, A))
+            anti, sym = (C.matrix for C in candidates)  # the norms compare i(A - A^H) first
+            for got, want in ((sym, (A + A.conj().T) / 2.0), (anti, 1j * (A - A.conj().T) / 2.0)):
+                assert got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_candidates_exactly_hermitian_and_marked(self, monkeypatch):
         # both candidates are Hermitian bit for bit, so hermitize marks them
