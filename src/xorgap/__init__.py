@@ -32,6 +32,7 @@ from .game import (
     classical_bias,
     classical_bias_exact,
     classical_bias_heuristic,
+    classical_value,
     embedded_chsh_game,
     entangled_bias_eval,
     game_from_tensor,

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGameError, DimensionError, ScaleError
 from .pauli import MAX_QUBITS, _mode_matrix, build_basis, fourier
 from .tensor import (
-    _TABLE_MAX_N,
     Tensor3,
     _array_maps,
     _lockstep_ascent,
@@ -69,20 +68,14 @@ class XorGame:
 
     Both are held as read-only float64 arrays: a writeable input is copied,
     so the caller's array stays writeable and cannot change the game, and a
-    read-only one is shared.
-
-    source is (T, l1) for a game that `game_from_tensor` built from a
-    sampled tensor T with N >= 8: its cost tensor is T's Pauli coefficient
-    table over l1, so the classical ascent can take its partial sums from g
-    instead of the Q^3 table.  Smaller games carry none, as their dense
-    table is the faster provider.  It plays no part in equality and is not
-    saved.
+    read-only one is shared.  A game is nothing else: one built from a
+    tensor keeps no reference to it (see :func:`classical_value` for the
+    classical value of a sampled tensor's game taken from g).
     """
 
     Q: int
     pi: np.ndarray
     signs: np.ndarray
-    source: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pi = _read_only(self.pi, np.float64)
@@ -188,11 +181,8 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     :func:`pauli_strategy`), from the Lanczos top eigenpair that `hermitize`
     or `spectral_norm` already cached (computed from g for a sampled tensor);
     no strategy is evaluated.  l1 = 0 (DegenerateGameError) exactly when T = 0.
-    A sampled tensor is its own hermitization, and at N >= 8 (above
-    `tensor._TABLE_MAX_N`) the game keeps (T, l1) as its source for the
-    classical ascent; below that the ascent on the dense Q^3 cost tensor is
-    faster, and the game carries no source.  pi and the exact signs are
-    made read-only, so the game takes them over without a copy.
+    pi and the exact signs are made read-only, so the game takes them over
+    without a copy; the game holds nothing of T.
     """
     H = hermitize(T)
     # the table is fresh: real for a sampled tensor, otherwise copied out of
@@ -207,11 +197,10 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
         raise DegenerateGameError("coefficient table vanishes")
     lam, _ = top_eigenpair(H)
     pi /= l1
-    source = (H, l1) if H.raw_g is not None and H.N > _TABLE_MAX_N else None
     # both are fresh and signs are exact, so the game takes them over as they are
     pi.setflags(write=False)
     signs.setflags(write=False)
-    game = XorGame(Q=T.N * T.N, pi=pi, signs=signs, source=source)
+    game = XorGame(Q=T.N * T.N, pi=pi, signs=signs)
     return GameBuildReport(pauli_bias=H.N**3 * lam / l1, l1_norm=l1, game=game)
 
 
@@ -262,7 +251,8 @@ def classical_bias_exact(G: XorGame) -> tuple[float, ClassicalStrategy]:
 
 def _pauli_partial_sums(T: Tensor3):
     """The partial sums of a sampled tensor's coefficient table c from g,
-    as the held map of :func:`_lockstep_ascent` on stacks of sign vectors.
+    as the held map of :func:`_lockstep_ascent` on stacks of sign vectors;
+    :func:`classical_value` ascends on them.
 
     With B = `pauli._mode_matrix(n)` (row p holds conj(P_p)), c_pqr =
     sum B[p, a] B[q, b] B[r, c] W[a, b, c], so player 1's partial sums are
@@ -307,6 +297,21 @@ def _no_answer_changed(prev, v, old, new):
     return np.all((new[0] == old[0]) & (new[1] == old[1]) & (new[2] == old[2]), axis=1)
 
 
+def _sign_ascent(hold, Q: int, restarts: int, seed: int) -> tuple[float, ClassicalStrategy]:
+    """The lockstep sign ascent on the partial sums `hold` of a Q-question
+    table, from `restarts` starts seeded by `seed`, and its best value."""
+    # each restart's three sign vectors are rng.choice([-1.0, 1.0], Q) three
+    # times, drawn as one run of 3Q integers from the same stream (choice
+    # indexes with rng.integers), so the starts are bit for bit the same
+    signs = np.array([-1.0, 1.0])
+    starts = np.array(
+        [signs[np.random.default_rng(ss).integers(0, 2, 3 * Q)] for ss in np.random.SeedSequence(seed).spawn(restarts)]
+    )
+    starts = starts.reshape(restarts, 3, Q).transpose(1, 0, 2).copy()  # (3, restarts, Q)
+    value, (chi, upsilon, zeta) = _lockstep_ascent(hold, _sign_update, starts, 1000, _no_answer_changed)
+    return value, ClassicalStrategy(chi=chi, upsilon=upsilon, zeta=zeta)
+
+
 def classical_bias_heuristic(
     G: XorGame, restarts: int = 32, seed: int = 0
 ) -> tuple[float, ClassicalStrategy]:
@@ -321,36 +326,28 @@ def classical_bias_heuristic(
     (see :func:`tensor._lockstep_ascent`, which the ALS shares).  The first
     restart whose value ties the largest to rounding (1e-12 relative) wins;
     the value is always a lower bound on the classical bias, and never
-    exceeds the exact optimum.
-
-    The partial sums come from one of two map providers: a game with a
-    `source` (T, l1), which `game_from_tensor` attaches to games from
-    sampled tensors with N >= 8, takes them from g (see
-    :func:`_pauli_partial_sums`), O(N^4) per restart and player, and reports
-    v / l1 for the value v on the coefficient table; any other game's dense
-    cost tensor (game files, general tensors, and sampled tensors with
-    N <= 4) goes to `tensor._array_maps` with the sign vectors as its
+    exceeds the exact optimum.  The partial sums come from the game's dense
+    cost tensor through `tensor._array_maps`, with the sign vectors as its
     factors, O(Q^2) per restart and player.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    Q = G.Q
-    if G.source is None:
-        hold = _array_maps(G.cost_tensor())
-        scale = 1.0
-    else:
-        T, scale = G.source
-        hold = _pauli_partial_sums(T)
-    # each restart's three sign vectors are rng.choice([-1.0, 1.0], Q) three
-    # times, drawn as one run of 3Q integers from the same stream (choice
-    # indexes with rng.integers), so the starts are bit for bit the same
-    signs = np.array([-1.0, 1.0])
-    starts = np.array(
-        [signs[np.random.default_rng(ss).integers(0, 2, 3 * Q)] for ss in np.random.SeedSequence(seed).spawn(restarts)]
-    )
-    starts = starts.reshape(restarts, 3, Q).transpose(1, 0, 2).copy()  # (3, restarts, Q)
-    value, (chi, upsilon, zeta) = _lockstep_ascent(hold, _sign_update, starts, 1000, _no_answer_changed)
-    return value / scale, ClassicalStrategy(chi=chi, upsilon=upsilon, zeta=zeta)
+    return _sign_ascent(_array_maps(G.cost_tensor()), G.Q, restarts, seed)
+
+
+def classical_value(T: Tensor3, seed: int = 0) -> tuple[float, ClassicalStrategy]:
+    """The classical value of a sampled tensor's Pauli coefficient table.
+
+    The same ascent as :func:`classical_bias_heuristic` with its default 32
+    restarts, from the same starts, with the partial sums taken from g (see
+    :func:`_pauli_partial_sums`), O(N^4) per restart and player, so no Q^3
+    table is formed.  Returns (v, strategy) with v on the unnormalized
+    table: the game that `game_from_tensor` builds from T has classical
+    bias at least v / l1.  ValueError for a tensor without g.
+    """
+    if T.raw_g is None:
+        raise ValueError("classical_value needs a sampled tensor, one given by its raw vector g")
+    return _sign_ascent(_pauli_partial_sums(T), T.N * T.N, 32, seed)
 
 
 def classical_bias(
@@ -360,8 +357,11 @@ def classical_bias(
 
     A game with 2Q <= EXACT_ENUMERATION_LIMIT is enumerated ("exact");
     a larger one gets the coordinate ascent from `restarts` seeded starts
-    ("heuristic"), whose value is a lower bound.
+    ("heuristic"), whose value is a lower bound.  restarts < 1 is a
+    ValueError for either method.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if 2 * G.Q <= EXACT_ENUMERATION_LIMIT:
         return (*classical_bias_exact(G), "exact")
     return (*classical_bias_heuristic(G, restarts=restarts, seed=seed), "heuristic")

@@ -72,11 +72,11 @@ def compute_gap_row(n: int, sample_seed: int) -> GapRow:
     The ALS lower bound and the classical heuristic run with their default
     restarts and stopping rules; the net upper bound (N = 2 only) uses
     resolution ROW_NET_EPS.  At n <= 2 the ALS runs on the tensor's real
-    Pauli table, and the n = 2 heuristic on the game's dense cost tensor;
-    at n = 3 the ALS contracts g and the game keeps the sampled tensor as
-    its source, so the heuristic's partial sums come from g and
-    classical_bias is v / l1.  The n = 1 row's classical bias is
-    enumerated exactly.
+    Pauli table, and at n = 3 it contracts g.  The classical bias is chosen
+    here: the n = 1 game is enumerated exactly, the n = 2 game (N up to
+    `tensor._TABLE_MAX_N`) gets the heuristic on its dense cost tensor, and
+    above that the heuristic ascends on g (`game.classical_value`), so
+    classical_bias is v / l1 for its value v on the unnormalized table.
     """
     N = 2**n
     T = tensor.sample_tensor(n, tensor.SamplerConfig(seed=sample_seed))
@@ -86,7 +86,11 @@ def compute_gap_row(n: int, sample_seed: int) -> GapRow:
     if N == 2:
         upper = tensor.trilinear_norm_upper_net(T, ROW_NET_EPS)
     report = game.game_from_tensor(T)
-    classical, _, method = game.classical_bias(report.game, seed=sample_seed)
+    if N <= tensor._TABLE_MAX_N:
+        classical, _, method = game.classical_bias(report.game, seed=sample_seed)
+    else:
+        classical = game.classical_value(T, sample_seed)[0] / report.l1_norm
+        method = "heuristic"
     ratio = report.pauli_bias / classical
     prop31 = None
     if upper is not None:
@@ -242,16 +246,13 @@ def _suite_identities(seed: int) -> SuiteReport:
             )
         if n >= 2:
             # the structured paths against the dense ones, from the same
-            # starts: the classical ascent on g (a game given its source
-            # explicitly, as small games carry none) against the cost
+            # starts: the classical ascent on g against the game's cost
             # tensor, and the sampled tensor's ALS (on its Pauli table from
             # g at small N, on the g maps above) against the ALS on the
             # Pauli table of the built matrix
             row_s = row_seed(seed, n, 0)
-            g_game = game.XorGame(rep.game.Q, rep.game.pi, rep.game.signs, source=(T, rep.l1_norm))
-            from_g, _ = game.classical_bias_heuristic(g_game, seed=row_s)
-            unsourced = game.XorGame(rep.game.Q, rep.game.pi, rep.game.signs)
-            dense, _ = game.classical_bias_heuristic(unsourced, seed=row_s)
+            from_g = game.classical_value(T, seed=row_s)[0] / rep.l1_norm
+            dense, _ = game.classical_bias_heuristic(rep.game, seed=row_s)
             als_s, _ = tensor.trilinear_norm_lower(T, seed=row_s)
             als_dense, _ = tensor.trilinear_norm_lower(tensor.Tensor3(n, T.matrix), seed=row_s)
             als_from = "on the Pauli table from g" if N <= tensor._TABLE_MAX_N else "on the g maps"

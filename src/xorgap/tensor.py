@@ -28,9 +28,10 @@ _PRUNE_MARGIN = 1e-12  # relative rounding slack of the net maximum's pruning bo
 
 # Largest N whose sampled tensors ascend on their real Pauli table (Q^3 =
 # N^6 entries, 4096 at N = 4) rather than on g: the ALS in
-# `trilinear_norm_lower`, and the classical ascent through the games that
-# `game.game_from_tensor` builds.  A tensor given by its matrix has no g and
-# always ascends on its table.  Per-call numpy overhead on 2x2 and 4x4
+# `trilinear_norm_lower`, and the classical ascent of a gap row, which
+# `sweep.compute_gap_row` runs on its game's cost tensor up to this N and on
+# g (`game.classical_value`) above it.  A tensor given by its matrix has no
+# g and always ascends on its table.  Per-call numpy overhead on 2x2 and 4x4
 # factors is what the table saves, and its O(Q^3) work per map is what it
 # costs at N = 8.  Medians per call over seed-0 rows, one BLAS thread, on 2
 # cores with numpy 2.4.6 and OpenBLAS 0.3.31: the table ALS took 1.97 vs
@@ -44,21 +45,18 @@ _TABLE_MAX_N = 4
 class SamplerConfig:
     """How to draw the underlying length-N^3 vector g.
 
-    distribution is one of "gaussian" (i.i.d. standard normals), "bernoulli"
-    (i.i.d. uniform +/-1 signs) or "override" (caller supplies the raw vector).
-    The same (distribution, seed, N) reproduces g, and hence the tensor,
-    bit for bit.
+    distribution is one of "gaussian" (i.i.d. standard normals) or
+    "bernoulli" (i.i.d. uniform +/-1 signs).  The same (distribution, seed,
+    N) reproduces g, and hence the tensor, bit for bit.  The tensor of a
+    given vector g is `Tensor3(n, raw_g=g)`.
     """
 
     distribution: str = "gaussian"
     seed: int = 0
-    override_g: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.distribution not in ("gaussian", "bernoulli", "override"):
+        if self.distribution not in ("gaussian", "bernoulli"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == "override" and self.override_g is None:
-            raise ValueError("override distribution needs override_g")
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -187,22 +185,15 @@ def sample_tensor(n: int, cfg: SamplerConfig) -> Tensor3:
     """Draw g per cfg and form the masked outer product tensor.
 
     The matrix view is g g^T with every entry zeroed whenever i == i' or
-    j == j' or k == k'.  The result is given by g alone; its matrix view is
-    built only if something reads it.
+    j == j' or k == k'.  The result is `Tensor3(n, raw_g=g)`, given by g
+    alone; its matrix view is built only if something reads it.
     """
     N = 2**n
+    rng = np.random.default_rng(cfg.seed)
     if cfg.distribution == "gaussian":
-        rng = np.random.default_rng(cfg.seed)
         g = rng.standard_normal(N**3)
-    elif cfg.distribution == "bernoulli":
-        rng = np.random.default_rng(cfg.seed)
-        g = rng.integers(0, 2, N**3).astype(np.float64) * 2.0 - 1.0
     else:
-        g = np.asarray(cfg.override_g, dtype=np.float64).reshape(-1)
-        if g.shape != (N**3,):
-            raise DimensionError(
-                f"override vector must have length {N**3}, got {g.shape[0]}"
-            )
+        g = rng.integers(0, 2, N**3).astype(np.float64) * 2.0 - 1.0
     return Tensor3(n, raw_g=g)
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from xorgap import (
     SamplerConfig,
+    Tensor3,
     classical_bias_exact,
     empirical_tail,
     entangled_bias_eval,
@@ -50,7 +51,7 @@ def test_criterion_01_exact_spectral_norm():
     got = {}
     for n, expected in ((1, 1.0), (2, 27.0), (3, 343.0)):
         N = 2**n
-        T = sample_tensor(n, SamplerConfig(distribution="override", override_g=np.ones(N**3)))
+        T = Tensor3(n, raw_g=np.ones(N**3))
         got[N] = spectral_norm(T)
     ok = all(abs(got[2**n] - e) <= 1e-9 * e for n, e in ((1, 1.0), (2, 27.0), (3, 343.0)))
     verdict(1, "exact spectral norm", ok, f"measured {got} vs (N-1)^3")

@@ -6,7 +6,7 @@ import pytest
 from xorgap import UnspecifiedConstantError, empirical_tail, envelope, verify_spectral_lb
 from xorgap import concentration
 from xorgap.concentration import default_grid
-from xorgap.tensor import SamplerConfig, sample_tensor
+from xorgap.tensor import Tensor3
 
 
 def fixed_hermitian(N, seed=0):
@@ -121,7 +121,7 @@ def fixed_g_sampler(g):
     """A stand-in for sample_tensor that returns the tensor of g on every trial."""
 
     def sample(n, cfg):
-        return sample_tensor(n, SamplerConfig(distribution="override", override_g=g))
+        return Tensor3(n, raw_g=g)
 
     return sample
 

@@ -1,5 +1,6 @@
 """Game construction, biases, strategies, and bound checks."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from xorgap import (
     classical_bias,
     classical_bias_exact,
     classical_bias_heuristic,
+    classical_value,
     embedded_chsh_game,
     entangled_bias_eval,
     fourier,
@@ -141,26 +143,28 @@ class TestGameFromTensor:
             assert rep.game.pi.size == 64
             assert rep.game.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_game_is_questions_and_signs(self):
+        assert [f.name for f in dataclasses.fields(XorGame)] == ["Q", "pi", "signs"]
+
     def test_small_games_ascend_on_their_cost_tensor(self):
-        # a game from an n <= 2 tensor carries no source, so its classical
-        # ascent reads the dense cost tensor; given its source explicitly it
-        # ascends on g, to the same strategy and value; n = 3 keeps g
-        for n in (1, 2):
-            T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 0)))
+        # the ascent on a game's dense cost tensor and the one on g from the
+        # same starts reach the same strategy, and the same value after l1
+        for n in (2, 3):
+            s = row_seed(0, n, 0)
+            T = sample_tensor(n, SamplerConfig(seed=s))
             rep = game_from_tensor(T)
-            assert rep.game.source is None
-            sourced = XorGame(rep.game.Q, rep.game.pi, rep.game.signs, source=(T, rep.l1_norm))
-            dense, d = classical_bias_heuristic(rep.game, seed=n)
-            from_g, g = classical_bias_heuristic(sourced, seed=n)
-            assert from_g == pytest.approx(dense, rel=1e-12, abs=0.0)
+            dense, d = classical_bias_heuristic(rep.game, seed=s)
+            from_g, g = classical_value(T, seed=s)
+            assert from_g / rep.l1_norm == pytest.approx(dense, rel=1e-12, abs=0.0)
             for name in ("chi", "upsilon", "zeta"):
                 assert np.array_equal(getattr(d, name), getattr(g, name))
-        T = sample_tensor(3, SamplerConfig(seed=row_seed(0, 3, 0)))
-        rep = game_from_tensor(T)
-        assert rep.game.source == (T, rep.l1_norm)
+
+    def test_classical_value_needs_g(self):
+        with pytest.raises(ValueError, match="raw vector g"):
+            classical_value(Tensor3(1, np.eye(8)))
 
     def test_all_ones_override_signs_match_recomputed_coefficients(self):
-        T = sample_tensor(1, SamplerConfig(distribution="override", override_g=np.ones(8)))
+        T = Tensor3(1, raw_g=np.ones(8))
         rep = game_from_tensor(T)
         basis = build_basis(1)
         coeffs = np.zeros((4, 4, 4))
@@ -541,7 +545,7 @@ class TestPauliStrategy:
         assert np.abs(w).max() <= 1.0 + 1e-12
 
     def test_all_ones_override_prenormalization_value(self):
-        T = sample_tensor(1, SamplerConfig(distribution="override", override_g=np.ones(8)))
+        T = Tensor3(1, raw_g=np.ones(8))
         H = hermitize(T)
         table = fourier(H).coefficients.real
         _, psi = top_eigenpair(H)

@@ -111,13 +111,12 @@ class TestFourier:
         y = np.array([label.count("Y") for label in labels])
         odd = (y[:, None, None] + y[:, None] + y) % 2 == 1
         iz = np.array([set(label) <= set("IZ") for label in labels])
-        cfgs = (
-            SamplerConfig(seed=n),
-            SamplerConfig(distribution="bernoulli", seed=n),
-            SamplerConfig(distribution="override", override_g=np.ones(N**3)),
+        tensors = (
+            sample_tensor(n, SamplerConfig(seed=n)),
+            sample_tensor(n, SamplerConfig(distribution="bernoulli", seed=n)),
+            Tensor3(n, raw_g=np.ones(N**3)),
         )
-        for cfg in cfgs:
-            T = sample_tensor(n, cfg)
+        for T in tensors:
             got = fourier(T).coefficients
             want = fourier(Tensor3(n, T.matrix)).coefficients
             assert got.dtype == np.float64 and got.shape == (N * N,) * 3

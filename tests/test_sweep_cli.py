@@ -50,7 +50,7 @@ class TestGapSweep:
 
     def test_sampled_row_never_reads_cost_tensor(self, monkeypatch):
         # an n = 3 row takes its classical partial sums from g; a general
-        # tensor's game has no sampled source and reads its cost tensor
+        # tensor's game reads its cost tensor and never the g oracle
         from xorgap import game
         from xorgap.tensor import Tensor3
 
@@ -72,7 +72,6 @@ class TestGapSweep:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(0, 0)))
         M = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
         report = game.game_from_tensor(Tensor3(3, M))
-        assert report.game.source is None
         game.classical_bias_heuristic(report.game, restarts=4)
         assert calls == [64]
 
@@ -513,11 +512,15 @@ class TestCli:
 
     def test_bad_arguments_exit_two(self, tmp_path, capsys):
         # n = 8 must fail before anything is drawn (n = 5..7 would ask for
-        # gigabytes), and see-saw d = 64 before its 1 TiB game operator
+        # gigabytes), and see-saw d = 64 before its 1 TiB game operator;
+        # restarts < 1 fails on the enumerated n = 1 game as on n = 2
         tpath = tmp_path / "t.xgt"
         main(["sample", "--n", "1", "--out", str(tpath)])
         game_path = tmp_path / "g.csv"
         main(["game", "--in", str(tpath), "--out", str(game_path)])
+        main(["sample", "--n", "2", "--out", str(tmp_path / "t2.xgt")])
+        game2_path = tmp_path / "g2.csv"
+        main(["game", "--in", str(tmp_path / "t2.xgt"), "--out", str(game2_path)])
         gpath = tmp_path / "gap.csv"
         for argv, problem in (
             (["sample", "--n", "0", "--out", str(tmp_path / "s0.xgt")], "--n must lie in 1..4"),
@@ -528,6 +531,9 @@ class TestCli:
             (["norms", "--in", str(tpath), "--tol", "nan"], "tol must be finite and >= 0"),
             (["norms", "--in", str(tpath), "--tol", "-1"], "tol must be finite and >= 0"),
             (["bias", "seesaw", "--game", str(game_path), "--d", "64"], "d must lie in 1..16"),
+            (["bias", "classical", "--game", str(game_path), "--restarts", "0"], "restarts must be >= 1"),
+            (["bias", "classical", "--game", str(game_path), "--restarts", "-5"], "restarts must be >= 1"),
+            (["bias", "classical", "--game", str(game2_path), "--restarts", "0"], "restarts must be >= 1"),
         ):
             capsys.readouterr()
             with pytest.raises(SystemExit) as exc:

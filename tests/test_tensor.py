@@ -206,7 +206,7 @@ class TestSampling:
         assert np.all(nz.imag == 0)
 
     def test_override_all_ones_is_hollow_cube(self):
-        T = sample_tensor(1, SamplerConfig(distribution="override", override_g=np.ones(8)))
+        T = Tensor3(1, raw_g=np.ones(8))
         J = np.ones((2, 2)) - np.eye(2)
         expected = np.kron(np.kron(J, J), J)
         assert np.abs(T.matrix - expected).max() == 0
@@ -235,7 +235,7 @@ class TestSampling:
 
     def test_override_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
-            sample_tensor(1, SamplerConfig(distribution="override", override_g=np.ones(7)))
+            Tensor3(1, raw_g=np.ones(7))
 
     def test_sampled_tensor_is_hermitian(self):
         assert sample_tensor(2, SamplerConfig(seed=0)).is_hermitian()
@@ -344,7 +344,7 @@ class TestSpectralNorm:
     @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 27.0)])
     def test_all_ones_override(self, n, expected):
         N = 2**n
-        T = sample_tensor(n, SamplerConfig(distribution="override", override_g=np.ones(N**3)))
+        T = Tensor3(n, raw_g=np.ones(N**3))
         assert spectral_norm(T) == pytest.approx(expected, rel=1e-9)
 
     def test_unmasked_outer_product_is_rank_one(self):
@@ -406,10 +406,9 @@ class TestLanczosEigenpair:
     @pytest.mark.parametrize("dist", ["ones", "bernoulli"])
     def test_degenerate_spectra(self, n, dist):
         if dist == "ones":
-            cfg = SamplerConfig("override", override_g=np.ones(8**n))
+            T = Tensor3(n, raw_g=np.ones(8**n))
         else:
-            cfg = SamplerConfig("bernoulli", seed=0)
-        T = sample_tensor(n, cfg)
+            T = sample_tensor(n, SamplerConfig("bernoulli", seed=0))
         lam, psi = top_eigenpair(T)
         ref, _ = _dense_top(T.matrix)
         assert lam > 0
@@ -1003,11 +1002,10 @@ class TestTrilinearUpperNet:
     def test_pruned_max_matches_exhaustive_oracle(self, eps):
         from xorgap.sweep import row_seed
 
-        cases = [SamplerConfig(seed=row_seed(0, 1, k)) for k in range(8)]
+        cases = [sample_tensor(1, SamplerConfig(seed=row_seed(0, 1, k))) for k in range(8)]
         # zero g: the maximum sits on the rank-2 element; all-ones g: the hollow cube
-        cases += [SamplerConfig(distribution="override", override_g=v) for v in (np.zeros(8), np.ones(8))]
-        for cfg in cases:
-            T = sample_tensor(1, cfg)
+        cases += [Tensor3(1, raw_g=v) for v in (np.zeros(8), np.ones(8))]
+        for T in cases:
             assert trilinear_norm_upper_net(T, eps) == pytest.approx(
                 _exhaustive_net_upper(T, eps), rel=1e-12, abs=0.0
             )
@@ -1074,7 +1072,7 @@ class TestTrilinearUpperNet:
         # the net maximum is max |tr X tr Y tr Z| = N^{3/2}, attained at the
         # rank-2 triple, on top of the additive slack.
         eps = 0.5
-        T = sample_tensor(1, SamplerConfig(distribution="override", override_g=np.zeros(8)))
+        T = Tensor3(1, raw_g=np.zeros(8))
         got = trilinear_norm_upper_net(T, eps)
         pref = 64.0 * np.log(2) ** 1.5
         assert got == pytest.approx(pref * 2**1.5 * (1.0 + 3 * eps), rel=1e-12)
@@ -1323,7 +1321,7 @@ class TestBinaryFormat:
             load_tensor(path)
 
     def test_override_config_requires_vector(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(distribution="override")
-        with pytest.raises(ValueError):
-            SamplerConfig(distribution="poisson")
+        # a given g is Tensor3(n, raw_g=g), so "override" is no distribution
+        for distribution in ("override", "poisson"):
+            with pytest.raises(ValueError, match=f"unknown distribution '{distribution}'"):
+                SamplerConfig(distribution=distribution)
