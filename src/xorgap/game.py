@@ -36,6 +36,8 @@ EXACT_ENUMERATION_LIMIT = 30  # largest 2Q handled by exact enumeration
 
 _OBS_TOL = 1e-10
 
+_RESTARTS = 32  # classical sign-ascent starts; classical_value matches the heuristic's default
+
 _SEESAW_MAX_SWEEPS = 500  # per see-saw restart
 _SEESAW_TOL = 1e-9  # a see-saw restart stops after a sweep that gains less
 
@@ -313,7 +315,7 @@ def _sign_ascent(hold, Q: int, restarts: int, seed: int) -> tuple[float, Classic
 
 
 def classical_bias_heuristic(
-    G: XorGame, restarts: int = 32, seed: int = 0
+    G: XorGame, restarts: int = _RESTARTS, seed: int = 0
 ) -> tuple[float, ClassicalStrategy]:
     """Coordinate ascent over the three sign vectors from random starts.
 
@@ -338,20 +340,20 @@ def classical_bias_heuristic(
 def classical_value(T: Tensor3, seed: int = 0) -> tuple[float, ClassicalStrategy]:
     """The classical value of a sampled tensor's Pauli coefficient table.
 
-    The same ascent as :func:`classical_bias_heuristic` with its default 32
-    restarts, from the same starts, with the partial sums taken from g (see
-    :func:`_pauli_partial_sums`), O(N^4) per restart and player, so no Q^3
-    table is formed.  Returns (v, strategy) with v on the unnormalized
+    The same ascent as :func:`classical_bias_heuristic` with its default
+    `_RESTARTS` (32) restarts, from the same starts, with the partial sums
+    taken from g (see :func:`_pauli_partial_sums`), O(N^4) per restart and
+    player, so no Q^3 table is formed.  Returns (v, strategy) with v on the unnormalized
     table: the game that `game_from_tensor` builds from T has classical
     bias at least v / l1.  ValueError for a tensor without g.
     """
     if T.raw_g is None:
         raise ValueError("classical_value needs a sampled tensor, one given by its raw vector g")
-    return _sign_ascent(_pauli_partial_sums(T), T.N * T.N, 32, seed)
+    return _sign_ascent(_pauli_partial_sums(T), T.N * T.N, _RESTARTS, seed)
 
 
 def classical_bias(
-    G: XorGame, restarts: int = 32, seed: int = 0
+    G: XorGame, restarts: int = _RESTARTS, seed: int = 0
 ) -> tuple[float, ClassicalStrategy, str]:
     """Classical bias by the best method the game's size allows, and its name.
 

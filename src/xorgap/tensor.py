@@ -45,18 +45,22 @@ _TABLE_MAX_N = 4
 class SamplerConfig:
     """How to draw the underlying length-N^3 vector g.
 
-    distribution is one of "gaussian" (i.i.d. standard normals) or
-    "bernoulli" (i.i.d. uniform +/-1 signs).  The same (distribution, seed,
-    N) reproduces g, and hence the tensor, bit for bit.  The tensor of a
-    given vector g is `Tensor3(n, raw_g=g)`.
+    distribution is one of "gaussian" (i.i.d. standard normals), "bernoulli"
+    (i.i.d. uniform +/-1 signs) or "override" (caller supplies the raw vector;
+    the result is the same as `Tensor3(n, raw_g=override_g)`).
+    The same (distribution, seed, N) reproduces g, and hence the tensor,
+    bit for bit.
     """
 
     distribution: str = "gaussian"
     seed: int = 0
+    override_g: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.distribution not in ("gaussian", "bernoulli"):
+        if self.distribution not in ("gaussian", "bernoulli", "override"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.distribution == "override" and self.override_g is None:
+            raise ValueError("override distribution needs override_g")
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -189,11 +193,18 @@ def sample_tensor(n: int, cfg: SamplerConfig) -> Tensor3:
     alone; its matrix view is built only if something reads it.
     """
     N = 2**n
-    rng = np.random.default_rng(cfg.seed)
     if cfg.distribution == "gaussian":
+        rng = np.random.default_rng(cfg.seed)
         g = rng.standard_normal(N**3)
-    else:
+    elif cfg.distribution == "bernoulli":
+        rng = np.random.default_rng(cfg.seed)
         g = rng.integers(0, 2, N**3).astype(np.float64) * 2.0 - 1.0
+    else:
+        g = np.asarray(cfg.override_g, dtype=np.float64).reshape(-1)
+        if g.shape != (N**3,):
+            raise DimensionError(
+                f"override vector must have length {N**3}, got {g.shape[0]}"
+            )
     return Tensor3(n, raw_g=g)
 
 

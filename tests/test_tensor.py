@@ -235,7 +235,14 @@ class TestSampling:
 
     def test_override_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
+            sample_tensor(1, SamplerConfig(distribution="override", override_g=np.ones(7)))
+        with pytest.raises(DimensionError):
             Tensor3(1, raw_g=np.ones(7))
+
+    def test_override_is_tensor_of_g(self):
+        g = np.random.default_rng(0).standard_normal(64)
+        T = sample_tensor(2, SamplerConfig(distribution="override", override_g=g))
+        assert np.array_equal(T.raw_g, Tensor3(2, raw_g=g).raw_g)
 
     def test_sampled_tensor_is_hermitian(self):
         assert sample_tensor(2, SamplerConfig(seed=0)).is_hermitian()
@@ -1321,7 +1328,7 @@ class TestBinaryFormat:
             load_tensor(path)
 
     def test_override_config_requires_vector(self):
-        # a given g is Tensor3(n, raw_g=g), so "override" is no distribution
-        for distribution in ("override", "poisson"):
-            with pytest.raises(ValueError, match=f"unknown distribution '{distribution}'"):
-                SamplerConfig(distribution=distribution)
+        with pytest.raises(ValueError):
+            SamplerConfig(distribution="override")
+        with pytest.raises(ValueError):
+            SamplerConfig(distribution="poisson")
