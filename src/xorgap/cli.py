@@ -130,7 +130,7 @@ def _dispatch(parser, args) -> int:
                     S = game_mod.strategy_from_json(fh.read())
             elif args.tensor is not None:
                 T = tensor.load_tensor(args.tensor)
-                S = game_mod.pauli_strategy(tensor.hermitize(T))
+                S = game_mod.pauli_strategy(T)
             else:
                 parser.error("bias entangled needs --strategy or --tensor")
             val = game_mod.entangled_bias_eval(G, S)

@@ -416,18 +416,16 @@ def entangled_bias_eval(G: XorGame, S: EntangledStrategy) -> float:
 
 
 def pauli_strategy(T: Tensor3) -> EntangledStrategy:
-    """The explicit strategy for a hermitized tensor's game.
+    """The explicit strategy for the game of `game_from_tensor(T)`, any T.
 
     Question index p is answered by measuring the p-th basis element (all
-    three players alike, local dimension N), on the dominant eigenvector of
-    the matrix view.  Summing coefficient(P,Q,R) times the correlation of
-    (P,Q,R) over all questions telescopes to N^3 times the top eigenvalue,
-    i.e. N^3 times the spectral norm whenever that eigenvalue is positive.
+    three players alike, local dimension N), on the top eigenvector of
+    `hermitize(T)`, as the game build hermitizes T.  Summing
+    coefficient(P,Q,R) times the correlation of (P,Q,R) over all questions
+    telescopes to N^3 times the top eigenvalue, the game's `pauli_bias`.
     """
-    if not T.is_hermitian():
-        raise ValueError("pauli_strategy needs a hermitized tensor")
     basis = build_basis(T.n)
-    _, psi = top_eigenpair(T)
+    _, psi = top_eigenpair(hermitize(T))
     return EntangledStrategy(
         dims=(T.N, T.N, T.N),
         state=psi,

@@ -140,27 +140,30 @@ def fourier(T: Tensor3) -> FourierTable:
     A sampled tensor's table comes from g in real arithmetic (see
     `_fourier_from_g`), so its matrix is never built.  Any other tensor's
     comes from its mode view W by three complex GEMMs with
-    B = `_mode_matrix(n)`, one per mode, c = W ×1 B ×2 B ×3 B: the first
-    and last are one GEMM each, the middle one a batch of N^2.  The mode
-    view and one buffer of the same size hold every intermediate, so the
-    transient is two N^6 arrays.
+    B = `_mode_matrix(n)`, one per mode, c = W ×1 B ×2 B ×3 B (see
+    :func:`_mode_transform`), so the transient is two N^6 arrays.
     """
     if T.raw_g is not None:
         return FourierTable(n=T.n, N=T.N, coefficients=_fourier_from_g(T.n, T.raw_g))
-    B = _mode_matrix(T.n)
-    d = len(B)
-    W = T.mode_view()  # a fresh copy, overwritten below
-    C = (B @ W.reshape(d, d * d)).reshape(d, d, d)  # (p, b, c)
-    np.matmul(B, C, out=W)  # (p, q, c)
-    np.matmul(W.reshape(d * d, d), B.T, out=C.reshape(d * d, d))  # (p, q, r)
-    return FourierTable(n=T.n, N=T.N, coefficients=C)
+    return FourierTable(n=T.n, N=T.N, coefficients=_mode_transform(_mode_matrix(T.n), T.mode_view()))
+
+
+def _mode_transform(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """W ×1 A ×2 A ×3 A by one complex GEMM per mode (the middle one a batch
+    of d), for a fresh (d, d, d) array W that it overwrites; W and the
+    returned buffer hold every intermediate."""
+    d = len(A)
+    C = (A @ W.reshape(d, d * d)).reshape(d, d, d)  # (p, b, c)
+    np.matmul(A, C, out=W)  # (p, q, c)
+    np.matmul(W.reshape(d * d, d), A.T, out=C.reshape(d * d, d))  # (p, q, r)
+    return C
 
 
 def inverse_fourier(F: FourierTable) -> Tensor3:
-    """Rebuild the tensor: T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R."""
-    B = _mode_matrix(F.n)
-    Binv = B.conj().T / F.N  # per-mode inverse; the basis rows satisfy B† B = N I
-    W = np.einsum("ap,bq,cr,pqr->abc", Binv, Binv, Binv, F.coefficients, optimize=True)
+    """Rebuild the tensor: T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R, by the three mode
+    GEMMs of :func:`fourier` with the per-mode inverse B^H / N."""
+    Binv = _mode_matrix(F.n).conj().T / F.N  # the basis rows satisfy B† B = N I
+    W = _mode_transform(Binv, F.coefficients.astype(np.complex128))
     return Tensor3.from_mode_view(F.n, W)
 
 

@@ -152,10 +152,11 @@ def gap_sweep(
     when the time budget runs out.  Returns (rows computed by this call, the
     next (n, index) if the budget stopped it, else None).
 
-    Raises ValueError, before computing any row, when n_list is empty, when
-    samples_per_n < 1, when budget_s is negative or NaN (a NaN budget would
-    never stop the sweep), or when resuming without `out` or from a file that
-    is not a prefix of this seed's grid.
+    Raises ValueError, before computing any row or touching `out`, when
+    n_list is empty, when samples_per_n < 1, when seed < 0, when budget_s is
+    negative or NaN (a NaN budget would never stop the sweep), or when
+    resuming without `out` or from a file that is not a prefix of this
+    seed's grid.
     """
     n_list = sorted(set(n_list))
     if not n_list:
@@ -164,6 +165,8 @@ def gap_sweep(
         raise ValueError("sweep sizes are limited to n in {1, 2, 3}")
     if samples_per_n < 1:
         raise ValueError("samples per n must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not budget_s >= 0.0:
         raise ValueError(f"budget must be a number of seconds >= 0, got {budget_s!r}")
     grid = [(n, idx) for n in n_list for idx in range(samples_per_n)]

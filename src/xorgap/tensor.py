@@ -22,7 +22,6 @@ from .errors import DimensionError, ScaleError
 _MAGIC = b"XGT1"
 _FLAG_RAW_G = 1
 
-_HERM_TOL = 1e-12
 _TIE_RTOL = 1e-12  # final ascent values this close to the largest are rounding ties
 _PRUNE_MARGIN = 1e-12  # relative rounding slack of the net maximum's pruning bounds
 
@@ -83,13 +82,13 @@ class Tensor3:
     tensor with g is exactly Hermitian by construction, and its spectral and
     trilinear norms never build the matrix: the Lanczos top eigenpair
     multiplies by g, the ALS and `trilinear_eval` contract it, and it
-    certifies the net upper bound.  A general tensor's top eigenpair comes
-    from the same Lanczos solver multiplying by the matrix, and its top
-    singular pair from Golub-Kahan-Lanczos bidiagonalization; each pair is
-    cached on the tensor.
+    certifies the net upper bound.  Hermitian means bit for bit (see
+    :meth:`is_hermitian`).  Any other Hermitian tensor's top eigenpair comes
+    from the same Lanczos solver multiplying by the matrix, and a
+    non-Hermitian one's top singular pair from Golub-Kahan-Lanczos.
     """
 
-    __slots__ = ("n", "N", "_matrix", "raw_g", "_eig", "_herm", "_exact_herm", "_sv", "_hermitized")
+    __slots__ = ("n", "N", "_matrix", "raw_g", "_eig", "_herm", "_sv", "_hermitized")
 
     def __init__(self, n: int, matrix: np.ndarray | None = None, raw_g: np.ndarray | None = None):
         if n < 1:
@@ -110,8 +109,7 @@ class Tensor3:
         self._matrix = matrix
         self.raw_g = raw_g
         self._eig = None
-        self._herm = None
-        self._exact_herm = True if raw_g is not None else None  # True, False, or None until known
+        self._herm = True if raw_g is not None else None  # True, False, or None until known
         self._sv = None
         self._hermitized = None
 
@@ -132,17 +130,13 @@ class Tensor3:
         )
 
     def is_hermitian(self) -> bool:
-        """Whether the matrix view is Hermitian to 1e-12 of its largest entry
-        (at least 1); computed once, since the tensor is immutable.  A tensor
-        known to be exactly Hermitian (one with a raw vector, or a `hermitize`
-        candidate) skips the N^6 comparison."""
+        """Whether the matrix view equals its conjugate transpose bit for bit,
+        exactly when `hermitize(self) is self`; compared once, and never for
+        a tensor marked Hermitian when built (a sampled tensor or a
+        `hermitize` candidate)."""
         if self._herm is None:
-            if self._exact_herm:
-                self._herm = True
-            else:
-                M = self.matrix
-                scale = max(1.0, np.abs(M).max())
-                self._herm = bool(np.abs(M - M.conj().T).max() <= _HERM_TOL * scale)
+            M = self.matrix
+            self._herm = bool(np.array_equal(M, M.conj().T))
         return self._herm
 
     def frobenius_norm(self) -> float:
@@ -234,7 +228,7 @@ _LANCZOS_TOL = 1e-14
 def _lanczos_extremes(matvec, dim: int, dtype) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Both extreme eigenpairs of a Hermitian operator, as (low, u, high, v).
 
-    Lanczos with full reorthogonalisation (two classical Gram-Schmidt passes)
+    Lanczos with full reorthogonalisation (see :func:`_orthogonalized`)
     from the fixed start vector default_rng(0).standard_normal(dim).  It stops
     when the lowest and the highest Ritz pairs both have residual
     beta_k |s_k| <= 1e-14 max|theta|, which also covers an invariant Krylov
@@ -253,12 +247,8 @@ def _lanczos_extremes(matvec, dim: int, dtype) -> tuple[float, np.ndarray, float
             V = np.concatenate([V, np.empty((grow, dim), dtype=dtype)])
         V[k - 1] = q
         Vk = V[:k]
-        w = matvec(q)
-        h = (Vk @ w.conj()).conj()
-        w = w - h @ Vk
-        h2 = (Vk @ w.conj()).conj()  # the second pass restores orthogonality
-        w = w - h2 @ Vk
-        alpha.append(float(h[-1].real + h2[-1].real))
+        w, h = _orthogonalized(matvec(q), Vk)
+        alpha.append(float(h[-1].real))
         b = float(np.linalg.norm(w))
         if k == check or k == dim or b <= tol:
             # the tridiagonal is solved every step up to 8, then about every
@@ -277,7 +267,8 @@ def _lanczos_extremes(matvec, dim: int, dtype) -> tuple[float, np.ndarray, float
 
 
 def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
-    """Eigenvalue of largest magnitude and its eigenvector (Hermitian input).
+    """Eigenvalue of largest magnitude and its eigenvector (exactly Hermitian
+    input, as `hermitize(T)` is; any other raises ValueError).
 
     One Lanczos run (see :func:`_lanczos_extremes`) follows both ends of the
     spectrum, and the end of larger magnitude wins.  When +s and -s are both
@@ -316,19 +307,25 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
     return T._eig
 
 
-def spectral_norm(T: Tensor3) -> float:
-    """Largest singular value of the matrix view.
-
-    Hermitian inputs go through the Lanczos top eigenpair (retaining the top
-    eigenvector; a sampled tensor's matrix is never built); general inputs go
-    through Golub-Kahan-Lanczos bidiagonalization of the matrix view (see
-    :func:`_top_singular`), whose top singular pair is cached for the ALS
-    anchor.  No SVD and no dense eigensolve of the matrix view runs.
-    """
+def _dominant_pair(T: Tensor3) -> tuple[float, np.ndarray]:
+    """The spectral norm of the matrix view and a dominant unit vector, both
+    cached: |lambda| and the top eigenvector of a Hermitian tensor, else
+    sigma_1 and the left singular vector of :func:`_top_singular`."""
     if T.is_hermitian():
-        lam, _ = top_eigenpair(T)
-        return abs(lam)
-    return _top_singular(T)[0]
+        lam, psi = top_eigenpair(T)
+        return abs(lam), psi
+    return _top_singular(T)
+
+
+def spectral_norm(T: Tensor3) -> float:
+    """Largest singular value of the matrix view (see :func:`_dominant_pair`).
+
+    An exactly Hermitian input goes through the Lanczos top eigenpair (a
+    sampled tensor's matrix is never built); any other through
+    Golub-Kahan-Lanczos bidiagonalization of the matrix view.  No SVD and
+    no dense eigensolve of the matrix view runs.
+    """
+    return _dominant_pair(T)[0]
 
 
 def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> complex:
@@ -665,11 +662,11 @@ def _golub_kahan(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
             grow = np.empty((min(D, 2 * len(U)) - len(U), D), dtype=np.complex128)
             U, V = np.concatenate([U, grow]), np.concatenate([V, grow])
         V[k - 1] = v
-        p = _orthogonalized(M @ v, U[: k - 1])
+        p = _orthogonalized(M @ v, U[: k - 1])[0]
         a = float(np.linalg.norm(p))
         alpha.append(a)
         U[k - 1] = p / a if a > 0.0 else p  # a zero u_k ends the run below
-        r = _orthogonalized((U[k - 1].conj() @ M).conj(), V[:k])
+        r = _orthogonalized((U[k - 1].conj() @ M).conj(), V[:k])[0]
         b = float(np.linalg.norm(r))
         if k == check or k == D or b <= tol:
             check = k + max(1, k // 8)
@@ -707,22 +704,21 @@ def _top_singular(T: Tensor3) -> tuple[float, np.ndarray]:
     return T._sv
 
 
-def _orthogonalized(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _orthogonalized(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w minus its projection on the orthonormal rows of Q, in two classical
-    Gram-Schmidt passes (the second restores orthogonality)."""
-    for _ in range(2):
-        w = w - (Q @ w.conj()).conj() @ Q
-    return w
+    Gram-Schmidt passes (the second restores orthogonality), and the
+    projection coefficients of both passes summed."""
+    h = (Q @ w.conj()).conj()
+    w = w - h @ Q
+    h2 = (Q @ w.conj()).conj()
+    return w - h2 @ Q, h + h2
 
 
 def _anchor_factors(T: Tensor3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic start: normalized partial traces of the dominant eigenvector."""
+    """Deterministic start: normalized partial traces of the dominant vector
+    of :func:`_dominant_pair`."""
     N = T.N
-    if T.is_hermitian():
-        _, psi = top_eigenpair(T)
-    else:
-        _, psi = _top_singular(T)
-    p3 = psi.reshape(N, N, N)
+    p3 = _dominant_pair(T)[1].reshape(N, N, N)
     outs = []
     for pattern in ("ajk,bjk->ab", "jak,jbk->ab", "jka,jkb->ab"):
         rho = np.einsum(pattern, p3, p3.conj())
@@ -942,38 +938,32 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
 def hermitize(T: Tensor3) -> Tensor3:
     """Return the better of (T + T†)/2 and i(T - T†)/2 by spectral norm.
 
-    An exactly Hermitian input is returned as is: its symmetric part is the
-    same matrix bit for bit, so the raw sampling vector and any cached
-    eigenpair stay with it.  A tensor with a raw vector is exactly Hermitian
-    by construction, so its matrix is neither built nor compared; any other
-    input is compared once, and the answer is cached.  Otherwise each
-    candidate gets one Lanczos top eigenpair per tensor, and the winner is
-    cached on T and returned with its eigenpair cached and no raw vector;
-    ties go to the symmetric part.
+    An input that `is_hermitian` (bit for bit) is returned as is: its
+    symmetric part is the same matrix, so the raw sampling vector and any
+    cached eigenpair stay with it, and a sampled tensor's matrix is neither
+    built nor compared.  Otherwise each candidate gets one Lanczos top
+    eigenpair per tensor, and the winner is cached on T and returned with
+    its eigenpair cached and no raw vector; ties go to the symmetric part.
 
-    Both candidates are marked exactly Hermitian, so neither is scanned
-    entry by entry: they are Hermitian bit for bit.  Entry (j, i) of
-    M + M^H is M_ji + conj(M_ij), the conjugate of entry (i, j) because IEEE
-    addition commutes and conjugation is exact; likewise M - M^H is exactly
-    anti-Hermitian, since a - b = -(b - a) in IEEE arithmetic.  Halving and
-    multiplying by i (which swaps the components and negates one) act on
-    each component alone, so they keep the symmetry.
+    Both candidates are marked Hermitian when built, never compared: they
+    are Hermitian bit for bit.  Entry (j, i) of M + M^H is M_ji + conj(M_ij),
+    the conjugate of entry (i, j) because IEEE addition commutes and
+    conjugation is exact; likewise M - M^H is exactly anti-Hermitian, since
+    a - b = -(b - a) in IEEE arithmetic.  Halving and multiplying by i
+    (which swaps the components and negates one) act on each component
+    alone, so they keep the symmetry.
 
     The candidates take two N^6 buffers and the expressions' own operations,
     so they match the expressions bit for bit: M^H once into the first
-    buffer, which also serves the exactness test, and M - M^H into the
-    second; then M is added to the first (IEEE addition commutes) and it is
-    halved, and the second is multiplied by i and halved, in place.
+    buffer and M - M^H into the second; then M is added to the first (IEEE
+    addition commutes) and it is halved, and the second is multiplied by i
+    and halved, in place.
     """
-    if T._exact_herm:
+    if T.is_hermitian():
         return T
     if T._hermitized is None:
         M = T.matrix
         sym = np.conjugate(M.T, out=np.empty_like(M))
-        if T._exact_herm is None:
-            T._exact_herm = bool(np.array_equal(M, sym))
-            if T._exact_herm:
-                return T
         anti = np.subtract(M, sym)
         sym += M
         sym /= 2.0
@@ -982,7 +972,7 @@ def hermitize(T: Tensor3) -> Tensor3:
         sym.setflags(write=False)
         anti.setflags(write=False)
         cand_s, cand_a = Tensor3(T.n, sym), Tensor3(T.n, anti)
-        cand_s._exact_herm = cand_a._exact_herm = True
+        cand_s._herm = cand_a._herm = True
         T._hermitized = cand_a if spectral_norm(cand_a) > spectral_norm(cand_s) else cand_s
     return T._hermitized
 

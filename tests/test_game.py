@@ -568,10 +568,21 @@ class TestPauliStrategy:
             assert bias == pytest.approx(rep.pauli_bias, rel=1e-12)
 
     def test_requires_hermitian_input(self):
+        # a non-Hermitian input is hermitized, as game_from_tensor does, so
+        # the strategy is that of hermitize(T) and plays T's game at its
+        # pauli_bias
         rng = np.random.default_rng(0)
-        M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        with pytest.raises(ValueError):
-            pauli_strategy(Tensor3(1, M))
+        for n in (1, 2):
+            D = 8**n
+            T = Tensor3(n, rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
+            assert not T.is_hermitian()
+            S, want = pauli_strategy(T), pauli_strategy(hermitize(T))
+            assert np.array_equal(S.state, want.state)
+            assert all(
+                np.array_equal(np.array(a), np.array(b)) for a, b in zip(S.observables, want.observables)
+            )
+            rep = game_from_tensor(T)
+            assert abs(entangled_bias_eval(rep.game, S) - rep.pauli_bias) <= 1e-12
 
     def test_classical_reduction_identity_over_all_strategies(self):
         # every classical strategy's bias on the built game equals the

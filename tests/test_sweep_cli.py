@@ -367,6 +367,20 @@ class TestCli:
         assert "n_list must name at least one n" in err.splitlines()[-1]
         assert not path.exists()
 
+    def test_gap_sweep_negative_seed_keeps_file(self, tmp_path, capsys):
+        # the seed is checked before the out file is touched
+        path = tmp_path / "gap.csv"
+        assert main(["gap-sweep", "--n-list", "1", "--samples", "1", "--seed", "0", "--out", str(path)]) == 0
+        before = path.read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["gap-sweep", "--n-list", "1", "--samples", "1", "--seed", "-1", "--out", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
+        assert "seed must be >= 0, got -1" in err.splitlines()[-1]
+        assert path.read_bytes() == before
+
     def test_gap_sweep_resume_flag(self, tmp_path, monkeypatch, capsys):
         whole, path = tmp_path / "whole.csv", tmp_path / "gap.csv"
         argv = ["gap-sweep", "--n-list", "1", "--samples", "3", "--seed", "0", "--out"]
