@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bp.add_argument("kind", choices=["classical", "entangled", "seesaw"])
     bp.add_argument("--game", required=True)
     bp.add_argument("--d", type=int, default=2)
-    bp.add_argument("--restarts", type=int, default=16)
+    bp.add_argument("--restarts", type=int, default=None, help="default: the library's for the kind")
     bp.add_argument("--seed", type=int, default=0)
     bp.add_argument("--tensor", default=None, help="tensor file (Pauli strategy source)")
     bp.add_argument("--strategy", default=None, help="strategy JSON to evaluate")
@@ -70,12 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # every --seed is checked here, before any file is read or written
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"argument --seed: seed must be >= 0, got {args.seed}")
     try:
         return _dispatch(parser, args)
     # unreadable paths (missing, a directory), malformed files, bad arguments
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    return 2
 
 
 def _dispatch(parser, args) -> int:
@@ -119,8 +121,10 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "bias":
         G = game_mod.load_game_csv(args.game)
+        # an unset --restarts takes the library's default for the kind
+        restarts = {} if args.restarts is None else {"restarts": args.restarts}
         if args.kind == "classical":
-            val, _, method = game_mod.classical_bias(G, restarts=args.restarts, seed=args.seed)
+            val, _, method = game_mod.classical_bias(G, seed=args.seed, **restarts)
             label = "exact" if method == "exact" else "heuristic lower bound"
             print(f"classical_bias = {val!r}  ({label})")
             return 0
@@ -136,9 +140,7 @@ def _dispatch(parser, args) -> int:
             val = game_mod.entangled_bias_eval(G, S)
             print(f"entangled_bias_lb = {val!r}")
             return 0
-        val, _ = game_mod.seesaw_entangled_bias(
-            G, args.d, restarts=args.restarts, seed=args.seed
-        )
+        val, _ = game_mod.seesaw_entangled_bias(G, args.d, seed=args.seed, **restarts)
         print(f"seesaw_bias_lb = {val!r}  (d={args.d})")
         return 0
 
@@ -167,12 +169,9 @@ def _dispatch(parser, args) -> int:
         print(f"suite {report.name}: {'PASS' if report.passed else 'FAIL'}")
         return 0 if report.passed else 1
 
-    if args.command == "show":
-        print(sweep.show(args.file))
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # show, the last command argparse admits
+    print(sweep.show(args.file))
+    return 0
 
 
 if __name__ == "__main__":

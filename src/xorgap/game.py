@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGameError, DimensionError, ScaleError
-from .pauli import MAX_QUBITS, _mode_matrix, build_basis, fourier
+from .pauli import MAX_QUBITS, _correlations, _mode_matrix, _player_marginal, build_basis, fourier
 from .tensor import (
     Tensor3,
     _array_maps,
@@ -109,18 +109,37 @@ class ClassicalStrategy:
             object.__setattr__(self, name, _as_signs(getattr(self, name)))
 
 
+def _observable_stack(obs, d: int, player: int) -> np.ndarray:
+    """One player's observables as a read-only (Q, d, d) complex array, each
+    d x d (DimensionError), Hermitian and squaring to I to _OBS_TOL
+    (ValueError).  The checks run on the whole stack at once; an error
+    names the first failing question and its first failing check."""
+    bad = next((q for q, O in enumerate(obs) if np.shape(O) != (d, d)), None)
+    if bad is not None:
+        raise DimensionError(f"player {player} question {bad}: observable must be {d}x{d}")
+    stack = _read_only(obs if len(obs) else np.empty((0, d, d)), np.complex128)
+    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= _OBS_TOL
+    unitary = np.abs(stack @ stack - np.eye(d)).max(axis=(1, 2)) <= _OBS_TOL
+    if not (herm & unitary).all():  # NaN fails both checks
+        q = int(np.argmin(herm & unitary))
+        what = "observable not Hermitian" if not herm[q] else "observable must square to I"
+        raise ValueError(f"player {player} question {q}: {what}")
+    return stack
+
+
 @dataclass(frozen=True)
 class EntangledStrategy:
     """Shared unit state plus per-question +/-1-observables for each player.
 
-    The state and every observable are held as read-only complex arrays:
-    a writeable input is copied, so the caller's arrays cannot change the
-    strategy, and a read-only one is shared.
+    The state is held as a read-only complex vector and each player's
+    observables as one read-only (Q, d, d) complex array: a list of matrices
+    is stacked and a writeable array copied, so the caller's arrays cannot
+    change the strategy, and a read-only array is shared.
     """
 
     dims: tuple
     state: np.ndarray
-    observables: tuple  # three tuples of (d, d) Hermitian matrices
+    observables: tuple  # three (Q, d, d) stacks of Hermitian matrices
 
     def __post_init__(self):
         state = _read_only(self.state, np.complex128).reshape(-1)
@@ -131,16 +150,7 @@ class EntangledStrategy:
             raise ValueError("state must be a unit vector")
         if len(self.observables) != 3:
             raise ValueError("need one observable list per player")
-        observables = tuple(tuple(_read_only(O, np.complex128) for O in obs) for obs in self.observables)
-        for player, (d, obs) in enumerate(zip(self.dims, observables)):
-            for q, O in enumerate(obs):
-                where = f"player {player} question {q}"
-                if O.shape != (d, d):
-                    raise DimensionError(f"{where}: observable must be {d}x{d}")
-                if not np.abs(O - O.conj().T).max() <= _OBS_TOL:
-                    raise ValueError(f"{where}: observable not Hermitian")
-                if not np.abs(O @ O - np.eye(d)).max() <= _OBS_TOL:
-                    raise ValueError(f"{where}: observable must square to I")
+        observables = tuple(_observable_stack(obs, d, p) for p, (d, obs) in enumerate(zip(self.dims, self.observables)))
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "observables", observables)
 
@@ -369,35 +379,14 @@ def classical_bias(
     return (*classical_bias_heuristic(G, restarts=restarts, seed=seed), "heuristic")
 
 
-def _player_marginal(psi: np.ndarray, B, Cm) -> np.ndarray:
-    """Player 1's marginals sigma[(a, x), (j, k)] = <psi| |a><x| ⊗ B_j ⊗ Cm_k |psi>.
-
-    For psi of shape (d1, d2, d3), returns a (d1^2, Q2 Q3) matrix.  Player 3
-    is contracted on ket and bra first, rho_k = (psi ×3 Cm_k) psi^H, then
-    player 2, one matrix product each; no intermediate exceeds Q2 Q3 d1^2
-    or Q3 d1^2 d2^2 entries.
-    """
-    d1, d2, d3 = psi.shape
-    Q2, Q3 = len(B), len(Cm)
-    psi = psi.reshape(d1 * d2, d3)
-    # phi[xy, (k, c)] = sum_z psi[xy, z] C_k[c, z]; rho[(x, y, k), ab] = sum_c phi conj(psi[ab, c])
-    phi = psi @ np.asarray(Cm, dtype=complex).transpose(2, 0, 1).reshape(d3, Q3 * d3)
-    rho = (phi.reshape(-1, d3) @ psi.conj().T).reshape(d1, d2, Q3, d1, d2)
-    rho = rho.transpose(2, 0, 3, 4, 1).reshape(Q3 * d1 * d1, d2 * d2)  # ((k, x, a), (b, y))
-    sigma = rho @ np.asarray(B, dtype=complex).reshape(Q2, d2 * d2).T  # ((k, x, a), j)
-    return sigma.reshape(Q3, d1, d1, Q2).transpose(2, 1, 3, 0).reshape(d1 * d1, Q2 * Q3)
-
-
 def strategy_correlations(S: EntangledStrategy) -> np.ndarray:
     """All correlations <psi| A_i ⊗ B_j ⊗ C_k |psi> as a real (Q1, Q2, Q3) array.
 
-    One matrix product A_(1) sigma with player 1's marginals (shared with
-    the see-saw's best response, :func:`_player_marginal`).  ValueError
-    when an imaginary part exceeds 1e-9 (observables not Hermitian).
+    The one contraction `pauli._correlations` of the state with the three
+    observable stacks, whose marginals the see-saw's best response shares.
+    ValueError when an imaginary part exceeds 1e-9 (observables not Hermitian).
     """
-    Q1, Q2, Q3 = (len(obs) for obs in S.observables)
-    A = np.asarray(S.observables[0], dtype=complex).reshape(Q1, -1)  # (i, (a, x))
-    w = (A @ _player_marginal(S.state.reshape(S.dims), *S.observables[1:])).reshape(Q1, Q2, Q3)
+    w = _correlations(S.state.reshape(S.dims), *S.observables)
     if np.abs(w.imag).max(initial=0.0) > 1e-9:
         raise ValueError("correlations came out non-real; invalid strategy")
     return w.real
@@ -420,17 +409,14 @@ def pauli_strategy(T: Tensor3) -> EntangledStrategy:
 
     Question index p is answered by measuring the p-th basis element (all
     three players alike, local dimension N), on the top eigenvector of
-    `hermitize(T)`, as the game build hermitizes T.  Summing
+    `hermitize(T)`, as the game build hermitizes T.  The three players
+    share the basis's one read-only (N^2, N, N) array.  Summing
     coefficient(P,Q,R) times the correlation of (P,Q,R) over all questions
     telescopes to N^3 times the top eigenvalue, the game's `pauli_bias`.
     """
-    basis = build_basis(T.n)
+    E = build_basis(T.n).elements
     _, psi = top_eigenpair(hermitize(T))
-    return EntangledStrategy(
-        dims=(T.N, T.N, T.N),
-        state=psi,
-        observables=(basis.elements, basis.elements, basis.elements),
-    )
+    return EntangledStrategy(dims=(T.N, T.N, T.N), state=psi, observables=(E, E, E))
 
 
 def _matrix_sign(H: np.ndarray) -> tuple[np.ndarray, float]:
@@ -516,9 +502,7 @@ def seesaw_entangled_bias(
                 break
             prev = val
         if val > best:
-            best, best_strat = val, EntangledStrategy(
-                dims=(d, d, d), state=psi, observables=(list(A), list(B), list(Cm))
-            )
+            best, best_strat = val, EntangledStrategy(dims=(d, d, d), state=psi, observables=(A, B, Cm))
     return entangled_bias_eval(G, best_strat), best_strat
 
 

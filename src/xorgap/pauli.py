@@ -10,6 +10,7 @@ basis side), and T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R recovers the tensor.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,23 +20,19 @@ from .errors import DimensionError
 from .tensor import Tensor3
 
 _LETTERS = "IXYZ"
-_PAULI_1Q = (
-    np.array([[1, 0], [0, 1]], dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_PAULI_1Q = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 MAX_QUBITS = 4
 
 
 @dataclass(frozen=True)
 class PauliBasis:
-    """Ordered n-qubit Pauli basis: N^2 Hermitian unitaries with string labels."""
+    """Ordered n-qubit Pauli basis: the N^2 Hermitian unitaries as one
+    read-only (N^2, N, N) complex array, with their string labels."""
 
     n: int
     N: int
-    elements: tuple
+    elements: np.ndarray
     labels: tuple
 
     def __len__(self):
@@ -57,34 +54,26 @@ class FourierTable:
 
 @lru_cache(maxsize=None)
 def build_basis(n: int) -> PauliBasis:
-    """All 4^n Pauli products for n qubits, lexicographic in I < X < Y < Z."""
+    """All 4^n Pauli products for n qubits, lexicographic in I < X < Y < Z,
+    as one read-only (4^n, N, N) array: each qubit appends its Kronecker
+    factor to every element by one broadcast product, entry for entry `np.kron`'s."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must be between 1 and {MAX_QUBITS}")
-    N = 2**n
-    elements = []
-    labels = []
-    for idx in range(N * N):
-        digits = []
-        v = idx
-        for _ in range(n):
-            digits.append(v % 4)
-            v //= 4
-        digits.reverse()  # leftmost qubit most significant
-        M = _PAULI_1Q[digits[0]]
-        for d in digits[1:]:
-            M = np.kron(M, _PAULI_1Q[d])
-        M = np.ascontiguousarray(M)
-        M.setflags(write=False)
-        elements.append(M)
-        labels.append("".join(_LETTERS[d] for d in digits))
-    return PauliBasis(n=n, N=N, elements=tuple(elements), labels=tuple(labels))
+    E = _PAULI_1Q.copy()
+    for _ in range(n - 1):
+        Q, d = len(E), E.shape[1]
+        # axes (p, s, i, a, j, b): element (p, s), row (i, a), column (j, b)
+        E = (E[:, None, :, None, :, None] * _PAULI_1Q[:, None, :, None, :]).reshape(4 * Q, 2 * d, 2 * d)
+    E.setflags(write=False)
+    labels = tuple("".join(letters) for letters in itertools.product(_LETTERS, repeat=n))
+    return PauliBasis(n=n, N=2**n, elements=E, labels=labels)
 
 
 @lru_cache(maxsize=None)
 def _mode_matrix(n: int) -> np.ndarray:
-    """Row p holds conj(P_p) flattened over (i, i'): the per-mode transform."""
-    basis = build_basis(n)
-    B = np.array([E.conj().reshape(-1) for E in basis.elements])
+    """Row p holds conj(P_p) flattened over (i, i'): the per-mode transform,
+    the basis array's conjugate reshaped to (4^n, N^2)."""
+    B = build_basis(n).elements.conj().reshape(4**n, -1)
     B.setflags(write=False)
     return B
 
@@ -167,16 +156,43 @@ def inverse_fourier(F: FourierTable) -> Tensor3:
     return Tensor3.from_mode_view(F.n, W)
 
 
+def _player_marginal(psi: np.ndarray, B: np.ndarray, Cm: np.ndarray) -> np.ndarray:
+    """Player 1's marginals sigma[(a, x), (j, k)] = <psi| |a><x| ⊗ B_j ⊗ Cm_k |psi>.
+
+    For psi of shape (d1, d2, d3), returns a (d1^2, Q2 Q3) matrix.  Player 3
+    is contracted on ket and bra first, rho_k = (psi ×3 Cm_k) psi^H, then
+    player 2, one matrix product each; no intermediate exceeds Q2 Q3 d1^2
+    or Q3 d1^2 d2^2 entries.
+    """
+    d1, d2, d3 = psi.shape
+    Q2, Q3 = len(B), len(Cm)
+    psi = psi.reshape(d1 * d2, d3)
+    # phi[xy, (k, c)] = sum_z psi[xy, z] C_k[c, z]; rho[(x, y, k), ab] = sum_c phi conj(psi[ab, c])
+    phi = psi @ Cm.transpose(2, 0, 1).reshape(d3, Q3 * d3)
+    rho = (phi.reshape(-1, d3) @ psi.conj().T).reshape(d1, d2, Q3, d1, d2)
+    rho = rho.transpose(2, 0, 3, 4, 1).reshape(Q3 * d1 * d1, d2 * d2)  # ((k, x, a), (b, y))
+    sigma = rho @ B.reshape(Q2, d2 * d2).T  # ((k, x, a), j)
+    return sigma.reshape(Q3, d1, d1, Q2).transpose(2, 1, 3, 0).reshape(d1 * d1, Q2 * Q3)
+
+
+def _correlations(psi: np.ndarray, A: np.ndarray, B: np.ndarray, Cm: np.ndarray) -> np.ndarray:
+    """<psi| A_i ⊗ B_j ⊗ Cm_k |psi> as a complex (Q1, Q2, Q3) array, for psi
+    of shape (d1, d2, d3) and three stacks of (d, d) matrices: one matrix
+    product A_(1) sigma with player 1's marginals (:func:`_player_marginal`)."""
+    Q1 = len(A)
+    return (A.reshape(Q1, -1) @ _player_marginal(psi, B, Cm)).reshape(Q1, len(B), len(Cm))
+
+
 def pauli_expectations(n: int, state: np.ndarray) -> np.ndarray:
     """All triple-Pauli expectation values <ψ| P⊗Q⊗R |ψ> as a real (N^2,)*3 array.
 
-    These are the coefficients of the density matrix |ψ><ψ|, whose
-    Hermiticity makes them real.
+    They are the correlations of three players who all measure the basis
+    (:func:`_correlations`), so no density matrix |ψ><ψ| is formed; they are
+    real, and the rounding-level imaginary parts are dropped.
     """
     N = 2**n
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape != (N**3,):
         raise DimensionError(f"state must have length {N**3}")
-    rho = np.outer(state, state.conj())
-    rho.setflags(write=False)  # handed over, so the tensor need not copy it
-    return fourier(Tensor3(n, rho)).coefficients.real
+    E = build_basis(n).elements
+    return _correlations(state.reshape(N, N, N), E, E, E).real

@@ -521,7 +521,45 @@ class TestEntangledEval:
         for obs in T.observables:
             assert np.array_equal(obs[0], [[0, 1], [1, 0]]) and not obs[0].flags.writeable
         frozen = EntangledStrategy(dims=(2, 2, 2), state=S.state, observables=S.observables)
-        assert all(a is b for obs_a, obs_b in zip(frozen.observables, S.observables) for a, b in zip(obs_a, obs_b))
+        assert all(a is b for a, b in zip(frozen.observables, S.observables))
+
+    def test_observables_one_read_only_stack(self):
+        # a read-only (Q, d, d) array is the player's stack itself; a list of
+        # matrices is stacked into a read-only copy the caller cannot reach
+        X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        I2 = np.eye(2, dtype=complex)
+        frozen = np.array([X, I2])
+        frozen.setflags(write=False)
+        listed = [X, I2]
+        S = EntangledStrategy(dims=(2, 2, 2), state=ghz_strategy().state, observables=(frozen, listed, frozen))
+        assert S.observables[0] is frozen and S.observables[2] is frozen
+        B = S.observables[1]
+        assert B.shape == (2, 2, 2) and B.dtype == np.complex128 and not B.flags.writeable
+        X[:] = I2
+        assert np.array_equal(B, [[[0, 1], [1, 0]], np.eye(2)])
+        E = build_basis(2).elements
+        shared = pauli_strategy(sample_tensor(2, SamplerConfig(seed=1)))
+        assert all(obs is E for obs in shared.observables)
+
+    @pytest.mark.parametrize(
+        "bad_q,bad,message",
+        [
+            (2, np.array([[1.0, 1.0], [0.0, 1.0]]), "player 1 question 2: observable not Hermitian"),
+            (1, np.array([[1.0, 0.0], [0.0, 0.5]]), "player 1 question 1: observable must square to I"),
+            (3, np.eye(3), "player 1 question 3: observable must be 2x2"),
+        ],
+    )
+    def test_bad_observable_names_player_and_first_question(self, bad_q, bad, message):
+        # the stack is checked at once; the error still names the first
+        # failing question, here ahead of a later non-Hermitian one
+        from xorgap import DimensionError
+
+        X = np.array([[0.0, 1.0], [1.0, 0.0]])
+        obs = [X, X, X, X, np.array([[0.0, 1.0], [0.0, 0.0]])]
+        obs[bad_q] = bad
+        kind = DimensionError if bad.shape != (2, 2) else ValueError
+        with pytest.raises(kind, match=f"^{message}$"):
+            EntangledStrategy(dims=(2, 2, 2), state=ghz_strategy().state, observables=([X], obs, [X]))
 
     def test_question_count_mismatch_rejected(self):
         from xorgap import DimensionError

@@ -1,5 +1,7 @@
 """Pauli basis construction and the coefficient transform."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,26 @@ class TestBasis:
         assert basis.labels[:4] == ("II", "IX", "IY", "IZ")
         assert basis.labels[4] == "XI"
         assert np.array_equal(basis.elements[4], np.kron(X2, I2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_matches_kron_chain(self, n):
+        # the broadcast stack is the np.kron chain entry for entry, the
+        # labels are its letters, and the mode matrix is its conjugate
+        from xorgap.pauli import _mode_matrix
+
+        paulis = (I2.astype(complex), X2, Y2, Z2)
+        want, labels = [], []
+        for digits in itertools.product(range(4), repeat=n):
+            M = paulis[digits[0]]
+            for d in digits[1:]:
+                M = np.kron(M, paulis[d])
+            want.append(M)
+            labels.append("".join("IXYZ"[d] for d in digits))
+        basis = build_basis(n)
+        assert isinstance(basis.elements, np.ndarray) and not basis.elements.flags.writeable
+        assert np.array_equal(basis.elements, np.array(want))
+        assert basis.labels == tuple(labels)
+        assert np.array_equal(_mode_matrix(n), np.array([M.conj().reshape(-1) for M in want]))
 
     def test_qubit_range_guard(self):
         with pytest.raises(ValueError):
@@ -208,3 +230,24 @@ class TestExpectations:
             p, q, r = rng.integers(0, 4, 3)
             K = np.kron(np.kron(basis.elements[p], basis.elements[q]), basis.elements[r])
             assert w[p, q, r] == pytest.approx((psi.conj() @ K @ psi).real, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_contraction_no_density_matrix(self, n, monkeypatch):
+        # the table is the players' correlation contraction: no density
+        # matrix is wrapped in a tensor and no coefficient transform runs
+        from xorgap import pauli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pauli_expectations built a tensor or ran fourier")
+
+        monkeypatch.setattr(pauli, "fourier", forbidden)
+        monkeypatch.setattr(pauli, "Tensor3", forbidden)
+        rng = np.random.default_rng(20 + n)
+        psi = rng.standard_normal(8**n) + 1j * rng.standard_normal(8**n)
+        psi /= np.linalg.norm(psi)
+        w = pauli_expectations(n, psi)
+        E = build_basis(n).elements
+        assert w.shape == (4**n,) * 3 and w.dtype == np.float64
+        for p, q, r in rng.integers(0, 4**n, (20, 3)):
+            K = np.kron(np.kron(E[p], E[q]), E[r])
+            assert abs(w[p, q, r] - (psi.conj() @ K @ psi).real) <= 1e-12

@@ -8,7 +8,7 @@ import pytest
 from xorgap import gap_sweep, verify_suite
 from xorgap.cli import main
 from xorgap.game import mermin_game, save_game_csv
-from xorgap.sweep import GAP_COLUMNS, compute_gap_row, read_gap_csv, row_seed, show
+from xorgap.sweep import GAP_COLUMNS, SUITES, compute_gap_row, read_gap_csv, row_seed, show
 from xorgap.tensor import load_tensor
 
 _X = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]  # Pauli X as [re, im] pairs
@@ -277,7 +277,7 @@ class TestGapSweep:
 
 
 class TestVerifySuites:
-    @pytest.mark.parametrize("name", ["identities", "lorentz", "theorems", "nets"])
+    @pytest.mark.parametrize("name", list(SUITES))
     def test_fast_suites_pass(self, name):
         rep = verify_suite(name, seed=0)
         assert rep.passed, "\n".join(rep.lines)
@@ -317,6 +317,33 @@ class TestShow:
         gap_sweep([1], 3, seed=0, out=path)
         out = show(path)
         assert "median" in out and "n=1" in out
+
+    def test_general_tensor_summary(self, tmp_path):
+        # a general file reads its dense matrix for the Frobenius norm
+        from xorgap.tensor import Tensor3, save_tensor
+
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        save_tensor(tmp_path / "m.xgt", Tensor3(1, M))
+        out = show(tmp_path / "m.xgt")
+        assert "hermitian=False" in out and "raw_g=no" in out
+        assert f"frobenius={np.linalg.norm(M):.6g} " in out
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m xorgap runs the same front end
+        import os
+        import subprocess
+        import sys
+
+        import xorgap
+
+        assert main(["sample", "--n", "1", "--seed", "3", "--out", str(tmp_path / "t.xgt")]) == 0
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xorgap.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "xorgap", "show", str(tmp_path / "t.xgt")], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert "hermitian=True" in done.stdout
 
     def test_unrecognized_format(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -380,6 +407,50 @@ class TestCli:
         assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
         assert "seed must be >= 0, got -1" in err.splitlines()[-1]
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "1"],
+            ["norms", "--in", "missing.xgt"],
+            ["bias", "classical", "--game", "missing.csv"],
+            ["gap-sweep", "--n-list", "1", "--samples", "1"],
+            ["verify", "--suite", "identities"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_named(self, tmp_path, capsys, argv):
+        # every --seed is rejected before a file is read or written, with a
+        # message that names it
+        path = tmp_path / "f"
+        path.write_bytes(b"left as it is")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"] + (["--out", str(path)] if argv[0] in ("sample", "gap-sweep") else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
+        assert "--seed" in err.splitlines()[-1]
+        assert path.read_bytes() == b"left as it is"
+
+    def test_bias_restarts_default_to_library(self, tmp_path, capsys):
+        # without --restarts, bias classical takes classical_bias's own
+        # default, and bias seesaw seesaw_entangled_bias's
+        from xorgap.game import classical_bias, load_game_csv, seesaw_entangled_bias
+
+        tpath, gpath = str(tmp_path / "t.xgt"), str(tmp_path / "g.csv")
+        seed = row_seed(0, 2, 1)
+        assert main(["sample", "--n", "2", "--seed", str(seed), "--out", tpath]) == 0
+        assert main(["game", "--in", tpath, "--out", gpath]) == 0
+        capsys.readouterr()
+        assert main(["bias", "classical", "--game", gpath]) == 0
+        G = load_game_csv(gpath)
+        want, _, _ = classical_bias(G)
+        assert capsys.readouterr().out.split()[2] == repr(want)
+        mpath = str(tmp_path / "m.csv")
+        save_game_csv(mpath, mermin_game())
+        assert main(["bias", "seesaw", "--game", mpath, "--d", "2"]) == 0
+        want, _ = seesaw_entangled_bias(mermin_game(), 2)
+        assert capsys.readouterr().out.split()[2] == repr(want)
 
     def test_gap_sweep_resume_flag(self, tmp_path, monkeypatch, capsys):
         whole, path = tmp_path / "whole.csv", tmp_path / "gap.csv"
