@@ -134,7 +134,9 @@ class EntangledStrategy:
     The state is held as a read-only complex vector and each player's
     observables as one read-only (Q, d, d) complex array: a list of matrices
     is stacked and a writeable array copied, so the caller's arrays cannot
-    change the strategy, and a read-only array is shared.
+    change the strategy, and a read-only array is shared.  Each distinct
+    input object is checked and frozen once per local dimension, so players
+    handed the same object share one stack.
     """
 
     dims: tuple
@@ -150,7 +152,11 @@ class EntangledStrategy:
             raise ValueError("state must be a unit vector")
         if len(self.observables) != 3:
             raise ValueError("need one observable list per player")
-        observables = tuple(_observable_stack(obs, d, p) for p, (d, obs) in enumerate(zip(self.dims, self.observables)))
+        stacks = {}
+        for p, (d, obs) in enumerate(zip(self.dims, self.observables)):
+            if (id(obs), d) not in stacks:
+                stacks[id(obs), d] = _observable_stack(obs, d, p)
+        observables = tuple(stacks[id(obs), d] for d, obs in zip(self.dims, self.observables))
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "observables", observables)
 
@@ -216,16 +222,11 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     return GameBuildReport(pauli_bias=H.N**3 * lam / l1, l1_norm=l1, game=game)
 
 
-def _sign_vectors(Q: int, fix_first: bool) -> np.ndarray:
-    """All +/-1 vectors of length Q (first entry pinned to +1 when fix_first)."""
-    free = Q - 1 if fix_first else Q
-    count = 1 << free
-    rows = np.arange(count)[:, None]
-    bits = (rows >> np.arange(free)[None, :]) & 1
-    vecs = 1.0 - 2.0 * bits
-    if fix_first:
-        vecs = np.hstack([np.ones((count, 1)), vecs])
-    return vecs
+def _sign_vectors(Q: int) -> np.ndarray:
+    """All 2^(Q-1) +/-1 vectors of length Q whose first entry is +1."""
+    count = 1 << (Q - 1)
+    bits = (np.arange(count)[:, None] >> np.arange(Q - 1)[None, :]) & 1
+    return np.hstack([np.ones((count, 1)), 1.0 - 2.0 * bits])
 
 
 def classical_bias_exact(G: XorGame) -> tuple[float, ClassicalStrategy]:
@@ -243,18 +244,17 @@ def classical_bias_exact(G: XorGame) -> tuple[float, ClassicalStrategy]:
             f"{EXACT_ENUMERATION_LIMIT}; use classical_bias_heuristic"
         )
     C = G.cost_tensor()
-    chis = _sign_vectors(Q, fix_first=True)
-    upsilons = _sign_vectors(Q, fix_first=True)
+    signs = _sign_vectors(Q)  # both enumerated players' candidate answers
     C2 = C.reshape(Q, Q * Q)
     best = -np.inf
     best_pair = None
-    for chi in chis:
+    for chi in signs:
         A = (chi @ C2).reshape(Q, Q)  # A[j, k] = sum_i chi_i C[i, j, k]
-        vals = np.abs(upsilons @ A).sum(axis=1)
+        vals = np.abs(signs @ A).sum(axis=1)
         u = int(np.argmax(vals))
         if vals[u] > best:
             best = float(vals[u])
-            best_pair = (chi.copy(), upsilons[u].copy())
+            best_pair = (chi.copy(), signs[u].copy())
     chi, upsilon = best_pair
     partial = np.einsum("ijk,i,j->k", C, chi, upsilon)
     zeta = np.where(partial < 0.0, -1.0, 1.0)
@@ -506,32 +506,19 @@ def seesaw_entangled_bias(
     return entangled_bias_eval(G, best_strat), best_strat
 
 
+def _bound_report(name: str, lhs: float, bound) -> BoundReport:
+    """lhs <= bound, to a 1e-9 tolerance, with the slack bound - lhs."""
+    return BoundReport(name=name, lhs=lhs, bound=float(bound), slack=float(bound - lhs), ok=bool(lhs <= bound + 1e-9))
+
+
 def check_question_bound(G: XorGame, beta_star_lb: float, beta: float) -> BoundReport:
     """Check beta_star_lb <= sqrt(Q) * K_R * beta (K_R the real constant)."""
-    bound = np.sqrt(G.Q) * GROTHENDIECK_REAL * beta
-    slack = bound - beta_star_lb
-    return BoundReport(
-        name="question_bound",
-        lhs=beta_star_lb,
-        bound=float(bound),
-        slack=float(slack),
-        ok=bool(beta_star_lb <= bound + 1e-9),
-    )
+    return _bound_report("question_bound", beta_star_lb, np.sqrt(G.Q) * GROTHENDIECK_REAL * beta)
 
 
-def check_dimension_bound(
-    G: XorGame, beta_star_lb: float, d: int, beta: float
-) -> BoundReport:
+def check_dimension_bound(G: XorGame, beta_star_lb: float, d: int, beta: float) -> BoundReport:
     """Check beta_star_lb <= sqrt(3d) * K_C^{3/2} * beta (K_C the complex constant)."""
-    bound = np.sqrt(3.0 * d) * GROTHENDIECK_COMPLEX**1.5 * beta
-    slack = bound - beta_star_lb
-    return BoundReport(
-        name="dimension_bound",
-        lhs=beta_star_lb,
-        bound=float(bound),
-        slack=float(slack),
-        ok=bool(beta_star_lb <= bound + 1e-9),
-    )
+    return _bound_report("dimension_bound", beta_star_lb, np.sqrt(3.0 * d) * GROTHENDIECK_COMPLEX**1.5 * beta)
 
 
 # --- benchmark fixtures ----------------------------------------------------
@@ -563,16 +550,15 @@ def ghz_strategy() -> EntangledStrategy:
     return EntangledStrategy(dims=(2, 2, 2), state=state, observables=obs)
 
 
-def embedded_chsh_game(Q: int = 4) -> XorGame:
-    """Benchmark fixture: two-player CHSH padded to a three-player game.
+def embedded_chsh_game() -> XorGame:
+    """Benchmark fixture: two-player CHSH padded to a three-player game of 4 questions.
 
     Players one and two use questions {0, 1} uniformly; the third player is
     always asked question 0 and plays identity.  Remaining question triples
     have probability zero (signs +1 by convention).  Classical bias 1/2;
     qubit strategies reach sqrt(2)/2.
     """
-    if Q < 2:
-        raise ValueError("need at least the two CHSH questions")
+    Q = 4
     pi = np.zeros((Q, Q, Q))
     signs = np.ones((Q, Q, Q))
     for x in (0, 1):

@@ -14,6 +14,7 @@ here (the net upper bound on the trilinear norm streams the products itself).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import DimensionError, ScaleError
 
 PACKING_WINDOW = 10_000  # consecutive rejections that end a sphere-net packing
+_PACKING_CAP = 100_000  # largest volumetric bound (1 + 2/eps)^(2N) a packing may reach
 _SCREEN_MARGIN = 1e-9  # the GEMM screen rejects only below eps^2 minus this
 _EIG_CUTOFF = 1e-12  # decomposition drops eigenvalues below this times the largest
 
@@ -100,12 +102,20 @@ def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
     even mid-batch.  Deterministic for fixed (N, eps, seed); results are cached
     and shared (all stored arrays are read-only).  N is capped at 4; the
     construction is combinatorial in nature and larger dimensions are
-    rejected rather than silently approximated.
+    rejected rather than silently approximated.  So is an eps whose packing
+    may exceed 1e5 points, by the volumetric bound (1 + 2/eps)^(2N): there the
+    window stop would wait on ever rarer rejections (ScaleError, before any
+    point is drawn; (3, 0.5) allows 15 625 and (2, 0.1) about 1.9e5).
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     if not 1 <= N <= 4:
         raise ScaleError("sphere nets are built only for complex dimension <= 4")
+    if 2 * N * math.log1p(2.0 / eps) > math.log(_PACKING_CAP):
+        raise ScaleError(
+            f"eps too small: a packing of the unit sphere of C^{N} may hold "
+            f"(1 + 2/eps)^{2 * N} > {_PACKING_CAP} points; use a larger eps"
+        )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, N)))
     pts = np.empty((0, N), dtype=np.complex128)
     cols = np.empty((2 * N, 0))  # the kept points' interleaved (re, im) as columns

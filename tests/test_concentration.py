@@ -1,5 +1,7 @@
 """Tail envelopes and their Monte-Carlo verifiers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,44 @@ class TestEnvelopes:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             envelope("cauchy", {})
+
+    @pytest.mark.parametrize(
+        "name,params,key",
+        [
+            ("hoeffding", {"spans": np.ones(4)}, "spans"),
+            ("bernstein", {"K": 1.0, "a": np.ones(4)}, "K"),
+            ("bernstein", {"K": 1.0, "a": np.ones(4)}, "a"),
+            ("chi_square", {"N": 8}, "N"),
+            ("bernoulli_projection", {"a": np.ones(4), "N": 8}, "a"),
+            ("bernoulli_projection", {"a": np.ones(4), "N": 8}, "N"),
+            ("quad_form_gaussian", {"A": np.eye(4)}, "A"),
+            ("hanson_wright", {"A": np.eye(4), "C": 0.05}, "A"),
+        ],
+    )
+    def test_missing_param_names_family_and_key(self, name, params, key):
+        # every entry point reads the one family record, so each reports the
+        # same ValueError, never a bare KeyError
+        params = {k: v for k, v in params.items() if k != key}
+        message = f"envelope '{name}' needs params\\['{key}'\\]"
+        for call in (
+            lambda: envelope(name, params),
+            lambda: default_grid(name, params),
+            lambda: empirical_tail(name, params, trials=10_000),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_names_come_from_the_family_registry(self):
+        assert concentration.ENVELOPE_NAMES == (
+            "gaussian",
+            "hoeffding",
+            "bernstein",
+            "chi_square",
+            "bernoulli_projection",
+            "quad_form_gaussian",
+            "hanson_wright",
+        )
+        assert concentration.ENVELOPE_NAMES == tuple(concentration._FAMILIES)
 
 
 class TestEmpiricalTails:
@@ -116,6 +156,25 @@ class TestEmpiricalTails:
         assert grid.min() < 4 * np.e * 64 < grid.max() * 10  # quadratic side sampled
         assert np.all(np.diff(grid) > 0)
 
+    def test_family_built_once_per_run(self, monkeypatch):
+        # the params are read and converted once, not once per sampling chunk
+        builds = []
+        build = concentration._FAMILIES["quad_form_gaussian"]
+        monkeypatch.setitem(
+            concentration._FAMILIES, "quad_form_gaussian", lambda p: builds.append(1) or build(p)
+        )
+        empirical_tail("quad_form_gaussian", {"A": fixed_hermitian(8)}, trials=30_000, seed=0)
+        assert builds == [1]
+
+    def test_report_stores_only_its_samples(self):
+        rep = empirical_tail("chi_square", {"N": 16}, trials=20_000, seed=9)
+        fields = [f.name for f in dataclasses.fields(rep)]
+        assert fields == ["name", "t_grid", "empirical", "envelope", "trials", "seed"]
+        stderr = np.sqrt(rep.empirical * (1.0 - rep.empirical) / rep.trials)
+        assert np.array_equal(rep.stderr, stderr)
+        assert np.array_equal(rep.verdicts, rep.empirical <= rep.envelope + 3.0 * stderr)
+        assert rep.passed == bool(np.all(rep.verdicts))
+
 
 def fixed_g_sampler(g):
     """A stand-in for sample_tensor that returns the tensor of g on every trial."""
@@ -148,3 +207,20 @@ class TestSpectralRatioReport:
         a = verify_spectral_lb(1, trials=20, seed=5)
         b = verify_spectral_lb(1, trials=20, seed=5)
         assert np.array_equal(a.ratios, b.ratios)
+
+    def test_report_stores_only_its_ratios(self):
+        rep = verify_spectral_lb(2, trials=12, seed=1)
+        assert [f.name for f in dataclasses.fields(rep)] == ["n", "trials", "seed", "ratios"]
+        assert rep.N == 4
+        assert np.array_equal(rep.tau_grid, [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+        want = [rep.fraction_at(1.0 - tau / rep.N) for tau in rep.tau_grid]
+        assert np.array_equal(rep.fraction_meeting, want)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_must_be_positive(self, trials, monkeypatch):
+        def never(n, cfg):
+            raise AssertionError("sampled before the trial count was checked")
+
+        monkeypatch.setattr(concentration, "sample_tensor", never)
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            verify_spectral_lb(1, trials=trials)

@@ -219,8 +219,18 @@ class TestClassicalExact:
         assert achieved == pytest.approx(val, abs=1e-15)
 
     def test_embedded_chsh_is_half(self):
-        val, _ = classical_bias_exact(embedded_chsh_game())
+        G = embedded_chsh_game()
+        assert G.Q == 4
+        val, _ = classical_bias_exact(G)
         assert val == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("Q", [1, 2, 5])
+    def test_sign_vectors_pin_first_answer(self, Q):
+        from xorgap.game import _sign_vectors
+
+        V = _sign_vectors(Q)
+        assert V.shape == (2 ** (Q - 1), Q) and np.all(V[:, 0] == 1.0)
+        assert np.all(np.abs(V) == 1.0) and len({tuple(v) for v in V}) == len(V)
 
     def test_all_positive_signs_gives_one(self):
         pi = np.full((2, 2, 2), 1 / 8)
@@ -560,6 +570,31 @@ class TestEntangledEval:
         kind = DimensionError if bad.shape != (2, 2) else ValueError
         with pytest.raises(kind, match=f"^{message}$"):
             EntangledStrategy(dims=(2, 2, 2), state=ghz_strategy().state, observables=([X], obs, [X]))
+
+    def test_shared_stack_checked_once(self, monkeypatch):
+        # one object handed to several players is checked and frozen once
+        from xorgap import game
+
+        checks = []
+        check = game._observable_stack
+
+        def counting(obs, d, player):
+            checks.append(player)
+            return check(obs, d, player)
+
+        monkeypatch.setattr(game, "_observable_stack", counting)
+        S = pauli_strategy(sample_tensor(2, SamplerConfig(seed=3)))
+        assert checks == [0]
+        assert S.observables[0] is S.observables[1] is S.observables[2]
+        checks.clear()
+        ghz_strategy()
+        assert checks == [0, 1, 2]
+
+    def test_bad_shared_stack_names_player_zero(self):
+        X = np.array([[0.0, 1.0], [1.0, 0.0]])
+        obs = np.array([X, X, 2.0 * X, np.eye(2)])
+        with pytest.raises(ValueError, match="^player 0 question 2: observable must square to I$"):
+            EntangledStrategy(dims=(2, 2, 2), state=ghz_strategy().state, observables=(obs, obs, obs))
 
     def test_question_count_mismatch_rejected(self):
         from xorgap import DimensionError

@@ -1,9 +1,12 @@
 """Sphere, projector, and triple nets; signed-projector decomposition."""
 
+import time
+
 import numpy as np
 import pytest
 
-from xorgap import ScaleError, lorentz_decompose, projector_net, sphere_net
+from xorgap import SamplerConfig, ScaleError, lorentz_decompose, projector_net, sample_tensor, sphere_net
+from xorgap.tensor import trilinear_norm_upper_net
 from xorgap.nets import PACKING_WINDOW, coefficient_bound, coefficient_bound_sharp, triple_net_size
 
 
@@ -141,6 +144,22 @@ class TestSphereNet:
     def test_eps_guard(self):
         with pytest.raises(ValueError):
             sphere_net(2, 0.0)
+
+    @pytest.mark.parametrize("N,eps", [(2, 1e-300), (2, 0.15 / np.sqrt(2.0)), (4, 0.5)])
+    def test_packing_size_guard(self, N, eps):
+        # a packing whose volumetric bound (1 + 2/eps)^(2N) exceeds 1e5 would
+        # wait ever longer for its window of rejections; it fails at once
+        start = time.perf_counter()
+        with pytest.raises(ScaleError, match="use a larger eps"):
+            sphere_net(N, eps)
+        assert time.perf_counter() - start < 1.0
+
+    def test_packing_size_guard_on_the_net_bound(self):
+        T = sample_tensor(1, SamplerConfig(seed=1))
+        start = time.perf_counter()
+        with pytest.raises(ScaleError):
+            trilinear_norm_upper_net(T, 1e-300)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestProjectorNet:

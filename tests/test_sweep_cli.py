@@ -660,10 +660,10 @@ class TestCli:
         assert errors == [err.splitlines()[-1]]
         assert problem in errors[0]
 
-    @pytest.mark.parametrize("n,eps", [(1, "0"), (2, "0.5")])
+    @pytest.mark.parametrize("n,eps", [(1, "0"), (2, "0.5"), (1, "1e-300")])
     def test_norms_net_eps_fails_before_output(self, tmp_path, capsys, n, eps):
-        # a bad eps, or a tensor the net does not cover, fails before any
-        # value is printed
+        # a bad eps, a tensor the net does not cover, or a net too fine to
+        # pack, fails before any value is printed
         tpath = str(tmp_path / "t.xgt")
         main(["sample", "--n", str(n), "--out", tpath])
         capsys.readouterr()
@@ -674,6 +674,7 @@ class TestCli:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.splitlines()[-1].startswith("xorgap: error:")
+        assert sum(line.startswith("xorgap: error:") for line in captured.err.splitlines()) == 1
 
     def test_seed_changes_sample(self, tmp_path):
         A, B = str(tmp_path / "a.xgt"), str(tmp_path / "b.xgt")
