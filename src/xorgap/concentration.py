@@ -308,10 +308,10 @@ def verify_spectral_lb(n: int, trials: int = 200, seed: int = 0) -> SpectralRati
 
     The construction guarantees the ratio approaches one only as N grows; this
     reports the desk-scale empirical distribution over gaussian g.  ValueError
-    for n outside 1..3 or trials < 1, before anything is sampled.
+    for n outside 1..6 or trials < 1, before anything is sampled.
     """
-    if n not in (1, 2, 3):
-        raise ValueError("n must be 1, 2 or 3")
+    if n not in range(1, 7):
+        raise ValueError(f"n must lie in 1..6, got {n!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ratios = np.empty(trials)

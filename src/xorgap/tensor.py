@@ -85,7 +85,7 @@ class Tensor3:
     certifies the net upper bound.  Hermitian means bit for bit (see
     :meth:`is_hermitian`).  Any other Hermitian tensor's top eigenpair comes
     from the same Lanczos solver multiplying by the matrix, and a
-    non-Hermitian one's top singular pair from Golub-Kahan-Lanczos.
+    non-Hermitian one's top singular pair from that solver on M M^H.
     """
 
     __slots__ = ("n", "N", "_matrix", "raw_g", "_eig", "_herm", "_sv", "_hermitized")
@@ -130,13 +130,17 @@ class Tensor3:
         )
 
     def is_hermitian(self) -> bool:
-        """Whether the matrix view equals its conjugate transpose bit for bit,
-        exactly when `hermitize(self) is self`; compared once, and never for
-        a tensor marked Hermitian when built (a sampled tensor or a
-        `hermitize` candidate)."""
+        """Whether the matrix view equals its conjugate transpose bit for bit
+        (as `np.array_equal`: -0 equals +0, and a NaN entry is never
+        Hermitian), exactly when `hermitize(self) is self`; compared once,
+        and never for a tensor marked Hermitian when built (a sampled tensor
+        or a `hermitize` candidate).  Row blocks of about 2^16 entries are
+        compared against their conjugated column blocks, up to the first
+        mismatch, so no conjugate copy of the whole matrix is made."""
         if self._herm is None:
             M = self.matrix
-            self._herm = bool(np.array_equal(M, M.conj().T))
+            b = max(1, 2**16 // len(M))
+            self._herm = all(np.array_equal(M[i : i + b], M[:, i : i + b].conj().T) for i in range(0, len(M), b))
         return self._herm
 
     def frobenius_norm(self) -> float:
@@ -225,15 +229,35 @@ def _masked_product(x: np.ndarray, N: int) -> np.ndarray:
 _LANCZOS_TOL = 1e-14
 
 
-def _lanczos_extremes(matvec, dim: int, dtype) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Both extreme eigenpairs of a Hermitian operator, as (low, u, high, v).
+def _lanczos_extremes(matvec, dim: int, dtype, frob2: float | None) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """Both extreme Ritz pairs of a Hermitian operator, as (low, u, high, v).
 
     Lanczos with full reorthogonalisation (see :func:`_orthogonalized`)
-    from the fixed start vector default_rng(0).standard_normal(dim).  It stops
-    when the lowest and the highest Ritz pairs both have residual
-    beta_k |s_k| <= 1e-14 max|theta|, which also covers an invariant Krylov
-    space (beta_k = 0), or when the basis spans all dim directions.  The
-    basis grows by doubling, so memory follows the iteration count.
+    from the fixed start vector default_rng(0).standard_normal(dim).  A Ritz
+    pair has converged when its residual beta_k |s_k| is at most 1e-14
+    max|theta|, which also covers an invariant Krylov space (beta_k = 0).
+    The run stops when the basis spans all dim directions, when both extreme
+    pairs have converged, or when the near end (the one of larger |theta|)
+    has converged and a certified bound B on the far end's eigenvalue
+    magnitude is strictly below |theta_near|; the far pair is then left
+    unconverged, and it cannot carry the dominant eigenvalue.  An exact
+    +/-lambda pair never satisfies the strict test, so it waits for both ends.
+
+    frob2 is the operator's squared Frobenius norm F, or None for a positive
+    semidefinite operator.  With F, the k Ritz values bound k distinct
+    eigenvalues in magnitude from inside (Cauchy interlacing: the negative
+    ones the lowest eigenvalues, the positive ones the highest), so the far
+    eigenvalue's square is at most B^2 = max(F - sum theta^2 + theta_far^2,
+    0) + 2e-12 F.  The last term is a slack against rounding; since F is at
+    least theta_near^2, it also keeps a far Ritz value left unconverged below
+    (1 - 1e-12) |theta_near|, out of the tie window of :func:`top_eigenpair`.
+    A positive semidefinite operator's far (lowest) eigenvalue lies in
+    [0, theta_far], so B = |theta_far|.
+
+    The tridiagonal is solved every step up to 8, then about every k/8
+    steps (at most 1/8 extra iterations), and at once when beta_k falls
+    below the last tolerance.  The basis grows by doubling, so memory
+    follows the iteration count.
     """
     q = np.random.default_rng(0).standard_normal(dim).astype(dtype)
     q /= np.linalg.norm(q)
@@ -251,14 +275,17 @@ def _lanczos_extremes(matvec, dim: int, dtype) -> tuple[float, np.ndarray, float
         alpha.append(float(h[-1].real))
         b = float(np.linalg.norm(w))
         if k == check or k == dim or b <= tol:
-            # the tridiagonal is solved every step up to 8, then about every
-            # k/8 steps (at most 1/8 extra iterations), and at once when b
-            # falls below the last tolerance, which stops the run
             check = k + max(1, k // 8)
             Tk = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
             theta, S = np.linalg.eigh(Tk)
             tol = _LANCZOS_TOL * max(abs(theta[0]), abs(theta[-1]))
-            if k == dim or max(abs(S[-1, 0]), abs(S[-1, -1])) * b <= tol:
+            near, far = (0, -1) if abs(theta[0]) > abs(theta[-1]) else (-1, 0)
+            if frob2 is None:
+                bound2 = theta[far] ** 2
+            else:
+                bound2 = max(frob2 - theta @ theta + theta[far] ** 2, 0.0) + 2e-12 * frob2
+            res_near, res_far = abs(S[-1, near]) * b, abs(S[-1, far]) * b
+            if k == dim or (res_near <= tol and (res_far <= tol or bound2 < theta[near] ** 2)):
                 break
         beta.append(b)
         q = w / b
@@ -271,13 +298,17 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
     input, as `hermitize(T)` is; any other raises ValueError).
 
     One Lanczos run (see :func:`_lanczos_extremes`) follows both ends of the
-    spectrum, and the end of larger magnitude wins.  When +s and -s are both
-    eigenvalues of magnitude equal to the spectral norm, the positive branch
-    is returned, so the eigenvector realizes the spectral norm as a positive
-    quadratic form whenever possible.  A sampled tensor never builds its
-    matrix: its product is x -> g∘((J - I)^{⊗3}(g∘x)), O(N^3) per product
-    (see :func:`_masked_product`).  Any other tensor multiplies by its
-    matrix view.
+    spectrum, and the end of larger magnitude wins.  The run stops as soon
+    as that end has converged and the tensor's squared Frobenius norm (see
+    :meth:`Tensor3.frobenius_norm`) certifies that the other end lies
+    strictly below it in magnitude; otherwise it waits for both ends.  When
+    +s and -s are both eigenvalues of magnitude equal to the spectral norm
+    (every n = 1 sampled tensor), the positive branch is returned, so the
+    eigenvector realizes the spectral norm as a positive quadratic form
+    whenever possible.  A sampled tensor never builds its matrix: its
+    product is x -> g∘((J - I)^{⊗3}(g∘x)), O(N^3) per product (see
+    :func:`_masked_product`), and its Frobenius norm is O(N^3) from g.  Any
+    other tensor multiplies by its matrix view.
     The pair is checked once with the same product, and ValueError is raised
     when ||A psi - lambda psi|| exceeds 1e-9 |lambda| (or is not a number).
     """
@@ -294,7 +325,7 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
                 return g * _masked_product(g * x, N)
 
             dtype = np.float64
-        low, u, high, v = _lanczos_extremes(matvec, N**3, dtype)
+        low, u, high, v = _lanczos_extremes(matvec, N**3, dtype, T.frobenius_norm() ** 2)
         sn = max(abs(low), abs(high))
         lam, vec = (high, v) if high >= sn * (1.0 - 1e-12) else (low, u)
         vec = vec / np.linalg.norm(vec)
@@ -310,7 +341,8 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
 def _dominant_pair(T: Tensor3) -> tuple[float, np.ndarray]:
     """The spectral norm of the matrix view and a dominant unit vector, both
     cached: |lambda| and the top eigenvector of a Hermitian tensor, else
-    sigma_1 and the left singular vector of :func:`_top_singular`."""
+    sigma_1 and the left singular vector of :func:`_top_singular`; both come
+    from the one Lanczos solver, :func:`_lanczos_extremes`."""
     if T.is_hermitian():
         lam, psi = top_eigenpair(T)
         return abs(lam), psi
@@ -321,9 +353,10 @@ def spectral_norm(T: Tensor3) -> float:
     """Largest singular value of the matrix view (see :func:`_dominant_pair`).
 
     An exactly Hermitian input goes through the Lanczos top eigenpair (a
-    sampled tensor's matrix is never built); any other through
-    Golub-Kahan-Lanczos bidiagonalization of the matrix view.  No SVD and
-    no dense eigensolve of the matrix view runs.
+    sampled tensor's matrix is never built); any other through the same
+    Lanczos solver on M M^H, whose products never build M^H (see
+    :func:`_top_singular`).  No SVD and no dense eigensolve of the matrix
+    view runs.
     """
     return _dominant_pair(T)[0]
 
@@ -632,70 +665,31 @@ def _lockstep_ascent(hold, update, starts, max_sweeps, stop, on_sweep=None):
     return float(last[best]), (X[best], Y[best], Z[best])
 
 
-def _golub_kahan(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Top singular triple (sigma, u, v) of a matrix, M v = sigma u.
-
-    Golub-Kahan-Lanczos bidiagonalization from the fixed unit start
-    v_1 = default_rng(0).standard_normal(D), normalized: step k makes one
-    product with M, alpha_k u_k = M v_k, and one with M^H, beta_k v_{k+1} =
-    M^H u_k - alpha_k v_k, each reorthogonalized against its whole basis
-    (see :func:`_orthogonalized`), so M V_k = U_k B_k with B_k upper
-    bidiagonal.  The top singular triple (sigma, p, q) of B_k gives
-    u = U_k p and v = V_k q, with residual ||M^H u - sigma v|| =
-    beta_k |p_k|.  The run stops when that is at most 1e-14 sigma (which
-    also covers an invariant space, beta_k = 0), or when the bases span all
-    D directions.  B_k is solved every step up to 8, then about every k/8
-    steps, and at once when beta_k falls below the last tolerance; the
-    bases grow by doubling, so memory follows the step count, not D x D.
-    M^H u is formed as conj(u^H M), so M^H is never built.
-    """
-    D = M.shape[0]
-    v = np.random.default_rng(0).standard_normal(D).astype(np.complex128)
-    v /= np.linalg.norm(v)
-    U = np.empty((min(D, 32), D), dtype=np.complex128)
-    V = np.empty_like(U)
-    alpha, beta = [], []
-    k = check = 1
-    tol = 0.0
-    while True:
-        if k > len(U):
-            grow = np.empty((min(D, 2 * len(U)) - len(U), D), dtype=np.complex128)
-            U, V = np.concatenate([U, grow]), np.concatenate([V, grow])
-        V[k - 1] = v
-        p = _orthogonalized(M @ v, U[: k - 1])[0]
-        a = float(np.linalg.norm(p))
-        alpha.append(a)
-        U[k - 1] = p / a if a > 0.0 else p  # a zero u_k ends the run below
-        r = _orthogonalized((U[k - 1].conj() @ M).conj(), V[:k])[0]
-        b = float(np.linalg.norm(r))
-        if k == check or k == D or b <= tol:
-            check = k + max(1, k // 8)
-            P, s, Qh = np.linalg.svd(np.diag(alpha) + np.diag(beta, 1))
-            tol = _LANCZOS_TOL * s[0]
-            if k == D or abs(P[-1, 0]) * b <= tol:
-                break
-        beta.append(b)
-        v = r / b
-        k += 1
-    return float(s[0]), P[:, 0] @ U[:k], Qh[0] @ V[:k]
-
-
 def _top_singular(T: Tensor3) -> tuple[float, np.ndarray]:
     """Largest singular value of the matrix view and its left singular vector.
 
-    One Golub-Kahan-Lanczos run on the matrix view (see
-    :func:`_golub_kahan`): about half the steps of a Lanczos run on the
-    Hermitian dilation [[0, M], [M^H, 0]], with one product with M and one
-    with M^H per step.  The phase of u is arbitrary; the ALS anchor only
-    reads partial traces of u u^H.  The pair is checked against the stored
-    matrix, and ValueError is raised when ||M v - sigma u|| exceeds
-    1e-9 sigma (or is not a number).  Cached per tensor: `spectral_norm`
-    and the ALS anchor of a non-Hermitian tensor share it.
+    The Lanczos of :func:`_lanczos_extremes` on the positive semidefinite
+    M M^H, each product x -> M conj(conj(x) M), so M^H is never built; it
+    stops once its top end has converged, since the far end of a positive
+    semidefinite spectrum is bounded by its own Ritz value.  u is the top
+    eigenvector, sigma = ||M^H u|| and v = M^H u / sigma.  The phase of u
+    is arbitrary; the ALS anchor only reads partial traces of u u^H.  The
+    pair is checked against the stored matrix, and ValueError is raised
+    when ||M v - sigma u|| exceeds 1e-9 sigma (or is not a number).  Cached
+    per tensor: `spectral_norm` and the ALS anchor of a non-Hermitian tensor
+    share it.
     """
     if T._sv is None:
         M = T.matrix
-        sigma, u, v = _golub_kahan(M)
-        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+
+        def adjoint(x):  # M^H x
+            return (x.conj() @ M).conj()
+
+        u = _lanczos_extremes(lambda x: M @ adjoint(x), len(M), np.complex128, None)[3]
+        u = u / np.linalg.norm(u)
+        v = adjoint(u)
+        sigma = float(np.linalg.norm(v))
+        v = v / sigma
         res = float(np.linalg.norm(M @ v - sigma * u))
         if not res <= 1e-9 * sigma:
             raise ValueError(f"singular pair residual {res!r} on the stored matrix (sigma {sigma!r})")
@@ -906,7 +900,8 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
     deviation at every r, and sigma_max(M1[p]) bounds it at every (q, r).
     sigma_max(M1[p]) is the square root of the largest eigenvalue of the
     N^2 x N^2 Gram M1[p]^H M1[p], one stacked `eigvalsh` for all p, which
-    is accurate to a few units in 1e-16 relative.  X is visited in
+    is accurate to a few units in 1e-16 relative.  The best value starts at
+    one evaluated deviation, a lower bound on the maximum.  X is visited in
     decreasing sigma_max, the loop stops once sigma_max (1 + 1e-12) is at
     most the best value so far, and a visited X evaluates only the Y rows
     whose bound, with the same margin, exceeds it.  A skipped triple's
@@ -923,8 +918,12 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
     g = T.raw_g
     N = T.N
     E, M1, sigma = _net_forms(T, eps)
-    max_dev = 0.0
-    for p in np.argsort(-sigma, kind="stable"):
+    order = np.argsort(-sigma, kind="stable")
+    # seeded with one true deviation, so the first visit prunes too: the
+    # first X, its Y row of largest bound, and the maximum over Z
+    R = E @ M1[order[0]]
+    max_dev = float(np.abs(R[np.argmax(np.linalg.norm(R, axis=1))] @ E.T).max())
+    for p in order:
         if sigma[p] * (1.0 + _PRUNE_MARGIN) <= max_dev:
             break
         R = E @ M1[p]

@@ -224,3 +224,12 @@ class TestSpectralRatioReport:
         monkeypatch.setattr(concentration, "sample_tensor", never)
         with pytest.raises(ValueError, match="^trials must be >= 1$"):
             verify_spectral_lb(1, trials=trials)
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_n_outside_range_rejected_before_sampling(self, n, monkeypatch):
+        def never(n, cfg):
+            raise AssertionError("sampled before n was checked")
+
+        monkeypatch.setattr(concentration, "sample_tensor", never)
+        with pytest.raises(ValueError, match=r"n must lie in 1\.\.6"):
+            verify_spectral_lb(n, trials=1)

@@ -441,6 +441,69 @@ class TestLanczosEigenpair:
             assert abs(lam - ref) <= 1e-12 * abs(ref)  # exact for the zero candidate
             assert np.linalg.norm(C @ psi - lam * psi) <= 1e-12 * abs(lam)
 
+    @pytest.mark.parametrize("n,most", [(3, 16), (4, 12)])
+    def test_seed0_rows_stop_once_lambda_is_certified(self, n, most, monkeypatch):
+        # lambda ~ N^3 stands far above the rest of the spectrum, so the run
+        # stops once it has converged, without waiting for the negative end
+        from xorgap import tensor
+        from xorgap.sweep import row_seed
+
+        lanczos = tensor._lanczos_extremes
+        products = []
+
+        def counting(matvec, *args):
+            products.append(0)
+
+            def counted(x):
+                products[-1] += 1
+                return matvec(x)
+
+            return lanczos(counted, *args)
+
+        monkeypatch.setattr(tensor, "_lanczos_extremes", counting)
+        for k in range(8):
+            top_eigenpair(sample_tensor(n, SamplerConfig(seed=row_seed(0, n, k))))
+        assert len(products) == 8 and max(products) <= most
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_negated_tensor_returns_negative_end(self, n):
+        from xorgap.sweep import row_seed
+
+        T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 0)))
+        lam, psi = top_eigenpair(T)
+        neg, phi = top_eigenpair(Tensor3(n, -T.matrix))
+        assert abs(neg + lam) <= 1e-12 * lam
+        assert abs(abs(np.vdot(psi, phi)) - 1.0) <= 1e-12
+
+    def test_far_end_dominant_but_converging_later(self):
+        # a lone -10 next to a cluster near -9.99, a bulk in [-9, 0] and an
+        # isolated +9.9, in a random unitary basis adjusted so the Lanczos
+        # start has weight 1e-6 on each of the eleven lowest eigenvectors:
+        # +9.9 converges while the lowest Ritz value still sits near -9, and
+        # only the Frobenius bound keeps the run going to -10
+        from xorgap import tensor
+
+        D = 64
+        q0 = np.random.default_rng(0).standard_normal(D)  # the solver's start
+        q0 /= np.linalg.norm(q0)
+        rng = np.random.default_rng(7)
+        V, _ = np.linalg.qr(rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
+        spec = np.concatenate([[-10.0], -9.99 + 1e-3 * np.arange(10), np.linspace(-9.0, 0.0, D - 12), [9.9]])
+        c = V.conj().T @ q0
+        want = c.copy()
+        want[:11] = 1e-6 * c[:11] / np.abs(c[:11])
+        want[11:] *= np.sqrt(1.0 - 11e-12) / np.linalg.norm(c[11:])
+        w = (c - want) / np.linalg.norm(c - want)
+        V = V @ (np.eye(D) - 2.0 * np.outer(w, w.conj()))  # V^H q0 = want
+        M = (V * spec) @ V.conj().T
+        M = (M + M.conj().T) / 2.0
+        # the positive semidefinite bound, unsound here, stops at +9.9
+        low, _, high, _ = tensor._lanczos_extremes(M.dot, D, np.complex128, None)
+        assert abs(low) < 9.9 and high == pytest.approx(9.9, rel=1e-12)
+        lam, psi = top_eigenpair(Tensor3(2, M))
+        assert lam == pytest.approx(-10.0, rel=1e-12)
+        assert abs(abs(np.vdot(V[:, 0], psi)) - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("given", ["raw_g", "matrix"])
     def test_wrong_vector_fails_residual_check(self, given, monkeypatch):
         # the residual is taken with the solver's own product, g or matrix
@@ -1122,23 +1185,19 @@ class TestHermitize:
     def test_general_tensor_factored_once(self, monkeypatch):
         # a general-tensor pass: the game build and the Pauli strategy share one
         # hermitize (one eigenpair per candidate), and the norms share one
-        # singular pair; no SVD of the matrix runs (Golub-Kahan solves only
-        # its small real bidiagonal)
+        # singular pair; no SVD of the matrix runs (one Lanczos solver serves
+        # both, the singular pair on M M^H)
         from xorgap import tensor
         from xorgap.game import game_from_tensor, pauli_strategy
 
         rng = np.random.default_rng(10)
         T = Tensor3(2, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
-        counted = {"eigenpair": 0, "golub_kahan": 0, "svd": 0}
-        lanczos, golub_kahan, svd = tensor._lanczos_extremes, tensor._golub_kahan, np.linalg.svd
+        counted = {"lanczos": 0, "svd": 0}
+        lanczos, svd = tensor._lanczos_extremes, np.linalg.svd
 
         def counting_lanczos(*args):
-            counted["eigenpair"] += 1
+            counted["lanczos"] += 1
             return lanczos(*args)
-
-        def counting_golub_kahan(*args):
-            counted["golub_kahan"] += 1
-            return golub_kahan(*args)
 
         def counting_svd(a, *args, **kwargs):
             if np.iscomplexobj(a) and np.shape(a) == (64, 64):
@@ -1146,15 +1205,14 @@ class TestHermitize:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(tensor, "_lanczos_extremes", counting_lanczos)
-        monkeypatch.setattr(tensor, "_golub_kahan", counting_golub_kahan)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         spectral_norm(T)
         trilinear_norm_lower(T, restarts=2)
         game_from_tensor(T)
         pauli_strategy(T)
-        # one Golub-Kahan run for the singular pair, one Lanczos run per
-        # hermitize candidate; pauli_strategy reads the cached winner
-        assert counted == {"eigenpair": 2, "golub_kahan": 1, "svd": 0}
+        # one Lanczos run for the singular pair, one per hermitize
+        # candidate; pauli_strategy reads the cached winner
+        assert counted == {"lanczos": 3, "svd": 0}
 
     def test_is_hermitian_iff_hermitize_returns_input(self):
         # Hermitian means bit for bit: a Hermitian matrix with one entry
@@ -1173,6 +1231,25 @@ class TestHermitize:
         for name, (T, want) in cases.items():
             assert T.is_hermitian() is want, name
             assert (hermitize(T) is T) is want, name
+
+    def test_is_hermitian_is_array_equal_to_the_adjoint(self):
+        # compared in row blocks, the predicate is still np.array_equal(M, M^H):
+        # -0 equals +0, a NaN entry is never Hermitian, and a mismatch in the
+        # last block of a 512 x 512 matrix counts
+        rng = np.random.default_rng(17)
+        for n, (i, j) in ((1, (2, 6)), (3, (509, 3))):
+            D = 8**n
+            A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+            H = (A + A.conj().T) / 2.0
+            zeros = H.copy()
+            zeros[i, i] = complex(zeros[i, i].real, -0.0)  # its adjoint holds +0
+            nan = H.copy()
+            nan[i, i] = np.nan
+            ulp = H.copy()
+            ulp[i, j] = complex(ulp[i, j].real, np.nextafter(ulp[i, j].imag, np.inf))
+            for M, want in ((H, True), (zeros, True), (nan, False), (ulp, False)):
+                assert Tensor3(n, M).is_hermitian() is want
+                assert Tensor3(n, M).is_hermitian() is bool(np.array_equal(M, M.conj().T))
 
     def test_candidates_match_expressions_bytewise(self, monkeypatch):
         # the in-place buffers give the expressions' bytes, signed zeros and
@@ -1253,13 +1330,13 @@ class TestTopSingular:
     def test_wrong_vector_fails_residual_check(self, monkeypatch):
         from xorgap import tensor
 
-        golub_kahan = tensor._golub_kahan
+        lanczos = tensor._lanczos_extremes
 
         def wrong(*args):
-            sigma, u, v = golub_kahan(*args)
-            return sigma, np.roll(u, 1), v
+            low, u, high, v = lanczos(*args)
+            return low, np.roll(u, 1), high, np.roll(v, 1)
 
-        monkeypatch.setattr(tensor, "_golub_kahan", wrong)
+        monkeypatch.setattr(tensor, "_lanczos_extremes", wrong)
         T = Tensor3(1, _random_general(np.random.default_rng(3), 8))
         with pytest.raises(ValueError, match="singular pair residual"):
             spectral_norm(T)
