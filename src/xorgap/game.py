@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGameError, DimensionError, ScaleError
-from .pauli import MAX_QUBITS, _correlations, _mode_matrix, _player_marginal, build_basis, fourier
+from .pauli import MAX_QUBITS, _correlation_blocks, _mode_matrix, _player_marginal, build_basis, fourier
 from .tensor import (
     Tensor3,
     _array_maps,
@@ -379,29 +379,50 @@ def classical_bias(
     return (*classical_bias_heuristic(G, restarts=restarts, seed=seed), "heuristic")
 
 
+def _real_correlation_blocks(S: EntangledStrategy):
+    """Yield (ks, w) with w the real (Q1, Q2, len ks) slice w[:, :, ks] of
+    the strategy's correlations, block by block (:func:`pauli._correlation_blocks`).
+    ValueError as soon as a block's imaginary part exceeds 1e-9 (observables
+    not Hermitian)."""
+    for ks, w in _correlation_blocks(S.state.reshape(S.dims), *S.observables):
+        if np.abs(w.imag).max(initial=0.0) > 1e-9:
+            raise ValueError("correlations came out non-real; invalid strategy")
+        yield ks, w.real
+
+
 def strategy_correlations(S: EntangledStrategy) -> np.ndarray:
     """All correlations <psi| A_i ⊗ B_j ⊗ C_k |psi> as a real (Q1, Q2, Q3) array.
 
-    The one contraction `pauli._correlations` of the state with the three
-    observable stacks, whose marginals the see-saw's best response shares.
-    ValueError when an imaginary part exceeds 1e-9 (observables not Hermitian).
+    The blocked contraction of the state with the three observable stacks,
+    over consecutive blocks of player 3's questions, whose marginals the
+    see-saw's best response shares.  Each block is written into the one
+    returned array, so the largest intermediate is one block's complex
+    slice.  ValueError when an imaginary part exceeds 1e-9 (observables not
+    Hermitian).
     """
-    w = _correlations(S.state.reshape(S.dims), *S.observables)
-    if np.abs(w.imag).max(initial=0.0) > 1e-9:
-        raise ValueError("correlations came out non-real; invalid strategy")
-    return w.real
+    w = np.empty(tuple(len(obs) for obs in S.observables))
+    for ks, block in _real_correlation_blocks(S):
+        w[:, :, ks] = block
+    return w
 
 
 def entangled_bias_eval(G: XorGame, S: EntangledStrategy) -> float:
     """Bias of a concrete entangled strategy: sum pi * signs * correlation.
 
-    Any value returned here is achievable, hence a lower bound on the game's
-    entangled bias.
+    The sum runs over the blocks of player 3's questions that
+    :func:`strategy_correlations` contracts, one slice of pi and signs at a
+    time, so neither the correlation table nor the cost tensor is formed:
+    memory is O(block), each intermediate within `pauli._BLOCK_BYTES`
+    (512 kB; the traced peak is 2.7 MB at n = 3).  Any value
+    returned here is achievable, hence a lower bound on the game's entangled
+    bias.
     """
     if any(len(obs) != G.Q for obs in S.observables):
         raise DimensionError("strategy must provide one observable per question")
-    w = strategy_correlations(S)
-    return float(np.sum(G.cost_tensor() * w))
+    total = 0.0
+    for ks, w in _real_correlation_blocks(S):
+        total += float(np.sum(G.pi[:, :, ks] * G.signs[:, :, ks] * w))
+    return total
 
 
 def pauli_strategy(T: Tensor3) -> EntangledStrategy:
@@ -437,7 +458,11 @@ def _best_response(C: np.ndarray, p3: np.ndarray, B: np.ndarray, Cm: np.ndarray)
     C_(1) sigma^T with the marginals of :func:`_player_marginal`; the bias
     sum_i tr(A_i E_i) is maximized by A_i = sign(E_i).  Returns those
     observables and that bias.  The other players call this with their axes
-    of C and p3 moved to the front.
+    of C and p3 moved to the front.  Unlike the correlations it takes all of
+    player 3's questions as one block: at the see-saw's sizes (d <= 4,
+    Q <= 16) the block loop costs more than it saves.  The largest
+    intermediates are sigma, d^2 Q2 Q3 complex entries, and C_(1) itself,
+    a copy of Q Q2 Q3 floats when C is a transposed view.
     """
     Q, d = len(C), p3.shape[0]
     E = C.reshape(Q, -1) @ _player_marginal(p3, B, Cm).T  # (i, (a, x))

@@ -161,8 +161,9 @@ def _player_marginal(psi: np.ndarray, B: np.ndarray, Cm: np.ndarray) -> np.ndarr
 
     For psi of shape (d1, d2, d3), returns a (d1^2, Q2 Q3) matrix.  Player 3
     is contracted on ket and bra first, rho_k = (psi ×3 Cm_k) psi^H, then
-    player 2, one matrix product each; no intermediate exceeds Q2 Q3 d1^2
-    or Q3 d1^2 d2^2 entries.
+    player 2, one matrix product each.  The largest intermediate has
+    Q3 max(d1 d2 d3, d1^2 d2^2, d1^2 Q2) entries, so the correlations hand
+    it one block of player 3's questions at a time (:func:`_correlation_blocks`).
     """
     d1, d2, d3 = psi.shape
     Q2, Q3 = len(B), len(Cm)
@@ -175,24 +176,44 @@ def _player_marginal(psi: np.ndarray, B: np.ndarray, Cm: np.ndarray) -> np.ndarr
     return sigma.reshape(Q3, d1, d1, Q2).transpose(2, 1, 3, 0).reshape(d1 * d1, Q2 * Q3)
 
 
-def _correlations(psi: np.ndarray, A: np.ndarray, B: np.ndarray, Cm: np.ndarray) -> np.ndarray:
-    """<psi| A_i ⊗ B_j ⊗ Cm_k |psi> as a complex (Q1, Q2, Q3) array, for psi
-    of shape (d1, d2, d3) and three stacks of (d, d) matrices: one matrix
-    product A_(1) sigma with player 1's marginals (:func:`_player_marginal`)."""
-    Q1 = len(A)
-    return (A.reshape(Q1, -1) @ _player_marginal(psi, B, Cm)).reshape(Q1, len(B), len(Cm))
+_BLOCK_BYTES = 1 << 19  # budget of one block's largest complex intermediate
+
+
+def _correlation_blocks(psi: np.ndarray, A: np.ndarray, B: np.ndarray, Cm: np.ndarray):
+    """Yield (ks, w) for consecutive slices ks of player 3's questions, where
+    w = <psi| A_i ⊗ B_j ⊗ Cm_k |psi> for k in ks is the complex (Q1, Q2, len ks)
+    slice w[:, :, ks] of the correlation table: one matrix product A_(1) sigma
+    with player 1's marginals of that block (:func:`_player_marginal`).
+    psi has shape (d1, d2, d3) and A, B, Cm are stacks of (d, d) matrices.
+
+    A block holds as many questions as keep its largest complex intermediate,
+    w or one of the marginal's, within _BLOCK_BYTES, and at least one; so no
+    array with Q1 Q2 Q3 entries is formed.
+    """
+    (d1, d2, d3), Q1, Q2, Q3 = psi.shape, len(A), len(B), len(Cm)
+    per_question = 16 * max(d1 * d2 * max(d3, d1 * d2), max(Q1, d1 * d1) * Q2)
+    step = _BLOCK_BYTES // per_question or 1
+    A1 = A.reshape(Q1, -1)
+    for k in range(0, Q3, step):
+        ks = slice(k, min(k + step, Q3))
+        yield ks, (A1 @ _player_marginal(psi, B, Cm[ks])).reshape(Q1, Q2, ks.stop - k)
 
 
 def pauli_expectations(n: int, state: np.ndarray) -> np.ndarray:
     """All triple-Pauli expectation values <ψ| P⊗Q⊗R |ψ> as a real (N^2,)*3 array.
 
     They are the correlations of three players who all measure the basis
-    (:func:`_correlations`), so no density matrix |ψ><ψ| is formed; they are
-    real, and the rounding-level imaginary parts are dropped.
+    (:func:`_correlation_blocks`), so no density matrix |ψ><ψ| is formed.
+    They are real: each block's real part is written into the one returned
+    array and its rounding-level imaginary part dropped, so the largest
+    intermediate is one block's, about _BLOCK_BYTES.
     """
     N = 2**n
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape != (N**3,):
         raise DimensionError(f"state must have length {N**3}")
     E = build_basis(n).elements
-    return _correlations(state.reshape(N, N, N), E, E, E).real
+    w = np.empty((N * N,) * 3)
+    for ks, block in _correlation_blocks(state.reshape(N, N, N), E, E, E):
+        w[:, :, ks] = block.real
+    return w

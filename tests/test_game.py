@@ -41,6 +41,7 @@ from xorgap.game import (
     strategy_from_json,
     strategy_to_json,
 )
+from xorgap import game, pauli
 from xorgap.pauli import build_basis, pauli_expectations
 from xorgap.sweep import row_seed
 from xorgap.tensor import top_eigenpair, trilinear_eval
@@ -431,17 +432,99 @@ def _random_strategy(rng, dims, Qs):
     )
 
 
+def _block_lengths(S):
+    """How many of player 3's questions each block of the contraction holds."""
+    return [w.shape[2] for _, w in pauli._correlation_blocks(S.state.reshape(S.dims), *S.observables)]
+
+
 class TestEntangledEval:
     @pytest.mark.parametrize(
         "dims,Qs", [((2, 3, 4), (5, 6, 7)), ((4, 1, 3), (2, 3, 1)), ((3, 2, 2), (4, 4, 6))]
     )
-    def test_correlations_match_einsum_chain(self, dims, Qs):
-        S = _random_strategy(np.random.default_rng(sum(dims) + sum(Qs)), dims, Qs)
-        got = strategy_correlations(S)
+    def test_correlations_match_einsum_chain(self, dims, Qs, monkeypatch):
+        # one block, blocks of one question, and blocks of four that do not
+        # divide Q3 (each question costs 576 or 768 bytes of budget here)
+        rng = np.random.default_rng(sum(dims) + sum(Qs))
+        S = _random_strategy(rng, dims, Qs)
         want = _oracle_correlations(S)
-        assert got.shape == Qs
         assert np.abs(want.imag).max() <= 1e-12
-        assert np.abs(got - want.real).max() <= 1e-12
+        A, B, Cm = S.observables
+        C = rng.standard_normal(Qs)
+        for budget, lengths in [
+            (pauli._BLOCK_BYTES, [Qs[2]]),
+            (1, [1] * Qs[2]),
+            (2304, {7: [4, 3], 1: [1], 6: [4, 2]}[Qs[2]]),
+        ]:
+            monkeypatch.setattr(pauli, "_BLOCK_BYTES", budget)
+            assert _block_lengths(S) == lengths
+            got = strategy_correlations(S)
+            assert got.shape == Qs
+            assert np.abs(got - want.real).max() <= 1e-12
+            # player 1's best response reaches sum C w with its own observables
+            A1, val = _best_response(C, S.state.reshape(dims), B, Cm)
+            S1 = dataclasses.replace(S, observables=(A1, B, Cm))
+            assert abs(val - float(np.sum(C * _oracle_correlations(S1).real))) <= 1e-12
+
+    def test_blocked_bias_and_expectations_match_oracle(self, monkeypatch):
+        # the Pauli strategy at n = 2 (Q = 16, 4096 bytes per question) in
+        # one block, blocks of one, and blocks of three that leave one over
+        T = sample_tensor(2, SamplerConfig(seed=row_seed(0, 2, 0)))
+        rep = game_from_tensor(T)
+        S = pauli_strategy(T)
+        want = _oracle_correlations(S).real
+        for budget, lengths in [(pauli._BLOCK_BYTES, [16]), (1, [1] * 16), (3 * 4096, [3] * 5 + [1])]:
+            monkeypatch.setattr(pauli, "_BLOCK_BYTES", budget)
+            assert _block_lengths(S) == lengths
+            assert np.abs(pauli_expectations(2, S.state) - want).max() <= 1e-12
+            bias = entangled_bias_eval(rep.game, S)
+            assert abs(bias - float(np.sum(rep.game.cost_tensor() * want))) <= 1e-12
+            assert bias == pytest.approx(rep.pauli_bias, rel=1e-12)
+
+    def test_non_real_last_block_raises(self, monkeypatch):
+        # player 3's last observable times i makes only the last block's
+        # correlations imaginary; both the table and the bias refuse it
+        rng = np.random.default_rng(5)
+        S = _random_strategy(rng, (2, 3, 2), (7, 7, 7))
+        Cm = S.observables[2].copy()
+        Cm[-1] *= 1j
+        bad = dataclasses.replace(S)  # checked as valid, then the check is bypassed
+        object.__setattr__(bad, "observables", (*S.observables[:2], Cm))
+        G = cost_game(rng.standard_normal((7, 7, 7)))
+        # each question costs 16 * 7 * 7 bytes of budget here
+        for budget, lengths in [(1, [1] * 7), (2 * 16 * 7 * 7, [2, 2, 2, 1])]:
+            monkeypatch.setattr(pauli, "_BLOCK_BYTES", budget)
+            assert _block_lengths(bad) == lengths
+            for call in (lambda: strategy_correlations(bad), lambda: entangled_bias_eval(G, bad)):
+                with pytest.raises(ValueError, match="^correlations came out non-real; invalid strategy$"):
+                    call()
+
+    def test_bias_forms_neither_table_nor_cost_tensor(self, monkeypatch):
+        T = sample_tensor(2, SamplerConfig(seed=row_seed(0, 2, 1)))
+        rep = game_from_tensor(T)
+        S = pauli_strategy(T)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("entangled_bias_eval formed a Q^3 table")
+
+        monkeypatch.setattr(game, "strategy_correlations", forbidden)
+        monkeypatch.setattr(XorGame, "cost_tensor", forbidden)
+        assert entangled_bias_eval(rep.game, S) == pytest.approx(rep.pauli_bias, rel=1e-12)
+
+    def test_bias_memory_below_one_table(self):
+        # at n = 3 one complex Q^3 table is 64^3 * 16 B = 4.19 MB; the
+        # blocked evaluation, strategy included, stays below it
+        import tracemalloc
+
+        T = sample_tensor(3, SamplerConfig(seed=row_seed(0, 3, 0)))
+        rep = game_from_tensor(T)
+        tracemalloc.start()
+        try:
+            bias = entangled_bias_eval(rep.game, pauli_strategy(T))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bias == pytest.approx(rep.pauli_bias, rel=1e-12)
+        assert peak < 64**3 * 16
 
     def test_identity_observables_sum_signed_mass(self):
         G = mermin_game()
@@ -573,8 +656,6 @@ class TestEntangledEval:
 
     def test_shared_stack_checked_once(self, monkeypatch):
         # one object handed to several players is checked and frozen once
-        from xorgap import game
-
         checks = []
         check = game._observable_stack
 

@@ -244,8 +244,10 @@ class TestGapSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("the row evaluated the Pauli strategy explicitly")
 
-        monkeypatch.setattr(game, "strategy_correlations", forbidden)
-        monkeypatch.setattr(pauli, "pauli_expectations", forbidden)
+        # every explicit evaluation, the bias, the table and the expectations,
+        # runs the one blocked contraction
+        monkeypatch.setattr(game, "_correlation_blocks", forbidden)
+        monkeypatch.setattr(pauli, "_correlation_blocks", forbidden)
         row = compute_gap_row(2, row_seed(0, 2, 0))
         assert abs(row.pauli_bias) <= 1.0
 
