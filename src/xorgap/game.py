@@ -18,7 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGameError, DimensionError, ScaleError
-from .pauli import MAX_QUBITS, _correlation_blocks, _mode_matrix, _player_marginal, build_basis, fourier
+from .pauli import (
+    MAX_QUBITS,
+    _correlation_blocks,
+    _fourier_slabs,
+    _mode_matrix,
+    _player1_slices,
+    _player_marginal,
+    build_basis,
+    fourier,
+)
 from .tensor import (
     Tensor3,
     _array_maps,
@@ -187,20 +196,60 @@ class BoundReport:
     ok: bool
 
 
+def _l1_norm(abs_slabs) -> float:
+    """The l1 mass of a coefficient table given as |c| over its consecutive
+    slabs of player 1's questions (`pauli._player1_slices`): each slab's
+    sum, added in slab order.  A table held whole and the same table
+    streamed from g (:func:`l1_from_g`) therefore give the same float bit
+    for bit.  DegenerateGameError when it is 0, exactly when the tensor is 0."""
+    l1 = 0.0
+    for a in abs_slabs:
+        l1 += float(a.sum())
+    if l1 == 0.0:
+        raise DegenerateGameError("coefficient table vanishes")
+    return l1
+
+
+def _pauli_bias(H: Tensor3, l1: float) -> float:
+    """N^3 lambda / l1, the explicit Pauli strategy's bias on the game of a
+    Hermitian H with table l1 mass l1, lambda from the Lanczos top eigenpair
+    that `hermitize` or `spectral_norm` already cached."""
+    lam, _ = top_eigenpair(H)
+    return H.N**3 * lam / l1
+
+
+def l1_from_g(T: Tensor3) -> float:
+    """The l1 mass of a sampled tensor's coefficient table, streamed from g.
+
+    The table's slabs over player 1's questions come from
+    `pauli._fourier_slabs` one at a time and are summed as
+    :func:`game_from_tensor` sums pi, so the value equals its
+    `l1_norm` bit for bit, while nothing with Q^3 entries is formed: the
+    largest intermediate is one slab's two buffers, about
+    `pauli._BLOCK_BYTES`.  ValueError for a tensor without g;
+    DegenerateGameError when the table vanishes.
+    """
+    if T.raw_g is None:
+        raise ValueError("l1_from_g needs a sampled tensor, one given by its raw vector g")
+    return _l1_norm(np.abs(slab, out=slab) for _, slab in _fourier_slabs(T.n, T.raw_g))
+
+
 def game_from_tensor(T: Tensor3) -> GameBuildReport:
     """Build the Pauli-question game of a tensor.
 
     The tensor is hermitized and its coefficient table, real for a Hermitian
     tensor, is l1-normalized into (pi, signs): signs first, then pi as the
-    table's absolute value in place, summed once for l1 and divided in
-    place.  A sampled tensor's table comes from g in real arithmetic, so its
-    matrix is never built.  The explicit Pauli strategy's
-    bias on that game is reported in closed form, N^3 lambda / l1 (see
-    :func:`pauli_strategy`), from the Lanczos top eigenpair that `hermitize`
-    or `spectral_norm` already cached (computed from g for a sampled tensor);
-    no strategy is evaluated.  l1 = 0 (DegenerateGameError) exactly when T = 0.
-    pi and the exact signs are made read-only, so the game takes them over
-    without a copy; the game holds nothing of T.
+    table's absolute value in place, summed over the slabs of player 1's
+    questions for l1 (:func:`_l1_norm`, as :func:`l1_from_g` sums a sampled
+    tensor's streamed table) and divided in place.  A sampled tensor's table
+    comes from g in real arithmetic, so its matrix is never built.  The
+    explicit Pauli strategy's bias on that game is reported in closed form,
+    N^3 lambda / l1 (see :func:`pauli_strategy`), from the Lanczos top
+    eigenpair that `hermitize` or `spectral_norm` already cached (computed
+    from g for a sampled tensor); no strategy is evaluated.  l1 = 0
+    (DegenerateGameError) exactly when T = 0.  pi and the exact signs are
+    made read-only, so the game takes them over without a copy; the game
+    holds nothing of T.
     """
     H = hermitize(T)
     # the table is fresh: real for a sampled tensor, otherwise copied out of
@@ -210,16 +259,13 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     signs *= -2.0
     signs += 1.0  # where(c < 0, -1, +1), in passes faster than np.where's
     np.abs(pi, out=pi)
-    l1 = float(pi.sum())
-    if l1 == 0.0:
-        raise DegenerateGameError("coefficient table vanishes")
-    lam, _ = top_eigenpair(H)
+    l1 = _l1_norm(pi[ps] for ps in _player1_slices(len(pi)))
     pi /= l1
     # both are fresh and signs are exact, so the game takes them over as they are
     pi.setflags(write=False)
     signs.setflags(write=False)
     game = XorGame(Q=T.N * T.N, pi=pi, signs=signs)
-    return GameBuildReport(pauli_bias=H.N**3 * lam / l1, l1_norm=l1, game=game)
+    return GameBuildReport(pauli_bias=_pauli_bias(H, l1), l1_norm=l1, game=game)
 
 
 def _sign_vectors(Q: int) -> np.ndarray:

@@ -80,13 +80,13 @@ def _mode_matrix(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _real_mode_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real per-mode transform of a sampled tensor, as (R0, phase).
+    """The real per-mode transform of a sampled tensor, as (R0, y).
 
     Row p of `_mode_matrix(n)` is (-i)^{y_p} R_p, where y_p counts the Y
     letters of P_p and R_p is real with entries 0 and +/-1.  R0 holds the
     R_p flattened over (i, i') with the collision entries (i, i) zeroed, so
-    the collision mask rides on the transform.  phase[p, q, r] is
-    Re((-i)^{y_p + y_q + y_r}) as int8, taken from the integer Y counts.
+    the collision mask rides on the transform.  y is the int8 vector of Y
+    counts, from which each slab of :func:`_fourier_slabs` takes its phase.
     """
     B = _mode_matrix(n)
     y = np.array([label.count("Y") for label in build_basis(n).labels], dtype=np.int8)
@@ -94,46 +94,71 @@ def _real_mode_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     R0 = np.ascontiguousarray((B * np.array([1, 1j, -1, -1j])[y % 4][:, None]).real).reshape(-1, N, N)
     R0[:, np.arange(N), np.arange(N)] = 0.0
     R0 = R0.reshape(N * N, N * N)
-    phase = np.array([1, 0, -1, 0], dtype=np.int8)[(y[:, None, None] + y[:, None] + y) % 4]
     R0.setflags(write=False)
-    phase.setflags(write=False)
-    return R0, phase
+    y.setflags(write=False)
+    return R0, y
 
 
-def _fourier_from_g(n: int, g: np.ndarray) -> np.ndarray:
-    """The coefficient table of g g^T under the collision mask, real float64.
+_BLOCK_BYTES = 1 << 19  # budget of one block's largest intermediates
 
-    c_pqr = phase[p, q, r] sum R0_p[i,i'] R0_q[j,j'] R0_r[k,k'] g_ijk g_i'j'k'
-    (see `_real_mode_matrix`).  Mode 1 is rank one: with G = g.reshape(N, N^2)
-    it is G^T R0_p G for every p, O(N^7); modes 2 and 3 are one transpose
-    and one real GEMM each, O(N^8).  The three intermediates all have N^6
-    entries and share two buffers.  Entries whose Y counts sum to an odd
-    number, and entries with an I/Z-only string in any mode, are exactly 0.
+
+def _player1_slices(Q: int) -> list[slice]:
+    """Consecutive slices of player 1's questions of a Q-question table: as
+    many questions each as keep two real (Q, Q) float64 planes per question
+    within _BLOCK_BYTES, and at least one.  8 questions at n = 3, 1 at
+    n = 4, and the whole table in one slice at n <= 2."""
+    step = _BLOCK_BYTES // (16 * Q * Q) or 1
+    return [slice(p, min(p + step, Q)) for p in range(0, Q, step)]
+
+
+def _fourier_slabs(n: int, g: np.ndarray):
+    """Yield (ps, C[ps]) for the slices ps of :func:`_player1_slices`, in
+    order, where C is the coefficient table of g g^T under the collision
+    mask, real float64; each slab is fresh.
+
+    c_pqr = Re((-i)^{y_p + y_q + y_r}) sum R0_p[i,i'] R0_q[j,j'] R0_r[k,k']
+    g_ijk g_i'j'k' (see `_real_mode_matrix`).  Mode 1 is rank one: with
+    G = g.reshape(N, N^2) it is G^T R0_p G for every p in ps, O(N^7) per
+    table; modes 2 and 3 are one transpose and one real GEMM each, O(N^8),
+    batched over ps, and the phase comes from the integer Y counts.  A
+    slab's three intermediates share two buffers of len(ps) N^4 entries, so
+    nothing with Q^3 entries is formed here.  Entries whose Y counts sum to
+    an odd number, and entries with an I/Z-only string in any mode, are
+    exactly 0.
     """
-    R0, phase = _real_mode_matrix(n)
+    R0, y = _real_mode_matrix(n)
     N = 2**n
     Q = N * N
     G = g.reshape(N, Q)
-    H = np.matmul(G.T, R0.reshape(Q, N, N) @ G)  # (p, (j, k), (j', k'))
-    X = np.empty_like(H)
-    X.reshape(Q, N, N, N, N)[...] = H.reshape(Q, N, N, N, N).transpose(0, 1, 3, 2, 4)  # (p, j, j', k, k')
-    np.matmul(X.reshape(Q * Q, Q), R0.T, out=H.reshape(Q * Q, Q))  # (p, (j, j'), r)
-    np.matmul(R0, H, out=X)  # (p, q, r)
-    X *= phase
-    return X
+    phase = np.array([1, 0, -1, 0], dtype=np.int8)  # Re((-i)^s) by s mod 4
+    for ps in _player1_slices(Q):
+        b = ps.stop - ps.start
+        H = np.matmul(G.T, R0[ps].reshape(b, N, N) @ G)  # (p, (j, k), (j', k'))
+        X = np.empty_like(H)
+        X.reshape(b, N, N, N, N)[...] = H.reshape(b, N, N, N, N).transpose(0, 1, 3, 2, 4)  # (p, j, j', k, k')
+        np.matmul(X.reshape(b * Q, Q), R0.T, out=H.reshape(b * Q, Q))  # (p, (j, j'), r)
+        np.matmul(R0, H, out=X)  # (p, q, r)
+        X *= phase[(y[ps, None, None] + y[:, None] + y) % 4]
+        yield ps, X
 
 
 def fourier(T: Tensor3) -> FourierTable:
     """Coefficient table c(P,Q,R) = <T, P⊗Q⊗R> via three mode transforms.
 
-    A sampled tensor's table comes from g in real arithmetic (see
-    `_fourier_from_g`), so its matrix is never built.  Any other tensor's
-    comes from its mode view W by three complex GEMMs with
-    B = `_mode_matrix(n)`, one per mode, c = W ×1 B ×2 B ×3 B (see
-    :func:`_mode_transform`), so the transient is two N^6 arrays.
+    A sampled tensor's table comes from g in real arithmetic, slab by slab
+    over player 1's questions (see :func:`_fourier_slabs`), each slab
+    written into the one returned array, so its matrix is never built and
+    the transient is one slab's two buffers.  Any other tensor's comes from
+    its mode view W by three complex GEMMs with B = `_mode_matrix(n)`, one
+    per mode, c = W ×1 B ×2 B ×3 B (see :func:`_mode_transform`), so the
+    transient is two N^6 arrays.
     """
     if T.raw_g is not None:
-        return FourierTable(n=T.n, N=T.N, coefficients=_fourier_from_g(T.n, T.raw_g))
+        Q = T.N * T.N
+        C = np.empty((Q, Q, Q))
+        for ps, slab in _fourier_slabs(T.n, T.raw_g):
+            C[ps] = slab
+        return FourierTable(n=T.n, N=T.N, coefficients=C)
     return FourierTable(n=T.n, N=T.N, coefficients=_mode_transform(_mode_matrix(T.n), T.mode_view()))
 
 
@@ -174,9 +199,6 @@ def _player_marginal(psi: np.ndarray, B: np.ndarray, Cm: np.ndarray) -> np.ndarr
     rho = rho.transpose(2, 0, 3, 4, 1).reshape(Q3 * d1 * d1, d2 * d2)  # ((k, x, a), (b, y))
     sigma = rho @ B.reshape(Q2, d2 * d2).T  # ((k, x, a), j)
     return sigma.reshape(Q3, d1, d1, Q2).transpose(2, 1, 3, 0).reshape(d1 * d1, Q2 * Q3)
-
-
-_BLOCK_BYTES = 1 << 19  # budget of one block's largest complex intermediate
 
 
 def _correlation_blocks(psi: np.ndarray, A: np.ndarray, B: np.ndarray, Cm: np.ndarray):

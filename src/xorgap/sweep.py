@@ -26,8 +26,9 @@ class GapRow:
     ratio_estimate is pauli_bias / classical_bias: a certified lower bound on
     the entangled-to-classical ratio exactly when the classical bias is exact
     (classical_method == "exact"); otherwise the denominator is itself a lower
-    bound and the ratio is only an estimate.  prop31_lower, present when the
-    net upper bound is, is spectral / (4 N^{3/2} trilinear_upper).
+    bound, so the ratio is an estimate that overstates the true one.
+    prop31_lower, present when the net upper bound is, is
+    spectral / (4 N^{3/2} trilinear_upper).
     """
 
     n: int
@@ -72,11 +73,16 @@ def compute_gap_row(n: int, sample_seed: int) -> GapRow:
     The ALS lower bound and the classical heuristic run with their default
     restarts and stopping rules; the net upper bound (N = 2 only) uses
     resolution ROW_NET_EPS.  At n <= 2 the ALS runs on the tensor's real
-    Pauli table, and at n = 3 it contracts g.  The classical bias is chosen
-    here: the n = 1 game is enumerated exactly, the n = 2 game (N up to
-    `tensor._TABLE_MAX_N`) gets the heuristic on its dense cost tensor, and
-    above that the heuristic ascends on g (`game.classical_value`), so
-    classical_bias is v / l1 for its value v on the unnormalized table.
+    Pauli table, and above that it contracts g.  The classical bias is
+    chosen here.  Up to N = `tensor._TABLE_MAX_N` the row builds the game
+    (`game.game_from_tensor`): the n = 1 game is enumerated exactly and the
+    n = 2 game gets the heuristic on its dense cost tensor.  Above that the
+    row builds no game and forms no Q^3 array: the heuristic ascends on g
+    (`game.classical_value`) for its value v on the unnormalized table, l1
+    is streamed from g over blocks of player 1's questions
+    (`game.l1_from_g`, equal bit for bit to the game's `l1_norm`), and
+    classical_bias is v / l1.  pauli_bias is N^3 lambda / l1 either way,
+    from the cached top eigenpair.
     """
     N = 2**n
     T = tensor.sample_tensor(n, tensor.SamplerConfig(seed=sample_seed))
@@ -85,13 +91,16 @@ def compute_gap_row(n: int, sample_seed: int) -> GapRow:
     upper = None
     if N == 2:
         upper = tensor.trilinear_norm_upper_net(T, ROW_NET_EPS)
-    report = game.game_from_tensor(T)
     if N <= tensor._TABLE_MAX_N:
+        report = game.game_from_tensor(T)
+        pauli_bias = report.pauli_bias
         classical, _, method = game.classical_bias(report.game, seed=sample_seed)
     else:
-        classical = game.classical_value(T, sample_seed)[0] / report.l1_norm
+        l1 = game.l1_from_g(T)
+        pauli_bias = game._pauli_bias(T, l1)
+        classical = game.classical_value(T, sample_seed)[0] / l1
         method = "heuristic"
-    ratio = report.pauli_bias / classical
+    ratio = pauli_bias / classical
     prop31 = None
     if upper is not None:
         prop31 = spectral / (RATIO_BOUND_FACTOR * N**1.5 * upper)
@@ -104,7 +113,7 @@ def compute_gap_row(n: int, sample_seed: int) -> GapRow:
         trilinear_upper=upper,
         classical_bias=classical,
         classical_method=method,
-        pauli_bias=report.pauli_bias,
+        pauli_bias=pauli_bias,
         ratio_estimate=ratio,
         prop31_lower=prop31,
     )
@@ -161,8 +170,8 @@ def gap_sweep(
     n_list = sorted(set(n_list))
     if not n_list:
         raise ValueError("n_list must name at least one n")
-    if any(n not in (1, 2, 3) for n in n_list):
-        raise ValueError("sweep sizes are limited to n in {1, 2, 3}")
+    if any(n not in (1, 2, 3, 4) for n in n_list):
+        raise ValueError("sweep sizes are limited to n in {1, 2, 3, 4}")
     if samples_per_n < 1:
         raise ValueError("samples per n must be >= 1")
     if seed < 0:
@@ -260,6 +269,7 @@ def _suite_identities(seed: int) -> SuiteReport:
             als_dense, _ = tensor.trilinear_norm_lower(tensor.Tensor3(n, T.matrix), seed=row_s)
             als_from = "on the Pauli table from g" if N <= tensor._TABLE_MAX_N else "on the g maps"
             checks += [
+                ("gap row l1 from g blocks == game l1", game.l1_from_g(T) == rep.l1_norm),
                 ("classical ascent from g == from the cost tensor", abs(from_g - dense) <= 1e-12 * dense),
                 (
                     f"ALS {als_from} == ALS on the Pauli table of the built matrix",

@@ -165,20 +165,36 @@ class TestFourier:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_real_mode_matrix_factors_mode_matrix(self, n):
         # row p of the mode matrix is (-i)^{y_p} R_p, R_p real; R0 is R off
-        # the collision diagonal, and phase is Re((-i)^{y_p + y_q + y_r})
+        # the collision diagonal, and y holds the Y counts the phase comes from
         from xorgap.pauli import _mode_matrix, _real_mode_matrix
 
         N = 2**n
-        R0, phase = _real_mode_matrix(n)
-        y = np.array([label.count("Y") for label in build_basis(n).labels])
-        R = (_mode_matrix(n) * 1j ** y[:, None]).reshape(-1, N, N)
+        R0, y = _real_mode_matrix(n)
+        assert y.dtype == np.int8 and y.shape == (N * N,)
+        assert np.array_equal(y, [label.count("Y") for label in build_basis(n).labels])
+        R = (_mode_matrix(n) * 1j ** y[:, None].astype(int)).reshape(-1, N, N)
         diag = np.eye(N, dtype=bool)
         assert not R.imag.any()
         assert np.array_equal(R0.reshape(-1, N, N)[:, ~diag], R.real[:, ~diag])
         assert np.all(R0.reshape(-1, N, N)[:, diag] == 0.0)
-        rng = np.random.default_rng(n)
-        p, q, r = rng.integers(0, N * N, (3, 500))
-        assert np.array_equal(phase[p, q, r], np.real((-1j) ** (y[p] + y[q] + y[r])))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_fourier_slabs_match_built_matrix(self, monkeypatch, n, step):
+        # slabs of one question, and of three, which divides no Q = 4^n,
+        # still give the dense table of the built matrix
+        from xorgap import pauli
+
+        Q = 4**n
+        monkeypatch.setattr(pauli, "_BLOCK_BYTES", 16 * Q * Q * step)
+        T = sample_tensor(n, SamplerConfig(seed=60 + n))
+        want = fourier(Tensor3(n, T.matrix)).coefficients
+        slabs = list(pauli._fourier_slabs(n, T.raw_g))
+        assert [ps.stop - ps.start for ps, _ in slabs] == [step] * (Q // step) + [Q % step] * (Q % step > 0)
+        assert all(slab.shape == (ps.stop - ps.start, Q, Q) for ps, slab in slabs)
+        got = fourier(T).coefficients
+        assert np.array_equal(got, np.concatenate([slab for _, slab in slabs]))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_hermitian_tensor_has_real_coefficients(self):
         T = sample_tensor(1, SamplerConfig(seed=3))

@@ -251,9 +251,74 @@ class TestGapSweep:
         row = compute_gap_row(2, row_seed(0, 2, 0))
         assert abs(row.pauli_bias) <= 1.0
 
+    def test_sampled_row_above_table_builds_no_game(self, monkeypatch):
+        # above N = 4 the row takes l1 from g and its classical value from g
+        from xorgap import game
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the row built a game")
+
+        monkeypatch.setattr(game, "game_from_tensor", forbidden)
+        monkeypatch.setattr(game.XorGame, "__post_init__", forbidden)
+        row = compute_gap_row(3, row_seed(0, 3, 0))
+        assert row.classical_method == "heuristic" and row.ratio_estimate > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_l1_and_pauli_bias_equal_game_build(self, monkeypatch, n):
+        # the row's streamed l1 and the game's l1 are one float, so its
+        # pauli_bias and classical_bias are the game build's to the bit
+        from xorgap import game
+        from xorgap.tensor import SamplerConfig, sample_tensor
+
+        streamed = []
+        l1_from_g = game.l1_from_g
+
+        def recording_l1_from_g(T):
+            streamed.append(l1_from_g(T))
+            return streamed[-1]
+
+        monkeypatch.setattr(game, "l1_from_g", recording_l1_from_g)
+        seed = row_seed(0, n, 0)
+        row = compute_gap_row(n, seed)
+        T = sample_tensor(n, SamplerConfig(seed=seed))
+        report = game.game_from_tensor(T)
+        assert row.pauli_bias == report.pauli_bias
+        assert streamed == ([] if n <= 2 else [report.l1_norm])
+        assert l1_from_g(T) == report.l1_norm
+        if n == 3:
+            assert row.classical_bias == game.classical_value(T, seed)[0] / report.l1_norm
+
+    def test_warm_n3_row_memory_below_one_table(self):
+        # no Q^3 float64 table (64^3 * 8 B = 2.1 MB) is formed by a row at n = 3
+        import tracemalloc
+
+        compute_gap_row(3, row_seed(0, 3, 0))
+        tracemalloc.start()
+        try:
+            compute_gap_row(3, row_seed(0, 3, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64**3 * 8
+
+    def test_n4_row_fills_every_column_in_bounded_memory(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            row = compute_gap_row(4, row_seed(0, 4, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert row.classical_method == "heuristic"
+        assert row.trilinear_upper is None and row.prop31_lower is None
+        assert 0.0 < row.pauli_bias <= 1.0 and 0.0 < row.classical_bias <= 1.0
+        assert row.ratio_estimate == row.pauli_bias / row.classical_bias
+
     def test_n_range_guard(self):
-        with pytest.raises(ValueError):
-            gap_sweep([4], 1, seed=0)
+        with pytest.raises(ValueError, match=r"n in \{1, 2, 3, 4\}"):
+            gap_sweep([5], 1, seed=0)
 
     def test_empty_n_list_guard(self, tmp_path):
         with pytest.raises(ValueError, match="at least one n"):
@@ -614,6 +679,7 @@ class TestCli:
             (["sample", "--n", "8", "--out", str(tmp_path / "s8.xgt")], "--n must lie in 1..4"),
             (["gap-sweep", "--n-list", "1", "--samples", "0", "--out", str(gpath)], "samples per n must be >= 1"),
             (["gap-sweep", "--n-list", "1", "--budget-s", "nan", "--out", str(gpath)], "budget must be a number"),
+            (["gap-sweep", "--n-list", "4,5", "--out", str(gpath)], "limited to n in {1, 2, 3, 4}"),
             (["norms", "--in", str(tpath), "--als-iters", "0"], "max_iters must be >= 1"),
             (["norms", "--in", str(tpath), "--tol", "nan"], "tol must be finite and >= 0"),
             (["norms", "--in", str(tpath), "--tol", "-1"], "tol must be finite and >= 0"),
