@@ -20,11 +20,12 @@ import numpy as np
 from .errors import DegenerateGameError, DimensionError, ScaleError
 from .pauli import (
     MAX_QUBITS,
+    _coefficients,
     _correlation_blocks,
-    _fourier_slabs,
-    _mode_matrix,
+    _matrices,
     _player1_slices,
     _player_marginal,
+    _rank_one_slabs,
     build_basis,
     fourier,
 )
@@ -222,16 +223,15 @@ def l1_from_g(T: Tensor3) -> float:
     """The l1 mass of a sampled tensor's coefficient table, streamed from g.
 
     The table's slabs over player 1's questions come from
-    `pauli._fourier_slabs` one at a time and are summed as
-    :func:`game_from_tensor` sums pi, so the value equals its
-    `l1_norm` bit for bit, while nothing with Q^3 entries is formed: the
-    largest intermediate is one slab's two buffers, about
-    `pauli._BLOCK_BYTES`.  ValueError for a tensor without g;
-    DegenerateGameError when the table vanishes.
+    `pauli._rank_one_slabs` one at a time, O(N^7) in all, and are summed as
+    :func:`game_from_tensor` sums pi, so the value equals its `l1_norm` bit
+    for bit, while nothing with Q^3 entries is formed: the largest
+    intermediates are one slab's, about `pauli._BLOCK_BYTES`.  ValueError
+    for a tensor without g; DegenerateGameError when the table vanishes.
     """
     if T.raw_g is None:
         raise ValueError("l1_from_g needs a sampled tensor, one given by its raw vector g")
-    return _l1_norm(np.abs(slab, out=slab) for _, slab in _fourier_slabs(T.n, T.raw_g))
+    return _l1_norm(np.abs(slab, out=slab) for _, slab in _rank_one_slabs(T.n, T.raw_g, True))
 
 
 def game_from_tensor(T: Tensor3) -> GameBuildReport:
@@ -312,34 +312,19 @@ def _pauli_partial_sums(T: Tensor3):
     as the held map of :func:`_lockstep_ascent` on stacks of sign vectors;
     :func:`classical_value` ascends on them.
 
-    With B = `pauli._mode_matrix(n)` (row p holds conj(P_p)), c_pqr =
-    sum B[p, a] B[q, b] B[r, c] W[a, b, c], so player 1's partial sums are
-    s = Re(A B^T), where A is the tensor's mode map (see
-    :func:`_mode_contraction`) applied to the factors upsilon B and zeta B;
-    likewise for the other players.  hold(h, v) holds v B on mode h, and
-    its image(m, w) returns the partial sums of player m + 1 given w B on
-    the third mode.  The sign vectors are real, so both transforms are real
-    GEMMs on the (re, im) float view of B, and nothing of size Q^3 is
-    formed.  The factor transform is B passed once through the maps'
-    `enter`, so each factor v B0 enters as the maps read it; A comes out
-    masked, so the sums read all of B.
+    Player 1's partial sums are s_p = Re <A, P_p>, A the tensor's mode map
+    (see :func:`_mode_contraction`) applied to the factors Σ_q upsilon_q
+    conj(P_q) and Σ_r zeta_r conj(P_r); likewise for the other players.
+    hold(h, v) holds the factor of v on mode h, and its image(m, w) returns
+    player m + 1's sums given the factor of w on the third mode.  Factors
+    come from `pauli._matrices` through the maps' `enter`, and sums from
+    `pauli._coefficients`, O(N^3) per restart, with no Q^3 array.
     """
-    N = T.N
-    B = _mode_matrix(T.n)
     enter, hold = _mode_contraction(T)
-    # v -> v B0, interleaved re, im
-    to_factor = enter(B.reshape(len(B), N, N)).view(np.float64).reshape(len(B), -1)
-    to_sums = B.conj().view(np.float64).reshape(len(B), -1).T  # A -> Re(A B^T)
-
-    def factor(v):
-        return (v @ to_factor).view(np.complex128).reshape(-1, N, N)
-
-    def sums(A):
-        return A.view(np.float64).reshape(len(A), -1) @ to_sums
 
     def held(h, v):
-        image = hold(h, factor(v))
-        return lambda m, w: sums(image(m, factor(w)))
+        image = hold(h, enter(_matrices(v)))
+        return lambda m, w: _coefficients(image(m, enter(_matrices(w)))).real
 
     return held
 
@@ -399,9 +384,10 @@ def classical_value(T: Tensor3, seed: int = 0) -> tuple[float, ClassicalStrategy
     The same ascent as :func:`classical_bias_heuristic` with its default
     `_RESTARTS` (32) restarts, from the same starts, with the partial sums
     taken from g (see :func:`_pauli_partial_sums`), O(N^4) per restart and
-    player, so no Q^3 table is formed.  Returns (v, strategy) with v on the unnormalized
-    table: the game that `game_from_tensor` builds from T has classical
-    bias at least v / l1.  ValueError for a tensor without g.
+    player, so no Q^3 table is formed, at any n.  Returns (v, strategy)
+    with v on the unnormalized table: the game that `game_from_tensor`
+    builds from T has classical bias at least v / l1.  ValueError for a
+    tensor without g.
     """
     if T.raw_g is None:
         raise ValueError("classical_value needs a sampled tensor, one given by its raw vector g")

@@ -6,6 +6,12 @@ significant (index 0 is always the identity).  They are Hermitian, unitary,
 and pairwise orthogonal with <P, Q> = tr(P Q†) = N δ.  Coefficients of a
 tensor T are c(P,Q,R) = <T, P⊗Q⊗R> (Hilbert-Schmidt pairing, conjugate on the
 basis side), and T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R recovers the tensor.
+
+Every Pauli is a signed XOR shift: label P_p by n-bit strings x_p (set
+for X and Y) and z_p (set for Y and Z), and y_p = |x_p ∧ z_p|; then
+conj(P_p)[a, b] = (-i)^{y_p} (-1)^{z_p·b} δ(b = a ⊕ x_p).  Every transform
+of structured data runs on that labelling (`_plan`), with no dense basis,
+at any n; `build_basis` is kept for observables and dense tensors.
 """
 
 from __future__ import annotations
@@ -13,15 +19,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ScaleError
 from .tensor import Tensor3
 
 _LETTERS = "IXYZ"
 _PAULI_1Q = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
+# the most qubits of a dense basis or a whole Q^3 table (4^(3n) entries,
+# 134 MB of float64 at n = 4); the streamed transforms take any n
 MAX_QUBITS = 4
 
 
@@ -58,7 +67,7 @@ def build_basis(n: int) -> PauliBasis:
     as one read-only (4^n, N, N) array: each qubit appends its Kronecker
     factor to every element by one broadcast product, entry for entry `np.kron`'s."""
     if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be between 1 and {MAX_QUBITS}")
+        raise ValueError(f"a dense Pauli basis needs n between 1 and {MAX_QUBITS}")
     E = _PAULI_1Q.copy()
     for _ in range(n - 1):
         Q, d = len(E), E.shape[1]
@@ -70,33 +79,48 @@ def build_basis(n: int) -> PauliBasis:
 
 
 @lru_cache(maxsize=None)
-def _mode_matrix(n: int) -> np.ndarray:
-    """Row p holds conj(P_p) flattened over (i, i'): the per-mode transform,
-    the basis array's conjugate reshaped to (4^n, N^2)."""
-    B = build_basis(n).elements.conj().reshape(4**n, -1)
-    B.setflags(write=False)
-    return B
-
-
-@lru_cache(maxsize=None)
-def _real_mode_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real per-mode transform of a sampled tensor, as (R0, y).
-
-    Row p of `_mode_matrix(n)` is (-i)^{y_p} R_p, where y_p counts the Y
-    letters of P_p and R_p is real with entries 0 and +/-1.  R0 holds the
-    R_p flattened over (i, i') with the collision entries (i, i) zeroed, so
-    the collision mask rides on the transform.  y is the int8 vector of Y
-    counts, from which each slab of :func:`_fourier_slabs` takes its phase.
-    """
-    B = _mode_matrix(n)
-    y = np.array([label.count("Y") for label in build_basis(n).labels], dtype=np.int8)
+def _plan(n: int) -> SimpleNamespace:
+    """The (x, z) labelling of the n-qubit Paulis, as read-only arrays: x, z
+    and y per index p, the phase (-i)^y, the Sylvester Hadamard matrix
+    H[z, b] = (-1)^{z·b} and H2 = H ⊗ I_2, which applies it to interleaved
+    (re, im) columns, pick[p] = x_p N + z_p and its inverse permutation
+    place, and diag[x, b] = (b ⊕ x) N + b, which gathers an N x N matrix F
+    into D[x, b] = F[b ⊕ x, b] and, being an involution, D back into F."""
     N = 2**n
-    R0 = np.ascontiguousarray((B * np.array([1, 1j, -1, -1j])[y % 4][:, None]).real).reshape(-1, N, N)
-    R0[:, np.arange(N), np.arange(N)] = 0.0
-    R0 = R0.reshape(N * N, N * N)
-    R0.setflags(write=False)
-    y.setflags(write=False)
-    return R0, y
+    # p's letters (I, X, Y, Z = 0..3), leftmost qubit first and most significant
+    letters = (np.arange(N * N)[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+    bit = 1 << np.arange(n - 1, -1, -1)
+    x, z = ((letters >> 1) ^ (letters & 1)) @ bit, (letters >> 1) @ bit
+    y = np.bitwise_count(x & z)
+    b = np.arange(N)
+    H = 1.0 - 2.0 * (np.bitwise_count(b[:, None] & b) % 2)
+    arrays = dict(x=x, z=z, y=y, phase=np.array([1, -1j, -1, 1j])[y % 4], H=H, H2=np.kron(H, np.eye(2)))
+    arrays.update(pick=x * N + z, place=np.argsort(x * N + z), diag=(b ^ b[:, None]) * N + b)
+    for a in arrays.values():
+        a.setflags(write=False)
+    return SimpleNamespace(N=N, **arrays)
+
+
+def _coefficients(F: np.ndarray) -> np.ndarray:
+    """c[..., p] = <F, P_p> = Σ conj(P_p) ∘ F for a stack F (..., N, N) of
+    matrices, as a complex (..., N^2) stack: the XOR-diagonal gather
+    D[., x, b], one real product with H_N, and the phase of each p."""
+    N = F.shape[-1]
+    plan = _plan(N.bit_length() - 1)
+    D = np.take(F.reshape(-1, N * N), plan.diag, axis=1).astype(np.complex128, copy=False)  # F[., b ⊕ x, b]
+    E = (D.view(np.float64).reshape(-1, 2 * N) @ plan.H2).view(np.complex128)
+    return np.take(E.reshape(*F.shape[:-2], N * N), plan.pick, axis=-1) * plan.phase
+
+
+def _matrices(c: np.ndarray) -> np.ndarray:
+    """Σ_p c[..., p] conj(P_p) for a stack c (..., N^2) of coordinates, as a
+    complex (..., N, N) stack: the phase, one real product with H_N, and
+    the XOR-diagonal scatter that :func:`_coefficients` gathers by."""
+    plan = _plan((c.shape[-1].bit_length() - 1) // 2)
+    N = plan.N
+    u = np.take(c, plan.place, axis=-1) * plan.phase[plan.place]  # u[., x, z]
+    D = (u.view(np.float64).reshape(-1, 2 * N) @ plan.H2).view(np.complex128)
+    return np.take(D.reshape(*c.shape[:-1], N * N), plan.diag, axis=-1)  # F[., a, b] = D[., a ⊕ b, b]
 
 
 _BLOCK_BYTES = 1 << 19  # budget of one block's largest intermediates
@@ -111,55 +135,77 @@ def _player1_slices(Q: int) -> list[slice]:
     return [slice(p, min(p + step, Q)) for p in range(0, Q, step)]
 
 
-def _fourier_slabs(n: int, g: np.ndarray):
-    """Yield (ps, C[ps]) for the slices ps of :func:`_player1_slices`, in
-    order, where C is the coefficient table of g g^T under the collision
-    mask, real float64; each slab is fresh.
+def _rank_one_slabs(n: int, a: np.ndarray, masked: bool):
+    """Yield (ps, Re C[ps]) for the slices ps of :func:`_player1_slices`, in
+    order, each a fresh float64 array, where C is the coefficient table of
+    the rank-one a a^H, under the collision mask (J - I)^{⊗3} when masked.
 
-    c_pqr = Re((-i)^{y_p + y_q + y_r}) sum R0_p[i,i'] R0_q[j,j'] R0_r[k,k']
-    g_ijk g_i'j'k' (see `_real_mode_matrix`).  Mode 1 is rank one: with
-    G = g.reshape(N, N^2) it is G^T R0_p G for every p in ps, O(N^7) per
-    table; modes 2 and 3 are one transpose and one real GEMM each, O(N^8),
-    batched over ps, and the phase comes from the integer Y counts.  A
-    slab's three intermediates share two buffers of len(ps) N^4 entries, so
-    nothing with Q^3 entries is formed here.  Entries whose Y counts sum to
-    an odd number, and entries with an I/Z-only string in any mode, are
-    exactly 0.
+    c_pqr = (-i)^{y_p+y_q+y_r} Σ_v (-1)^{z·v} a_{v⊕x} conj(a_v) with x =
+    (x_p, x_q, x_r) and z likewise, and the mask zeroes each entry with some
+    x = 0.  Player 1's mode is one GEMM per question, the other two an
+    XOR-diagonal gather, two products with H_N and a gather into (q, r)
+    order: O(N^7) per table, with no Q^3 array.  For a real a all of it
+    is real, and odd-Y and masked entries are exactly 0.
     """
-    R0, y = _real_mode_matrix(n)
-    N = 2**n
+    plan = _plan(n)
+    N, H = plan.N, plan.H
     Q = N * N
-    G = g.reshape(N, Q)
-    phase = np.array([1, 0, -1, 0], dtype=np.int8)  # Re((-i)^s) by s mod 4
+    A = a.reshape(N, Q)
+    Ac = np.conj(A)
+    v = np.arange(Q).reshape(N, 1, N)  # (v2, v3) of the other two modes
+    diag = v * Q + (v ^ np.arange(Q)[:, None])  # K[v, v ⊕ x] of a (Q, Q) K at [v2, x, v3]
+    xz = (plan.z[:, None] * Q + plan.x[:, None] * N + plan.x) * N + plan.z  # [z_q, (x_q, x_r), z_r] at [q, r]
+    phase = plan.phase * (plan.x != 0) if masked else plan.phase
+    re, im = phase.real, phase.imag
+    wr = np.outer(re, re) - np.outer(im, im)  # Re and Im of (-i)^{y_q + y_r}
+    wi = np.outer(re, im) + np.outer(im, re)
+    real = not np.iscomplexobj(a)
+    # p's phase rides on its GEMM: (-i)^{y_p} itself, or for real input the
+    # sign s with Re((-i)^{y_p} w) = s wr for even y_p and s wi for odd
+    lead = re - im if real else phase
+    signs = H[plan.z] * lead[:, None]  # (-1)^{z_p·v} times p's phase
     for ps in _player1_slices(Q):
-        b = ps.stop - ps.start
-        H = np.matmul(G.T, R0[ps].reshape(b, N, N) @ G)  # (p, (j, k), (j', k'))
-        X = np.empty_like(H)
-        X.reshape(b, N, N, N, N)[...] = H.reshape(b, N, N, N, N).transpose(0, 1, 3, 2, 4)  # (p, j, j', k, k')
-        np.matmul(X.reshape(b * Q, Q), R0.T, out=H.reshape(b * Q, Q))  # (p, (j, j'), r)
-        np.matmul(R0, H, out=X)  # (p, q, r)
-        X *= phase[(y[ps, None, None] + y[:, None] + y) % 4]
-        yield ps, X
+        m = ps.stop - ps.start
+        P = A[plan.x[ps, None] ^ np.arange(N)] * signs[ps, :, None]  # (p, v1, u) = a[v1 ⊕ x_p, u], signed
+        K = np.matmul(Ac.T, P)  # (p, v, u)
+        D = np.take(K.reshape(m, Q * Q), diag, axis=1)  # (p, v2, x, v3)
+        np.matmul(D.reshape(-1, N), H, out=K.reshape(-1, N))  # (p, v2, x, z3)
+        np.matmul(H, K.reshape(m, N, -1), out=D.reshape(m, N, -1))  # (p, z2, x, z3)
+        np.take(D.reshape(m, Q * Q), xz, axis=1, out=K)  # (p, q, r)
+        if real:
+            for k, y in zip(K, plan.y[ps]):
+                k *= wi if y % 2 else wr
+            yield ps, K
+        else:
+            yield ps, K.real * wr - K.imag * wi
 
 
 def fourier(T: Tensor3) -> FourierTable:
     """Coefficient table c(P,Q,R) = <T, P⊗Q⊗R> via three mode transforms.
 
-    A sampled tensor's table comes from g in real arithmetic, slab by slab
-    over player 1's questions (see :func:`_fourier_slabs`), each slab
-    written into the one returned array, so its matrix is never built and
-    the transient is one slab's two buffers.  Any other tensor's comes from
-    its mode view W by three complex GEMMs with B = `_mode_matrix(n)`, one
-    per mode, c = W ×1 B ×2 B ×3 B (see :func:`_mode_transform`), so the
-    transient is two N^6 arrays.
+    A sampled tensor's table is that of the rank-one g g^T under the
+    collision mask, in real arithmetic, slab by slab over player 1's
+    questions (see :func:`_rank_one_slabs`), each slab written into the one
+    returned array, so its matrix is never built.  Any other tensor's comes
+    from its mode view by three complex GEMMs with the (Q, Q) matrix whose
+    row p is conj(P_p) flattened (see :func:`_mode_transform`), so the
+    transient is two N^6 arrays: three XOR-Hadamard passes measured slower.
+    ScaleError above MAX_QUBITS, before anything is allocated.
     """
+    _check_table_size(T.n)
+    Q = T.N * T.N
     if T.raw_g is not None:
-        Q = T.N * T.N
         C = np.empty((Q, Q, Q))
-        for ps, slab in _fourier_slabs(T.n, T.raw_g):
+        for ps, slab in _rank_one_slabs(T.n, T.raw_g, True):
             C[ps] = slab
         return FourierTable(n=T.n, N=T.N, coefficients=C)
-    return FourierTable(n=T.n, N=T.N, coefficients=_mode_transform(_mode_matrix(T.n), T.mode_view()))
+    B = _matrices(np.eye(Q)).reshape(Q, Q)
+    return FourierTable(n=T.n, N=T.N, coefficients=_mode_transform(B, T.mode_view()))
+
+
+def _check_table_size(n: int) -> None:
+    if n > MAX_QUBITS:
+        raise ScaleError(f"a whole Pauli table needs n <= {MAX_QUBITS}, got n = {n} (4^{3 * n} entries)")
 
 
 def _mode_transform(A: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -176,9 +222,9 @@ def _mode_transform(A: np.ndarray, W: np.ndarray) -> np.ndarray:
 def inverse_fourier(F: FourierTable) -> Tensor3:
     """Rebuild the tensor: T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R, by the three mode
     GEMMs of :func:`fourier` with the per-mode inverse B^H / N."""
-    Binv = _mode_matrix(F.n).conj().T / F.N  # the basis rows satisfy B† B = N I
-    W = _mode_transform(Binv, F.coefficients.astype(np.complex128))
-    return Tensor3.from_mode_view(F.n, W)
+    Q = F.N * F.N
+    Binv = _matrices(np.eye(Q)).reshape(Q, Q).conj().T / F.N  # the rows of B satisfy B† B = N I
+    return Tensor3.from_mode_view(F.n, _mode_transform(Binv, F.coefficients.astype(np.complex128)))
 
 
 def _player_marginal(psi: np.ndarray, B: np.ndarray, Cm: np.ndarray) -> np.ndarray:
@@ -224,18 +270,18 @@ def _correlation_blocks(psi: np.ndarray, A: np.ndarray, B: np.ndarray, Cm: np.nd
 def pauli_expectations(n: int, state: np.ndarray) -> np.ndarray:
     """All triple-Pauli expectation values <ψ| P⊗Q⊗R |ψ> as a real (N^2,)*3 array.
 
-    They are the correlations of three players who all measure the basis
-    (:func:`_correlation_blocks`), so no density matrix |ψ><ψ| is formed.
-    They are real: each block's real part is written into the one returned
-    array and its rounding-level imaginary part dropped, so the largest
-    intermediate is one block's, about _BLOCK_BYTES.
+    They are real, so each equals its conjugate, the coefficient of the
+    rank-one ψψ^H: the table of :func:`_rank_one_slabs` without the mask,
+    written slab by slab into the one returned array.  No density matrix
+    |ψ><ψ| and no dense basis is formed, and the largest intermediate is
+    one slab's, about _BLOCK_BYTES.  ScaleError above MAX_QUBITS.
     """
+    _check_table_size(n)
     N = 2**n
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape != (N**3,):
         raise DimensionError(f"state must have length {N**3}")
-    E = build_basis(n).elements
     w = np.empty((N * N,) * 3)
-    for ks, block in _correlation_blocks(state.reshape(N, N, N), E, E, E):
-        w[:, :, ks] = block.real
+    for ps, slab in _rank_one_slabs(n, state, False):
+        w[ps] = slab
     return w

@@ -224,7 +224,9 @@ def _suite_identities(seed: int) -> SuiteReport:
         N = 2**n
         T = tensor.sample_tensor(n, tensor.SamplerConfig(seed=row_seed(seed, n, 0)))
         table = pauli.fourier(T)
-        dense_table = pauli.fourier(tensor.Tensor3(n, T.matrix)).coefficients
+        # the built matrix against the dense basis, independent of fourier
+        B = pauli.build_basis(n).elements.conj().reshape(N * N, -1)
+        dense_table = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
         from_g_err = float(np.abs(table.coefficients - dense_table).max())
         back = pauli.inverse_fourier(table)
         rt_err = float(np.abs(back.matrix - T.matrix).max())
@@ -237,7 +239,7 @@ def _suite_identities(seed: int) -> SuiteReport:
         rep = game.game_from_tensor(T)
         explicit = game.entangled_bias_eval(rep.game, game.pauli_strategy(T))
         checks = [
-            ("fourier from g == fourier of the built matrix", from_g_err <= 1e-12 * np.abs(dense_table).max()),
+            ("fourier from g == dense basis contraction", from_g_err <= 1e-12 * np.abs(dense_table).max()),
             ("fourier round trip", rt_err <= 1e-9),
             ("parseval", pars_err <= 1e-8 * N**3 * fro2),
             ("pauli strategy identity", ident_err <= 1e-8 * N**3 * sn),

@@ -506,8 +506,8 @@ def _mode_contraction(T: Tensor3):
     A tensor carrying its sampling vector is g g^T under the collision mask
     (J - I)^{⊗3}, and enter returns a complex, C-ordered copy of a stack
     with zero diagonals: the mask pairs nothing with a diagonal entry.  The
-    start stacks, `trilinear_eval`'s arguments and the classical ascent's
-    factor transform each pass through it once.  With G = g.reshape(N, N, N),
+    start stacks, `trilinear_eval`'s arguments and each factor of the
+    classical ascent pass through it once.  With G = g.reshape(N, N, N),
     H held on mode h, F on mode o and the image on mode m,
     A[r, a, a'] = offdiag(sum P[r, a, c, b'] S[r, a', b', c]) in the
     indices of m, o and h, where P = G ×o F contracts F's row index and
@@ -768,8 +768,9 @@ def trilinear_norm_lower(
     (`_TABLE_MAX_N`), ascends on its Pauli table C = `pauli.fourier(T)` /
     N^{3/2} (see :func:`_pauli_table`) through :func:`_array_maps`.  Each
     factor is then its real coordinate vector in the orthonormal basis
-    conj(P_p)/sqrt(N): a start F enters as x = Re(F B^H)/sqrt(N) with
-    B = `pauli._mode_matrix(n)`, and the witness leaves as X = x B/sqrt(N).
+    conj(P_p)/sqrt(N): a start F enters as x_p = Re <conj(F), P_p>/sqrt(N)
+    (`pauli._coefficients`), and the witness leaves as X = Σ_p x_p
+    conj(P_p)/sqrt(N) (`pauli._matrices`).
     A Hermitian tensor's table is real and the update is x = a/||a|| with
     value ||a|| (see :func:`_unit_factor`); any other tensor's table is two
     real planes, every map is a real GEMM against them, and the update is
@@ -823,16 +824,15 @@ def trilinear_norm_lower(
         return v - prev < tol * np.maximum(prev, 1e-300)
 
     if T.raw_g is None or N <= _TABLE_MAX_N:
-        from .pauli import _mode_matrix  # pauli imports this module
+        from .pauli import _coefficients, _matrices  # pauli imports this module
 
-        B = _mode_matrix(T.n)
-        coords = (starts.reshape(3, restarts, -1) @ B.conj().T).real / np.sqrt(N)
+        coords = _coefficients(starts.conj()).real / np.sqrt(N)
         rule = _unit_factor if T.is_hermitian() else _phase_factor
         # the table is passed on unnamed, so it is freed once the ascent returns
         best_val, factors = _lockstep_ascent(
             _array_maps(_pauli_table(T)), lambda a, old, valued: rule(a, old), coords, max_iters, stop, on_sweep
         )
-        X, Y, Z = ((x @ B).reshape(N, N) / np.sqrt(N) for x in factors)
+        X, Y, Z = _matrices(np.stack(factors)) / np.sqrt(N)
         # paired through the g maps or the dense mode view, so the check
         # never rereads the table; the maps are built only now, so a
         # general tensor's mode view and table are never held together

@@ -49,10 +49,8 @@ class TestBasis:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stack_matches_kron_chain(self, n):
-        # the broadcast stack is the np.kron chain entry for entry, the
-        # labels are its letters, and the mode matrix is its conjugate
-        from xorgap.pauli import _mode_matrix
-
+        # the broadcast stack is the np.kron chain entry for entry, and the
+        # labels are its letters
         paulis = (I2.astype(complex), X2, Y2, Z2)
         want, labels = [], []
         for digits in itertools.product(range(4), repeat=n):
@@ -65,13 +63,32 @@ class TestBasis:
         assert isinstance(basis.elements, np.ndarray) and not basis.elements.flags.writeable
         assert np.array_equal(basis.elements, np.array(want))
         assert basis.labels == tuple(labels)
-        assert np.array_equal(_mode_matrix(n), np.array([M.conj().reshape(-1) for M in want]))
 
     def test_qubit_range_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dense Pauli basis"):
             build_basis(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dense Pauli basis"):
             build_basis(5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_plan_rebuilds_conjugate_paulis(self, n):
+        # each p's XOR offset x, Hadamard row z and phase (-i)^y give
+        # conj(P_p)[a, b] = (-i)^y (-1)^{z.b} [b = a ^ x] exactly, y counts
+        # the Y letters, and pick / place are inverse permutations
+        from xorgap.pauli import _plan
+
+        plan = _plan(n)
+        basis = build_basis(n)
+        N = basis.N
+        a = np.arange(N)
+        parity = np.array([[bin(z & b).count("1") % 2 for b in a] for z in a])
+        assert np.array_equal(plan.H, 1.0 - 2.0 * parity)
+        assert np.array_equal(plan.y, [label.count("Y") for label in basis.labels])
+        assert np.array_equal(plan.pick[plan.place], np.arange(N * N))
+        for p in range(N * N):
+            want = np.zeros((N, N), dtype=complex)
+            want[a, a ^ plan.x[p]] = plan.phase[p] * plan.H[plan.z[p], a ^ plan.x[p]]
+            assert np.array_equal(basis.elements[p].conj(), want), basis.labels[p]
 
 
 class TestFourier:
@@ -126,13 +143,15 @@ class TestFourier:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_from_g_matches_dense(self, n):
-        # the real transform from g against the complex mode GEMMs on the
-        # built matrix; odd-Y triples and I/Z-only strings come out exactly 0
+        # the real transform from g against an explicit contraction of the
+        # built matrix with the dense basis; odd-Y triples and I/Z-only
+        # strings (the collision entries) come out exactly 0
         N = 2**n
-        labels = build_basis(n).labels
-        y = np.array([label.count("Y") for label in labels])
+        basis = build_basis(n)
+        B = basis.elements.conj().reshape(N * N, -1)
+        y = np.array([label.count("Y") for label in basis.labels])
         odd = (y[:, None, None] + y[:, None] + y) % 2 == 1
-        iz = np.array([set(label) <= set("IZ") for label in labels])
+        iz = np.array([set(label) <= set("IZ") for label in basis.labels])
         tensors = (
             sample_tensor(n, SamplerConfig(seed=n)),
             sample_tensor(n, SamplerConfig(distribution="bernoulli", seed=n)),
@@ -140,7 +159,7 @@ class TestFourier:
         )
         for T in tensors:
             got = fourier(T).coefficients
-            want = fourier(Tensor3(n, T.matrix)).coefficients
+            want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
             assert got.dtype == np.float64 and got.shape == (N * N,) * 3
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.all(got[odd] == 0.0)
@@ -148,58 +167,90 @@ class TestFourier:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mode_gemms_match_einsum(self, n):
-        # a general tensor's table by three mode GEMMs against the one-einsum
-        # transform it replaced, on a complex and on a Hermitian tensor
-        from xorgap.pauli import _mode_matrix
-
+        # a general tensor's table by three mode GEMMs against one einsum
+        # with the conjugated basis, on a complex and on a Hermitian tensor
         D = 8**n
         rng = np.random.default_rng(50 + n)
         M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        B = _mode_matrix(n)
+        B = build_basis(n).elements.conj().reshape(4**n, -1)
         for T in (Tensor3(n, M), Tensor3(n, (M + M.conj().T) / 2.0)):
             want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
             got = fourier(T).coefficients
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_real_mode_matrix_factors_mode_matrix(self, n):
-        # row p of the mode matrix is (-i)^{y_p} R_p, R_p real; R0 is R off
-        # the collision diagonal, and y holds the Y counts the phase comes from
-        from xorgap.pauli import _mode_matrix, _real_mode_matrix
-
-        N = 2**n
-        R0, y = _real_mode_matrix(n)
-        assert y.dtype == np.int8 and y.shape == (N * N,)
-        assert np.array_equal(y, [label.count("Y") for label in build_basis(n).labels])
-        R = (_mode_matrix(n) * 1j ** y[:, None].astype(int)).reshape(-1, N, N)
-        diag = np.eye(N, dtype=bool)
-        assert not R.imag.any()
-        assert np.array_equal(R0.reshape(-1, N, N)[:, ~diag], R.real[:, ~diag])
-        assert np.all(R0.reshape(-1, N, N)[:, diag] == 0.0)
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("step", [1, 3])
     def test_fourier_slabs_match_built_matrix(self, monkeypatch, n, step):
         # slabs of one question, and of three, which divides no Q = 4^n,
-        # still give the dense table of the built matrix
+        # still give the table of the built matrix
         from xorgap import pauli
 
         Q = 4**n
         monkeypatch.setattr(pauli, "_BLOCK_BYTES", 16 * Q * Q * step)
         T = sample_tensor(n, SamplerConfig(seed=60 + n))
-        want = fourier(Tensor3(n, T.matrix)).coefficients
-        slabs = list(pauli._fourier_slabs(n, T.raw_g))
+        B = build_basis(n).elements.conj().reshape(Q, -1)
+        want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
+        slabs = list(pauli._rank_one_slabs(n, T.raw_g, True))
         assert [ps.stop - ps.start for ps, _ in slabs] == [step] * (Q // step) + [Q % step] * (Q % step > 0)
         assert all(slab.shape == (ps.stop - ps.start, Q, Q) for ps, slab in slabs)
         got = fourier(T).coefficients
         assert np.array_equal(got, np.concatenate([slab for _, slab in slabs]))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_n4_slab_matches_basis_contraction(self):
+        # one slab of player 1's questions at n = 4 (one question, XZYX)
+        # against the basis contraction of the built matrix, restricted to it
+        from xorgap import pauli
+
+        n, Q = 4, 256
+        T = sample_tensor(n, SamplerConfig(seed=64))
+        p = 0b01_11_10_01
+        ps, slab = next((ps, slab) for ps, slab in pauli._rank_one_slabs(n, T.raw_g, True) if ps.start == p)
+        assert ps == slice(p, p + 1) and build_basis(n).labels[p] == "XZYX"
+        E = build_basis(n).elements.conj()
+        N = 16
+        off = 1.0 - np.eye(N)
+        G = T.raw_g.reshape(N, N * N)
+        # W ×1 conj(P_p) of the masked g g^T, without its 16.7M-entry matrix
+        W1 = (G.T @ (E[p] * off) @ G).reshape(N, N, N, N) * off[:, None, :, None] * off[None, :, None, :]
+        W1 = W1.transpose(0, 2, 1, 3).reshape(Q, Q)  # ((j, j'), (k, k'))
+        B = E.reshape(Q, -1)
+        want = B @ W1 @ B.T
+        assert np.abs(slab[0] - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_hermitian_tensor_has_real_coefficients(self):
         T = sample_tensor(1, SamplerConfig(seed=3))
         F = fourier(T).coefficients
         assert np.abs(F.imag).max() <= 1e-10 * max(1.0, np.abs(F.real).max())
+
+
+class TestCoordinatePair:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_matches_kron_paulis(self, n):
+        # on 64 seeded indices (all of them at n <= 3), against explicit
+        # n-fold np.kron Paulis: a unit coordinate vector gives conj(P_p)
+        # exactly, and the coefficients of a random complex stack are
+        # <F, P_p>; at n = 5 no dense basis exists to compare with
+        from xorgap.pauli import _coefficients, _matrices
+
+        N, Q = 2**n, 4**n
+        rng = np.random.default_rng(70 + n)
+        ps = np.arange(Q) if Q <= 64 else rng.choice(Q, 64, replace=False)
+        paulis = (I2.astype(complex), X2, Y2, Z2)
+        F = rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))
+        c = _coefficients(F)
+        assert c.shape == (2, Q)
+        units = np.zeros((len(ps), Q))
+        units[np.arange(len(ps)), ps] = 1.0
+        rebuilt = _matrices(units)
+        for k, p in enumerate(ps):
+            P = np.ones((1, 1), dtype=complex)
+            for shift in range(2 * n - 2, -1, -2):
+                P = np.kron(P, paulis[(p >> shift) & 3])
+            assert np.array_equal(rebuilt[k], P.conj())
+            want = np.sum(F * P.conj(), axis=(1, 2))
+            assert np.abs(c[:, p] - want).max() <= 1e-12 * np.abs(F).sum()
 
 
 class TestInverse:
@@ -246,6 +297,16 @@ class TestExpectations:
             p, q, r = rng.integers(0, 4, 3)
             K = np.kron(np.kron(basis.elements[p], basis.elements[q]), basis.elements[r])
             assert w[p, q, r] == pytest.approx((psi.conj() @ K @ psi).real, abs=1e-12)
+
+    def test_whole_tables_refuse_n5(self):
+        # the streamed l1 and classical value take n = 5, but a whole table
+        # there would hold 4^15 entries, so both whole-table calls refuse it
+        from xorgap import ScaleError
+
+        with pytest.raises(ScaleError, match="needs n <= 4, got n = 5"):
+            fourier(Tensor3(5, raw_g=np.ones(2**15)))
+        with pytest.raises(ScaleError, match="needs n <= 4, got n = 5"):
+            pauli_expectations(5, np.ones(2**15) / 2**7.5)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_contraction_no_density_matrix(self, n, monkeypatch):

@@ -9,7 +9,7 @@ from xorgap import gap_sweep, verify_suite
 from xorgap.cli import main
 from xorgap.game import mermin_game, save_game_csv
 from xorgap.sweep import GAP_COLUMNS, SUITES, compute_gap_row, read_gap_csv, row_seed, show
-from xorgap.tensor import load_tensor
+from xorgap.tensor import Tensor3, load_tensor, save_tensor
 
 _X = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]  # Pauli X as [re, im] pairs
 _NAN_X = [[float("nan"), 0.0]] + _X[1:]
@@ -250,6 +250,21 @@ class TestGapSweep:
         monkeypatch.setattr(pauli, "_correlation_blocks", forbidden)
         row = compute_gap_row(2, row_seed(0, 2, 0))
         assert abs(row.pauli_bias) <= 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_reads_no_dense_basis(self, monkeypatch, n):
+        # every transform a gap row makes runs on the XOR-Hadamard plan, so
+        # the row is the same with the dense basis forbidden
+        from xorgap import game, pauli
+
+        want = compute_gap_row(n, row_seed(0, n, 0))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the row read a dense Pauli basis")
+
+        monkeypatch.setattr(pauli, "build_basis", forbidden)
+        monkeypatch.setattr(game, "build_basis", forbidden)
+        assert compute_gap_row(n, row_seed(0, n, 0)) == want
 
     def test_sampled_row_above_table_builds_no_game(self, monkeypatch):
         # above N = 4 the row takes l1 from g and its classical value from g
@@ -673,6 +688,8 @@ class TestCli:
         main(["sample", "--n", "2", "--out", str(tmp_path / "t2.xgt")])
         game2_path = tmp_path / "g2.csv"
         main(["game", "--in", str(tmp_path / "t2.xgt"), "--out", str(game2_path)])
+        # a 262 kB n = 5 file whose game would need two 8.6 GB tables
+        save_tensor(tmp_path / "t5.xgt", Tensor3(5, raw_g=np.ones(2**15)))
         gpath = tmp_path / "gap.csv"
         for argv, problem in (
             (["sample", "--n", "0", "--out", str(tmp_path / "s0.xgt")], "--n must lie in 1..4"),
@@ -680,6 +697,7 @@ class TestCli:
             (["gap-sweep", "--n-list", "1", "--samples", "0", "--out", str(gpath)], "samples per n must be >= 1"),
             (["gap-sweep", "--n-list", "1", "--budget-s", "nan", "--out", str(gpath)], "budget must be a number"),
             (["gap-sweep", "--n-list", "4,5", "--out", str(gpath)], "limited to n in {1, 2, 3, 4}"),
+            (["game", "--in", str(tmp_path / "t5.xgt"), "--out", str(tmp_path / "g5.csv")], "needs n <= 4, got n = 5"),
             (["norms", "--in", str(tpath), "--als-iters", "0"], "max_iters must be >= 1"),
             (["norms", "--in", str(tpath), "--tol", "nan"], "tol must be finite and >= 0"),
             (["norms", "--in", str(tpath), "--tol", "-1"], "tol must be finite and >= 0"),
@@ -695,7 +713,7 @@ class TestCli:
             err = capsys.readouterr().err
             assert "Traceback" not in err and err.splitlines()[-1].startswith("xorgap: error:")
             assert problem in err.splitlines()[-1]
-        assert not any((tmp_path / f).exists() for f in ("s0.xgt", "s8.xgt", "gap.csv"))
+        assert not any((tmp_path / f).exists() for f in ("s0.xgt", "s8.xgt", "gap.csv", "g5.csv"))
 
     @pytest.mark.parametrize(
         "field,value,problem",
