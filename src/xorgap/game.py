@@ -20,14 +20,15 @@ import numpy as np
 from .errors import DegenerateGameError, DimensionError, ScaleError
 from .pauli import (
     MAX_QUBITS,
+    _check_table_size,
     _coefficients,
     _correlation_blocks,
     _matrices,
     _player1_slices,
     _player_marginal,
     _rank_one_slabs,
+    _table_slabs,
     build_basis,
-    fourier,
 )
 from .tensor import (
     Tensor3,
@@ -238,11 +239,14 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     """Build the Pauli-question game of a tensor.
 
     The tensor is hermitized and its coefficient table, real for a Hermitian
-    tensor, is l1-normalized into (pi, signs): signs first, then pi as the
-    table's absolute value in place, summed over the slabs of player 1's
-    questions for l1 (:func:`_l1_norm`, as :func:`l1_from_g` sums a sampled
-    tensor's streamed table) and divided in place.  A sampled tensor's table
-    comes from g in real arithmetic, so its matrix is never built.  The
+    tensor, is written into pi slab by slab (`pauli._table_slabs`) and
+    l1-normalized into (pi, signs): signs first, then pi as the table's
+    absolute value in place, summed over the slabs of player 1's questions
+    for l1 (:func:`_l1_norm`, as :func:`l1_from_g` sums a sampled tensor's
+    streamed table) and divided in place.  A sampled tensor's table comes
+    from g in real arithmetic, so its matrix is never built; a general
+    tensor's from the offset blocks of its hermitized part, read from T's
+    matrix, so no hermitized matrix and no complex table is formed.  The
     explicit Pauli strategy's bias on that game is reported in closed form,
     N^3 lambda / l1 (see :func:`pauli_strategy`), from the Lanczos top
     eigenpair that `hermitize` or `spectral_norm` already cached (computed
@@ -251,10 +255,12 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     made read-only, so the game takes them over without a copy; the game
     holds nothing of T.
     """
+    _check_table_size(T.n)
     H = hermitize(T)
-    # the table is fresh: real for a sampled tensor, otherwise copied out of
-    # the complex one, so pi can take it over in place
-    pi = np.ascontiguousarray(fourier(H).coefficients.real)
+    Q = T.N * T.N
+    pi = np.empty((Q, Q, Q))
+    for ps, slab in _table_slabs(H):
+        pi[ps] = slab.real
     signs = np.less(pi, 0.0, out=np.empty_like(pi))
     signs *= -2.0
     signs += 1.0  # where(c < 0, -1, +1), in passes faster than np.where's
@@ -264,7 +270,7 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     # both are fresh and signs are exact, so the game takes them over as they are
     pi.setflags(write=False)
     signs.setflags(write=False)
-    game = XorGame(Q=T.N * T.N, pi=pi, signs=signs)
+    game = XorGame(Q=Q, pi=pi, signs=signs)
     return GameBuildReport(pauli_bias=_pauli_bias(H, l1), l1_norm=l1, game=game)
 
 

@@ -10,8 +10,10 @@ basis side), and T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R recovers the tensor.
 Every Pauli is a signed XOR shift: label P_p by n-bit strings x_p (set
 for X and Y) and z_p (set for Y and Z), and y_p = |x_p ∧ z_p|; then
 conj(P_p)[a, b] = (-i)^{y_p} (-1)^{z_p·b} δ(b = a ⊕ x_p).  Every transform
-of structured data runs on that labelling (`_plan`), with no dense basis,
-at any n; `build_basis` is kept for observables and dense tensors.
+runs on that labelling (`_plan`), with no dense basis, at any n: a sampled
+tensor's table from g, a general tensor's from XOR-offset blocks of its
+matrix, and the inverse from the plan's matrices; `build_basis` is kept
+for observables and explicit checks.
 """
 
 from __future__ import annotations
@@ -135,6 +137,37 @@ def _player1_slices(Q: int) -> list[slice]:
     return [slice(p, min(p + step, Q)) for p in range(0, Q, step)]
 
 
+def _back_end(plan, rows_first: bool):
+    """The index tables of the other two modes of a slab, (diag, xz): diag
+    gathers a slab K (m, Q, Q) of player-1-transformed matrices into
+    D[p, v2, x, v3] = R_p[v ⊕ x, v], R_p's row v ⊕ x against its column v,
+    where K[p] is R_p (rows_first) or its transpose; xz gathers the
+    transformed (p, z2, x, z3) into (p, q, r) order."""
+    N, Q = plan.N, plan.N * plan.N
+    v = np.arange(Q).reshape(N, 1, N)  # (v2, v3) of the other two modes
+    u = v ^ np.arange(Q)[:, None]  # the row v ⊕ x, at [v2, x, v3]
+    diag = u * Q + v if rows_first else v * Q + u
+    xz = (plan.z[:, None] * Q + plan.x[:, None] * N + plan.x) * N + plan.z  # [z_q, (x_q, x_r), z_r] at [q, r]
+    return diag, xz
+
+
+def _other_modes(K: np.ndarray, plan, diag: np.ndarray, xz: np.ndarray, D: np.ndarray | None = None) -> None:
+    """Transform a slab K (m, Q, Q) of player-1-transformed matrices on the
+    other two modes, in place: the XOR-diagonal gather by diag, two products
+    with H_N and the gather by xz into (p, q, r) order, q's and r's phases
+    left out (see :func:`_back_end`).  D is a work array of K's shape and
+    dtype, or None for a fresh one; the indices are valid, so the gathers
+    into a given array run unbuffered (mode "clip")."""
+    m, N, Q, H = len(K), plan.N, plan.N * plan.N, plan.H
+    if D is not None:
+        D = np.take(K.reshape(m, Q * Q), diag, axis=1, out=D.reshape(m, *diag.shape), mode="clip")
+    else:
+        D = np.take(K.reshape(m, Q * Q), diag, axis=1)  # (p, v2, x, v3)
+    np.matmul(D.reshape(-1, N), H, out=K.reshape(-1, N))  # (p, v2, x, z3)
+    np.matmul(H, K.reshape(m, N, -1), out=D.reshape(m, N, -1))  # (p, z2, x, z3)
+    np.take(D.reshape(m, Q * Q), xz, axis=1, out=K, mode="clip")  # (p, q, r)
+
+
 def _rank_one_slabs(n: int, a: np.ndarray, masked: bool):
     """Yield (ps, Re C[ps]) for the slices ps of :func:`_player1_slices`, in
     order, each a fresh float64 array, where C is the coefficient table of
@@ -142,19 +175,16 @@ def _rank_one_slabs(n: int, a: np.ndarray, masked: bool):
 
     c_pqr = (-i)^{y_p+y_q+y_r} Σ_v (-1)^{z·v} a_{v⊕x} conj(a_v) with x =
     (x_p, x_q, x_r) and z likewise, and the mask zeroes each entry with some
-    x = 0.  Player 1's mode is one GEMM per question, the other two an
-    XOR-diagonal gather, two products with H_N and a gather into (q, r)
-    order: O(N^7) per table, with no Q^3 array.  For a real a all of it
-    is real, and odd-Y and masked entries are exactly 0.
+    x = 0.  Player 1's mode is one GEMM per question, the other two
+    :func:`_other_modes`: O(N^7) per table, with no Q^3 array.  For a real
+    a all of it is real, and odd-Y and masked entries are exactly 0.
     """
     plan = _plan(n)
     N, H = plan.N, plan.H
     Q = N * N
     A = a.reshape(N, Q)
     Ac = np.conj(A)
-    v = np.arange(Q).reshape(N, 1, N)  # (v2, v3) of the other two modes
-    diag = v * Q + (v ^ np.arange(Q)[:, None])  # K[v, v ⊕ x] of a (Q, Q) K at [v2, x, v3]
-    xz = (plan.z[:, None] * Q + plan.x[:, None] * N + plan.x) * N + plan.z  # [z_q, (x_q, x_r), z_r] at [q, r]
+    diag, xz = _back_end(plan, False)
     phase = plan.phase * (plan.x != 0) if masked else plan.phase
     re, im = phase.real, phase.imag
     wr = np.outer(re, re) - np.outer(im, im)  # Re and Im of (-i)^{y_q + y_r}
@@ -165,13 +195,9 @@ def _rank_one_slabs(n: int, a: np.ndarray, masked: bool):
     lead = re - im if real else phase
     signs = H[plan.z] * lead[:, None]  # (-1)^{z_p·v} times p's phase
     for ps in _player1_slices(Q):
-        m = ps.stop - ps.start
         P = A[plan.x[ps, None] ^ np.arange(N)] * signs[ps, :, None]  # (p, v1, u) = a[v1 ⊕ x_p, u], signed
         K = np.matmul(Ac.T, P)  # (p, v, u)
-        D = np.take(K.reshape(m, Q * Q), diag, axis=1)  # (p, v2, x, v3)
-        np.matmul(D.reshape(-1, N), H, out=K.reshape(-1, N))  # (p, v2, x, z3)
-        np.matmul(H, K.reshape(m, N, -1), out=D.reshape(m, N, -1))  # (p, z2, x, z3)
-        np.take(D.reshape(m, Q * Q), xz, axis=1, out=K)  # (p, q, r)
+        _other_modes(K, plan, diag, xz)
         if real:
             for k, y in zip(K, plan.y[ps]):
                 k *= wi if y % 2 else wr
@@ -180,27 +206,62 @@ def _rank_one_slabs(n: int, a: np.ndarray, masked: bool):
             yield ps, K.real * wr - K.imag * wi
 
 
+def _dense_slabs(T: Tensor3):
+    """Yield (ps, C[ps]) for each XOR offset x of player 1, in order, where
+    ps are the N questions p with x_p = x in increasing z_p and C[ps] is a
+    complex (N, Q, Q) slab of T's coefficient table, in one work array that
+    the next slab overwrites.
+
+    The N^5 entries B[b, u, v] = M[(b ⊕ x, u), (b, v)] of T's matrix view
+    are gathered once (`Tensor3._offset_block`, which reads a hermitized
+    part from its parent), and one real product with H_N over b gives
+    R_p[u, v] = Σ_b (-1)^{z_p·b} B[b, u, v] for all N of them; the other
+    two modes are :func:`_other_modes`, and the phase (-i)^{y_p+y_q+y_r}
+    is one product per question.  O(N^7) per table, and the intermediates
+    are B and two N^5 work arrays.
+    """
+    plan = _plan(T.n)
+    N, H = plan.N, plan.H
+    Q = N * N
+    diag, xz = _back_end(plan, True)
+    # (-i)^{y_p + y_q + y_r} at [y_p mod 4, q, r]
+    w = np.array([1, -1j, -1, 1j])[:, None, None] * np.outer(plan.phase, plan.phase)
+    K, D = np.empty((2, N, Q, Q), np.complex128)
+    for x in range(N):
+        ps = plan.place[x * N : (x + 1) * N]
+        # B, as (b, (u, v, re/im)) floats, is freed before the back end runs
+        np.matmul(H, T._offset_block(x).view(np.float64).reshape(N, -1), out=K.view(np.float64).reshape(N, -1))
+        _other_modes(K, plan, diag, xz, D)
+        for k, y in zip(K, plan.y[ps]):
+            k *= w[y % 4]
+        yield ps, K
+
+
+def _table_slabs(T: Tensor3):
+    """Yield (ps, C[ps]) over player 1's questions, covering T's coefficient
+    table once: a sampled tensor's real slabs from g (:func:`_rank_one_slabs`,
+    masked), any other tensor's complex ones (:func:`_dense_slabs`)."""
+    if T.raw_g is not None:
+        return _rank_one_slabs(T.n, T.raw_g, True)
+    return _dense_slabs(T)
+
+
 def fourier(T: Tensor3) -> FourierTable:
-    """Coefficient table c(P,Q,R) = <T, P⊗Q⊗R> via three mode transforms.
+    """Coefficient table c(P,Q,R) = <T, P⊗Q⊗R>, written slab by slab over
+    player 1's questions into the one returned array (see :func:`_table_slabs`).
 
     A sampled tensor's table is that of the rank-one g g^T under the
-    collision mask, in real arithmetic, slab by slab over player 1's
-    questions (see :func:`_rank_one_slabs`), each slab written into the one
-    returned array, so its matrix is never built.  Any other tensor's comes
-    from its mode view by three complex GEMMs with the (Q, Q) matrix whose
-    row p is conj(P_p) flattened (see :func:`_mode_transform`), so the
-    transient is two N^6 arrays: three XOR-Hadamard passes measured slower.
-    ScaleError above MAX_QUBITS, before anything is allocated.
+    collision mask, in real arithmetic, so its matrix is never built.  Any
+    other tensor's comes from its matrix view by XOR offsets of player 1
+    (:func:`_dense_slabs`), with no mode-view copy and no second complex
+    N^6 array.  ScaleError above MAX_QUBITS, before anything is allocated.
     """
     _check_table_size(T.n)
     Q = T.N * T.N
-    if T.raw_g is not None:
-        C = np.empty((Q, Q, Q))
-        for ps, slab in _rank_one_slabs(T.n, T.raw_g, True):
-            C[ps] = slab
-        return FourierTable(n=T.n, N=T.N, coefficients=C)
-    B = _matrices(np.eye(Q)).reshape(Q, Q)
-    return FourierTable(n=T.n, N=T.N, coefficients=_mode_transform(B, T.mode_view()))
+    C = np.empty((Q, Q, Q), np.float64 if T.raw_g is not None else np.complex128)
+    for ps, slab in _table_slabs(T):
+        C[ps] = slab
+    return FourierTable(n=T.n, N=T.N, coefficients=C)
 
 
 def _check_table_size(n: int) -> None:
@@ -220,8 +281,9 @@ def _mode_transform(A: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def inverse_fourier(F: FourierTable) -> Tensor3:
-    """Rebuild the tensor: T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R, by the three mode
-    GEMMs of :func:`fourier` with the per-mode inverse B^H / N."""
+    """Rebuild the tensor: T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R, by three complex
+    mode GEMMs (:func:`_mode_transform`) with the per-mode inverse B^H / N,
+    where row p of B is conj(P_p) flattened."""
     Q = F.N * F.N
     Binv = _matrices(np.eye(Q)).reshape(Q, Q).conj().T / F.N  # the rows of B satisfy B† B = N I
     return Tensor3.from_mode_view(F.n, _mode_transform(Binv, F.coefficients.astype(np.complex128)))

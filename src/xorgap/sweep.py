@@ -253,11 +253,30 @@ def _suite_identities(seed: int) -> SuiteReport:
             # dense SVD, which runs here only
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, n)))
             M = rng.standard_normal((N**3, N**3)) + 1j * rng.standard_normal((N**3, N**3))
-            sigma, _ = tensor._top_singular(tensor.Tensor3(n, M))
+            G = tensor.Tensor3(n, M)
+            sigma, _ = tensor._top_singular(G)
             svd_sigma = float(np.linalg.svd(M, compute_uv=False)[0])
             checks.append(
                 ("sigma_1 of a general tensor by Lanczos on M M^H == SVD", abs(sigma - svd_sigma) <= 1e-12 * svd_sigma)
             )
+        if n == 2:
+            # the same general tensor's table by XOR offsets against the
+            # dense basis, and its game's closed-form bias against the
+            # explicit strategy evaluated on that game
+            general_table = pauli.fourier(G).coefficients
+            want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, G.mode_view(), optimize=True)
+            general_rep = game.game_from_tensor(G)
+            g_explicit = game.entangled_bias_eval(general_rep.game, game.pauli_strategy(G))
+            checks += [
+                (
+                    "fourier of a general tensor == dense basis contraction",
+                    float(np.abs(general_table - want).max()) <= 1e-12 * np.abs(want).max(),
+                ),
+                (
+                    "general tensor: explicit strategy bias == N^3 lambda/l1",
+                    abs(g_explicit - general_rep.pauli_bias) <= 1e-12 * abs(general_rep.pauli_bias),
+                ),
+            ]
         if n >= 2:
             # the structured paths against the dense ones, from the same
             # starts: the classical ascent on g against the game's cost

@@ -78,23 +78,33 @@ class Tensor3:
     A general tensor is its N^3 x N^3 matrix view (rows flattened (i, j, k),
     columns (i', j', k'), both row-major).  A sampled tensor is its raw
     vector g: its matrix view, g g^T under the collision mask, is built on
-    first read and cached.  Passing both, or neither, raises ValueError.  A
-    tensor with g is exactly Hermitian by construction, and its spectral and
-    trilinear norms never build the matrix: the Lanczos top eigenpair
-    multiplies by g, the ALS and `trilinear_eval` contract it, and it
-    certifies the net upper bound.  Hermitian means bit for bit (see
-    :meth:`is_hermitian`).  Any other Hermitian tensor's top eigenpair comes
-    from the same Lanczos solver multiplying by the matrix, and a
-    non-Hermitian one's top singular pair from that solver on M M^H.
+    first read and cached.  A hermitized part is its parent's matrix M and
+    the part, "sym" for (M + M^H)/2 or "anti" for i(M - M^H)/2
+    (`Tensor3(n, M, part=...)`, as :func:`hermitize` makes it): its matrix
+    is rebuilt from M on every read and never stored, and any N^5 block of
+    it comes from the same block of M and of M^T (:meth:`_offset_block`).
+    Passing both a matrix and g, or neither, or a part without a matrix,
+    raises ValueError.  A tensor with g is exactly Hermitian by construction,
+    and its spectral and trilinear norms never build the matrix: the Lanczos
+    top eigenpair multiplies by g, the ALS and `trilinear_eval` contract it,
+    and it certifies the net upper bound.  Hermitian means bit for bit (see
+    :meth:`is_hermitian`); a hermitized part is Hermitian by construction.
+    Any other Hermitian tensor's top eigenpair comes from the same Lanczos
+    solver multiplying by the matrix, and a non-Hermitian one's top singular
+    pair from that solver on M M^H.
     """
 
-    __slots__ = ("n", "N", "_matrix", "raw_g", "_eig", "_herm", "_sv", "_hermitized")
+    __slots__ = ("n", "N", "_matrix", "raw_g", "_part", "_eig", "_herm", "_sv", "_hermitized")
 
-    def __init__(self, n: int, matrix: np.ndarray | None = None, raw_g: np.ndarray | None = None):
+    def __init__(
+        self, n: int, matrix: np.ndarray | None = None, raw_g: np.ndarray | None = None, part: str | None = None
+    ):
         if n < 1:
             raise ValueError("n must be >= 1")
         if (matrix is None) == (raw_g is None):
             raise ValueError("a tensor is given by exactly one of its matrix view and its raw vector")
+        if part not in (None, "sym", "anti") or (part is not None and matrix is None):
+            raise ValueError(f"a hermitized part is 'sym' or 'anti' of a parent matrix, got {part!r}")
         N = 2**n
         if matrix is not None:
             matrix = _read_only(matrix, np.complex128)
@@ -106,20 +116,41 @@ class Tensor3:
                 raise DimensionError(f"raw vector must have length {N**3}")
         self.n = n
         self.N = N
+        # a hermitized part holds its parent's matrix and the part
         self._matrix = matrix
+        self._part = part
         self.raw_g = raw_g
         self._eig = None
-        self._herm = True if raw_g is not None else None  # True, False, or None until known
+        self._herm = True if raw_g is not None or part is not None else None  # True, False, or None until known
         self._sv = None
         self._hermitized = None
 
     @property
     def matrix(self) -> np.ndarray:
-        """The N^3 x N^3 matrix view; for a sampled tensor built from g on first read."""
+        """The N^3 x N^3 matrix view; for a sampled tensor built from g on
+        first read, for a hermitized part built from its parent on every read."""
+        if self._part is not None:
+            M = _hermitian_part(self._matrix, self._matrix.T, self._part)
+            M.setflags(write=False)
+            return M
         if self._matrix is None:
             self._matrix = np.ascontiguousarray(_masked_outer(self.raw_g, self.N), dtype=np.complex128)
             self._matrix.setflags(write=False)
         return self._matrix
+
+    def _offset_block(self, x: int) -> np.ndarray:
+        """The N^5 entries B[b, u, v] = M[(b ⊕ x, u), (b, v)] of the matrix
+        view M, for the XOR offset x of player 1's index, as a fresh complex
+        (N, N^2, N^2) array.  A hermitized part takes them from the same
+        block of its parent and that block's entries of the parent's
+        transpose, entry for entry its matrix's, so its matrix is not built."""
+        N, Q = self.N, self.N * self.N
+        b = np.arange(N)
+        if self._part is None:
+            return self.matrix.reshape(N, Q, N, Q)[b ^ x, :, b, :]
+        P = self._matrix.reshape(N, Q, N, Q)[b ^ x, :, b, :]
+        # M^T[(b ⊕ x, u), (b, v)] = M[(b, v), (b ⊕ x, u)] = P[b ⊕ x, v, u]
+        return _hermitian_part(P, P[b ^ x].transpose(0, 2, 1), self._part)
 
     def mode_view(self) -> np.ndarray:
         """Return the ((i,i'), (j,j'), (k,k')) three-axis view, shape (N^2,)*3."""
@@ -308,7 +339,9 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
     whenever possible.  A sampled tensor never builds its matrix: its
     product is x -> g∘((J - I)^{⊗3}(g∘x)), O(N^3) per product (see
     :func:`_masked_product`), and its Frobenius norm is O(N^3) from g.  Any
-    other tensor multiplies by its matrix view.
+    other tensor multiplies by its matrix view, read once for the run and
+    its Frobenius norm, so a hermitized part builds its matrix once and
+    drops it on return.
     The pair is checked once with the same product, and ValueError is raised
     when ||A psi - lambda psi|| exceeds 1e-9 |lambda| (or is not a number).
     """
@@ -317,15 +350,16 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
     if T._eig is None:
         N = T.N
         if T.raw_g is None:
-            matvec, dtype = T.matrix.dot, np.complex128
+            M = T.matrix  # read once: a hermitized part builds it on every read
+            matvec, dtype, frob = M.dot, np.complex128, float(np.linalg.norm(M))
         else:
             g = T.raw_g
 
             def matvec(x):
                 return g * _masked_product(g * x, N)
 
-            dtype = np.float64
-        low, u, high, v = _lanczos_extremes(matvec, N**3, dtype, T.frobenius_norm() ** 2)
+            dtype, frob = np.float64, T.frobenius_norm()
+        low, u, high, v = _lanczos_extremes(matvec, N**3, dtype, frob**2)
         sn = max(abs(low), abs(high))
         lam, vec = (high, v) if high >= sn * (1.0 - 1e-12) else (low, u)
         vec = vec / np.linalg.norm(vec)
@@ -728,18 +762,22 @@ def _pauli_table(T: Tensor3) -> np.ndarray:
     A Hermitian tensor's table is real, and C is returned as one real array
     (the real part of a general tensor's computed table, whose imaginary
     part is rounding).  Any other tensor's C is complex and is returned as
-    two real planes (2, d, d, d), Re C and Im C, written straight from the
-    complex table, which is then freed.
+    two real planes (2, d, d, d), Re C and Im C.  Either is filled slab by
+    slab from `pauli._table_slabs` and divided in place, bit for bit
+    `fourier`'s table over N^{3/2}, with no complex table formed.
     """
-    from .pauli import fourier  # pauli imports this module
+    from .pauli import _table_slabs  # pauli imports this module
 
-    C = fourier(T).coefficients
-    if T.is_hermitian():
-        return C.real / T.N**1.5
-    planes = np.empty((2, *C.shape))
-    np.divide(C.real, T.N**1.5, out=planes[0])
-    np.divide(C.imag, T.N**1.5, out=planes[1])
-    return planes
+    d = T.N * T.N
+    herm = T.is_hermitian()
+    C = np.empty((d, d, d) if herm else (2, d, d, d))
+    for ps, slab in _table_slabs(T):
+        if herm:
+            C[ps] = slab.real
+        else:
+            C[0, ps], C[1, ps] = slab.real, slab.imag
+    C /= T.N**1.5
+    return C
 
 
 def trilinear_norm_lower(
@@ -934,44 +972,48 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
     return float(prefactor * (max_dev + 3.0 * eps * (N**1.5 + gnorm2)))
 
 
+def _hermitian_part(A: np.ndarray, At: np.ndarray, part: str) -> np.ndarray:
+    """The "sym" part (A + conj(At))/2 or the "anti" part i(A - conj(At))/2,
+    for At the matching entries of the transpose, as one fresh C-ordered
+    buffer: conj(At) into it, then A added to it or it subtracted from A, in
+    place, then multiplied by i for "anti" and halved.  Entry for entry these
+    are the expressions' own operations (IEEE addition commutes), so every
+    block and the whole matrix match (M + M^H)/2 and i(M - M^H)/2 bit for bit."""
+    out = np.conjugate(At, out=np.empty(A.shape, np.complex128))
+    if part == "sym":
+        out += A
+    else:
+        np.subtract(A, out, out=out)
+        out *= 1j
+    out /= 2.0
+    return out
+
+
 def hermitize(T: Tensor3) -> Tensor3:
     """Return the better of (T + T†)/2 and i(T - T†)/2 by spectral norm.
 
     An input that `is_hermitian` (bit for bit) is returned as is: its
     symmetric part is the same matrix, so the raw sampling vector and any
     cached eigenpair stay with it, and a sampled tensor's matrix is neither
-    built nor compared.  Otherwise each candidate gets one Lanczos top
-    eigenpair per tensor, and the winner is cached on T and returned with
-    its eigenpair cached and no raw vector; ties go to the symmetric part.
+    built nor compared.  Otherwise each candidate is the hermitized part
+    given by T's matrix and the part (see :class:`Tensor3`), and gets one
+    Lanczos top eigenpair, the antisymmetric part's first; the winner is
+    cached on T and returned with its eigenpair cached and no raw vector,
+    and ties go to the symmetric part.  A candidate's matrix is built when
+    its Lanczos reads it and dropped when that returns, so one N^6 buffer
+    is live at a time and the winner holds none.
 
-    Both candidates are marked Hermitian when built, never compared: they
-    are Hermitian bit for bit.  Entry (j, i) of M + M^H is M_ji + conj(M_ij),
-    the conjugate of entry (i, j) because IEEE addition commutes and
-    conjugation is exact; likewise M - M^H is exactly anti-Hermitian, since
-    a - b = -(b - a) in IEEE arithmetic.  Halving and multiplying by i
-    (which swaps the components and negates one) act on each component
-    alone, so they keep the symmetry.
-
-    The candidates take two N^6 buffers and the expressions' own operations,
-    so they match the expressions bit for bit: M^H once into the first
-    buffer and M - M^H into the second; then M is added to the first (IEEE
-    addition commutes) and it is halved, and the second is multiplied by i
-    and halved, in place.
+    Both candidates are Hermitian bit for bit (see :func:`_hermitian_part`):
+    entry (j, i) of M + M^H is M_ji + conj(M_ij), the conjugate of entry
+    (i, j) because IEEE addition commutes and conjugation is exact; likewise
+    M - M^H is exactly anti-Hermitian, since a - b = -(b - a) in IEEE
+    arithmetic.  Halving and multiplying by i (which swaps the components and
+    negates one) act on each component alone, so they keep the symmetry.
     """
     if T.is_hermitian():
         return T
     if T._hermitized is None:
-        M = T.matrix
-        sym = np.conjugate(M.T, out=np.empty_like(M))
-        anti = np.subtract(M, sym)
-        sym += M
-        sym /= 2.0
-        anti *= 1j
-        anti /= 2.0
-        sym.setflags(write=False)
-        anti.setflags(write=False)
-        cand_s, cand_a = Tensor3(T.n, sym), Tensor3(T.n, anti)
-        cand_s._herm = cand_a._herm = True
+        cand_s, cand_a = Tensor3(T.n, T.matrix, part="sym"), Tensor3(T.n, T.matrix, part="anti")
         T._hermitized = cand_a if spectral_norm(cand_a) > spectral_norm(cand_s) else cand_s
     return T._hermitized
 
@@ -989,10 +1031,9 @@ def save_tensor(path, T: Tensor3) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", T.n, flags))
-        if T.raw_g is not None:
-            fh.write(T.raw_g.astype("<f8").tobytes())
-        else:
-            fh.write(T.matrix.astype("<c16").tobytes())
+        # the array's own buffer, copied only where the machine is not little-endian
+        body = T.raw_g.astype("<f8", copy=False) if T.raw_g is not None else T.matrix.astype("<c16", copy=False)
+        fh.write(body.data)
 
 
 def load_tensor(path) -> Tensor3:

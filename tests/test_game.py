@@ -206,6 +206,23 @@ class TestGameFromTensor:
         w = pauli_expectations(1, psi)
         assert complex(np.sum(table * w)) == pytest.approx(8.0 * lam, rel=1e-10)
 
+    def test_general_tensor_build_memory(self):
+        # a cold build at n = 3 hermitizes with one candidate matrix (4.19 MB)
+        # at a time and writes pi slab by slab from the hermitized part, so
+        # no hermitized matrix and no complex table is held with pi and signs
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        T = Tensor3(3, rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512)))
+        tracemalloc.start()
+        try:
+            rep = game_from_tensor(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5e6
+        assert rep.pauli_bias == pytest.approx(entangled_bias_eval(rep.game, pauli_strategy(T)), rel=1e-12)
+
 
 class TestClassicalExact:
     def test_mermin_is_half(self):

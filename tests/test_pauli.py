@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from xorgap import SamplerConfig, Tensor3, build_basis, fourier, inverse_fourier, sample_tensor
+from xorgap import SamplerConfig, Tensor3, build_basis, fourier, hermitize, inverse_fourier, sample_tensor
 from xorgap.pauli import pauli_expectations
 
 I2 = np.eye(2)
@@ -166,18 +166,50 @@ class TestFourier:
             assert np.all(got[iz] == 0.0) and np.all(got[:, iz] == 0.0) and np.all(got[:, :, iz] == 0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_mode_gemms_match_einsum(self, n):
-        # a general tensor's table by three mode GEMMs against one einsum
-        # with the conjugated basis, on a complex and on a Hermitian tensor
+    def test_dense_slabs_match_einsum(self, n):
+        # a general tensor's table by XOR offsets of player 1 against one
+        # einsum with the conjugated basis, on a complex tensor, a Hermitian
+        # one given by its matrix, and a hermitized part read from its parent
         D = 8**n
         rng = np.random.default_rng(50 + n)
         M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         B = build_basis(n).elements.conj().reshape(4**n, -1)
-        for T in (Tensor3(n, M), Tensor3(n, (M + M.conj().T) / 2.0)):
+        for T in (Tensor3(n, M), Tensor3(n, (M + M.conj().T) / 2.0), hermitize(Tensor3(n, M))):
             want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
             got = fourier(T).coefficients
-            assert got.shape == want.shape
+            assert got.shape == want.shape and got.dtype == np.complex128
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_table_is_fourier_bitwise(self, n):
+        # the ALS table's planes, filled from the same slabs, are Re and Im
+        # of fourier(T) over N^{3/2} bit for bit: one plane for a Hermitian
+        # tensor, two for any other
+        from xorgap.tensor import _pauli_table
+
+        D = 8**n
+        rng = np.random.default_rng(70 + n)
+        M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        for T in (Tensor3(n, M), hermitize(Tensor3(n, M)), sample_tensor(n, SamplerConfig(seed=n))):
+            C = fourier(T).coefficients
+            planes = np.stack([C.real, C.imag]) if not T.is_hermitian() else C.real
+            assert np.array_equal(_pauli_table(T), planes / T.N**1.5)
+
+    def test_dense_fourier_memory(self):
+        # at n = 3 the output is one complex Q^3 array, 4.19 MB; the slabs
+        # add an offset block and two work arrays of N^5 entries (0.5 MB
+        # each), with no mode-view copy and no second complex table
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        T = Tensor3(3, rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512)))
+        tracemalloc.start()
+        try:
+            fourier(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("step", [1, 3])
@@ -300,13 +332,15 @@ class TestExpectations:
 
     def test_whole_tables_refuse_n5(self):
         # the streamed l1 and classical value take n = 5, but a whole table
-        # there would hold 4^15 entries, so both whole-table calls refuse it
-        from xorgap import ScaleError
+        # there would hold 4^15 entries, so every whole-table call refuses it
+        from xorgap import ScaleError, game_from_tensor
 
         with pytest.raises(ScaleError, match="needs n <= 4, got n = 5"):
             fourier(Tensor3(5, raw_g=np.ones(2**15)))
         with pytest.raises(ScaleError, match="needs n <= 4, got n = 5"):
             pauli_expectations(5, np.ones(2**15) / 2**7.5)
+        with pytest.raises(ScaleError, match="needs n <= 4, got n = 5"):
+            game_from_tensor(Tensor3(5, raw_g=np.ones(2**15)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_contraction_no_density_matrix(self, n, monkeypatch):

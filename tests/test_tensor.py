@@ -281,6 +281,28 @@ class TestSampling:
         assert Tensor3(1, raw_g=T.raw_g).raw_g is not None
         assert Tensor3(1, T.matrix).raw_g is None
 
+    def test_hermitized_part_is_rebuilt_from_its_parent(self):
+        # a part is its parent's matrix and "sym" or "anti": every read builds
+        # the expression's bytes afresh and stores nothing, and each offset
+        # block is the built matrix's block bit for bit
+        rng = np.random.default_rng(18)
+        M = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        parent = Tensor3(2, M)
+        for part, want in (("sym", (M + M.conj().T) / 2.0), ("anti", 1j * (M - M.conj().T) / 2.0)):
+            T = Tensor3(2, parent.matrix, part=part)
+            assert T.is_hermitian() and T.raw_g is None
+            first, second = T.matrix, T.matrix
+            assert first is not second and not first.flags.writeable
+            assert np.array_equal(first.view(np.uint64), want.view(np.uint64))
+            M6, b = want.reshape(4, 16, 4, 16), np.arange(4)
+            for x in range(4):
+                assert np.array_equal(T._offset_block(x).view(np.uint64), M6[b ^ x, :, b, :].view(np.uint64))
+        for bad in ("herm", ""):
+            with pytest.raises(ValueError, match="hermitized part"):
+                Tensor3(2, M, part=bad)
+        with pytest.raises(ValueError, match="hermitized part"):
+            Tensor3(1, raw_g=np.ones(8), part="sym")
+
     def test_caller_arrays_stay_writeable_and_detached(self):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -1303,6 +1325,25 @@ class TestHermitize:
                     m.setattr(np, "array_equal", None)
                     assert C.is_hermitian() and hermitize(C) is C
 
+    def test_one_candidate_matrix_at_a_time(self):
+        # at n = 3 a candidate's matrix is 512^2 * 16 B = 4.19 MB: hermitize
+        # builds one, runs its Lanczos and drops it before the next, and the
+        # winner it keeps holds its parent's matrix and its eigenpair, no
+        # matrix of its own
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        T = Tensor3(3, rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512)))
+        tracemalloc.start()
+        try:
+            H = hermitize(T)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6
+        assert held < 0.5e6
+        assert H._matrix is T.matrix and H._eig is not None
+
 
 def _random_general(rng, D):
     return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
@@ -1395,6 +1436,26 @@ class TestBinaryFormat:
             assert matches(T)
             save_tensor(path, T)
             assert path.read_bytes() == data
+
+    def test_general_body_is_the_matrix_buffer(self, tmp_path):
+        # the body is written from the matrix's own buffer: the same bytes as
+        # a little-endian copy of it, and no N^6 copy at n = 3 (4.19 MB)
+        import tracemalloc
+
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        path = tmp_path / "t.xgt"
+        save_tensor(path, Tensor3(2, M))
+        assert path.read_bytes() == b"XGT1" + struct.pack("<II", 2, 0) + M.astype("<c16").tobytes()
+        T = Tensor3(3, rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512)))
+        tracemalloc.start()
+        try:
+            save_tensor(path, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert np.array_equal(load_tensor(path).matrix, T.matrix)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
