@@ -12,6 +12,7 @@ which the game build reports.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -75,36 +76,64 @@ def _as_signs(arr) -> np.ndarray:
     return np.sign(arr, out=out)
 
 
+def _signed(pi, signs) -> np.ndarray:
+    """copysign(pi, signs), a fresh float64 array, with the signs checked by
+    :func:`_as_signs` and pi nonnegative (ValueError otherwise, NaN
+    included); a pi of -0.0 is weight +0 with its sign."""
+    signs = _as_signs(signs)
+    pi = np.asarray(pi, dtype=np.float64)
+    if not pi.min() >= 0.0:  # written so that NaN fails the check
+        raise ValueError("pi must be nonnegative")
+    return np.copysign(pi, signs)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class XorGame:
-    """Question distribution pi over [Q]^3 and signs in {-1, +1}.
+    """A game over [Q]^3, held as its one signed table cost = pi * signs.
 
-    Both are held as read-only float64 arrays: a writeable input is copied,
-    so the caller's array stays writeable and cannot change the game, and a
-    read-only one is shared.  A game is nothing else: one built from a
-    tensor keeps no reference to it (see :func:`classical_value` for the
-    classical value of a sampled tensor's game taken from g).
+    pi = |cost| and signs = copysign(1, cost) are derived on each access as
+    fresh read-only arrays; a zero weight's sign is the sign of its zero, so
+    (pi, signs) round-trip bit for bit.  cost is a read-only float64 array:
+    a writeable input is copied, so the caller's array cannot change the
+    game, and a read-only one is shared.  Its l1 mass, summed as
+    :func:`_l1_norm` sums, must be 1 to 1e-12.  A game is nothing else: one
+    built from a tensor keeps no reference to it (see :func:`classical_value`
+    for the classical value of a sampled tensor's game taken from g).
+    :meth:`from_weights` builds one from (pi, signs).
     """
 
     Q: int
-    pi: np.ndarray
-    signs: np.ndarray
+    cost: np.ndarray
 
     def __post_init__(self):
-        pi = _read_only(self.pi, np.float64)
-        signs = _as_signs(self.signs)
-        if pi.shape != (self.Q,) * 3 or signs.shape != (self.Q,) * 3:
-            raise DimensionError(f"pi and signs must have shape ({self.Q},)*3")
-        if not pi.min() >= 0.0:  # written so that NaN fails both checks
-            raise ValueError("pi must be nonnegative")
-        if not abs(pi.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"pi must sum to 1, got {pi.sum()!r}")
-        signs.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "signs", signs)
+        cost = _read_only(self.cost, np.float64)
+        if cost.shape != (self.Q,) * 3:
+            raise DimensionError(f"cost must have shape ({self.Q},)*3")
+        total = sum(float(np.abs(cost[ps]).sum()) for ps in _player1_slices(self.Q))
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails the comparison
+            raise ValueError(f"pi must sum to 1, got {total!r}")
+        object.__setattr__(self, "cost", cost)
 
-    def cost_tensor(self) -> np.ndarray:
-        return self.pi * self.signs
+    @classmethod
+    def from_weights(cls, Q: int, pi, signs) -> XorGame:
+        """The game with question distribution pi and signs, both (Q, Q, Q)
+        (DimensionError otherwise), checked by :func:`_signed`."""
+        if np.shape(pi) != (Q,) * 3 or np.shape(signs) != (Q,) * 3:
+            raise DimensionError(f"pi and signs must have shape ({Q},)*3")
+        return cls(Q, _frozen(_signed(pi, signs)))
+
+    @property
+    def pi(self) -> np.ndarray:
+        return _frozen(np.abs(self.cost))
+
+    @property
+    def signs(self) -> np.ndarray:
+        return _frozen(np.copysign(1.0, self.cost))
 
 
 @dataclass(frozen=True)
@@ -239,38 +268,33 @@ def game_from_tensor(T: Tensor3) -> GameBuildReport:
     """Build the Pauli-question game of a tensor.
 
     The tensor is hermitized and its coefficient table, real for a Hermitian
-    tensor, is written into pi slab by slab (`pauli._table_slabs`) and
-    l1-normalized into (pi, signs): signs first, then pi as the table's
-    absolute value in place, summed over the slabs of player 1's questions
-    for l1 (:func:`_l1_norm`, as :func:`l1_from_g` sums a sampled tensor's
-    streamed table) and divided in place.  A sampled tensor's table comes
-    from g in real arithmetic, so its matrix is never built; a general
-    tensor's from the offset blocks of its hermitized part, read from T's
-    matrix, so no hermitized matrix and no complex table is formed.  The
-    explicit Pauli strategy's bias on that game is reported in closed form,
-    N^3 lambda / l1 (see :func:`pauli_strategy`), from the Lanczos top
-    eigenpair that `hermitize` or `spectral_norm` already cached (computed
-    from g for a sampled tensor); no strategy is evaluated.  l1 = 0
-    (DegenerateGameError) exactly when T = 0.  pi and the exact signs are
-    made read-only, so the game takes them over without a copy; the game
-    holds nothing of T.
+    tensor, is written slab by slab (`pauli._table_slabs`) into the game's
+    one signed table, with a zero coefficient as +0.0 (sign +1), then
+    summed as |c| over the slabs of player 1's questions for l1
+    (:func:`_l1_norm`, as :func:`l1_from_g` sums a sampled tensor's
+    streamed table) and divided by it in place.  A sampled tensor's table
+    comes from g in real arithmetic, so its matrix is never built; a
+    general tensor's from the offset blocks of its hermitized part, read
+    from T's matrix, so no hermitized matrix and no complex table is
+    formed.  The explicit Pauli strategy's bias on that game is reported in
+    closed form, N^3 lambda / l1 (see :func:`pauli_strategy`), from the
+    Lanczos top eigenpair that `hermitize` or `spectral_norm` already cached
+    (computed from g for a sampled tensor); no strategy is evaluated.
+    l1 = 0 (DegenerateGameError) exactly when T = 0.  The table is made
+    read-only, so the game takes it over without a copy; the game holds
+    nothing of T.
     """
     _check_table_size(T.n)
     H = hermitize(T)
     Q = T.N * T.N
-    pi = np.empty((Q, Q, Q))
+    cost = np.empty((Q, Q, Q))
     for ps, slab in _table_slabs(H):
-        pi[ps] = slab.real
-    signs = np.less(pi, 0.0, out=np.empty_like(pi))
-    signs *= -2.0
-    signs += 1.0  # where(c < 0, -1, +1), in passes faster than np.where's
-    np.abs(pi, out=pi)
-    l1 = _l1_norm(pi[ps] for ps in _player1_slices(len(pi)))
-    pi /= l1
-    # both are fresh and signs are exact, so the game takes them over as they are
-    pi.setflags(write=False)
-    signs.setflags(write=False)
-    game = XorGame(Q=Q, pi=pi, signs=signs)
+        c = slab.real
+        c += 0.0  # -0.0 + 0.0 is +0.0, and any other entry stays
+        cost[ps] = c
+    l1 = _l1_norm(np.abs(cost[ps]) for ps in _player1_slices(Q))
+    cost /= l1
+    game = XorGame(Q=Q, cost=_frozen(cost))
     return GameBuildReport(pauli_bias=_pauli_bias(H, l1), l1_norm=l1, game=game)
 
 
@@ -295,7 +319,7 @@ def classical_bias_exact(G: XorGame) -> tuple[float, ClassicalStrategy]:
             f"2Q = {2*Q} exceeds the enumeration limit "
             f"{EXACT_ENUMERATION_LIMIT}; use classical_bias_heuristic"
         )
-    C = G.cost_tensor()
+    C = G.cost
     signs = _sign_vectors(Q)  # both enumerated players' candidate answers
     C2 = C.reshape(Q, Q * Q)
     best = -np.inf
@@ -375,13 +399,13 @@ def classical_bias_heuristic(
     (see :func:`tensor._lockstep_ascent`, which the ALS shares).  The first
     restart whose value ties the largest to rounding (1e-12 relative) wins;
     the value is always a lower bound on the classical bias, and never
-    exceeds the exact optimum.  The partial sums come from the game's dense
-    cost tensor through `tensor._array_maps`, with the sign vectors as its
-    factors, O(Q^2) per restart and player.
+    exceeds the exact optimum.  The partial sums come from the game's signed
+    table, read in place through `tensor._array_maps`, with the sign vectors
+    as its factors, O(Q^2) per restart and player.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    return _sign_ascent(_array_maps(G.cost_tensor()), G.Q, restarts, seed)
+    return _sign_ascent(_array_maps(G.cost), G.Q, restarts, seed)
 
 
 def classical_value(T: Tensor3, seed: int = 0) -> tuple[float, ClassicalStrategy]:
@@ -445,11 +469,11 @@ def strategy_correlations(S: EntangledStrategy) -> np.ndarray:
 
 
 def entangled_bias_eval(G: XorGame, S: EntangledStrategy) -> float:
-    """Bias of a concrete entangled strategy: sum pi * signs * correlation.
+    """Bias of a concrete entangled strategy: sum cost * correlation.
 
     The sum runs over the blocks of player 3's questions that
-    :func:`strategy_correlations` contracts, one slice of pi and signs at a
-    time, so neither the correlation table nor the cost tensor is formed:
+    :func:`strategy_correlations` contracts, one slice of the game's signed
+    table at a time, so neither the correlation table nor pi or signs is formed:
     memory is O(block), each intermediate within `pauli._BLOCK_BYTES`
     (512 kB; the traced peak is 2.7 MB at n = 3).  Any value
     returned here is achievable, hence a lower bound on the game's entangled
@@ -459,7 +483,7 @@ def entangled_bias_eval(G: XorGame, S: EntangledStrategy) -> float:
         raise DimensionError("strategy must provide one observable per question")
     total = 0.0
     for ks, w in _real_correlation_blocks(S):
-        total += float(np.sum(G.pi[:, :, ks] * G.signs[:, :, ks] * w))
+        total += float(np.sum(G.cost[:, :, ks] * w))
     return total
 
 
@@ -539,7 +563,7 @@ def seesaw_entangled_bias(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     Q = G.Q
-    C = G.cost_tensor()
+    C = G.cost
     best = -np.inf
     best_strat = None
     for r, ss in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
@@ -590,17 +614,10 @@ def check_dimension_bound(G: XorGame, beta_star_lb: float, d: int, beta: float) 
 def mermin_game() -> XorGame:
     """Benchmark fixture: uniform support on the four odd-parity question
     triples with signs (+,-,-,-); classical bias 1/2, entangled bias 1."""
-    pi = np.zeros((2, 2, 2))
-    signs = np.ones((2, 2, 2))
-    for (i, j, k), s in {
-        (0, 0, 0): 1.0,
-        (0, 1, 1): -1.0,
-        (1, 0, 1): -1.0,
-        (1, 1, 0): -1.0,
-    }.items():
-        pi[i, j, k] = 0.25
-        signs[i, j, k] = s
-    return XorGame(Q=2, pi=pi, signs=signs)
+    cost = np.zeros((2, 2, 2))
+    cost[0, 0, 0] = 0.25
+    cost[0, 1, 1] = cost[1, 0, 1] = cost[1, 1, 0] = -0.25
+    return XorGame(Q=2, cost=cost)
 
 
 def ghz_strategy() -> EntangledStrategy:
@@ -621,39 +638,36 @@ def embedded_chsh_game() -> XorGame:
     have probability zero (signs +1 by convention).  Classical bias 1/2;
     qubit strategies reach sqrt(2)/2.
     """
-    Q = 4
-    pi = np.zeros((Q, Q, Q))
-    signs = np.ones((Q, Q, Q))
-    for x in (0, 1):
-        for y in (0, 1):
-            pi[x, y, 0] = 0.25
-            if x == 1 and y == 1:
-                signs[x, y, 0] = -1.0
-    return XorGame(Q=Q, pi=pi, signs=signs)
+    cost = np.zeros((4, 4, 4))
+    cost[:2, :2, 0] = 0.25
+    cost[1, 1, 0] = -0.25
+    return XorGame(Q=4, cost=cost)
 
 
 # --- io ---------------------------------------------------------------------
 
 
 def save_game_csv(path, G: XorGame) -> None:
-    """Write all question triples as rows q1,q2,q3,pi,sign."""
+    """Write all question triples as rows q1,q2,q3,pi,sign, pi as its repr
+    (which csv writes for a float) and the sign as +/-1."""
+    Q = G.Q
+    pi, signs = G.pi, G.signs.astype(np.int8)
+    jk = list(itertools.product(range(Q), repeat=2))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["q1", "q2", "q3", "pi", "sign"])
-        for i in range(G.Q):
-            for j in range(G.Q):
-                for k in range(G.Q):
-                    w.writerow(
-                        [i, j, k, repr(float(G.pi[i, j, k])), int(G.signs[i, j, k])]
-                    )
+        for i in range(Q):  # flat lists one question of player 1 at a time
+            w.writerows((i, j, k, p, s) for (j, k), p, s in zip(jk, pi[i].ravel().tolist(), signs[i].ravel().tolist()))
 
 
 def load_game_csv(path) -> XorGame:
-    """Read a game written by :func:`save_game_csv`.
+    """Read a game written by :func:`save_game_csv` into its signed table.
 
     Raises ValueError for a missing header, a row with fewer than five
     fields, a question index outside 0..4^MAX_QUBITS - 1 (no tensor here
-    yields a larger game), a repeated triple, or no question rows.
+    yields a larger game), a repeated triple, or no question rows, and for
+    the checks of :func:`_signed` on the rows' pi and signs.
+    Unlisted triples have weight +0 and sign +1.
     """
     rows = {}
     with open(path, newline="") as fh:
@@ -674,12 +688,12 @@ def load_game_csv(path) -> XorGame:
     if not rows:
         raise ValueError("game CSV has no question rows")
     Q = max(max(key) for key in rows) + 1
-    pi = np.zeros((Q, Q, Q))
-    signs = np.ones((Q, Q, Q))
-    for key, (p, s) in rows.items():
-        pi[key] = p
-        signs[key] = s
-    return XorGame(Q=Q, pi=pi, signs=signs)
+    at = np.fromiter(((i * Q + j) * Q + k for i, j, k in rows), np.intp, len(rows))
+    pi, signs = np.fromiter(itertools.chain.from_iterable(rows.values()), np.float64, 2 * len(rows)).reshape(-1, 2).T
+    del rows  # most of the load's memory, freed before the table is built
+    cost = np.zeros(Q**3)
+    cost[at] = _signed(pi, signs)
+    return XorGame(Q=Q, cost=_frozen(cost.reshape(Q, Q, Q)))
 
 
 def strategy_to_json(S: EntangledStrategy) -> str:

@@ -151,6 +151,27 @@ def _back_end(plan, rows_first: bool):
     return diag, xz
 
 
+def _rank_one_setup(n: int, masked: bool) -> SimpleNamespace:
+    """The read-only set-up of :func:`_rank_one_slabs` at n qubits: the
+    back end's (diag, xz), the planes wr and wi, Re and Im of
+    (-i)^{y_q + y_r} (zero where x_q or x_r is 0 when masked), and the
+    signed Hadamard rows lead[real][p] = (-1)^{z_p·v} times p's phase:
+    (-i)^{y_p} itself (real = 0), or for real input (real = 1) the sign s
+    with Re((-i)^{y_p} w) = s wr for even y_p and s wi for odd."""
+    plan = _plan(n)
+    diag, xz = _back_end(plan, False)
+    phase = plan.phase * (plan.x != 0) if masked else plan.phase
+    re, im = phase.real, phase.imag
+    lead = (plan.H[plan.z] * phase[:, None], plan.H[plan.z] * (re - im)[:, None])
+    wr, wi = np.outer(re, re) - np.outer(im, im), np.outer(re, im) + np.outer(im, re)
+    for a in (diag, xz, wr, wi, *lead):
+        a.setflags(write=False)
+    return SimpleNamespace(diag=diag, xz=xz, wr=wr, wi=wi, lead=lead)
+
+
+_cached_rank_one_setup = lru_cache(maxsize=None)(_rank_one_setup)
+
+
 def _other_modes(K: np.ndarray, plan, diag: np.ndarray, xz: np.ndarray, D: np.ndarray | None = None) -> None:
     """Transform a slab K (m, Q, Q) of player-1-transformed matrices on the
     other two modes, in place: the XOR-diagonal gather by diag, two products
@@ -180,24 +201,20 @@ def _rank_one_slabs(n: int, a: np.ndarray, masked: bool):
     a all of it is real, and odd-Y and masked entries are exactly 0.
     """
     plan = _plan(n)
-    N, H = plan.N, plan.H
+    N = plan.N
     Q = N * N
     A = a.reshape(N, Q)
     Ac = np.conj(A)
-    diag, xz = _back_end(plan, False)
-    phase = plan.phase * (plan.x != 0) if masked else plan.phase
-    re, im = phase.real, phase.imag
-    wr = np.outer(re, re) - np.outer(im, im)  # Re and Im of (-i)^{y_q + y_r}
-    wi = np.outer(re, im) + np.outer(im, re)
+    # built once per (n, masked) up to MAX_QUBITS; above it the set-up is
+    # Q^2 indices, small against the table's O(N^7) work, and is not kept
+    setup = (_cached_rank_one_setup if n <= MAX_QUBITS else _rank_one_setup)(n, masked)
+    wr, wi = setup.wr, setup.wi
     real = not np.iscomplexobj(a)
-    # p's phase rides on its GEMM: (-i)^{y_p} itself, or for real input the
-    # sign s with Re((-i)^{y_p} w) = s wr for even y_p and s wi for odd
-    lead = re - im if real else phase
-    signs = H[plan.z] * lead[:, None]  # (-1)^{z_p·v} times p's phase
+    signs = setup.lead[real]  # p's phase rides on its GEMM
     for ps in _player1_slices(Q):
         P = A[plan.x[ps, None] ^ np.arange(N)] * signs[ps, :, None]  # (p, v1, u) = a[v1 ⊕ x_p, u], signed
         K = np.matmul(Ac.T, P)  # (p, v, u)
-        _other_modes(K, plan, diag, xz)
+        _other_modes(K, plan, setup.diag, setup.xz)
         if real:
             for k, y in zip(K, plan.y[ps]):
                 k *= wi if y % 2 else wr

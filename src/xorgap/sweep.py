@@ -8,6 +8,8 @@ report pass/fail lines.
 from __future__ import annotations
 
 import csv
+import os
+import tempfile
 import time
 from dataclasses import dataclass, fields
 
@@ -277,6 +279,21 @@ def _suite_identities(seed: int) -> SuiteReport:
                     abs(g_explicit - general_rep.pauli_bias) <= 1e-12 * abs(general_rep.pauli_bias),
                 ),
             ]
+            # the game is its one signed table: pi and signs derived from it
+            # give it back bit for bit, and so does a CSV save -> load
+            cost = rep.game.cost
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "game.csv")
+                game.save_game_csv(path, rep.game)
+                loaded = game.load_game_csv(path).cost
+            checks.append(
+                (
+                    "game: sum |cost| == 1, pi * signs == cost, CSV round trip == cost",
+                    abs(float(np.abs(cost).sum()) - 1.0) <= 1e-12
+                    and (rep.game.pi * rep.game.signs).tobytes() == cost.tobytes()
+                    and loaded.tobytes() == cost.tobytes(),
+                )
+            )
         if n >= 2:
             # the structured paths against the dense ones, from the same
             # starts: the classical ascent on g against the game's cost
@@ -524,10 +541,10 @@ def show(path) -> str:
         header = fh.readline().strip().split(",")
     if header == ["q1", "q2", "q3", "pi", "sign"]:
         G = game.load_game_csv(path)
-        support = int(np.count_nonzero(G.pi))
-        pos = G.pi[G.pi > 0]
+        pi = G.pi
+        pos = pi[pi > 0]
         return (
-            f"game CSV: Q={G.Q} support={support} "
+            f"game CSV: Q={G.Q} support={pos.size} "
             f"min_pi={pos.min():.6g} max_pi={pos.max():.6g}"
         )
     if header == GAP_COLUMNS:

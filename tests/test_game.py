@@ -9,6 +9,7 @@ import pytest
 from xorgap import (
     ClassicalStrategy,
     DegenerateGameError,
+    DimensionError,
     EntangledStrategy,
     SamplerConfig,
     ScaleError,
@@ -50,7 +51,7 @@ from xorgap.tensor import top_eigenpair, trilinear_eval
 def cost_game(C):
     """The game with pi = |C| / sum |C| and signs = sign(C), +1 on zeros."""
     C = np.asarray(C, dtype=np.float64)
-    return XorGame(Q=len(C), pi=np.abs(C) / np.abs(C).sum(), signs=np.where(C < 0.0, -1.0, 1.0))
+    return XorGame.from_weights(Q=len(C), pi=np.abs(C) / np.abs(C).sum(), signs=np.where(C < 0.0, -1.0, 1.0))
 
 
 def brute_force_classical(C):
@@ -68,24 +69,41 @@ def brute_force_classical(C):
 class TestXorGameType:
     def test_validation(self):
         pi = np.full((2, 2, 2), 1 / 8)
-        XorGame(Q=2, pi=pi, signs=np.ones((2, 2, 2)))
-        with pytest.raises(ValueError):
-            XorGame(Q=2, pi=pi * 2, signs=np.ones((2, 2, 2)))
-        with pytest.raises(ValueError):
-            XorGame(Q=2, pi=pi, signs=np.full((2, 2, 2), 0.5))
-        with pytest.raises(ValueError):
-            XorGame(Q=2, pi=-pi, signs=np.ones((2, 2, 2)))
+        XorGame.from_weights(Q=2, pi=pi, signs=np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="pi must sum to 1"):
+            XorGame.from_weights(Q=2, pi=pi * 2, signs=np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="sign entries"):
+            XorGame.from_weights(Q=2, pi=pi, signs=np.full((2, 2, 2), 0.5))
+        with pytest.raises(ValueError, match="pi must be nonnegative"):
+            XorGame.from_weights(Q=2, pi=-pi, signs=np.ones((2, 2, 2)))
+        with pytest.raises(DimensionError, match="pi and signs must have shape"):
+            XorGame.from_weights(Q=2, pi=pi, signs=np.ones((2, 2)))
+        # the signed table itself: its l1 mass is pi's, NaN fails
+        XorGame(Q=2, cost=-pi)
+        for bad in (pi * 2, np.full((2, 2, 2), np.nan)):
+            with pytest.raises(ValueError, match="pi must sum to 1"):
+                XorGame(Q=2, cost=bad)
+        with pytest.raises(DimensionError, match="cost must have shape"):
+            XorGame(Q=2, cost=np.full((2, 4), 1 / 8))
 
-    def test_writeable_pi_copied_read_only_pi_shared(self):
-        # the caller's writeable pi stays writeable and cannot change the game
+    def test_writeable_cost_copied_read_only_cost_shared(self):
+        # the caller's writeable table or pi stays writeable and cannot
+        # change the game; a read-only float64 table is shared
+        cost = np.full((2, 2, 2), 1 / 8)
+        G = XorGame(Q=2, cost=cost)
+        assert cost.flags.writeable and not G.cost.flags.writeable
+        cost[0, 0, 0] = 0.5
+        assert G.cost[0, 0, 0] == 1 / 8
         pi = np.full((2, 2, 2), 1 / 8)
-        G = XorGame(Q=2, pi=pi, signs=np.ones((2, 2, 2)))
-        assert pi.flags.writeable and not G.pi.flags.writeable
+        G = XorGame.from_weights(Q=2, pi=pi, signs=np.ones((2, 2, 2)))
+        assert pi.flags.writeable and not G.pi.flags.writeable and not G.cost.flags.writeable
         pi[0, 0, 0] = 0.5
-        assert G.pi[0, 0, 0] == 1 / 8
+        assert G.pi[0, 0, 0] == 1 / 8 and G.cost[0, 0, 0] == 1 / 8
         frozen = np.full((2, 2, 2), 1 / 8)
         frozen.setflags(write=False)
-        assert XorGame(Q=2, pi=frozen, signs=np.ones((2, 2, 2))).pi is frozen
+        assert XorGame(Q=2, cost=frozen).cost is frozen
+        # pi is derived on each access, never stored
+        assert XorGame(Q=2, cost=frozen).pi is not XorGame(Q=2, cost=frozen).pi
 
     def test_sign_predicate_pinned(self):
         # entries within 1e-12 of +/-1 are snapped to exactly +/-1, anything
@@ -94,34 +112,40 @@ class TestXorGameType:
         S = ClassicalStrategy(chi=near, upsilon=near, zeta=near)
         assert np.array_equal(S.chi, [1.0, 1.0, -1.0, -1.0]) and S.chi.dtype == np.float64
         signs = np.resize(near, (2, 2, 2))
-        G = XorGame(Q=2, pi=np.full((2, 2, 2), 1 / 8), signs=signs)
+        G = XorGame.from_weights(Q=2, pi=np.full((2, 2, 2), 1 / 8), signs=signs)
         assert np.array_equal(G.signs, np.sign(signs)) and not np.may_share_memory(G.signs, signs)
         for bad in (1.0 + 2e-12, 0.0, 2.0, np.nan, np.inf, -np.inf):
             v = np.array([1.0, bad, -1.0])
             with pytest.raises(ValueError, match="sign entries must be \\+1 or -1"):
                 ClassicalStrategy(chi=v, upsilon=near[:3], zeta=near[:3])
             with pytest.raises(ValueError, match="sign entries must be \\+1 or -1"):
-                XorGame(Q=1, pi=np.ones((1, 1, 1)), signs=np.full((1, 1, 1), bad))
+                XorGame.from_weights(Q=1, pi=np.ones((1, 1, 1)), signs=np.full((1, 1, 1), bad))
 
-    def test_exact_signs_copied_unless_read_only(self):
-        # exact input takes the fast test; the caller's writeable array is
-        # copied and stays writeable, and only a read-only one is shared
-        pi = np.full((2, 2, 2), 1 / 8)
+    def test_exact_signs_round_trip_read_only(self):
+        # exact signs, float or int, come back from the table bit for bit
+        # as a fresh read-only float64 array, a zero weight's sign too (as
+        # the sign of its zero), and the caller's arrays stay writeable and
+        # unshared; a pi of -0.0 is weight +0 with its row's sign
+        pi = np.full((2, 2, 2), 0.2)
+        pi[0, 0, 0], pi[0, 0, 1], pi[0, 1, 1] = 0.0, -0.0, -0.0  # signs +1, -1, +1
         signs = np.resize([1.0, -1.0, -1.0], (2, 2, 2))
-        G = XorGame(Q=2, pi=pi, signs=signs)
+        G = XorGame.from_weights(Q=2, pi=pi, signs=signs)
         assert signs.flags.writeable and not np.may_share_memory(G.signs, signs)
-        assert np.array_equal(G.signs, signs) and not G.signs.flags.writeable
+        assert np.array_equal(G.signs, signs) and not G.signs.flags.writeable and G.signs.dtype == np.float64
+        assert np.array_equal(np.signbit(G.cost), signs < 0.0)
+        assert np.array_equal(G.pi, np.abs(pi)) and not np.signbit(G.pi).any()
         frozen = signs.copy()
         frozen.setflags(write=False)
-        assert XorGame(Q=2, pi=pi, signs=frozen).signs is frozen
-        ints = np.ones((2, 2, 2), dtype=int)
-        assert XorGame(Q=2, pi=pi, signs=ints).signs.dtype == np.float64 and ints.flags.writeable
+        assert np.array_equal(XorGame.from_weights(Q=2, pi=pi, signs=frozen).signs, frozen)
+        ints = np.resize([1, -1, -1], (2, 2, 2))
+        G = XorGame.from_weights(Q=2, pi=pi, signs=ints)
+        assert G.signs.dtype == np.float64 and np.array_equal(G.signs, ints) and ints.flags.writeable
 
     def test_uniform_all_positive(self):
         pi = np.zeros((2, 2, 2))
         for i, j, k in itertools.product(range(2), repeat=3):
             pi[i, j, k] = 1 / 8
-        C = XorGame(Q=2, pi=pi, signs=np.ones((2, 2, 2))).cost_tensor()
+        C = XorGame.from_weights(Q=2, pi=pi, signs=np.ones((2, 2, 2))).cost
         assert np.abs(C - 1 / 8).max() == 0
 
 
@@ -145,7 +169,13 @@ class TestGameFromTensor:
             assert rep.game.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_game_is_questions_and_signs(self):
-        assert [f.name for f in dataclasses.fields(XorGame)] == ["Q", "pi", "signs"]
+        # a game is its question count and one signed table, which the
+        # build hands over without a copy; pi and signs are derived from it
+        assert [f.name for f in dataclasses.fields(XorGame)] == ["Q", "cost"]
+        T = sample_tensor(2, SamplerConfig(seed=row_seed(0, 2, 0)))
+        G = game_from_tensor(T).game
+        assert G.cost.dtype == np.float64 and G.cost.base is None and not G.cost.flags.writeable
+        assert (G.pi * G.signs).tobytes() == G.cost.tobytes()
 
     def test_small_games_ascend_on_their_cost_tensor(self):
         # the ascent on a game's dense cost tensor and the one on g from the
@@ -208,8 +238,9 @@ class TestGameFromTensor:
 
     def test_general_tensor_build_memory(self):
         # a cold build at n = 3 hermitizes with one candidate matrix (4.19 MB)
-        # at a time and writes pi slab by slab from the hermitized part, so
-        # no hermitized matrix and no complex table is held with pi and signs
+        # at a time and writes its signed table slab by slab from the
+        # hermitized part, so no hermitized matrix and no complex table is
+        # held with it
         import tracemalloc
 
         rng = np.random.default_rng(0)
@@ -229,10 +260,10 @@ class TestClassicalExact:
         G = mermin_game()
         val, strat = classical_bias_exact(G)
         assert val == pytest.approx(0.5, abs=1e-15)
-        assert brute_force_classical(G.cost_tensor()) == pytest.approx(0.5, abs=1e-15)
+        assert brute_force_classical(G.cost) == pytest.approx(0.5, abs=1e-15)
         # returned strategy achieves the value
         achieved = np.einsum(
-            "ijk,i,j,k->", G.cost_tensor(), strat.chi, strat.upsilon, strat.zeta
+            "ijk,i,j,k->", G.cost, strat.chi, strat.upsilon, strat.zeta
         )
         assert achieved == pytest.approx(val, abs=1e-15)
 
@@ -252,12 +283,12 @@ class TestClassicalExact:
 
     def test_all_positive_signs_gives_one(self):
         pi = np.full((2, 2, 2), 1 / 8)
-        val, _ = classical_bias_exact(XorGame(Q=2, pi=pi, signs=np.ones((2, 2, 2))))
+        val, _ = classical_bias_exact(XorGame.from_weights(Q=2, pi=pi, signs=np.ones((2, 2, 2))))
         assert val == pytest.approx(1.0, abs=1e-15)
 
     def test_single_question_negative_sign_gives_one(self):
         pi = np.ones((1, 1, 1))
-        val, strat = classical_bias_exact(XorGame(Q=1, pi=pi, signs=-np.ones((1, 1, 1))))
+        val, strat = classical_bias_exact(XorGame.from_weights(Q=1, pi=pi, signs=-np.ones((1, 1, 1))))
         assert val == pytest.approx(1.0, abs=1e-15)
         assert strat.chi[0] * strat.upsilon[0] * strat.zeta[0] == -1
 
@@ -267,19 +298,19 @@ class TestClassicalExact:
             C = rng.standard_normal((3, 3, 3))
             G = cost_game(C)
             val, _ = classical_bias_exact(G)
-            assert val == pytest.approx(brute_force_classical(G.cost_tensor()), rel=1e-12)
+            assert val == pytest.approx(brute_force_classical(G.cost), rel=1e-12)
 
     def test_scale_guard(self):
         Q = 16
         pi = np.full((Q, Q, Q), 1.0 / Q**3)
         with pytest.raises(ScaleError):
-            classical_bias_exact(XorGame(Q=Q, pi=pi, signs=np.ones((Q, Q, Q))))
+            classical_bias_exact(XorGame.from_weights(Q=Q, pi=pi, signs=np.ones((Q, Q, Q))))
 
 
 def per_restart_heuristic(G, restarts=32, seed=0):
     """Oracle: coordinate ascent one restart at a time, by einsum best responses."""
     Q = G.Q
-    C = G.cost_tensor()
+    C = G.cost
     best, best_strat = -np.inf, None
     for ss in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(ss)
@@ -349,7 +380,7 @@ class TestClassicalHeuristic:
             rep = game_from_tensor(T)
             Q = rep.game.Q
             x, y, z = np.random.default_rng(n).choice([-1.0, 1.0], (3, 5, Q))
-            d_hold, g_hold = _array_maps(rep.game.cost_tensor()), _pauli_partial_sums(T)
+            d_hold, g_hold = _array_maps(rep.game.cost), _pauli_partial_sums(T)
             for dense, from_g in held_pairs(d_hold, g_hold, (x, y, z)):
                 want = dense * rep.l1_norm
                 assert from_g.shape == (5, Q)
@@ -370,7 +401,7 @@ class TestClassicalHeuristic:
         rng = np.random.default_rng(80 + n)
         full = rng.choice([-1.0, 1.0], (3, 4, Q))
         masked = full * diagonal
-        d_hold, g_hold = _array_maps(rep.game.cost_tensor()), _pauli_partial_sums(T)
+        d_hold, g_hold = _array_maps(rep.game.cost), _pauli_partial_sums(T)
         scale = np.abs(d_hold(0, full[0])(2, full[1])).max() * rep.l1_norm
         for factors in ((masked[0], full[1], full[2]), (full[0], masked[1], full[2]), (full[0], full[1], masked[2])):
             for dense, from_g in held_pairs(d_hold, g_hold, factors):
@@ -395,7 +426,7 @@ class TestClassicalHeuristic:
 
     def test_all_positive_fixed_point_from_any_start(self):
         pi = np.full((2, 2, 2), 1 / 8)
-        G = XorGame(Q=2, pi=pi, signs=np.ones((2, 2, 2)))
+        G = XorGame.from_weights(Q=2, pi=pi, signs=np.ones((2, 2, 2)))
         for seed in range(5):
             val, _ = classical_bias_heuristic(G, restarts=1, seed=seed)
             assert val == pytest.approx(1.0, abs=1e-15)
@@ -425,6 +456,24 @@ class TestClassicalHeuristic:
             want, want_strat = classical_bias_heuristic(G, restarts=4, seed=3)
         assert got == method and val == want
         assert np.array_equal(strat.chi, want_strat.chi)
+
+    def test_heuristic_reads_the_stored_table(self):
+        # the ascent's partial sums read the game's one signed table in
+        # place: no Q^3 product of pi and signs (2.1 MB at n = 3) is formed,
+        # and 32 restarts' held images stay within about 1 MB
+        import tracemalloc
+
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(0, 0)))
+        M = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+        G = game_from_tensor(Tensor3(3, M)).game
+        tracemalloc.start()
+        try:
+            value, _ = classical_bias_heuristic(G, restarts=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+        assert 0.0 < value <= 1.0
 
 
 def _oracle_correlations(S):
@@ -494,7 +543,7 @@ class TestEntangledEval:
             assert _block_lengths(S) == lengths
             assert np.abs(pauli_expectations(2, S.state) - want).max() <= 1e-12
             bias = entangled_bias_eval(rep.game, S)
-            assert abs(bias - float(np.sum(rep.game.cost_tensor() * want))) <= 1e-12
+            assert abs(bias - float(np.sum(rep.game.cost * want))) <= 1e-12
             assert bias == pytest.approx(rep.pauli_bias, rel=1e-12)
 
     def test_non_real_last_block_raises(self, monkeypatch):
@@ -523,8 +572,11 @@ class TestEntangledEval:
         def forbidden(*args, **kwargs):
             raise AssertionError("entangled_bias_eval formed a Q^3 table")
 
+        # the bias reads the game's stored signed table in place: deriving
+        # pi or signs would form a Q^3 array
         monkeypatch.setattr(game, "strategy_correlations", forbidden)
-        monkeypatch.setattr(XorGame, "cost_tensor", forbidden)
+        monkeypatch.setattr(XorGame, "pi", property(forbidden))
+        monkeypatch.setattr(XorGame, "signs", property(forbidden))
         assert entangled_bias_eval(rep.game, S) == pytest.approx(rep.pauli_bias, rel=1e-12)
 
     def test_bias_memory_below_one_table(self):
@@ -552,7 +604,7 @@ class TestEntangledEval:
             observables=([I2, I2], [I2, I2], [I2, I2]),
         )
         assert entangled_bias_eval(G, S) == pytest.approx(
-            float(np.sum(G.cost_tensor())), abs=1e-12
+            float(np.sum(G.cost)), abs=1e-12
         )
 
     def test_chsh_optimal_qubit_strategy(self):
@@ -762,7 +814,7 @@ class TestPauliStrategy:
         T = sample_tensor(1, SamplerConfig(seed=7))
         H = hermitize(T)
         rep = game_from_tensor(T)
-        C = rep.game.cost_tensor()
+        C = rep.game.cost
         basis = np.array(build_basis(1).elements)
         signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
         aggregates = np.einsum("cp,pab->cab", signs, basis)
@@ -802,7 +854,7 @@ def oracle_seesaw(G, d, restarts=8, seed=0, on_sweep=None):
     checked against the einsum chain separately); the packaged routine must
     retrace it sweep for sweep."""
     Q = G.Q
-    C = G.cost_tensor()
+    C = G.cost
     best = -np.inf
     best_strat = None
     for r, ss in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
@@ -875,7 +927,7 @@ class TestSeesaw:
         games = [(G, d) for G, d, _, _ in _seesaw_oracle_cases()]
         games.append((cost_game(rng.standard_normal((16, 16, 16))), 4))
         for G, d in games:
-            C = G.cost_tensor()
+            C = G.cost
             S = _random_strategy(rng, (d, d, d), (G.Q,) * 3)
             A, B, Cm = (np.array(obs) for obs in S.observables)
             p3 = S.state.reshape(d, d, d)
@@ -991,8 +1043,48 @@ class TestIo:
         save_game_csv(path, G)
         back = load_game_csv(path)
         assert back.Q == G.Q
-        assert np.array_equal(back.pi, G.pi)
-        assert np.array_equal(back.signs, G.signs)
+        assert back.cost.tobytes() == G.cost.tobytes()
+
+    def test_game_csv_bytes_and_signed_zeros(self, tmp_path):
+        # the writer's bytes are the per-entry writer's that defined the
+        # format, and a zero weight keeps its sign through save -> load -> save
+        def entrywise(pi, signs):
+            Q = len(pi)
+            lines = ["q1,q2,q3,pi,sign"]
+            for i, j, k in itertools.product(range(Q), repeat=3):
+                lines.append(f"{i},{j},{k},{float(pi[i, j, k])!r},{int(signs[i, j, k])}")
+            return ("\r\n".join(lines) + "\r\n").encode()
+
+        mermin_pi, mermin_signs = np.zeros((2, 2, 2)), np.ones((2, 2, 2))
+        for key, sign in {(0, 0, 0): 1.0, (0, 1, 1): -1.0, (1, 0, 1): -1.0, (1, 1, 0): -1.0}.items():
+            mermin_pi[key], mermin_signs[key] = 0.25, sign
+        chsh_pi, chsh_signs = np.zeros((4, 4, 4)), np.ones((4, 4, 4))
+        chsh_pi[:2, :2, 0] = 0.25
+        chsh_signs[1, 1, 0] = -1.0
+        built = game_from_tensor(sample_tensor(1, SamplerConfig(seed=5))).game
+        path = tmp_path / "g.csv"
+        for G, pi, signs in [
+            (mermin_game(), mermin_pi, mermin_signs),
+            (embedded_chsh_game(), chsh_pi, chsh_signs),
+            (built, built.pi, built.signs),
+        ]:
+            save_game_csv(path, G)
+            assert path.read_bytes() == entrywise(pi, signs)
+        pi = np.full((2, 2, 2), 1 / 7)
+        signs = np.ones((2, 2, 2))
+        pi[1, 1, 1], signs[1, 1, 1] = 0.0, -1.0
+        save_game_csv(path, XorGame.from_weights(Q=2, pi=pi, signs=signs))
+        first = path.read_bytes()
+        assert b"\r\n1,1,1,0.0,-1\r\n" in first
+        back = load_game_csv(path)
+        assert np.signbit(back.cost[1, 1, 1]) and back.signs[1, 1, 1] == -1.0
+        save_game_csv(path, back)
+        assert path.read_bytes() == first
+        # a weight written as -0.0 is +0 with its row's sign
+        for sign in (1, -1):
+            path.write_text(f"q1,q2,q3,pi,sign\n0,0,0,1.0,1\n1,1,1,-0.0,{sign}\n")
+            G = load_game_csv(path)
+            assert G.pi[1, 1, 1] == 0.0 and not np.signbit(G.pi[1, 1, 1]) and G.signs[1, 1, 1] == sign
 
     def test_strategy_json_round_trip(self):
         S = ghz_strategy()

@@ -50,20 +50,21 @@ class TestGapSweep:
 
     def test_sampled_row_never_reads_cost_tensor(self, monkeypatch):
         # an n = 3 row takes its classical partial sums from g; a general
-        # tensor's game reads its cost tensor and never the g oracle
+        # tensor's game ascends on its stored signed table, read in place,
+        # and never on the g oracle
         from xorgap import game
         from xorgap.tensor import Tensor3
 
-        calls = []
-        cost_tensor = game.XorGame.cost_tensor
+        tables = []
+        array_maps = game._array_maps
 
-        def counting_cost_tensor(self):
-            calls.append(self.Q)
-            return cost_tensor(self)
+        def recording_array_maps(W):
+            tables.append(W)
+            return array_maps(W)
 
-        monkeypatch.setattr(game.XorGame, "cost_tensor", counting_cost_tensor)
+        monkeypatch.setattr(game, "_array_maps", recording_array_maps)
         row = compute_gap_row(3, row_seed(0, 3, 0))
-        assert row.classical_method == "heuristic" and calls == []
+        assert row.classical_method == "heuristic" and tables == []
 
         def forbidden(T):
             raise AssertionError("the g oracle ran on a general tensor")
@@ -73,7 +74,7 @@ class TestGapSweep:
         M = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
         report = game.game_from_tensor(Tensor3(3, M))
         game.classical_bias_heuristic(report.game, restarts=4)
-        assert calls == [64]
+        assert len(tables) == 1 and tables[0] is report.game.cost
 
     def test_sampled_row_never_builds_matrix(self, monkeypatch):
         # every stage of a sampled row, the game build included, works from g
@@ -273,6 +274,8 @@ class TestGapSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("the row built a game")
 
+        # every game, one from (pi, signs) included, is its signed table
+        # checked by __post_init__, so no Q^3 table is built or checked
         monkeypatch.setattr(game, "game_from_tensor", forbidden)
         monkeypatch.setattr(game.XorGame, "__post_init__", forbidden)
         row = compute_gap_row(3, row_seed(0, 3, 0))
