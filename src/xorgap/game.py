@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -666,10 +667,17 @@ def load_game_csv(path) -> XorGame:
     Raises ValueError for a missing header, a row with fewer than five
     fields, a question index outside 0..4^MAX_QUBITS - 1 (no tensor here
     yields a larger game), a repeated triple, or no question rows, and for
-    the checks of :func:`_signed` on the rows' pi and signs.
-    Unlisted triples have weight +0 and sign +1.
+    the checks of :func:`_signed` on the rows' pi and signs.  Rows are read
+    into flat buffers, a triple packed into one integer, and checked line
+    by line; repeated triples are found by one sort once every row is read,
+    and the error names the line of the earliest row that repeats an
+    earlier row's triple.  Unlisted triples have weight +0 and sign +1.
     """
-    rows = {}
+    L = 4**MAX_QUBITS
+    # each row as machine values: its triple packed in base L, pi, sign and
+    # the line on which csv read it
+    keys, pis, sgns, lines = array("q"), array("d"), array("d"), array("q")
+    top = -1  # the largest question index seen
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         if next(r, [])[:5] != ["q1", "q2", "q3", "pi", "sign"]:
@@ -677,22 +685,40 @@ def load_game_csv(path) -> XorGame:
         for row in r:
             if len(row) < 5:
                 raise ValueError(f"game CSV line {r.line_num}: {len(row)} fields, need 5")
-            key = (int(row[0]), int(row[1]), int(row[2]))
-            if min(key) < 0:
+            i, j, k = int(row[0]), int(row[1]), int(row[2])
+            if min(i, j, k) < 0:
                 raise ValueError(f"game CSV line {r.line_num}: negative question index")
-            if max(key) >= 4**MAX_QUBITS:
-                raise ValueError(f"game CSV line {r.line_num}: question index above {4**MAX_QUBITS - 1}")
-            if key in rows:
-                raise ValueError(f"game CSV line {r.line_num}: repeated question triple {key}")
-            rows[key] = (float(row[3]), float(row[4]))
-    if not rows:
+            hi = max(i, j, k)
+            if hi >= L:
+                raise ValueError(f"game CSV line {r.line_num}: question index above {L - 1}")
+            if hi > top:
+                top = hi
+            keys.append((i * L + j) * L + k)
+            pis.append(float(row[3]))
+            sgns.append(float(row[4]))
+            lines.append(r.line_num)
+    if not keys:
         raise ValueError("game CSV has no question rows")
-    Q = max(max(key) for key in rows) + 1
-    at = np.fromiter(((i * Q + j) * Q + k for i, j, k in rows), np.intp, len(rows))
-    pi, signs = np.fromiter(itertools.chain.from_iterable(rows.values()), np.float64, 2 * len(rows)).reshape(-1, 2).T
-    del rows  # most of the load's memory, freed before the table is built
+    packed = np.frombuffer(keys, np.int64)
+    ordered = np.sort(packed)
+    if np.any(ordered[1:] == ordered[:-1]):
+        seen = set()
+        for n, key in enumerate(keys):  # the earliest repeat
+            if key in seen:
+                triple = (key // (L * L), key // L % L, key % L)
+                raise ValueError(f"game CSV line {lines[n]}: repeated question triple {triple}")
+            seen.add(key)
+    del ordered, lines
+    # the signs read-only, so that _as_signs checks them without a copy
+    values = _signed(np.frombuffer(pis), _frozen(np.frombuffer(sgns)))
+    del pis, sgns
+    Q = top + 1
+    at = packed // (L * L) * (Q * Q)
+    at += packed // L % L * Q
+    at += packed % L
+    del packed, keys
     cost = np.zeros(Q**3)
-    cost[at] = _signed(pi, signs)
+    cost[at] = values
     return XorGame(Q=Q, cost=_frozen(cost.reshape(Q, Q, Q)))
 
 

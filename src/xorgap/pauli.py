@@ -172,18 +172,15 @@ def _rank_one_setup(n: int, masked: bool) -> SimpleNamespace:
 _cached_rank_one_setup = lru_cache(maxsize=None)(_rank_one_setup)
 
 
-def _other_modes(K: np.ndarray, plan, diag: np.ndarray, xz: np.ndarray, D: np.ndarray | None = None) -> None:
+def _other_modes(K: np.ndarray, plan, diag: np.ndarray, xz: np.ndarray) -> None:
     """Transform a slab K (m, Q, Q) of player-1-transformed matrices on the
-    other two modes, in place: the XOR-diagonal gather by diag, two products
-    with H_N and the gather by xz into (p, q, r) order, q's and r's phases
-    left out (see :func:`_back_end`).  D is a work array of K's shape and
-    dtype, or None for a fresh one; the indices are valid, so the gathers
-    into a given array run unbuffered (mode "clip")."""
+    other two modes, in place: the XOR-diagonal gather by diag into one
+    fresh work array D of K's shape and dtype, two products with H_N and
+    the gather by xz into (p, q, r) order, q's and r's phases left out (see
+    :func:`_back_end`).  The indices are valid, so the gather back into K
+    runs unbuffered (mode "clip")."""
     m, N, Q, H = len(K), plan.N, plan.N * plan.N, plan.H
-    if D is not None:
-        D = np.take(K.reshape(m, Q * Q), diag, axis=1, out=D.reshape(m, *diag.shape), mode="clip")
-    else:
-        D = np.take(K.reshape(m, Q * Q), diag, axis=1)  # (p, v2, x, v3)
+    D = np.take(K.reshape(m, Q * Q), diag, axis=1)  # (p, v2, x, v3)
     np.matmul(D.reshape(-1, N), H, out=K.reshape(-1, N))  # (p, v2, x, z3)
     np.matmul(H, K.reshape(m, N, -1), out=D.reshape(m, N, -1))  # (p, z2, x, z3)
     np.take(D.reshape(m, Q * Q), xz, axis=1, out=K, mode="clip")  # (p, q, r)
@@ -234,8 +231,9 @@ def _dense_slabs(T: Tensor3):
     part from its parent), and one real product with H_N over b gives
     R_p[u, v] = Σ_b (-1)^{z_p·b} B[b, u, v] for all N of them; the other
     two modes are :func:`_other_modes`, and the phase (-i)^{y_p+y_q+y_r}
-    is one product per question.  O(N^7) per table, and the intermediates
-    are B and two N^5 work arrays.
+    is one product per question.  O(N^7) per table, and at most two N^5
+    arrays are alive at once: B and the slab K it is transformed into, then
+    K and the back end's work array, made after B is freed.
     """
     plan = _plan(T.n)
     N, H = plan.N, plan.H
@@ -243,12 +241,12 @@ def _dense_slabs(T: Tensor3):
     diag, xz = _back_end(plan, True)
     # (-i)^{y_p + y_q + y_r} at [y_p mod 4, q, r]
     w = np.array([1, -1j, -1, 1j])[:, None, None] * np.outer(plan.phase, plan.phase)
-    K, D = np.empty((2, N, Q, Q), np.complex128)
+    K = np.empty((N, Q, Q), np.complex128)
     for x in range(N):
         ps = plan.place[x * N : (x + 1) * N]
         # B, as (b, (u, v, re/im)) floats, is freed before the back end runs
         np.matmul(H, T._offset_block(x).view(np.float64).reshape(N, -1), out=K.view(np.float64).reshape(N, -1))
-        _other_modes(K, plan, diag, xz, D)
+        _other_modes(K, plan, diag, xz)
         for k, y in zip(K, plan.y[ps]):
             k *= w[y % 4]
         yield ps, K

@@ -258,6 +258,7 @@ def _masked_product(x: np.ndarray, N: int) -> np.ndarray:
 
 
 _LANCZOS_TOL = 1e-14
+_LANCZOS_ROWS = 32  # the basis grows by this many rows at a time
 
 
 def _lanczos_extremes(matvec, dim: int, dtype, frob2: float | None) -> tuple[float, np.ndarray, float, np.ndarray]:
@@ -287,22 +288,22 @@ def _lanczos_extremes(matvec, dim: int, dtype, frob2: float | None) -> tuple[flo
 
     The tridiagonal is solved every step up to 8, then about every k/8
     steps (at most 1/8 extra iterations), and at once when beta_k falls
-    below the last tolerance.  The basis grows by doubling, so memory
-    follows the iteration count.
+    below the last tolerance.  The basis V is one contiguous array that
+    grows in place by _LANCZOS_ROWS rows (`ndarray.resize`, so no view of
+    it is alive across a step), so memory follows the iteration count with
+    no second copy of the basis.
     """
     q = np.random.default_rng(0).standard_normal(dim).astype(dtype)
     q /= np.linalg.norm(q)
-    V = np.empty((min(dim, 32), dim), dtype=dtype)
+    V = np.empty((min(dim, _LANCZOS_ROWS), dim), dtype=dtype)
     alpha, beta = [], []
     k = check = 1
     tol = 0.0
     while True:
-        if k > V.shape[0]:
-            grow = min(dim, 2 * V.shape[0]) - V.shape[0]
-            V = np.concatenate([V, np.empty((grow, dim), dtype=dtype)])
+        if k > len(V):
+            V.resize((min(dim, len(V) + _LANCZOS_ROWS), dim), refcheck=False)
         V[k - 1] = q
-        Vk = V[:k]
-        w, h = _orthogonalized(matvec(q), Vk)
+        w, h = _orthogonalized(matvec(q), V[:k])
         alpha.append(float(h[-1].real))
         b = float(np.linalg.norm(w))
         if k == check or k == dim or b <= tol:
@@ -321,7 +322,7 @@ def _lanczos_extremes(matvec, dim: int, dtype, frob2: float | None) -> tuple[flo
         beta.append(b)
         q = w / b
         k += 1
-    return theta[0], S[:, 0] @ Vk, theta[-1], S[:, -1] @ Vk
+    return theta[0], S[:, 0] @ V[:k], theta[-1], S[:, -1] @ V[:k]
 
 
 def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
@@ -632,8 +633,9 @@ def _lockstep_ascent(hold, update, starts, max_sweeps, stop, on_sweep=None):
     one hold serves two updates: the factor that neither of the next two
     updates changes is held.  The schedule is hold Z, update X and Y; hold
     Y, update Z and X; hold X, update Y and Z; and again, so a sweep makes
-    1.5 holds.  Each update is update(image, old, valued)[:2] = (new
-    factors, values), and the values are read only from the Z update
+    1.5 holds.  The previous held map is dropped before the next hold, so
+    one is alive at a time.  Each update is update(image, old, valued)[:2]
+    = (new factors, values), and the values are read only from the Z update
     (valued True), whose values are the sweep's.  stop(prev, values, old,
     new) marks the restarts that leave after the sweep, given their values
     before and after it (prev is 0 before the first) and their (X, Y, Z)
@@ -669,6 +671,7 @@ def _lockstep_ascent(hold, update, starts, max_sweeps, stop, on_sweep=None):
         old = tuple(F) if gather is None else tuple(f[gather] for f in F)
         for m, h, fresh in _SCHEDULE[it % 2]:
             if fresh:
+                image = None  # the previous held map goes before the next is made
                 image = hold(h, F[h])
             F[m], v = update(image(m, F[3 - h - m]), F[m], m == 2)[:2]
             if gather is not None:

@@ -197,8 +197,8 @@ class TestFourier:
 
     def test_dense_fourier_memory(self):
         # at n = 3 the output is one complex Q^3 array, 4.19 MB; the slabs
-        # add an offset block and two work arrays of N^5 entries (0.5 MB
-        # each), with no mode-view copy and no second complex table
+        # add at most two arrays of N^5 entries at once (0.5 MB each), with
+        # no mode-view copy and no second complex table
         import tracemalloc
 
         rng = np.random.default_rng(0)

@@ -1345,6 +1345,59 @@ class TestHermitize:
         assert H._matrix is T.matrix and H._eig is not None
 
 
+_MiB = 2**20
+
+
+@pytest.fixture(scope="module")
+def general_n3():
+    """Read-only 512 x 512 complex matrices of general n = 3 tensors, keyed
+    by (seed, key) and seeded as the benchmark's general inputs are, each
+    built once per module."""
+    out = {}
+    for seed, key in ((0, 0), (7, 0)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, key)))
+        M = _random_general(rng, 512)
+        M.setflags(write=False)
+        out[seed, key] = M
+    return out
+
+
+def _traced_peak(f):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGeneralStageMemory:
+    """Traced peaks of the general-tensor stages at n = 3, the tensor's
+    matrix (4.19 MB) built before tracing: each stage holds one N^6 work
+    array, one Krylov basis and one slab of scratch besides it."""
+
+    @pytest.mark.parametrize("seed, bound", [((0, 0), 5.6), ((7, 0), 6.2)])
+    def test_hermitize_holds_one_basis(self, general_n3, seed, bound):
+        # one candidate matrix (4.19 MB) plus a Lanczos basis that grows in
+        # place by 32 rows: seed (7, 0)'s anti candidate takes 143 steps,
+        # 160 rows (1.3 MB), where doubling held 128 and 256 rows at once
+        # (8.28 MiB); seed (0, 0) peaked at 6.09 MiB with doubling
+        T = Tensor3(3, general_n3[seed])
+        assert _traced_peak(lambda: hermitize(T)) < bound * _MiB
+
+    def test_pauli_table_holds_two_slab_buffers(self, general_n3):
+        # the two-plane table (4.19 MB) and, per XOR offset, at most two N^5
+        # complex arrays (0.52 MB each): the offset block and the slab, then
+        # the slab and the back end's work array (5.82 MiB when that work
+        # array was allocated while the block was alive)
+        from xorgap.tensor import _pauli_table
+
+        T = Tensor3(3, general_n3[0, 0])
+        assert _traced_peak(lambda: _pauli_table(T)) < 5.5 * _MiB
+
+
 def _random_general(rng, D):
     return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
 
