@@ -268,8 +268,9 @@ def fourier(T: Tensor3) -> FourierTable:
     A sampled tensor's table is that of the rank-one g g^T under the
     collision mask, in real arithmetic, so its matrix is never built.  Any
     other tensor's comes from its matrix view by XOR offsets of player 1
-    (:func:`_dense_slabs`), with no mode-view copy and no second complex
-    N^6 array.  ScaleError above MAX_QUBITS, before anything is allocated.
+    (:func:`_dense_slabs`), with no reordered copy of the matrix and no
+    second complex N^6 array.  ScaleError above MAX_QUBITS, before anything
+    is allocated.
     """
     _check_table_size(T.n)
     Q = T.N * T.N
@@ -298,10 +299,18 @@ def _mode_transform(A: np.ndarray, W: np.ndarray) -> np.ndarray:
 def inverse_fourier(F: FourierTable) -> Tensor3:
     """Rebuild the tensor: T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R, by three complex
     mode GEMMs (:func:`_mode_transform`) with the per-mode inverse B^H / N,
-    where row p of B is conj(P_p) flattened."""
-    Q = F.N * F.N
-    Binv = _matrices(np.eye(Q)).reshape(Q, Q).conj().T / F.N  # the rows of B satisfy B† B = N I
-    return Tensor3.from_mode_view(F.n, _mode_transform(Binv, F.coefficients.astype(np.complex128)))
+    where row p of B is conj(P_p) flattened.  Their (d, d, d) result, indexed
+    ((i, i'), (j, j'), (k, k')), is copied into the GEMMs' other buffer as the
+    matrix view, rows (i, j, k) and columns (i', j', k'), so the inverse holds
+    two complex N^6 arrays at most."""
+    N, Q = F.N, F.N * F.N
+    Binv = _matrices(np.eye(Q)).reshape(Q, Q).conj().T / N  # the rows of B satisfy B† B = N I
+    W = F.coefficients.astype(np.complex128)
+    C = _mode_transform(Binv, W)
+    np.copyto(W.reshape((N,) * 6), C.reshape((N,) * 6).transpose(0, 2, 4, 1, 3, 5))
+    M = W.reshape(N**3, N**3)
+    M.setflags(write=False)
+    return Tensor3(F.n, M)
 
 
 def _player_marginal(psi: np.ndarray, B: np.ndarray, Cm: np.ndarray) -> np.ndarray:

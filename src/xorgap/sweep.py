@@ -227,8 +227,8 @@ def _suite_identities(seed: int) -> SuiteReport:
         T = tensor.sample_tensor(n, tensor.SamplerConfig(seed=row_seed(seed, n, 0)))
         table = pauli.fourier(T)
         # the built matrix against the dense basis, independent of fourier
-        B = pauli.build_basis(n).elements.conj().reshape(N * N, -1)
-        dense_table = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
+        Bc = pauli.build_basis(n).elements.conj()
+        dense_table = np.einsum("pia,qjb,rkc,ijkabc->pqr", Bc, Bc, Bc, T.matrix.reshape((N,) * 6), optimize=True)
         from_g_err = float(np.abs(table.coefficients - dense_table).max())
         back = pauli.inverse_fourier(table)
         rt_err = float(np.abs(back.matrix - T.matrix).max())
@@ -266,7 +266,7 @@ def _suite_identities(seed: int) -> SuiteReport:
             # dense basis, and its game's closed-form bias against the
             # explicit strategy evaluated on that game
             general_table = pauli.fourier(G).coefficients
-            want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, G.mode_view(), optimize=True)
+            want = np.einsum("pia,qjb,rkc,ijkabc->pqr", Bc, Bc, Bc, M.reshape((N,) * 6), optimize=True)
             general_rep = game.game_from_tensor(G)
             g_explicit = game.entangled_bias_eval(general_rep.game, game.pauli_strategy(G))
             checks += [

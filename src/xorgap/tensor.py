@@ -2,10 +2,11 @@
 
 A tensor here has shape (N^2, N^2, N^2) with N = 2^n, each axis indexed by an
 ordered pair (i, i') of local indices.  Grouping rows (i, j, k) against columns
-(i', j', k') turns the same data into an N^3 x N^3 complex matrix; both views
-are used throughout.  The central object is the randomly sampled tensor whose
-matrix view is the outer product of a length-N^3 vector with itself, with every
-entry killed whenever any of the three index pairs collides.
+(i', j', k') turns the same data into an N^3 x N^3 complex matrix, the one
+layout in which a general tensor is stored and contracted.  The central object
+is the randomly sampled tensor whose matrix view is the outer product of a
+length-N^3 vector with itself, with every entry killed whenever any of the
+three index pairs collides.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ class Tensor3:
     """Immutable N^2 x N^2 x N^2 complex tensor, given by exactly one thing.
 
     A general tensor is its N^3 x N^3 matrix view (rows flattened (i, j, k),
-    columns (i', j', k'), both row-major).  A sampled tensor is its raw
+    columns (i', j', k'), both row-major), its only layout: every product,
+    pairing and Pauli transform of it reads that matrix, and no other
+    arrangement of its entries is formed.  A sampled tensor is its raw
     vector g: its matrix view, g g^T under the collision mask, is built on
     first read and cached.  A hermitized part is its parent's matrix M and
     the part, "sym" for (M + M^H)/2 or "anti" for i(M - M^H)/2
@@ -152,14 +155,6 @@ class Tensor3:
         # M^T[(b ⊕ x, u), (b, v)] = M[(b, v), (b ⊕ x, u)] = P[b ⊕ x, v, u]
         return _hermitian_part(P, P[b ^ x].transpose(0, 2, 1), self._part)
 
-    def mode_view(self) -> np.ndarray:
-        """Return the ((i,i'), (j,j'), (k,k')) three-axis view, shape (N^2,)*3."""
-        N = self.N
-        t6 = self.matrix.reshape(N, N, N, N, N, N)  # i j k i' j' k'
-        return np.ascontiguousarray(
-            t6.transpose(0, 3, 1, 4, 2, 5).reshape(N * N, N * N, N * N)
-        )
-
     def is_hermitian(self) -> bool:
         """Whether the matrix view equals its conjugate transpose bit for bit
         (as `np.array_equal`: -0 equals +0, and a NaN entry is never
@@ -181,16 +176,6 @@ class Tensor3:
             return float(np.linalg.norm(self.matrix))
         g2 = self.raw_g * self.raw_g
         return float(np.sqrt(g2 @ _masked_product(g2, self.N)))
-
-    @classmethod
-    def from_mode_view(cls, n: int, W: np.ndarray) -> "Tensor3":
-        N = 2**n
-        if W.shape != (N * N, N * N, N * N):
-            raise DimensionError(f"mode view must be ({N*N},)*3, got {W.shape}")
-        t6 = W.reshape(N, N, N, N, N, N)  # (i i') (j j') (k k')
-        M = t6.transpose(0, 2, 4, 1, 3, 5).copy().reshape(N**3, N**3)
-        M.setflags(write=False)
-        return cls(n, M)
 
 
 @dataclass
@@ -399,22 +384,23 @@ def spectral_norm(T: Tensor3) -> float:
 def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> complex:
     """Pair the tensor with X ⊗ Y ⊗ Z entrywise: sum T[(ii'),(jj'),(kk')] X[ii'] Y[jj'] Z[kk'].
 
-    Computed with the mode maps of :func:`_mode_contraction`, X and Y passed
-    through its `enter` once (see :func:`_pair`): O(N^4) from g for a
-    sampled tensor, whose matrix is never built, and two products on the
-    mode view otherwise.
+    The one pairing of the package, and the ALS's witness check.  A sampled
+    tensor pairs through the g maps of :func:`_mode_contraction`, X and Y
+    passed through its `enter` once: O(N^4), and its matrix is never built.
+    Any other tensor contracts its matrix view M directly: X against player
+    1's row and column indices of M in one product (through one transient
+    copy of M), then the N^4 entries left against Y ⊗ Z.
     """
     N = T.N
     for name, M in (("X", X), ("Y", Y), ("Z", Z)):
         if np.shape(M) != (N, N):
             raise DimensionError(f"{name} must be {N}x{N}")
+    if T.raw_g is None:
+        W = np.tensordot(X, T.matrix.reshape(N, N * N, N, N * N), axes=([0, 1], [0, 2]))
+        return complex(np.sum(W * np.kron(Y, Z)))
     enter, hold = _mode_contraction(T)
-    return _pair(hold, enter(np.asarray(X)), enter(np.asarray(Y)), Z)
-
-
-def _pair(hold, X: np.ndarray, Y: np.ndarray, Z) -> complex:
-    """<A, Z> for one factor triple, A the image on mode 2 with Y held on mode 1."""
-    return complex(np.sum(hold(1, Y[None])(2, X[None])[0] * Z))
+    image = hold(1, enter(Y)[None])
+    return complex(np.sum(image(2, enter(X)[None])[0] * Z))
 
 
 def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
@@ -496,11 +482,11 @@ def _array_maps(W: np.ndarray):
     and returns image(m, G), which sums U against G on the third mode and
     returns the image on mode m, one batched product per image.  The hold
     is one pass over W: one GEMM for an outer mode, a batch of S d small
-    GEMMs for the middle one.  A factor stack has shape (R, *shape) with d
-    real or complex entries per factor (N x N matrices against a tensor's
-    mode view, sign vectors of length Q against a game's cost tensor, real
-    coordinate vectors against a Pauli table), read-only or not; an image
-    has shape (R, *shape), or (R, S, *shape) for planes.  O(d^3 R) per hold.
+    GEMMs for the middle one.  A factor stack has shape (R, d) of real
+    vectors (sign vectors of length Q against a game's signed table,
+    coordinate vectors against a real Pauli table or its two planes),
+    read-only or not; an image has shape (R, d), or (R, S, d) for planes.
+    O(d^3 R) per hold.
     """
     planes = W.shape[:-3]
     d = W.shape[-1]
@@ -514,7 +500,7 @@ def _array_maps(W: np.ndarray):
         U = np.matmul(F.reshape(R, d), by_mode[h])
         # U[r, s, i, j] over the other two modes i < j, a view
         U = U.reshape(S, d, R, d).transpose(2, 0, 1, 3) if h == 1 else U.reshape(S, R, d, d).transpose(1, 0, 2, 3)
-        shape = (R, *planes, *F.shape[1:])
+        shape = (R, *planes, d)
 
         def image(m, G):
             if m < 3 - h - m:  # the image's mode comes first in U
@@ -533,12 +519,11 @@ def _mode_contraction(T: Tensor3):
     hold(h, H) holds H on mode h and returns image(m, F), the image on mode
     m with F on the third mode.  The maps read factors only as `enter`
     returns them, and every factor update built from their images keeps
-    that form.  A tensor given by its matrix hands its mode view to
-    :func:`_array_maps`, and enter leaves a stack as it is; the ALS of such
-    a tensor ascends on its Pauli table, so this branch serves
-    `trilinear_eval` and the ALS's witness check.
+    that form.  Only a sampled tensor has these maps; a tensor given by its
+    matrix ascends on its Pauli table and pairs on its matrix (see
+    :func:`trilinear_eval`).
 
-    A tensor carrying its sampling vector is g g^T under the collision mask
+    A sampled tensor is g g^T under the collision mask
     (J - I)^{⊗3}, and enter returns a complex, C-ordered copy of a stack
     with zero diagonals: the mask pairs nothing with a diagonal entry.  The
     start stacks, `trilinear_eval`'s arguments and each factor of the
@@ -558,9 +543,6 @@ def _mode_contraction(T: Tensor3):
     """
     N = T.N
     N2 = N * N
-    if T.raw_g is None:
-        return (lambda F: F), _array_maps(T.mode_view())
-
     G = T.raw_g.reshape(N, N, N)
     off = 1.0 - np.eye(N)
     # G for S = G ×h H, rows (i', j') over the other modes in cyclic order
@@ -826,11 +808,11 @@ def trilinear_norm_lower(
     before any reports iteration i + 1.
 
     A sweep costs 1.5 passes over the table, O(N^6 R), and O(N^4 R) on g.
-    The winner is paired again through the maps of :func:`_mode_contraction`:
-    the g maps of a sampled tensor or the dense mode view of any other, for
-    the table route an independent oracle, so the check never rereads the
-    table that produced the value.  ValueError is raised when that pairing
-    differs from its ALS value by more than 1e-9 relative.  ValueError is
+    The winner is paired again by :func:`trilinear_eval`, on g for a
+    sampled tensor and on the matrix view for any other, so the table route
+    never rereads the table that produced its value; that pairing is the
+    returned value and the witness's.  ValueError is raised when it
+    differs from the ALS value by more than 1e-9 relative.  ValueError is
     also raised up front for restarts or max_iters below 1 and for a tol
     that is negative or not finite (a NaN tol would never stop a restart).
     """
@@ -874,17 +856,14 @@ def trilinear_norm_lower(
             _array_maps(_pauli_table(T)), lambda a, old, valued: rule(a, old), coords, max_iters, stop, on_sweep
         )
         X, Y, Z = _matrices(np.stack(factors)) / np.sqrt(N)
-        # paired through the g maps or the dense mode view, so the check
-        # never rereads the table; the maps are built only now, so a
-        # general tensor's mode view and table are never held together
-        enter, hold = _mode_contraction(T)
-        value = _pair(hold, *enter(np.stack([X, Y])), Z)
     else:
         enter, hold = _mode_contraction(T)
         best_val, (X, Y, Z) = _lockstep_ascent(
             hold, lambda A, old, valued: _hermitian_factor(A, old), enter(starts), max_iters, stop, on_sweep
         )
-        value = _pair(hold, X, Y, Z)
+    # the table route's table went with its ascent, so it is never held
+    # beside the pairing's transient copy of a general tensor's matrix
+    value = trilinear_eval(T, X, Y, Z)
     if abs(abs(value) - best_val) > 1e-9 * max(abs(value), best_val):
         raise ValueError(f"ALS value {best_val!r} does not match its witness ({abs(value)!r})")
     return abs(value), TrilinearWitness(X=X, Y=Y, Z=Z, value=value)
@@ -915,9 +894,10 @@ def _net_forms(T: Tensor3, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     sigma_max(M1[p]), from one stacked `eigvalsh` of the Grams M1[p]^H M1[p]."""
     N = T.N
     E, trace = _net_frame(N, eps)
+    # the unmasked g g^T with each player's index pair (i, i') adjacent, so
+    # <g| X⊗Y⊗Z |g> pairs it with the flattened factors; tr X = <vec I, vec X>,
+    # so folding the trace term into it makes the deviation one trilinear form
     Wg = np.outer(T.raw_g, T.raw_g).reshape(N, N, N, N, N, N).transpose(0, 3, 1, 4, 2, 5)
-    # tr X = <vec I, vec X>, so folding the trace term into the mode view
-    # makes the deviation one trilinear form in the flattened factors
     M1 = (E @ Wg.reshape(N * N, -1)).reshape(trace.shape) + trace
     sigma = np.sqrt(np.linalg.eigvalsh(M1.conj().transpose(0, 2, 1) @ M1)[:, -1])
     return E, M1, sigma

@@ -832,9 +832,8 @@ class TestPauliStrategy:
         aggregates = np.einsum("cp,pab->cab", signs, basis)
         fro = np.linalg.norm(aggregates, axis=(1, 2))
         assert np.abs(fro - 2.0**1.5).max() <= 1e-12
-        W = H.mode_view()
-        flat = aggregates.reshape(16, 4)
-        tri = np.einsum("abc,xa,yb,zc->xyz", W, flat, flat, flat, optimize=True)
+        A = aggregates
+        tri = np.einsum("ijkabc,xia,yjb,zkc->xyz", H.matrix.reshape((2,) * 6), A, A, A, optimize=True)
         bias = np.einsum("ijk,xi,yj,zk->xyz", C, signs, signs, signs, optimize=True)
         assert np.abs(tri.real / rep.l1_norm - bias).max() <= 1e-10
         assert np.abs(tri.imag).max() <= 1e-10

@@ -148,7 +148,7 @@ class TestFourier:
         # strings (the collision entries) come out exactly 0
         N = 2**n
         basis = build_basis(n)
-        B = basis.elements.conj().reshape(N * N, -1)
+        B = basis.elements.conj()
         y = np.array([label.count("Y") for label in basis.labels])
         odd = (y[:, None, None] + y[:, None] + y) % 2 == 1
         iz = np.array([set(label) <= set("IZ") for label in basis.labels])
@@ -159,7 +159,7 @@ class TestFourier:
         )
         for T in tensors:
             got = fourier(T).coefficients
-            want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
+            want = np.einsum("pia,qjb,rkc,ijkabc->pqr", B, B, B, T.matrix.reshape((N,) * 6), optimize=True)
             assert got.dtype == np.float64 and got.shape == (N * N,) * 3
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.all(got[odd] == 0.0)
@@ -173,9 +173,9 @@ class TestFourier:
         D = 8**n
         rng = np.random.default_rng(50 + n)
         M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        B = build_basis(n).elements.conj().reshape(4**n, -1)
+        N, B = 2**n, build_basis(n).elements.conj()
         for T in (Tensor3(n, M), Tensor3(n, (M + M.conj().T) / 2.0), hermitize(Tensor3(n, M))):
-            want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
+            want = np.einsum("pia,qjb,rkc,ijkabc->pqr", B, B, B, T.matrix.reshape((N,) * 6), optimize=True)
             got = fourier(T).coefficients
             assert got.shape == want.shape and got.dtype == np.complex128
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -198,7 +198,7 @@ class TestFourier:
     def test_dense_fourier_memory(self):
         # at n = 3 the output is one complex Q^3 array, 4.19 MB; the slabs
         # add at most two arrays of N^5 entries at once (0.5 MB each), with
-        # no mode-view copy and no second complex table
+        # no reordered copy of the matrix and no second complex table
         import tracemalloc
 
         rng = np.random.default_rng(0)
@@ -221,8 +221,8 @@ class TestFourier:
         Q = 4**n
         monkeypatch.setattr(pauli, "_BLOCK_BYTES", 16 * Q * Q * step)
         T = sample_tensor(n, SamplerConfig(seed=60 + n))
-        B = build_basis(n).elements.conj().reshape(Q, -1)
-        want = np.einsum("pa,qb,rc,abc->pqr", B, B, B, T.mode_view(), optimize=True)
+        B = build_basis(n).elements.conj()
+        want = np.einsum("pia,qjb,rkc,ijkabc->pqr", B, B, B, T.matrix.reshape((T.N,) * 6), optimize=True)
         slabs = list(pauli._rank_one_slabs(n, T.raw_g, True))
         assert [ps.stop - ps.start for ps, _ in slabs] == [step] * (Q // step) + [Q % step] * (Q % step > 0)
         assert all(slab.shape == (ps.stop - ps.start, Q, Q) for ps, slab in slabs)

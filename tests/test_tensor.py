@@ -10,7 +10,9 @@ from xorgap import (
     SamplerConfig,
     ScaleError,
     Tensor3,
+    fourier,
     hermitize,
+    inverse_fourier,
     load_tensor,
     sample_tensor,
     save_tensor,
@@ -102,13 +104,24 @@ def phase_update(As, old=None):
     return np.einsum("rk,kij->rij", x, E), val, ok
 
 
+# each mode's (row, column) index pair in a 6-index einsum over M.reshape((N,) * 6)
+_MODE_INDICES = ("ia", "jb", "kc")
+
+
+def _image_pattern(mode, other, held):
+    """The einsum of the image on `mode`, given factors on `other` and `held`."""
+    i = _MODE_INDICES
+    return f"ijkabc,{i[other]},{i[held]}->{i[mode]}"
+
+
 def _oracle_contraction(T):
-    """Single-restart mode map: O(N^4) from g when present, else the dense einsum."""
+    """Single-restart mode map: O(N^4) from g when present, else one
+    6-index einsum over the matrix view."""
     N = T.N
     if T.raw_g is None:
-        W = T.mode_view()
-        patterns = ("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")
-        return lambda mode, F, H: np.einsum(patterns[mode], W, F.ravel(), H.ravel()).reshape(N, N)
+        M6 = T.matrix.reshape((N,) * 6)
+        others = ((1, 2), (0, 2), (0, 1))
+        return lambda mode, F, H: np.einsum(_image_pattern(mode, *others[mode]), M6, F, H)
     G = T.raw_g.reshape(N, N, N).astype(np.complex128)
     moved = [np.ascontiguousarray(G.transpose(axes)) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
     off = 1.0 - np.eye(N)
@@ -317,10 +330,14 @@ class TestSampling:
         # a read-only input is kept as it is, not copied
         want_M.setflags(write=False)
         assert Tensor3(1, want_M).matrix is want_M
-        W = T.mode_view()
-        F = Tensor3.from_mode_view(1, W)
-        assert W.flags.writeable and not np.may_share_memory(F.matrix, W)
-        assert np.array_equal(F.matrix, want_M)
+        # the inverse Pauli transform builds its matrix in a buffer of its
+        # own, read-only, and leaves the table it reads as it was
+        table = fourier(T)
+        coefficients = table.coefficients.copy()
+        F = inverse_fourier(table)
+        assert not F.matrix.flags.writeable and not np.may_share_memory(F.matrix, table.coefficients)
+        assert np.array_equal(table.coefficients, coefficients)
+        assert np.abs(F.matrix - want_M).max() <= 1e-12 * np.abs(want_M).max()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_norms_leave_sampled_matrix_unbuilt(self, n, monkeypatch):
@@ -586,7 +603,8 @@ class TestTrilinearEval:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_factor_dtypes_agree(self, n):
         # real float, complex and read-only Hermitian factors give the same
-        # pairing and the same mode maps, on the sampled and the dense path
+        # pairing on the sampled and the dense path, equal to the 6-index
+        # einsum over the matrix, and the same g maps
         from xorgap.tensor import _mode_contraction
 
         rng = np.random.default_rng(40 + n)
@@ -598,26 +616,28 @@ class TestTrilinearEval:
         for M in frozen:
             M.setflags(write=False)
         E = np.eye(N) / np.sqrt(N)
+        oracle = np.einsum("ijkabc,ia,jb,kc->", T.matrix.reshape((N,) * 6), *real)
         for tensor in (T, Tensor3(n, T.matrix)):
             want = trilinear_eval(tensor, *(M.astype(np.complex128) for M in real))
+            assert abs(want - oracle) <= 1e-12 * abs(oracle)
             for X, Y, Z in (real, frozen, (real[0], frozen[1], real[2])):
                 assert abs(trilinear_eval(tensor, X, Y, Z) - want) <= 1e-12 * abs(want)
             e_want = trilinear_eval(tensor, *(E.astype(np.complex128),) * 3)
             assert trilinear_eval(tensor, E, E, E) == pytest.approx(e_want, rel=1e-12)
-            enter, hold = _mode_contraction(tensor)
-            stack = np.array(real)
-            frozen_stack = stack.astype(np.complex128)
-            frozen_stack.setflags(write=False)
-            C = enter(stack.astype(np.complex128))
-            for F in (stack, frozen_stack):
-                F = enter(F)
-                for h in range(3):
-                    image = hold(h, F)
-                    got = [image(m, F) for m in range(3) if m != h]
-                    ref_image = hold(h, C)
-                    ref = [ref_image(m, C) for m in range(3) if m != h]
-                    for a, b in zip(got, ref):
-                        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        enter, hold = _mode_contraction(T)
+        stack = np.array(real)
+        frozen_stack = stack.astype(np.complex128)
+        frozen_stack.setflags(write=False)
+        C = enter(stack.astype(np.complex128))
+        for F in (stack, frozen_stack):
+            F = enter(F)
+            for h in range(3):
+                image = hold(h, F)
+                got = [image(m, F) for m in range(3) if m != h]
+                ref_image = hold(h, C)
+                ref = [ref_image(m, C) for m in range(3) if m != h]
+                for a, b in zip(got, ref):
+                    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_large_diagonals_masked_on_entry(self, n):
@@ -674,13 +694,18 @@ class TestTrilinearLower:
             assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_witness_is_feasible_and_consistent(self):
-        T = sample_tensor(1, SamplerConfig(seed=42))
-        val, wit = trilinear_norm_lower(T, restarts=8, seed=1)
-        for M in (wit.X, wit.Y, wit.Z):
-            assert np.abs(M - M.conj().T).max() <= 1e-12
-            assert np.linalg.norm(M) <= 1.0 + 1e-12
-        assert abs(wit.value) == pytest.approx(val, rel=1e-12)
-        assert trilinear_eval(T, wit.X, wit.Y, wit.Z) == pytest.approx(wit.value, rel=1e-10)
+        # the value returned is the witness's own pairing, bit for bit: after
+        # an ascent on the Pauli table from g (n = 1), on the g maps (n = 3)
+        # and on a general tensor's table (n = 2)
+        rng = np.random.default_rng(42)
+        general = Tensor3(2, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        for T in (sample_tensor(1, SamplerConfig(seed=42)), sample_tensor(3, SamplerConfig(seed=42)), general):
+            val, wit = trilinear_norm_lower(T, restarts=8, seed=1)
+            for M in (wit.X, wit.Y, wit.Z):
+                assert np.abs(M - M.conj().T).max() <= 1e-12
+                assert np.linalg.norm(M) <= 1.0 + 1e-12
+            value = trilinear_eval(T, wit.X, wit.Y, wit.Z)
+            assert value == wit.value and val == abs(value), T.n
 
     def test_beats_random_feasible_points(self):
         T = sample_tensor(1, SamplerConfig(seed=42))
@@ -793,23 +818,21 @@ class TestTrilinearLower:
 
         T = sample_tensor(n, SamplerConfig(seed=n))
         N = T.N
-        W = T.mode_view()
+        M6 = T.matrix.reshape((N,) * 6)
         rng = np.random.default_rng(n)
-        for tensor in (T, Tensor3(n, T.matrix)):  # structured, then dense
-            enter, hold = _mode_contraction(tensor)
-            for h in range(3):
-                H = np.array([random_hermitian(rng, N) for _ in range(3)])
-                image = hold(h, enter(H))
-                for mode in range(3):
-                    if mode == h:
-                        continue
-                    F = np.array([random_hermitian(rng, N) for _ in range(3)])
-                    got = image(mode, enter(F))
-                    for r in range(3):
-                        other = "abc"[3 - mode - h]  # F on the third mode, H on the held one
-                        pattern = f"abc,{other},{'abc'[h]}->{'abc'[mode]}"
-                        want = np.einsum(pattern, W, F[r].ravel(), H[r].ravel()).reshape(N, N)
-                        assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (h, mode)
+        enter, hold = _mode_contraction(T)
+        for h in range(3):
+            H = np.array([random_hermitian(rng, N) for _ in range(3)])
+            image = hold(h, enter(H))
+            for mode in range(3):
+                if mode == h:
+                    continue
+                F = np.array([random_hermitian(rng, N) for _ in range(3)])
+                got = image(mode, enter(F))
+                pattern = _image_pattern(mode, 3 - mode - h, h)  # F on the third mode, H on the held one
+                for r in range(3):
+                    want = np.einsum(pattern, M6, F[r], H[r])
+                    assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (h, mode)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_held_map_reused_across_modes(self, n):
@@ -839,7 +862,7 @@ class TestTrilinearLower:
 
         T = sample_tensor(n, SamplerConfig(seed=20 + n))
         N = T.N
-        W = T.mode_view()
+        M6 = T.matrix.reshape((N,) * 6)
         rng = np.random.default_rng(80 + n)
         enter, hold = _mode_contraction(T)
         for R in (1, 2, 3):
@@ -850,16 +873,15 @@ class TestTrilinearLower:
                     F = np.array([random_hermitian(rng, N) for _ in range(R)])
                     got = image(mode, enter(F))
                     assert got.shape == (R, N, N)
-                    other = "abc"[3 - mode - h]
-                    pattern = f"abc,{other},{'abc'[h]}->{'abc'[mode]}"
+                    pattern = _image_pattern(mode, 3 - mode - h, h)
                     for r in range(R):
-                        want = np.einsum(pattern, W, F[r].ravel(), H[r].ravel()).reshape(N, N)
+                        want = np.einsum(pattern, M6, F[r], H[r])
                         assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (R, h, mode)
 
     @pytest.mark.parametrize("n,seed", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 0)])
     def test_structured_als_matches_dense(self, n, seed):
         T = sample_tensor(n, SamplerConfig(seed=seed))
-        dense = Tensor3(n, T.matrix)  # no raw vector: dense mode view
+        dense = Tensor3(n, T.matrix)  # no raw vector: the Pauli table of the matrix
         fast_sweeps, slow_sweeps = [], []
         fast, _ = trilinear_norm_lower(T, seed=seed, on_sweep=lambda *a: fast_sweeps.append(a))
         slow, _ = trilinear_norm_lower(dense, seed=seed, on_sweep=lambda *a: slow_sweeps.append(a))
