@@ -237,25 +237,19 @@ def envelope(name: str, params: dict | None = None) -> TailEnvelope:
     return TailEnvelope(name, fam.params, fam.bound)
 
 
-def default_grid(name: str, params: dict | None = None) -> np.ndarray:
-    """Grid of t values on the statistic's natural scale.
-
-    Chosen so that min(.,.)-shaped bounds get exercised in both the quadratic
-    and the linear regime.  Errors as for :func:`envelope`.
-    """
-    return _family(name, params).grid
-
-
 def empirical_tail(
     name: str, params: dict | None = None, t_grid=None, trials: int = 100_000, seed: int = 0
 ) -> TailReport:
     """Sample the named statistic and compare its tail against the envelope.
 
     The family is built once from its params; its sampler draws the trials
-    in chunks of the family's size.  A grid point passes when the empirical
-    exceedance fraction is at most the envelope plus three binomial standard
-    errors.  Reports are reproducible: the same seed yields the identical
-    report.  ValueError below 1e4 trials; other errors as for :func:`envelope`.
+    in chunks of the family's size.  Without t_grid, the family's grid is
+    read: t values on the statistic's natural scale, chosen so that
+    min(.,.)-shaped bounds get exercised in both the quadratic and the
+    linear regime.  A grid point passes when the empirical exceedance
+    fraction is at most the envelope plus three binomial standard errors.
+    Reports are reproducible: the same seed yields the identical report.
+    ValueError below 1e4 trials; other errors as for :func:`envelope`.
     """
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a meaningful tail check")

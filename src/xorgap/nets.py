@@ -4,7 +4,8 @@ Sphere nets come from greedy maximal packing: seeded candidates are kept
 whenever they sit farther than eps from every point kept so far, and
 construction stops after a long run of consecutive rejections.  A maximal
 eps-packing is an eps-net, but the stopping rule is probabilistic, so covering
-is additionally verified by sampling.  Projector nets are built at N = 2 only,
+is additionally verified by sampling.  Sphere nets are built in C^2 only, the
+one dimension of their caller: projector nets are built at N = 2 only,
 where the spans of k-subsets of a sphere net at resolution eps/sqrt(2) have
 closed forms: the rank-1 net is v v^H for each sphere-net point v, and the
 rank-2 net is the single element I/sqrt(2).  The triple net is the union over
@@ -100,17 +101,16 @@ def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
     visited.  So the result is the one-candidate-at-a-time packing, bit for
     bit.  Construction stops after PACKING_WINDOW consecutive rejections,
     even mid-batch.  Deterministic for fixed (N, eps, seed); results are cached
-    and shared (all stored arrays are read-only).  N is capped at 4; the
-    construction is combinatorial in nature and larger dimensions are
-    rejected rather than silently approximated.  So is an eps whose packing
-    may exceed 1e5 points, by the volumetric bound (1 + 2/eps)^(2N): there the
-    window stop would wait on ever rarer rejections (ScaleError, before any
-    point is drawn; (3, 0.5) allows 15 625 and (2, 0.1) about 1.9e5).
+    and shared (all stored arrays are read-only).  Only N = 2 is built, the
+    one dimension of the projector nets; any other N is a ScaleError before
+    any point is drawn.  So is an eps whose packing may exceed 1e5 points, by
+    the volumetric bound (1 + 2/eps)^(2N): there the window stop would wait
+    on ever rarer rejections ((2, 0.5) allows 625 and (2, 0.1) about 1.9e5).
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    if not 1 <= N <= 4:
-        raise ScaleError("sphere nets are built only for complex dimension <= 4")
+    if N != 2:
+        raise ScaleError("sphere nets are built only in complex dimension 2")
     if 2 * N * math.log1p(2.0 / eps) > math.log(_PACKING_CAP):
         raise ScaleError(
             f"eps too small: a packing of the unit sphere of C^{N} may hold "

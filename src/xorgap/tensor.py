@@ -403,7 +403,7 @@ def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> c
     return complex(np.sum(image(2, enter(X)[None])[0] * Z))
 
 
-def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
+def _hermitian_factor(A: np.ndarray, old: np.ndarray, valued: bool):
     """The mode update of a Hermitian tensor on the g maps: X[r] = (conj(A[r]) + A[r]^T) / norm.
 
     For a Hermitian tensor and Hermitian factors every mode image A is
@@ -411,10 +411,10 @@ def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
     X is conj(A) normalized (the phase rotation of :func:`_phase_factor` is
     the identity).  Writing it as conj(A) + A^T keeps X Hermitian bit for
     bit whatever the rounding in A; the value is ||conj(A) + A^T||_F / 2
-    = Re sum A∘X.  Returns (X, val, ok): where A[r] vanishes, ok[r] is
-    False, val[r] is 0 and X[r] is old[r], or zero when old is None.  The
-    update is one norm and one in-place divide; only a vanished slice costs
-    the np.where.
+    = Re sum A∘X.  An update rule of :func:`_lockstep_ascent`: returns (X,
+    values), the values where valued is set and None otherwise.  Where A[r]
+    vanishes, X[r] is old[r] and its value is 0.  The update is one norm
+    and one in-place divide; only a vanished slice costs the np.where.
     """
     X = A.conj()
     X += A.transpose(0, 2, 1)
@@ -425,29 +425,27 @@ def _hermitian_factor(A: np.ndarray, old: np.ndarray | None = None):
         X /= norm[:, None, None]
     else:
         X /= np.where(ok, norm, 1.0)[:, None, None]
-        if old is not None:
-            X = np.where(ok[:, None, None], X, old)
-    return X, norm / 2.0, ok
+        X = np.where(ok[:, None, None], X, old)
+    return X, (norm / 2.0 if valued else None)
 
 
-def _unit_factor(a: np.ndarray, old: np.ndarray | None = None):
+def _unit_factor(a: np.ndarray, old: np.ndarray, valued: bool):
     """The mode update on real coordinates of a real table: x[r] = a[r] / ||a[r]||.
 
-    A stack (R, d) of real images; the value is ||a[r]||.  Returns (x, val,
-    ok) as :func:`_hermitian_factor` does: where a[r] vanishes, ok[r] is
-    False, val[r] is 0 and x[r] is old[r], or zero when old is None.
+    A stack (R, d) of real images; the value is ||a[r]||.  An update rule
+    as :func:`_hermitian_factor` is: where a[r] vanishes, x[r] is old[r]
+    and its value is 0.
     """
     norm = np.sqrt(np.vecdot(a, a))
     ok = norm > 0.0
     if np.count_nonzero(ok) == len(ok):  # no slice vanished (cheaper than ok.all())
-        return a / norm[:, None], norm, ok
-    x = a / np.where(ok, norm, 1.0)[:, None]
-    if old is not None:
-        x = np.where(ok[:, None], x, old)
-    return x, norm, ok
+        x = a / norm[:, None]
+    else:
+        x = np.where(ok[:, None], a / np.where(ok, norm, 1.0)[:, None], old)
+    return x, (norm if valued else None)
 
 
-def _phase_factor(a: np.ndarray, old: np.ndarray | None = None):
+def _phase_factor(a: np.ndarray, old: np.ndarray, valued: bool):
     """The mode update on real coordinates of a complex table, given as planes.
 
     a is a stack (R, 2, d) holding Re a[r] and Im a[r] of complex images
@@ -458,20 +456,23 @@ def _phase_factor(a: np.ndarray, old: np.ndarray | None = None):
     In matrix form, with a the coordinates of a mode image A in an
     orthonormal Hermitian basis, the maximizer is X = (C + C^H)/||C + C^H||_F
     with C = e^{iθ} conj(A).  θ lies in (-π/2, π/2], and θ = 0 when u = 0, where every phase is
-    optimal.  Returns (x, val, ok) as :func:`_unit_factor` does.
+    optimal.  An update rule as :func:`_hermitian_factor` is: where a[r]
+    vanishes, x[r] is old[r] and its value is 0.
     """
     re, im = a[:, 0], a[:, 1]
     rr, ii, ri = np.vecdot(re, re), np.vecdot(im, im), np.vecdot(re, im)
     diff = rr - ii
     val = np.sqrt((rr + ii + np.hypot(diff, 2.0 * ri)) / 2.0)
-    ok = val > 0.0
     theta = np.arctan2(2.0 * ri, diff) / 2.0
     x = np.cos(theta)[:, None] * re
     x += np.sin(theta)[:, None] * im
-    x /= np.where(ok, val, 1.0)[:, None]
-    if old is not None and np.count_nonzero(ok) != len(ok):
+    ok = val > 0.0
+    if np.count_nonzero(ok) == len(ok):  # no slice vanished (cheaper than ok.all())
+        x /= val[:, None]
+    else:
+        x /= np.where(ok, val, 1.0)[:, None]
         x = np.where(ok[:, None], x, old)
-    return x, val, ok
+    return x, (val if valued else None)
 
 
 def _array_maps(W: np.ndarray):
@@ -616,9 +617,10 @@ def _lockstep_ascent(hold, update, starts, max_sweeps, stop, on_sweep=None):
     updates changes is held.  The schedule is hold Z, update X and Y; hold
     Y, update Z and X; hold X, update Y and Z; and again, so a sweep makes
     1.5 holds.  The previous held map is dropped before the next hold, so
-    one is alive at a time.  Each update is update(image, old, valued)[:2]
-    = (new factors, values), and the values are read only from the Z update
-    (valued True), whose values are the sweep's.  stop(prev, values, old,
+    one is alive at a time.  Each update is update(image, old, valued) =
+    (new factors, values), with old the factors it replaces; the values are
+    read only from the Z update (valued True), whose values are the sweep's,
+    and the other updates may return None for them.  stop(prev, values, old,
     new) marks the restarts that leave after the sweep, given their values
     before and after it (prev is 0 before the first) and their (X, Y, Z)
     stacks before and after it; a restart also leaves after max_sweeps
@@ -655,7 +657,7 @@ def _lockstep_ascent(hold, update, starts, max_sweeps, stop, on_sweep=None):
             if fresh:
                 image = None  # the previous held map goes before the next is made
                 image = hold(h, F[h])
-            F[m], v = update(image(m, F[3 - h - m]), F[m], m == 2)[:2]
+            F[m], v = update(image(m, F[3 - h - m]), F[m], m == 2)
             if gather is not None:
                 # the held map covers every row it was held for, so its second
                 # update ran for the restarts that left as well; drop them now
@@ -777,15 +779,17 @@ def trilinear_norm_lower(
 
     Each mode update is the exact closed-form maximizer with the other two
     factors held fixed, so the objective never decreases within a run, and
-    each keeps a restart's old factor where its image vanishes.  One restart
-    starts from the dominant-eigenvector partial traces; the rest start from
-    seeded random Hermitian matrices (restart r draws from (seed, r)), drawn
-    and normalized as one stack.  All restarts advance in lockstep (see
-    :func:`_lockstep_ascent`, where one hold of a factor serves two
-    updates); a restart leaves after the sweep whose gain falls below tol
-    times its previous value, or after max_iters sweeps.  The best value
-    across restarts (the first, on a tie) is returned together with the
-    achieving witness; it is a guaranteed lower bound on the trilinear norm.
+    each keeps a restart's old factor where its image vanishes.  The update
+    rules take the ascent's protocol, so each is passed to it as it is.  One
+    restart starts from the dominant-eigenvector partial traces; the rest
+    start from seeded random Hermitian matrices (restart r draws from (seed,
+    r)), drawn and normalized as one stack.  All restarts advance in
+    lockstep (see :func:`_lockstep_ascent`, where one hold of a factor
+    serves two updates); a restart leaves after the sweep whose gain falls
+    below tol times its previous value, or after max_iters sweeps.  The best
+    value across restarts (the first, on a tie) is returned together with
+    the achieving witness; it is a guaranteed lower bound on the trilinear
+    norm.
 
     Every tensor given by its matrix, and a sampled tensor with N <= 4
     (`_TABLE_MAX_N`), ascends on its Pauli table C = `pauli.fourier(T)` /
@@ -852,15 +856,11 @@ def trilinear_norm_lower(
         coords = _coefficients(starts.conj()).real / np.sqrt(N)
         rule = _unit_factor if T.is_hermitian() else _phase_factor
         # the table is passed on unnamed, so it is freed once the ascent returns
-        best_val, factors = _lockstep_ascent(
-            _array_maps(_pauli_table(T)), lambda a, old, valued: rule(a, old), coords, max_iters, stop, on_sweep
-        )
+        best_val, factors = _lockstep_ascent(_array_maps(_pauli_table(T)), rule, coords, max_iters, stop, on_sweep)
         X, Y, Z = _matrices(np.stack(factors)) / np.sqrt(N)
     else:
         enter, hold = _mode_contraction(T)
-        best_val, (X, Y, Z) = _lockstep_ascent(
-            hold, lambda A, old, valued: _hermitian_factor(A, old), enter(starts), max_iters, stop, on_sweep
-        )
+        best_val, (X, Y, Z) = _lockstep_ascent(hold, _hermitian_factor, enter(starts), max_iters, stop, on_sweep)
     # the table route's table went with its ascent, so it is never held
     # beside the pairing's transient copy of a general tensor's matrix
     value = trilinear_eval(T, X, Y, Z)

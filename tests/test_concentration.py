@@ -7,7 +7,6 @@ import pytest
 
 from xorgap import UnspecifiedConstantError, empirical_tail, envelope, verify_spectral_lb
 from xorgap import concentration
-from xorgap.concentration import default_grid
 from xorgap.tensor import Tensor3
 
 
@@ -80,7 +79,6 @@ class TestEnvelopes:
         message = f"envelope '{name}' needs params\\['{key}'\\]"
         for call in (
             lambda: envelope(name, params),
-            lambda: default_grid(name, params),
             lambda: empirical_tail(name, params, trials=10_000),
         ):
             with pytest.raises(ValueError, match=message):
@@ -152,7 +150,7 @@ class TestEmpiricalTails:
             empirical_tail("gaussian", trials=100, seed=0)
 
     def test_default_grids_exercise_both_regimes(self):
-        grid = default_grid("chi_square", {"N": 64})
+        grid = empirical_tail("chi_square", {"N": 64}, trials=10_000).t_grid
         assert grid.min() < 4 * np.e * 64 < grid.max() * 10  # quadratic side sampled
         assert np.all(np.diff(grid) > 0)
 

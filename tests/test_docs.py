@@ -1,10 +1,14 @@
-"""The documented examples run as written."""
+"""The documented examples run as written, and the names the benchmark
+reads exist."""
 
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _section(heading: str, end: str) -> str:
@@ -40,3 +44,20 @@ def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
     assert main(argv[1:]) == 0, line
     assert "wrote 0 rows" in capsys.readouterr().out
     assert (tmp_path / "gap.csv").read_bytes() == before
+
+
+def test_benchmark_traced_names_exist():
+    # benchmarks/tracing.py wraps each TRACED name by attribute lookup, so a
+    # deleted or renamed function would break every traced run; the file is
+    # read as text, never imported
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"
+    ]
+    assert traced
+    for module, names in traced.items():
+        mod = importlib.import_module(f"xorgap.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"xorgap.{module}.{name}"

@@ -77,13 +77,11 @@ def exact_screen_sphere_net(N, eps, seed):
 
 
 class TestSphereNet:
-    @pytest.mark.parametrize(
-        "N,eps", [(2, 0.5), (1, 1.0), (2, 0.5 / np.sqrt(2.0))], ids=["2-0.5", "1-1", "2-sweep"]
-    )
-    def test_matches_per_candidate_oracle(self, N, eps):
+    @pytest.mark.parametrize("eps", [0.5, 0.5 / np.sqrt(2.0)], ids=["2-0.5", "2-sweep"])
+    def test_matches_per_candidate_oracle(self, eps):
         # screening a batch at once keeps the sequential accept rule exactly
         for seed in (0, 1, 7):
-            assert np.array_equal(sphere_net(N, eps, seed=seed).points, oracle_sphere_net(N, eps, seed))
+            assert np.array_equal(sphere_net(2, eps, seed=seed).points, oracle_sphere_net(2, eps, seed))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_window_ends_mid_batch_after_acceptances(self, monkeypatch, seed):
@@ -100,15 +98,11 @@ class TestSphereNet:
         monkeypatch.setattr(nets, "PACKING_WINDOW", window)
         assert np.array_equal(sphere_net.__wrapped__(2, 0.5, seed).points, want)
 
-    @pytest.mark.parametrize(
-        "N,eps",
-        [(2, 0.5 / np.sqrt(2.0)), (2, 0.5), (3, 0.5), (4, 0.9), (1, 0.5)],
-        ids=["2-sweep", "2-0.5", "3-0.5", "4-0.9", "1-0.5"],
-    )
-    def test_gemm_screen_keeps_exact_points(self, N, eps):
+    @pytest.mark.parametrize("eps", [0.5 / np.sqrt(2.0), 0.5], ids=["2-sweep", "2-0.5"])
+    def test_gemm_screen_keeps_exact_points(self, eps):
         # the GEMM screen only rejects what the exact sum rejects as well
         for seed in (0, 1, 7):
-            assert np.array_equal(sphere_net(N, eps, seed=seed).points, exact_screen_sphere_net(N, eps, seed))
+            assert np.array_equal(sphere_net(2, eps, seed=seed).points, exact_screen_sphere_net(2, eps, seed))
 
     def test_points_are_unit(self):
         S = sphere_net(2, 0.5, seed=1)
@@ -122,12 +116,6 @@ class TestSphereNet:
             d2[i] = np.inf
             assert np.sqrt(d2.min()) > 0.5
 
-    def test_circle_covering_at_eps_one(self):
-        S = sphere_net(1, 1.0, seed=0)
-        rng = np.random.default_rng(3)
-        worst = max(S.nearest_distance(random_unit(rng, 1)) for _ in range(5000))
-        assert worst <= 1.0
-
     def test_complex_dim2_covering(self):
         S = sphere_net(2, 0.5, seed=0)
         rng = np.random.default_rng(4)
@@ -138,14 +126,16 @@ class TestSphereNet:
         assert np.array_equal(sphere_net(2, 0.5, seed=7).points, sphere_net(2, 0.5, seed=7).points)
 
     def test_dimension_guard(self):
-        with pytest.raises(ScaleError):
-            sphere_net(5, 0.5)
+        # C^2 is the one dimension built
+        for N, eps in ((1, 1.0), (3, 0.5), (4, 0.9), (5, 0.5)):
+            with pytest.raises(ScaleError, match="complex dimension 2"):
+                sphere_net(N, eps)
 
     def test_eps_guard(self):
         with pytest.raises(ValueError):
             sphere_net(2, 0.0)
 
-    @pytest.mark.parametrize("N,eps", [(2, 1e-300), (2, 0.15 / np.sqrt(2.0)), (4, 0.5)])
+    @pytest.mark.parametrize("N,eps", [(2, 1e-300), (2, 0.15 / np.sqrt(2.0))])
     def test_packing_size_guard(self, N, eps):
         # a packing whose volumetric bound (1 + 2/eps)^(2N) exceeds 1e5 would
         # wait ever longer for its window of rejections; it fails at once

@@ -92,16 +92,33 @@ def _hermitian_basis(N):
     return E.reshape(N * N, N, N)
 
 
-def phase_update(As, old=None):
-    """`_phase_factor` on a stack of matrix images A[r]: in the coordinates
-    a_k = sum A∘E_k of an orthonormal Hermitian basis E the pairing
-    sum A∘X is a·x for X = sum x_k E_k, so X comes back as sum x_k E_k."""
+def phase_update(As):
+    """`_phase_factor` on a stack of matrix images A[r], valued, with zero
+    old factors: in the coordinates a_k = sum A∘E_k of an orthonormal
+    Hermitian basis E the pairing sum A∘X is a·x for X = sum x_k E_k, so X
+    comes back as sum x_k E_k (zero where A[r] vanishes)."""
     from xorgap.tensor import _phase_factor
 
     E = _hermitian_basis(As.shape[-1])
     a = np.einsum("rij,kij->rk", As, E)
-    x, val, ok = _phase_factor(np.stack([a.real, a.imag], axis=1), old)
-    return np.einsum("rk,kij->rij", x, E), val, ok
+    x, val = _phase_factor(np.stack([a.real, a.imag], axis=1), np.zeros(a.shape), True)
+    return np.einsum("rk,kij->rij", x, E), val
+
+
+def _check_keeps_old_factor(rule, images, old):
+    """An update rule on three images, then with image 1 vanished: there it
+    keeps old[1], valued 0; elsewhere it gives the same factors and values
+    bit for bit.  Unvalued, it gives the same factors and None for values."""
+    want_x, want_val = rule(images, old, True)
+    assert np.all(want_val > 0.0)
+    x, none = rule(images, old, False)
+    assert none is None and np.array_equal(x, want_x)
+    images[1] = 0.0
+    x, val = rule(images, old, True)
+    assert val[1] == 0.0 and np.array_equal(val[[0, 2]], want_val[[0, 2]])
+    assert np.array_equal(x[1], old[1]) and np.array_equal(x[[0, 2]], want_x[[0, 2]])
+    unvalued_x, none = rule(images, old, False)
+    assert none is None and np.array_equal(unvalued_x, x)
 
 
 # each mode's (row, column) index pair in a 6-index einsum over M.reshape((N,) * 6)
@@ -730,8 +747,7 @@ class TestTrilinearLower:
         # Hermitian X has a closed form; no sampled feasible point may beat it
         rng = np.random.default_rng(N)
         As = rng.standard_normal((20, N, N)) + 1j * rng.standard_normal((20, N, N))
-        Xs, vals, ok = phase_update(As)
-        assert ok.all()
+        Xs, vals = phase_update(As)
         for A, X, val in zip(As, Xs, vals):
             assert np.abs(X - X.conj().T).max() <= 1e-12
             assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
@@ -750,8 +766,7 @@ class TestTrilinearLower:
     )
     def test_mode_update_one_sided_input(self, A):
         # conj(A) or i conj(A), normalized, attains Cauchy-Schwarz: ||A||_F
-        (X,), (val,), (ok,) = phase_update(A[None])
-        assert ok
+        (X,), (val,) = phase_update(A[None])
         assert np.abs(X - X.conj().T).max() <= 1e-12
         assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
         assert val == pytest.approx(np.linalg.norm(A), rel=1e-12)
@@ -762,25 +777,24 @@ class TestTrilinearLower:
         H1 = np.diag([1.0, -1.0])
         H2 = np.array([[0.0, 1.0], [1.0, 0.0]])
         A = (H1 + 1j * H2).conj()
-        (X,), (val,), (ok,) = phase_update(A[None])
-        assert ok
+        (X,), (val,) = phase_update(A[None])
         assert np.abs(X - X.conj().T).max() <= 1e-12
         assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
         assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
         assert abs(np.sum(A * X)) == pytest.approx(val, rel=1e-12)
 
     def test_mode_update_zero_input(self):
-        X, val, ok = phase_update(np.zeros((1, 3, 3), dtype=complex))
-        assert not ok[0] and val[0] == 0.0
+        X, val = phase_update(np.zeros((1, 3, 3), dtype=complex))
+        assert val[0] == 0.0 and np.all(X[0] == 0)
 
     def test_mode_update_zero_slice_beside_nonzero(self):
-        # one restart's A vanishes, the other's does not: only the first is flagged
+        # one restart's A vanishes, the other's does not: only the first
+        # keeps its old (zero) factor and values 0
         rng = np.random.default_rng(8)
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        X, val, ok = phase_update(np.stack([np.zeros((3, 3), dtype=complex), A]))
-        assert ok.tolist() == [False, True]
+        X, val = phase_update(np.stack([np.zeros((3, 3), dtype=complex), A]))
         assert val[0] == 0.0 and np.all(X[0] == 0)
-        (X1,), (v1,), _ = phase_update(A[None])
+        (X1,), (v1,) = phase_update(A[None])
         assert val[1] == v1 and np.array_equal(X[1], X1)
 
     @pytest.mark.parametrize("N", [2, 4, 8])
@@ -798,13 +812,12 @@ class TestTrilinearLower:
         As = np.concatenate(
             [G, H, 1j * H, [zero, (H1 + 1j * H2).conj(), zero, 2.5 * (H1 - 1j * H2).conj()]]
         )
-        Xs, vals, ok = phase_update(As)
-        for A, X, val, flag in zip(As, Xs, vals, ok):
+        Xs, vals = phase_update(As)
+        for A, X, val in zip(As, Xs, vals):
             want_X, want_val = _oracle_best_hermitian_factor(A)
             if want_X is None:
-                assert not flag and val == 0.0 and np.all(X == 0)
+                assert val == 0.0 and np.all(X == 0)
                 continue
-            assert flag
             assert val == pytest.approx(want_val, rel=1e-12)
             assert min(np.abs(X - want_X).max(), np.abs(X + want_X).max()) <= 1e-12
         assert vals[-3] == pytest.approx(np.sqrt(N), rel=1e-12)
@@ -992,9 +1005,8 @@ class TestTrilinearLower:
         # the winner is paired again with its own factors; a value the ALS
         # bookkeeping got wrong no longer matches, under each update rule:
         # the unit vector of the Pauli-table route (a small sampled tensor),
-        # the Hermitian one (a sampled tensor ascending on g; the ALS calls
-        # both with the old factors as well, which the patch passes on) and
-        # the coordinate phase rotation (a non-Hermitian dense tensor's table)
+        # the Hermitian one (a sampled tensor ascending on g) and the
+        # coordinate phase rotation (a non-Hermitian dense tensor's table)
         from xorgap import tensor
 
         rng = np.random.default_rng(4)
@@ -1008,8 +1020,8 @@ class TestTrilinearLower:
             update = getattr(tensor, name)
 
             def doubled_value(*args, update=update):
-                X, val, ok = update(*args)
-                return X, 2.0 * val, ok
+                X, val = update(*args)
+                return X, (None if val is None else 2.0 * val)
 
             with monkeypatch.context() as patch:
                 patch.setattr(tensor, name, doubled_value)
@@ -1064,10 +1076,11 @@ class TestTrilinearLower:
         H = np.array([random_hermitian(rng, N, unit=False) for _ in range(6)])
         H[3] = 0.0  # a vanished slice beside non-zero ones
         H[4] += 1e-15 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-        X, val, ok = _hermitian_factor(H)
-        want_X, want_val, want_ok = phase_update(H)
-        assert ok.tolist() == want_ok.tolist() == [True, True, True, False, True, True]
-        assert val[3] == 0.0 and np.all(X[3] == 0)
+        X, val = _hermitian_factor(H, np.zeros_like(H), True)
+        want_X, want_val = phase_update(H)
+        ok = val > 0.0
+        assert ok.tolist() == (want_val > 0.0).tolist() == [True, True, True, False, True, True]
+        assert np.all(X[3] == 0)
         assert np.allclose(val, want_val, rtol=1e-12, atol=0.0)
         assert np.abs(X - want_X).max() <= 1e-12
         assert np.array_equal(X, X.conj().transpose(0, 2, 1))
@@ -1076,20 +1089,21 @@ class TestTrilinearLower:
             assert abs(np.sum(A * Xr)) == pytest.approx(v, rel=1e-12)
 
     def test_hermitian_update_keeps_old_factor_where_vanished(self):
-        # given the old factors, a vanished slice keeps its old factor and the
-        # others are the update without them, bit for bit
         from xorgap.tensor import _hermitian_factor
 
         rng = np.random.default_rng(210)
         H = np.array([random_hermitian(rng, 4, unit=False) for _ in range(3)])
         old = np.array([random_hermitian(rng, 4) for _ in range(3)])
-        want_X, want_val, _ = _hermitian_factor(H)
-        X, val, ok = _hermitian_factor(H, old)
-        assert ok.all() and np.array_equal(X, want_X) and np.array_equal(val, want_val)
-        H[1] = 0.0
-        X, val, ok = _hermitian_factor(H, old)
-        assert ok.tolist() == [True, False, True] and val[1] == 0.0
-        assert np.array_equal(X[1], old[1]) and np.array_equal(X[[0, 2]], want_X[[0, 2]])
+        _check_keeps_old_factor(_hermitian_factor, H, old)
+
+    def test_coordinate_updates_keep_old_factor_where_vanished(self):
+        # the unit rule on real images (R, d), the phase rule on planes (R, 2, d)
+        from xorgap.tensor import _phase_factor, _unit_factor
+
+        rng = np.random.default_rng(211)
+        old = rng.standard_normal((3, 16))
+        _check_keeps_old_factor(_unit_factor, rng.standard_normal((3, 16)), old)
+        _check_keeps_old_factor(_phase_factor, rng.standard_normal((3, 2, 16)), old)
 
 
 def _exhaustive_net_upper(T, eps):
