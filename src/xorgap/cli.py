@@ -103,8 +103,9 @@ def _dispatch(parser, args) -> int:
             tol=args.tol,
             seed=args.seed,
         )
+        label = "exact" if tensor._closed_form(T) else "ALS lower bound"
         print(f"spectral_norm      = {sn!r}")
-        print(f"trilinear_lower    = {lower!r}")
+        print(f"trilinear_lower    = {lower!r}  ({label})")
         if ub is not None:
             print(f"trilinear_upper    = {ub!r}  (eps={args.net_eps})")
         return 0

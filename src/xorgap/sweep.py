@@ -25,6 +25,11 @@ ROW_NET_EPS = 0.5  # resolution of a row's net upper bound
 class GapRow:
     """One sampled tensor's norms and biases.
 
+    trilinear_lower is a certified lower bound on the trilinear norm, the
+    value of an evaluated witness: at n = 1 it is the exact norm, solved in
+    closed form, and above that the ALS's best value.  trilinear_upper is
+    the net's certified upper bound.
+
     ratio_estimate is pauli_bias / classical_bias: a certified lower bound on
     the entangled-to-classical ratio exactly when the classical bias is exact
     (classical_method == "exact"); otherwise the denominator is itself a lower
@@ -74,8 +79,11 @@ def compute_gap_row(n: int, sample_seed: int) -> GapRow:
 
     The ALS lower bound and the classical heuristic run with their default
     restarts and stopping rules; the net upper bound (N = 2 only) uses
-    resolution ROW_NET_EPS.  At n <= 2 the ALS runs on the tensor's real
-    Pauli table, and above that it contracts g.  The classical bias is
+    resolution ROW_NET_EPS.  At n = 1 the top eigenpair and the trilinear
+    norm are closed forms (see `tensor.top_eigenpair` and
+    `tensor.trilinear_norm_lower`), so trilinear_lower is the exact norm and
+    the row runs no Lanczos and no ALS.  At n = 2 the ALS runs on the
+    tensor's real Pauli table, and above that it contracts g.  The classical bias is
     chosen here.  Up to N = `tensor._TABLE_MAX_N` the row builds the game
     (`game.game_from_tensor`): the n = 1 game is enumerated exactly and the
     n = 2 game gets the heuristic on its dense cost tensor.  Above that the
@@ -250,6 +258,21 @@ def _suite_identities(seed: int) -> SuiteReport:
                 abs(explicit - rep.pauli_bias) <= 1e-12 * abs(rep.pauli_bias),
             ),
         ]
+        if n == 1:
+            # the closed forms of a sampled N = 2 tensor (no Lanczos, no ALS)
+            # against a dense eigensolve, and against the table ALS on the
+            # built matrix (no g, so it ascends) and the net upper bound
+            dense_top = float(np.linalg.eigvalsh(T.matrix)[-1])
+            exact, _ = tensor.trilinear_norm_lower(T)
+            als, _ = tensor.trilinear_norm_lower(tensor.Tensor3(n, T.matrix), seed=row_seed(seed, n, 0))
+            upper = tensor.trilinear_norm_upper_net(T, ROW_NET_EPS)
+            checks += [
+                ("closed-form lambda == top of dense eigvalsh", abs(lam - dense_top) <= 1e-12 * abs(dense_top)),
+                (
+                    "closed-form trilinear norm >= table ALS on the built matrix, <= net upper bound",
+                    exact >= als * (1.0 - 1e-12) and exact <= upper,
+                ),
+            ]
         if n <= 2:
             # the Lanczos on M M^H of a general tensor's sigma_1 against a
             # dense SVD, which runs here only

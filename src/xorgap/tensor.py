@@ -30,14 +30,16 @@ _PRUNE_MARGIN = 1e-12  # relative rounding slack of the net maximum's pruning bo
 # N^6 entries, 4096 at N = 4) rather than on g: the ALS in
 # `trilinear_norm_lower`, and the classical ascent of a gap row, which
 # `sweep.compute_gap_row` runs on its game's cost tensor up to this N and on
-# g (`game.classical_value`) above it.  A tensor given by its matrix has no
-# g and always ascends on its table.  Per-call numpy overhead on 2x2 and 4x4
-# factors is what the table saves, and its O(Q^3) work per map is what it
-# costs at N = 8.  Medians per call over seed-0 rows, one BLAS thread, on 2
-# cores with numpy 2.4.6 and OpenBLAS 0.3.31: the table ALS took 1.97 vs
-# 4.10 ms on g at N = 2 and 5.07 vs 9.67 ms at N = 4, but 69.8 vs 17.1 ms
-# at N = 8; the classical ascent on the dense table took 1.15 vs 1.68 ms on
-# g at Q = 16, but 14.0 vs 6.3 ms at Q = 64.
+# g (`game.classical_value`) above it.  A sampled tensor with N = 2 runs
+# neither ALS (its trilinear norm is a closed form) nor classical ascent
+# (its row enumerates), so for sampled tensors the table ALS runs at N = 4
+# only.  A tensor given by its matrix has no g and always ascends on its
+# table.  Per-call numpy overhead on 4x4 factors is what the table saves,
+# and its O(Q^3) work per map is what it costs at N = 8.  Medians per call
+# over seed-0 rows, one BLAS thread, on 2 cores with numpy 2.4.6 and
+# OpenBLAS 0.3.31: the table ALS took 5.07 vs 9.67 ms on g at N = 4, but
+# 69.8 vs 17.1 ms at N = 8; the classical ascent on the dense table took
+# 1.15 vs 1.68 ms on g at Q = 16, but 14.0 vs 6.3 ms at Q = 64.
 _TABLE_MAX_N = 4
 
 
@@ -90,7 +92,8 @@ class Tensor3:
     raises ValueError.  A tensor with g is exactly Hermitian by construction,
     and its spectral and trilinear norms never build the matrix: the Lanczos
     top eigenpair multiplies by g, the ALS and `trilinear_eval` contract it,
-    and it certifies the net upper bound.  Hermitian means bit for bit (see
+    at N = 2 both norms are closed forms in g, and it certifies the net
+    upper bound.  Hermitian means bit for bit (see
     :meth:`is_hermitian`); a hermitized part is Hermitian by construction.
     Any other Hermitian tensor's top eigenpair comes from the same Lanczos
     solver multiplying by the matrix, and a non-Hermitian one's top singular
@@ -310,26 +313,54 @@ def _lanczos_extremes(matvec, dim: int, dtype, frob2: float | None) -> tuple[flo
     return theta[0], S[:, 0] @ V[:k], theta[-1], S[:, -1] @ V[:k]
 
 
+def _closed_form(T: Tensor3) -> bool:
+    """Whether T's top eigenpair and trilinear norm are closed forms: T is a
+    sampled tensor (given by g) with N = 2."""
+    return T.raw_g is not None and T.N == 2
+
+
+def _qubit_eigenpair(g: np.ndarray) -> tuple[float, np.ndarray]:
+    """The closed-form top eigenpair of the N = 2 sampled tensor given by g.
+
+    The collision mask keeps only the entries pairing v with its complement
+    7 - v, so the matrix view is four 2 x 2 blocks [[0, h_v], [h_v, 0]] with
+    h_v = g_v g_{7-v}, v = 0..3, and its eigenvalues are +/-h_v.  Returns
+    lambda = max |h_v| on the positive branch (the first v on ties) and
+    psi = (e_v + sign(h_v) e_{7-v}) / sqrt(2), sign(0) taken as +1.
+    """
+    h = g[:4] * g[7:3:-1]
+    v = int(np.argmax(np.abs(h)))
+    vec = np.zeros(8)
+    vec[v] = vec[7 - v] = np.sqrt(0.5)
+    if h[v] < 0.0:
+        vec[7 - v] = -vec[7 - v]
+    return abs(float(h[v])), vec
+
+
 def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
     """Eigenvalue of largest magnitude and its eigenvector (exactly Hermitian
     input, as `hermitize(T)` is; any other raises ValueError).
 
-    One Lanczos run (see :func:`_lanczos_extremes`) follows both ends of the
-    spectrum, and the end of larger magnitude wins.  The run stops as soon
-    as that end has converged and the tensor's squared Frobenius norm (see
+    A sampled tensor with N = 2 takes the closed form of
+    :func:`_qubit_eigenpair`: its eigenvalues are +/-g_v g_{7-v}, and no
+    solver runs.  Any other tensor gets one Lanczos run (see
+    :func:`_lanczos_extremes`) that follows both ends of the spectrum, and
+    the end of larger magnitude wins.  The run stops as soon as that end has
+    converged and the tensor's squared Frobenius norm (see
     :meth:`Tensor3.frobenius_norm`) certifies that the other end lies
     strictly below it in magnitude; otherwise it waits for both ends.  When
-    +s and -s are both eigenvalues of magnitude equal to the spectral norm
-    (every n = 1 sampled tensor), the positive branch is returned, so the
-    eigenvector realizes the spectral norm as a positive quadratic form
-    whenever possible.  A sampled tensor never builds its matrix: its
-    product is x -> g∘((J - I)^{⊗3}(g∘x)), O(N^3) per product (see
+    +s and -s are both eigenvalues of magnitude equal to the spectral norm,
+    the positive branch is returned, so the eigenvector realizes the
+    spectral norm as a positive quadratic form whenever possible.  A sampled
+    tensor never builds its matrix: its product is
+    x -> g∘((J - I)^{⊗3}(g∘x)), O(N^3) per product (see
     :func:`_masked_product`), and its Frobenius norm is O(N^3) from g.  Any
     other tensor multiplies by its matrix view, read once for the run and
     its Frobenius norm, so a hermitized part builds its matrix once and
     drops it on return.
-    The pair is checked once with the same product, and ValueError is raised
-    when ||A psi - lambda psi|| exceeds 1e-9 |lambda| (or is not a number).
+    The pair, closed-form or not, is checked once with the same product, and
+    ValueError is raised when ||A psi - lambda psi|| exceeds 1e-9 |lambda|
+    (or is not a number).
     """
     if not T.is_hermitian():
         raise ValueError("top_eigenpair needs a Hermitian matrix view")
@@ -337,18 +368,22 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
         N = T.N
         if T.raw_g is None:
             M = T.matrix  # read once: a hermitized part builds it on every read
-            matvec, dtype, frob = M.dot, np.complex128, float(np.linalg.norm(M))
+            matvec, dtype = M.dot, np.complex128
         else:
             g = T.raw_g
 
             def matvec(x):
                 return g * _masked_product(g * x, N)
 
-            dtype, frob = np.float64, T.frobenius_norm()
-        low, u, high, v = _lanczos_extremes(matvec, N**3, dtype, frob**2)
-        sn = max(abs(low), abs(high))
-        lam, vec = (high, v) if high >= sn * (1.0 - 1e-12) else (low, u)
-        vec = vec / np.linalg.norm(vec)
+            dtype = np.float64
+        if _closed_form(T):
+            lam, vec = _qubit_eigenpair(T.raw_g)
+        else:
+            frob = float(np.linalg.norm(M)) if T.raw_g is None else T.frobenius_norm()
+            low, u, high, v = _lanczos_extremes(matvec, N**3, dtype, frob**2)
+            sn = max(abs(low), abs(high))
+            lam, vec = (high, v) if high >= sn * (1.0 - 1e-12) else (low, u)
+            vec = vec / np.linalg.norm(vec)
         res = float(np.linalg.norm(matvec(vec) - lam * vec))
         if not res <= 1e-9 * abs(lam):
             raise ValueError(f"eigenpair residual {res!r} (lambda {lam!r})")
@@ -360,9 +395,10 @@ def top_eigenpair(T: Tensor3) -> tuple[float, np.ndarray]:
 
 def _dominant_pair(T: Tensor3) -> tuple[float, np.ndarray]:
     """The spectral norm of the matrix view and a dominant unit vector, both
-    cached: |lambda| and the top eigenvector of a Hermitian tensor, else
-    sigma_1 and the left singular vector of :func:`_top_singular`; both come
-    from the one Lanczos solver, :func:`_lanczos_extremes`."""
+    cached: |lambda| and the top eigenvector of a Hermitian tensor (see
+    :func:`top_eigenpair`), else sigma_1 and the left singular vector of
+    :func:`_top_singular`; both come from the one Lanczos solver,
+    :func:`_lanczos_extremes`, except a sampled N = 2 tensor's closed form."""
     if T.is_hermitian():
         lam, psi = top_eigenpair(T)
         return abs(lam), psi
@@ -372,9 +408,9 @@ def _dominant_pair(T: Tensor3) -> tuple[float, np.ndarray]:
 def spectral_norm(T: Tensor3) -> float:
     """Largest singular value of the matrix view (see :func:`_dominant_pair`).
 
-    An exactly Hermitian input goes through the Lanczos top eigenpair (a
-    sampled tensor's matrix is never built); any other through the same
-    Lanczos solver on M M^H, whose products never build M^H (see
+    An exactly Hermitian input goes through its top eigenpair (a sampled
+    tensor's matrix is never built, and at N = 2 no solver runs); any other
+    through the Lanczos solver on M M^H, whose products never build M^H (see
     :func:`_top_singular`).  No SVD and no dense eigensolve of the matrix
     view runs.
     """
@@ -767,65 +803,51 @@ def _pauli_table(T: Tensor3) -> np.ndarray:
     return C
 
 
-def trilinear_norm_lower(
-    T: Tensor3,
-    restarts: int = 8,
-    max_iters: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-    on_sweep=None,
-) -> tuple[float, TrilinearWitness]:
-    """Alternating maximization of |<T, X⊗Y⊗Z>| over Hermitian unit-Frobenius balls.
+def _qubit_trilinear(T: Tensor3) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The exact trilinear norm of the N = 2 sampled tensor T, in closed
+    form, and its maximizing (X, Y, Z).
 
-    Each mode update is the exact closed-form maximizer with the other two
-    factors held fixed, so the objective never decreases within a run, and
-    each keeps a restart's old factor where its image vanishes.  The update
-    rules take the ascent's protocol, so each is passed to it as it is.  One
-    restart starts from the dominant-eigenvector partial traces; the rest
-    start from seeded random Hermitian matrices (restart r draws from (seed,
-    r)), drawn and normalized as one stack.  All restarts advance in
-    lockstep (see :func:`_lockstep_ascent`, where one hold of a factor
-    serves two updates); a restart leaves after the sweep whose gain falls
-    below tol times its previous value, or after max_iters sweeps.  The best
-    value across restarts (the first, on a tie) is returned together with
-    the achieving witness; it is a guaranteed lower bound on the trilinear
-    norm.
-
-    Every tensor given by its matrix, and a sampled tensor with N <= 4
-    (`_TABLE_MAX_N`), ascends on its Pauli table C = `pauli.fourier(T)` /
-    N^{3/2} (see :func:`_pauli_table`) through :func:`_array_maps`.  Each
-    factor is then its real coordinate vector in the orthonormal basis
-    conj(P_p)/sqrt(N): a start F enters as x_p = Re <conj(F), P_p>/sqrt(N)
-    (`pauli._coefficients`), and the witness leaves as X = Σ_p x_p
-    conj(P_p)/sqrt(N) (`pauli._matrices`).
-    A Hermitian tensor's table is real and the update is x = a/||a|| with
-    value ||a|| (see :func:`_unit_factor`); any other tensor's table is two
-    real planes, every map is a real GEMM against them, and the update is
-    the phase rotation of :func:`_phase_factor`.  A sampled tensor with
-    N >= 8 ascends on g through the maps of :func:`_mode_contraction`, its
-    starts passed once through their `enter`, with the update
-    X = (conj(A) + A^T) / ||conj(A) + A^T||_F (see :func:`_hermitian_factor`).
-
-    on_sweep, when given, is called as on_sweep(restart, iteration, value)
-    once per unconverged restart per sweep, in iteration-major order: every
-    restart still running reports iteration i, in increasing restart order,
-    before any reports iteration i + 1.
-
-    A sweep costs 1.5 passes over the table, O(N^6 R), and O(N^4 R) on g.
-    The winner is paired again by :func:`trilinear_eval`, on g for a
-    sampled tensor and on the matrix view for any other, so the table route
-    never rereads the table that produced its value; that pairing is the
-    returned value and the witness's.  ValueError is raised when it
-    differs from the ALS value by more than 1e-9 relative.  ValueError is
-    also raised up front for restarts or max_iters below 1 and for a tol
-    that is negative or not finite (a NaN tol would never stop a restart).
+    The collision mask and real g leave T's Pauli table (see
+    :func:`_pauli_table`) four nonzero entries, a, b, c, d = C[X,X,X],
+    C[X,Y,Y], C[Y,X,Y], C[Y,Y,X]: every other string holds I or Z, which the
+    mask zeroes, or an odd number of Y, which is 0 for real g.  A factor
+    with coordinates (cos α, sin α) on (X, Y) leaves the 2 x 2 slice
+    [[a cos α, c sin α], [d sin α, b cos α]] for the other two, whose best
+    pair of unit coordinate vectors is its top singular pair, with value
+    sigma_max(u) = (sqrt((a+b)^2 u + (c-d)^2 (1-u))
+    + sqrt((a-b)^2 u + (c+d)^2 (1-u))) / 2 at u = cos^2 α.  Each root is
+    concave in u, so the maximum over [0, 1] lies at 0, at 1 or at the one
+    stationary point, which exists only where the two roots' slopes have
+    opposite signs; the first of these candidates with the largest value
+    wins.  Returns that value and the factors, each leaving through
+    `pauli._matrices` as the table ALS's witness does.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    from .pauli import _matrices  # pauli imports this module
+
+    C = _pauli_table(T)
+    a, b, c, d = C[1, 1, 1], C[1, 2, 2], C[2, 1, 2], C[2, 2, 1]
+    A1, B1, A2, B2 = (a + b) ** 2, (c - d) ** 2, (a - b) ** 2, (c + d) ** 2
+
+    def twice_sigma(u):
+        return np.sqrt(A1 * u + B1 * (1.0 - u)) + np.sqrt(A2 * u + B2 * (1.0 - u))
+
+    us = [0.0, 1.0]
+    P, Q = A1 - B1, A2 - B2  # the slopes under the two roots
+    if P * Q < 0.0:  # the stationary point, squared: P^2 (B2 + Q u) = Q^2 (B1 + P u)
+        u = (Q * Q * B1 - P * P * B2) / (P * Q * (P - Q))
+        if 0.0 < u < 1.0:
+            us.append(u)
+    u = max(us, key=twice_sigma)
+    x1, x2 = np.sqrt(u), np.sqrt(1.0 - u)
+    U, s, Vh = np.linalg.svd(np.array([[a * x1, c * x2], [d * x2, b * x1]]))
+    coords = np.zeros((3, 4))
+    coords[:, 1:3] = (x1, x2), U[:, 0], Vh[0]
+    X, Y, Z = _matrices(coords) / np.sqrt(T.N)
+    return float(s[0]), (X, Y, Z)
+
+
+def _als(T: Tensor3, restarts: int, max_iters: int, tol: float, seed: int, on_sweep):
+    """The ALS of :func:`trilinear_norm_lower`, as (best value, (X, Y, Z))."""
     N = T.N
     starts = np.empty((3, restarts, N, N), dtype=np.complex128)
     starts[:, 0] = _anchor_factors(T)
@@ -857,15 +879,86 @@ def trilinear_norm_lower(
         rule = _unit_factor if T.is_hermitian() else _phase_factor
         # the table is passed on unnamed, so it is freed once the ascent returns
         best_val, factors = _lockstep_ascent(_array_maps(_pauli_table(T)), rule, coords, max_iters, stop, on_sweep)
-        X, Y, Z = _matrices(np.stack(factors)) / np.sqrt(N)
+        return best_val, tuple(_matrices(np.stack(factors)) / np.sqrt(N))
+    enter, hold = _mode_contraction(T)
+    return _lockstep_ascent(hold, _hermitian_factor, enter(starts), max_iters, stop, on_sweep)
+
+
+def trilinear_norm_lower(
+    T: Tensor3,
+    restarts: int = 8,
+    max_iters: int = 200,
+    tol: float = 1e-9,
+    seed: int = 0,
+    on_sweep=None,
+) -> tuple[float, TrilinearWitness]:
+    """A certified lower bound on the trilinear norm max |<T, X⊗Y⊗Z>| over
+    Hermitian unit-Frobenius balls, and the witness that attains it.
+
+    A sampled tensor with N = 2 (given by g, n = 1) gets the exact norm in
+    closed form (see :func:`_qubit_trilinear`), with no ascent; restarts,
+    max_iters, tol, seed and on_sweep do not apply to it (on_sweep is never
+    called), though they are validated as for any other tensor.
+
+    Every other tensor gets alternating maximization (the ALS).  Each mode
+    update is the exact closed-form maximizer with the other two factors
+    held fixed, so the objective never decreases within a run, and each
+    keeps a restart's old factor where its image vanishes.  The update
+    rules take the ascent's protocol, so each is passed to it as it is.  One
+    restart starts from the dominant-eigenvector partial traces; the rest
+    start from seeded random Hermitian matrices (restart r draws from (seed,
+    r)), drawn and normalized as one stack.  All restarts advance in
+    lockstep (see :func:`_lockstep_ascent`, where one hold of a factor
+    serves two updates); a restart leaves after the sweep whose gain falls
+    below tol times its previous value, or after max_iters sweeps.  The best
+    value across restarts (the first, on a tie) is returned together with
+    the achieving witness.
+
+    Every tensor given by its matrix, and a sampled tensor with N = 4
+    (`_TABLE_MAX_N`), ascends on its Pauli table C = `pauli.fourier(T)` /
+    N^{3/2} (see :func:`_pauli_table`) through :func:`_array_maps`.  Each
+    factor is then its real coordinate vector in the orthonormal basis
+    conj(P_p)/sqrt(N): a start F enters as x_p = Re <conj(F), P_p>/sqrt(N)
+    (`pauli._coefficients`), and the witness leaves as X = Σ_p x_p
+    conj(P_p)/sqrt(N) (`pauli._matrices`).
+    A Hermitian tensor's table is real and the update is x = a/||a|| with
+    value ||a|| (see :func:`_unit_factor`); any other tensor's table is two
+    real planes, every map is a real GEMM against them, and the update is
+    the phase rotation of :func:`_phase_factor`.  A sampled tensor with
+    N >= 8 ascends on g through the maps of :func:`_mode_contraction`, its
+    starts passed once through their `enter`, with the update
+    X = (conj(A) + A^T) / ||conj(A) + A^T||_F (see :func:`_hermitian_factor`).
+
+    on_sweep, when given, is called as on_sweep(restart, iteration, value)
+    once per unconverged restart per sweep, in iteration-major order: every
+    restart still running reports iteration i, in increasing restart order,
+    before any reports iteration i + 1.
+
+    A sweep costs 1.5 passes over the table, O(N^6 R), and O(N^4 R) on g.
+    The winner, closed-form or not, is paired again by
+    :func:`trilinear_eval`, on g for a sampled tensor and on the matrix view
+    for any other, so the table route never rereads the table that produced
+    its value; that pairing is the returned value and the witness's.
+    ValueError is raised when it differs from the computed value by more
+    than 1e-9 relative.  ValueError is also raised up front for restarts or
+    max_iters below 1 and for a tol that is negative or not finite (a NaN
+    tol would never stop a restart).
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if _closed_form(T):
+        route, (best_val, (X, Y, Z)) = "closed-form", _qubit_trilinear(T)
     else:
-        enter, hold = _mode_contraction(T)
-        best_val, (X, Y, Z) = _lockstep_ascent(hold, _hermitian_factor, enter(starts), max_iters, stop, on_sweep)
+        route, (best_val, (X, Y, Z)) = "ALS", _als(T, restarts, max_iters, tol, seed, on_sweep)
     # the table route's table went with its ascent, so it is never held
     # beside the pairing's transient copy of a general tensor's matrix
     value = trilinear_eval(T, X, Y, Z)
     if abs(abs(value) - best_val) > 1e-9 * max(abs(value), best_val):
-        raise ValueError(f"ALS value {best_val!r} does not match its witness ({abs(value)!r})")
+        raise ValueError(f"{route} value {best_val!r} does not match its witness ({abs(value)!r})")
     return abs(value), TrilinearWitness(X=X, Y=Y, Z=Z, value=value)
 
 

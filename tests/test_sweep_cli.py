@@ -217,10 +217,11 @@ class TestGapSweep:
 
     def test_sampled_row_eigensolves_once(self, monkeypatch):
         # one eigenpair per row, and the N^3 x N^3 matrix view is never handed
-        # to a dense eigh (the Lanczos tridiagonal may reach that size at n = 1)
+        # to a dense eigh (the Lanczos tridiagonal may reach that size); an
+        # n = 1 row solves in closed form (see test_qubit_row_runs_no_solver)
         from xorgap import tensor
 
-        M = tensor.sample_tensor(1, tensor.SamplerConfig(seed=row_seed(0, 1, 0))).matrix
+        M = tensor.sample_tensor(2, tensor.SamplerConfig(seed=row_seed(0, 2, 0))).matrix
         counted = []
         dense = []
         eigh, lanczos = np.linalg.eigh, tensor._lanczos_extremes
@@ -235,9 +236,25 @@ class TestGapSweep:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(tensor, "_lanczos_extremes", counting_lanczos)
-        compute_gap_row(1, row_seed(0, 1, 0))
-        assert counted == [8]
+        compute_gap_row(2, row_seed(0, 2, 0))
+        assert counted == [64]
         assert not any(dense)
+
+    def test_qubit_row_runs_no_solver(self, monkeypatch):
+        # an n = 1 row's eigenpair and trilinear norm are closed forms, and
+        # its classical bias is enumerated: no Lanczos run and no ascent
+        from xorgap import game, tensor
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an n = 1 row ran a solver")
+
+        monkeypatch.setattr(tensor, "_lanczos_extremes", forbidden)
+        monkeypatch.setattr(tensor, "_lockstep_ascent", forbidden)
+        monkeypatch.setattr(game, "_lockstep_ascent", forbidden)
+        for k in range(4):
+            row = compute_gap_row(1, row_seed(0, 1, k))
+            assert row.classical_method == "exact"
+            assert 0.0 < row.trilinear_lower <= row.trilinear_upper
 
     def test_sampled_row_skips_explicit_strategy_evaluation(self, monkeypatch):
         from xorgap import game, pauli
@@ -445,6 +462,13 @@ class TestCli:
         assert main(["norms", "--in", tpath, "--net-eps", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "spectral_norm" in out and "trilinear_upper" in out
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("trilinear_lower")]
+        assert line.endswith("(exact)")
+        dense = str(tmp_path / "dense.xgt")
+        save_tensor(dense, Tensor3(1, load_tensor(tpath).matrix))
+        assert main(["norms", "--in", dense]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("trilinear_lower")]
+        assert line.endswith("(ALS lower bound)")
         assert main(["game", "--in", tpath, "--out", gpath]) == 0
         assert main(["bias", "classical", "--game", gpath]) == 0
         assert "(exact)" in capsys.readouterr().out
@@ -594,6 +618,8 @@ class TestCli:
         assert main(["verify", "--suite", "identities"]) == 0
         out = capsys.readouterr().out
         assert "suite identities: PASS" in out
+        assert "n=1: closed-form lambda == top of dense eigvalsh: pass" in out
+        assert "n=1: closed-form trilinear norm >= table ALS on the built matrix, <= net upper bound: pass" in out
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

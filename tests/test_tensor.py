@@ -205,7 +205,11 @@ def _lockstep_cases():
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(17, key)))
         M = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
         cases.append((f"dense-n3-{key}", Tensor3(3, M), dict(restarts=4, max_iters=40)))
-    for n, count in ((1, 8), (2, 8), (3, 5)):
+    for k in range(8):  # n = 1 rows given by their matrix: a sampled one takes the closed form
+        s = row_seed(0, 1, k)
+        M = sample_tensor(1, SamplerConfig(seed=s)).matrix
+        cases.append((f"matrix-row-n1-{k}", Tensor3(1, M), dict(seed=s)))
+    for n, count in ((2, 8), (3, 5)):
         for k in range(count):
             s = row_seed(0, n, k)
             cases.append((f"row-n{n}-{k}", sample_tensor(n, SamplerConfig(seed=s)), dict(seed=s)))
@@ -572,9 +576,9 @@ class TestLanczosEigenpair:
             return low, np.roll(u, 1), high, np.roll(v, 1)
 
         monkeypatch.setattr(tensor, "_lanczos_extremes", wrong)
-        T = sample_tensor(1, SamplerConfig(seed=3))
+        T = sample_tensor(2, SamplerConfig(seed=3))  # n = 1 takes the closed form, no Lanczos
         if given == "matrix":
-            T = Tensor3(1, T.matrix)
+            T = Tensor3(2, T.matrix)
         with pytest.raises(ValueError, match="eigenpair residual"):
             top_eigenpair(T)
         assert T._eig is None  # nothing cached from a failed check
@@ -891,8 +895,9 @@ class TestTrilinearLower:
                         want = np.einsum(pattern, M6, F[r], H[r])
                         assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), (R, h, mode)
 
-    @pytest.mark.parametrize("n,seed", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 0)])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (2, 3), (2, 5), (3, 0)])
     def test_structured_als_matches_dense(self, n, seed):
+        # a sampled n = 1 tensor runs no ALS (see TestQubitClosedForm)
         T = sample_tensor(n, SamplerConfig(seed=seed))
         dense = Tensor3(n, T.matrix)  # no raw vector: the Pauli table of the matrix
         fast_sweeps, slow_sweeps = [], []
@@ -1012,7 +1017,7 @@ class TestTrilinearLower:
         rng = np.random.default_rng(4)
         M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         cases = [
-            ("_unit_factor", sample_tensor(1, SamplerConfig(seed=1))),
+            ("_unit_factor", sample_tensor(2, SamplerConfig(seed=1))),
             ("_hermitian_factor", sample_tensor(3, SamplerConfig(seed=1))),
             ("_phase_factor", Tensor3(1, M)),
         ]
@@ -1029,12 +1034,13 @@ class TestTrilinearLower:
                     trilinear_norm_lower(T, restarts=2)
             trilinear_norm_lower(T, restarts=2)  # unpatched, the same run passes
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3])
     def test_pauli_table_route_matches_g_maps(self, n, monkeypatch):
-        # a small sampled tensor ascends on its real Pauli table; forced onto
-        # the g maps, the seed-0 rows give the same per-restart sweep counts,
-        # values within 1e-12, and on both routes Hermitian unit witnesses
-        # that pair to their value
+        # a sampled tensor ascends on its real Pauli table up to N =
+        # _TABLE_MAX_N (n = 2; n = 3 with the crossover moved up to N = 8);
+        # forced onto the g maps, the seed-0 rows give the same per-restart
+        # sweep counts, values within 1e-12, and on both routes Hermitian
+        # unit witnesses that pair to their value
         from xorgap import tensor
         from xorgap.sweep import row_seed
 
@@ -1050,7 +1056,7 @@ class TestTrilinearLower:
             s = row_seed(0, n, k)
             T = sample_tensor(n, SamplerConfig(seed=s))
             runs = []
-            for table_max_n in (tensor._TABLE_MAX_N, 1):  # the table route, then the g maps
+            for table_max_n in (T.N, T.N // 2):  # the table route, then the g maps
                 monkeypatch.setattr(tensor, "_TABLE_MAX_N", table_max_n)
                 calls.clear()
                 sweeps = {}
@@ -1104,6 +1110,132 @@ class TestTrilinearLower:
         old = rng.standard_normal((3, 16))
         _check_keeps_old_factor(_unit_factor, rng.standard_normal((3, 16)), old)
         _check_keeps_old_factor(_phase_factor, rng.standard_normal((3, 2, 16)), old)
+
+
+def _qubit_cases():
+    """(name, sampled n = 1 tensor): 100 gaussian seeds, bernoulli g (every
+    |g_v g_{7-v}| ties at 1), and g = 0."""
+    cases = [(f"gaussian-{s}", sample_tensor(1, SamplerConfig(seed=s))) for s in range(100)]
+    cases += [(f"bernoulli-{s}", sample_tensor(1, SamplerConfig("bernoulli", seed=s))) for s in range(4)]
+    return cases + [("zero", Tensor3(1, raw_g=np.zeros(8)))]
+
+
+def _dense_qubit_table(T):
+    """The Pauli table of T's matrix view over N^{3/2}, by the dense basis."""
+    from xorgap.pauli import build_basis
+
+    Bc = build_basis(1).elements.conj()
+    C = np.einsum("pia,qjb,rkc,ijkabc->pqr", Bc, Bc, Bc, T.matrix.reshape((2,) * 6)) / 2**1.5
+    assert np.abs(C.imag).max() <= 1e-15 * max(1.0, np.abs(C).max())
+    return C.real
+
+
+class TestQubitClosedForm:
+    """A sampled n = 1 tensor's top eigenpair and trilinear norm in closed form."""
+
+    def test_eigenpair_matches_dense_eigh(self):
+        for name, T in _qubit_cases():
+            lam, psi = top_eigenpair(T)
+            w, V = np.linalg.eigh(T.matrix)
+            assert lam >= 0.0 and abs(lam - w[-1]) <= 1e-12 * abs(w[-1]), name
+            assert abs(w[0] + w[-1]) <= 1e-12 * abs(w[-1]), name  # the exact +/-lambda pair
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-15, name
+            assert np.linalg.norm(T.matrix @ psi - lam * psi) <= 1e-12 * abs(lam), name
+            if w[-1] - w[-2] > 1e-9 * w[-1]:  # a simple top eigenvalue: the same vector
+                assert abs(abs(np.vdot(V[:, -1], psi)) - 1.0) <= 1e-12, name
+
+    def test_ties_take_first_block(self):
+        # bernoulli g: every h_v = g_v g_{7-v} is +/-1, so v = 0 wins
+        T = sample_tensor(1, SamplerConfig("bernoulli", seed=2))
+        g = T.raw_g
+        lam, psi = top_eigenpair(T)
+        want = np.zeros(8)
+        want[0], want[7] = 1.0, np.sign(g[0] * g[7])
+        assert lam == 1.0 and np.array_equal(psi, want * np.sqrt(0.5))
+
+    def test_trilinear_matches_dense_alpha_grid(self):
+        # player 1's unit (X, Y) coordinates (cos a, sin a) over a dense grid,
+        # the best (y, z) for each by an SVD of the whole 4 x 4 slice of the
+        # table from the dense basis; the table has no other nonzero entry
+        alpha = np.linspace(0.0, np.pi, 4001)
+        live = np.zeros((4, 4, 4), dtype=bool)
+        live[1, 1, 1] = live[1, 2, 2] = live[2, 1, 2] = live[2, 2, 1] = True
+        for name, T in _qubit_cases():
+            val, _ = trilinear_norm_lower(T)
+            C = _dense_qubit_table(T)
+            assert np.abs(C[~live]).max() <= 1e-13 * max(1.0, np.abs(C).max()), name
+            slices = np.cos(alpha)[:, None, None] * C[1] + np.sin(alpha)[:, None, None] * C[2]
+            grid = np.linalg.svd(slices, compute_uv=False)[:, 0].max()
+            assert grid <= val * (1.0 + 1e-12) + 1e-300, name
+            assert val <= grid * (1.0 + 1e-6), name
+
+    def test_trilinear_never_below_long_table_als(self):
+        # the table ALS on the same tensor given by its matrix (no g, so it
+        # still ascends), with 16 restarts and 2000 sweeps, never beats it
+        for name, T in _qubit_cases():
+            val, _ = trilinear_norm_lower(T)
+            als, _ = trilinear_norm_lower(Tensor3(1, T.matrix), restarts=16, max_iters=2000)
+            assert als <= val * (1.0 + 1e-12), name
+
+    def test_witness_is_feasible_and_pairs_to_value(self):
+        for name, T in _qubit_cases():
+            val, wit = trilinear_norm_lower(T)
+            for M in (wit.X, wit.Y, wit.Z):
+                assert np.abs(M - M.conj().T).max() <= 1e-15, name
+                assert abs(np.linalg.norm(M) - 1.0) <= 1e-12, name
+            value = trilinear_eval(T, wit.X, wit.Y, wit.Z)
+            assert value == wit.value and val == abs(value), name
+            dense = trilinear_eval(Tensor3(1, T.matrix), wit.X, wit.Y, wit.Z)
+            assert abs(abs(dense) - val) <= 1e-12 * val, name
+
+    def test_runs_no_ascent_and_no_lanczos(self, monkeypatch):
+        # the options are still validated, and on_sweep is never called
+        from xorgap import tensor
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a solver ran on a sampled n = 1 tensor")
+
+        monkeypatch.setattr(tensor, "_lockstep_ascent", forbidden)
+        monkeypatch.setattr(tensor, "_lanczos_extremes", forbidden)
+        T = sample_tensor(1, SamplerConfig(seed=9))
+        calls = []
+        val, _ = trilinear_norm_lower(T, restarts=3, seed=4, on_sweep=lambda *a: calls.append(a))
+        assert val > 0.0 and calls == []
+        assert spectral_norm(T) == top_eigenpair(T)[0] > 0.0
+        for kw, match in ((dict(restarts=0), "restarts"), (dict(max_iters=0), "max_iters"), (dict(tol=-1.0), "tol")):
+            with pytest.raises(ValueError, match=match):
+                trilinear_norm_lower(T, **kw)
+
+    def test_tampered_eigenpair_fails_residual_check(self, monkeypatch):
+        from xorgap import tensor
+
+        qubit = tensor._qubit_eigenpair
+
+        def wrong(g):
+            lam, vec = qubit(g)
+            return lam, np.roll(vec, 1)
+
+        monkeypatch.setattr(tensor, "_qubit_eigenpair", wrong)
+        T = sample_tensor(1, SamplerConfig(seed=3))
+        with pytest.raises(ValueError, match="eigenpair residual"):
+            top_eigenpair(T)
+        assert T._eig is None  # nothing cached from a failed check
+
+    def test_tampered_value_fails_witness_check(self, monkeypatch):
+        from xorgap import tensor
+
+        qubit = tensor._qubit_trilinear
+
+        def doubled(T):
+            val, factors = qubit(T)
+            return 2.0 * val, factors
+
+        T = sample_tensor(1, SamplerConfig(seed=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor, "_qubit_trilinear", doubled)
+            with pytest.raises(ValueError, match="closed-form value .* does not match its witness"):
+                trilinear_norm_lower(T)
+        trilinear_norm_lower(T)  # unpatched, the same call passes
 
 
 def _exhaustive_net_upper(T, eps):
