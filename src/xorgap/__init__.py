@@ -43,13 +43,11 @@ from .game import (
 )
 from .nets import (
     HermDecomposition,
-    ProjectorNet,
-    SphereNet,
     lorentz_decompose,
     projector_net,
     sphere_net,
 )
-from .pauli import FourierTable, PauliBasis, build_basis, fourier, inverse_fourier
+from .pauli import build_basis, fourier, inverse_fourier
 from .sweep import GapRow, gap_sweep, show, verify_suite
 from .tensor import (
     SamplerConfig,

@@ -498,7 +498,7 @@ def pauli_strategy(T: Tensor3) -> EntangledStrategy:
     coefficient(P,Q,R) times the correlation of (P,Q,R) over all questions
     telescopes to N^3 times the top eigenvalue, the game's `pauli_bias`.
     """
-    E = build_basis(T.n).elements
+    E = build_basis(T.n)
     _, psi = top_eigenpair(hermitize(T))
     return EntangledStrategy(dims=(T.N, T.N, T.N), state=psi, observables=(E, E, E))
 

@@ -1,16 +1,18 @@
 """Constructive epsilon-nets and the signed-projector decomposition.
 
-Sphere nets come from greedy maximal packing: seeded candidates are kept
-whenever they sit farther than eps from every point kept so far, and
-construction stops after a long run of consecutive rejections.  A maximal
-eps-packing is an eps-net, but the stopping rule is probabilistic, so covering
-is additionally verified by sampling.  Sphere nets are built in C^2 only, the
-one dimension of their caller: projector nets are built at N = 2 only,
-where the spans of k-subsets of a sphere net at resolution eps/sqrt(2) have
-closed forms: the rank-1 net is v v^H for each sphere-net point v, and the
-rank-2 net is the single element I/sqrt(2).  The triple net is the union over
-rank triples of elementwise tensor products, and only its size is computed
-here (the net upper bound on the trilinear norm streams the products itself).
+Every net here lives on C^2, the one dimension the net upper bound on the
+trilinear norm is certified at, and is returned as one read-only array.
+The sphere net, (m, 2) unit vectors, comes from greedy maximal packing:
+seeded candidates are kept whenever they sit farther than eps from every
+point kept so far, and construction stops after a long run of consecutive
+rejections.  A maximal eps-packing is an eps-net, but the stopping rule is
+probabilistic, so covering is additionally verified by sampling.  The
+projector net of rank k, (m, 2, 2) normalized projectors, is the spans of
+k-subsets of a sphere net at resolution eps/sqrt(2), in closed form: the
+rank-1 net is v v^H for each sphere-net point v, and the rank-2 net is the
+single element I/sqrt(2).  The triple net is the union over rank triples of
+elementwise tensor products, and only its size is computed here (the net
+upper bound on the trilinear norm streams the products itself).
 """
 
 from __future__ import annotations
@@ -24,43 +26,9 @@ import numpy as np
 from .errors import DimensionError, ScaleError
 
 PACKING_WINDOW = 10_000  # consecutive rejections that end a sphere-net packing
-_PACKING_CAP = 100_000  # largest volumetric bound (1 + 2/eps)^(2N) a packing may reach
+_PACKING_CAP = 100_000  # largest volumetric bound (1 + 2/eps)^4 a packing may reach
 _SCREEN_MARGIN = 1e-9  # the GEMM screen rejects only below eps^2 minus this
 _EIG_CUTOFF = 1e-12  # decomposition drops eigenvalues below this times the largest
-
-
-@dataclass(frozen=True)
-class SphereNet:
-    """Unit vectors in C^dim pairwise farther apart than eps."""
-
-    dim: int
-    eps: float
-    points: np.ndarray  # (count, dim) complex
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    def nearest_distance(self, v: np.ndarray) -> float:
-        d2 = np.sum(np.abs(self.points - v.reshape(1, -1)) ** 2, axis=1)
-        return float(np.sqrt(d2.min()))
-
-
-@dataclass(frozen=True)
-class ProjectorNet:
-    """Normalized projectors X/sqrt(k) of rank k on C^N."""
-
-    N: int
-    k: int
-    eps: float
-    elements: np.ndarray  # (m, N, N) complex, read-only, each of Frobenius norm 1
-
-    def __len__(self):
-        return len(self.elements)
-
-    def nearest_distance(self, X: np.ndarray) -> float:
-        E = self.elements.reshape(len(self), -1)
-        d2 = np.sum(np.abs(E - X.reshape(1, -1)) ** 2, axis=1)
-        return float(np.sqrt(d2.min()))
 
 
 @dataclass
@@ -86,8 +54,9 @@ class HermDecomposition:
 
 
 @lru_cache(maxsize=32)
-def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
-    """Greedy maximal eps-packing of the unit sphere of C^N (an eps-net).
+def sphere_net(eps: float, seed: int = 0) -> np.ndarray:
+    """Greedy maximal eps-packing of the unit sphere of C^2 (an eps-net), as
+    one read-only (m, 2) complex array of its points.
 
     Candidates come in seeded batches of 256.  A batch is screened against
     the points kept before it with one real GEMM: Re(v p^H) is the dot of
@@ -100,17 +69,15 @@ def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
     in the same batch; the rejections between them are counted, not
     visited.  So the result is the one-candidate-at-a-time packing, bit for
     bit.  Construction stops after PACKING_WINDOW consecutive rejections,
-    even mid-batch.  Deterministic for fixed (N, eps, seed); results are cached
-    and shared (all stored arrays are read-only).  Only N = 2 is built, the
-    one dimension of the projector nets; any other N is a ScaleError before
-    any point is drawn.  So is an eps whose packing may exceed 1e5 points, by
-    the volumetric bound (1 + 2/eps)^(2N): there the window stop would wait
-    on ever rarer rejections ((2, 0.5) allows 625 and (2, 0.1) about 1.9e5).
+    even mid-batch.  Deterministic for fixed (eps, seed); results are cached
+    and shared.  An eps whose packing may exceed 1e5 points, by the
+    volumetric bound (1 + 2/eps)^4, is a ScaleError before any point is
+    drawn: there the window stop would wait on ever rarer rejections (0.5
+    allows 625 and 0.1 about 1.9e5).
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    if N != 2:
-        raise ScaleError("sphere nets are built only in complex dimension 2")
+    N = 2  # the dimension, also part of the seed's entropy
     if 2 * N * math.log1p(2.0 / eps) > math.log(_PACKING_CAP):
         raise ScaleError(
             f"eps too small: a packing of the unit sphere of C^{N} may hold "
@@ -156,45 +123,44 @@ def sphere_net(N: int, eps: float, seed: int = 0) -> SphereNet:
             pts = np.concatenate([pts, fresh[:m]])
             cols = np.concatenate([cols, fresh[:m].view(np.float64).T], axis=1)
     pts.setflags(write=False)
-    return SphereNet(dim=N, eps=eps, points=pts)
+    return pts
 
 
 @lru_cache(maxsize=32)
-def projector_net(N: int, k: int, eps: float, seed: int = 0) -> ProjectorNet:
-    """Net over normalized rank-k projectors on C^N (N = 2 only).
+def projector_net(k: int, eps: float, seed: int = 0) -> np.ndarray:
+    """Net over normalized rank-k projectors X/sqrt(k) on C^2, k in {1, 2},
+    as one read-only (m, 2, 2) complex array, each element of Frobenius
+    norm 1 (results are cached per argument tuple).
 
     The net is the spans of k-subsets of an eps/sqrt(2) sphere net,
-    normalized by sqrt(k), in closed form.  For k = N every spanning subset
-    spans C^N, so the net is the one element I/sqrt(N) and no sphere net is
+    normalized by sqrt(k), in closed form.  For k = 2 every spanning subset
+    spans C^2, so the net is the one element I/sqrt(2) and no sphere net is
     built.  For k = 1 the elements are the projectors v v^H of the sphere-net
-    points, in point order.  The elements are one read-only (m, N, N) array
-    (results are cached per argument tuple).  Covering radius eps is
-    verified empirically by the callers that need it.
+    points, in point order.  Covering radius eps is verified empirically by
+    the callers that need it.
     """
-    if N != 2:
-        raise ScaleError("projector nets are built only at N = 2")
-    if not 1 <= k <= N:
-        raise ValueError("k must lie in [1, N]")
+    if k not in (1, 2):
+        raise ValueError(f"k must be 1 or 2, got {k!r}")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    if k == N:
-        P = np.eye(N, dtype=np.complex128)[None] / np.sqrt(N)
+    if k == 2:
+        P = np.eye(2, dtype=np.complex128)[None] / np.sqrt(2.0)
     else:
-        pts = sphere_net(N, eps / np.sqrt(2.0), seed=seed).points
+        pts = sphere_net(eps / np.sqrt(2.0), seed=seed)
         P = pts[:, :, None] * pts[:, None, :].conj()
     P.setflags(write=False)
-    return ProjectorNet(N=N, k=k, eps=eps, elements=P)
+    return P
 
 
-def triple_net_size(N: int, eps: float, seed: int = 0) -> int:
+def triple_net_size(eps: float, seed: int = 0) -> int:
     """Number of elements of the triple product net at resolution eps.
 
-    The triple net is the union over rank triples (k, l, m) in [N]^3 of the
-    elementwise tensor products X⊗Y⊗Z of the rank-k, rank-l and rank-m
+    The triple net is the union over rank triples (k, l, m) in {1, 2}^3 of
+    the elementwise tensor products X⊗Y⊗Z of the rank-k, rank-l and rank-m
     projector nets; summing the size products over all rank triples gives
     the cube of the summed net sizes.
     """
-    return sum(len(projector_net(N, k, eps, seed=seed)) for k in range(1, N + 1)) ** 3
+    return sum(len(projector_net(k, eps, seed=seed)) for k in (1, 2)) ** 3
 
 
 def lorentz_decompose(X: np.ndarray) -> HermDecomposition:

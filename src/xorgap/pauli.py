@@ -18,8 +18,6 @@ for observables and explicit checks.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -28,7 +26,6 @@ import numpy as np
 from .errors import DimensionError, ScaleError
 from .tensor import Tensor3
 
-_LETTERS = "IXYZ"
 _PAULI_1Q = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 # the most qubits of a dense basis or a whole Q^3 table (4^(3n) entries,
@@ -36,38 +33,12 @@ _PAULI_1Q = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [
 MAX_QUBITS = 4
 
 
-@dataclass(frozen=True)
-class PauliBasis:
-    """Ordered n-qubit Pauli basis: the N^2 Hermitian unitaries as one
-    read-only (N^2, N, N) complex array, with their string labels."""
-
-    n: int
-    N: int
-    elements: np.ndarray
-    labels: tuple
-
-    def __len__(self):
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class FourierTable:
-    """Coefficients of a tensor in the triple Pauli basis, shape (N^2,)*3.
-
-    The table of a sampled tensor (one given by its raw vector g) is real
-    float64, computed from g; any other tensor's table is complex.
-    """
-
-    n: int
-    N: int
-    coefficients: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def build_basis(n: int) -> PauliBasis:
-    """All 4^n Pauli products for n qubits, lexicographic in I < X < Y < Z,
-    as one read-only (4^n, N, N) array: each qubit appends its Kronecker
-    factor to every element by one broadcast product, entry for entry `np.kron`'s."""
+def build_basis(n: int) -> np.ndarray:
+    """All 4^n Pauli products for n qubits, lexicographic in I < X < Y < Z
+    with the leftmost qubit most significant, as one read-only (4^n, N, N)
+    array: each qubit appends its Kronecker factor to every element by one
+    broadcast product, entry for entry `np.kron`'s."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"a dense Pauli basis needs n between 1 and {MAX_QUBITS}")
     E = _PAULI_1Q.copy()
@@ -76,8 +47,7 @@ def build_basis(n: int) -> PauliBasis:
         # axes (p, s, i, a, j, b): element (p, s), row (i, a), column (j, b)
         E = (E[:, None, :, None, :, None] * _PAULI_1Q[:, None, :, None, :]).reshape(4 * Q, 2 * d, 2 * d)
     E.setflags(write=False)
-    labels = tuple("".join(letters) for letters in itertools.product(_LETTERS, repeat=n))
-    return PauliBasis(n=n, N=2**n, elements=E, labels=labels)
+    return E
 
 
 @lru_cache(maxsize=None)
@@ -261,23 +231,24 @@ def _table_slabs(T: Tensor3):
     return _dense_slabs(T)
 
 
-def fourier(T: Tensor3) -> FourierTable:
-    """Coefficient table c(P,Q,R) = <T, P⊗Q⊗R>, written slab by slab over
-    player 1's questions into the one returned array (see :func:`_table_slabs`).
+def fourier(T: Tensor3) -> np.ndarray:
+    """Coefficient table c(P,Q,R) = <T, P⊗Q⊗R>, shape (N^2,)*3, written slab
+    by slab over player 1's questions into the one returned array (see
+    :func:`_table_slabs`).
 
-    A sampled tensor's table is that of the rank-one g g^T under the
-    collision mask, in real arithmetic, so its matrix is never built.  Any
-    other tensor's comes from its matrix view by XOR offsets of player 1
-    (:func:`_dense_slabs`), with no reordered copy of the matrix and no
-    second complex N^6 array.  ScaleError above MAX_QUBITS, before anything
-    is allocated.
+    A sampled tensor's table is real float64: that of the rank-one g g^T
+    under the collision mask, in real arithmetic, so its matrix is never
+    built.  Any other tensor's is complex and comes from its matrix view by
+    XOR offsets of player 1 (:func:`_dense_slabs`), with no reordered copy
+    of the matrix and no second complex N^6 array.  ScaleError above
+    MAX_QUBITS, before anything is allocated.
     """
     _check_table_size(T.n)
     Q = T.N * T.N
     C = np.empty((Q, Q, Q), np.float64 if T.raw_g is not None else np.complex128)
     for ps, slab in _table_slabs(T):
         C[ps] = slab
-    return FourierTable(n=T.n, N=T.N, coefficients=C)
+    return C
 
 
 def _check_table_size(n: int) -> None:
@@ -296,21 +267,27 @@ def _mode_transform(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     return C
 
 
-def inverse_fourier(F: FourierTable) -> Tensor3:
-    """Rebuild the tensor: T = N^{-3} Σ c(P,Q,R) P⊗Q⊗R, by three complex
-    mode GEMMs (:func:`_mode_transform`) with the per-mode inverse B^H / N,
-    where row p of B is conj(P_p) flattened.  Their (d, d, d) result, indexed
-    ((i, i'), (j, j'), (k, k')), is copied into the GEMMs' other buffer as the
-    matrix view, rows (i, j, k) and columns (i', j', k'), so the inverse holds
-    two complex N^6 arrays at most."""
-    N, Q = F.N, F.N * F.N
+def inverse_fourier(C: np.ndarray) -> Tensor3:
+    """Rebuild the tensor from its coefficient table C, whose shape (4^n,)*3
+    with n >= 1 gives n (any other shape is a DimensionError): T = N^{-3} Σ
+    c(P,Q,R) P⊗Q⊗R, by three complex mode GEMMs (:func:`_mode_transform`)
+    with the per-mode inverse B^H / N, where row p of B is conj(P_p)
+    flattened.  Their (d, d, d) result, indexed ((i, i'), (j, j'), (k, k')),
+    is copied into the GEMMs' other buffer as the matrix view, rows (i, j, k)
+    and columns (i', j', k'), so the inverse holds two complex N^6 arrays at
+    most."""
+    shape = np.shape(C)
+    n = (shape[0].bit_length() - 1) // 2 if shape else 0
+    if n < 1 or shape != (4**n,) * 3:
+        raise DimensionError(f"a coefficient table must have shape (4^n,)*3 with n >= 1, got {shape}")
+    N, Q = 2**n, 4**n
     Binv = _matrices(np.eye(Q)).reshape(Q, Q).conj().T / N  # the rows of B satisfy B† B = N I
-    W = F.coefficients.astype(np.complex128)
-    C = _mode_transform(Binv, W)
-    np.copyto(W.reshape((N,) * 6), C.reshape((N,) * 6).transpose(0, 2, 4, 1, 3, 5))
+    W = np.array(C, dtype=np.complex128)
+    V = _mode_transform(Binv, W)
+    np.copyto(W.reshape((N,) * 6), V.reshape((N,) * 6).transpose(0, 2, 4, 1, 3, 5))
     M = W.reshape(N**3, N**3)
     M.setflags(write=False)
-    return Tensor3(F.n, M)
+    return Tensor3(n, M)
 
 
 def _player_marginal(psi: np.ndarray, B: np.ndarray, Cm: np.ndarray) -> np.ndarray:

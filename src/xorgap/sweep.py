@@ -86,7 +86,7 @@ def compute_gap_row(n: int, sample_seed: int) -> GapRow:
     tensor's real Pauli table, and above that it contracts g.  The classical bias is
     chosen here.  Up to N = `tensor._TABLE_MAX_N` the row builds the game
     (`game.game_from_tensor`): the n = 1 game is enumerated exactly and the
-    n = 2 game gets the heuristic on its dense cost tensor.  Above that the
+    n = 2 game gets the heuristic on its signed table.  Above that the
     row builds no game and forms no Q^3 array: the heuristic ascends on g
     (`game.classical_value`) for its value v on the unnormalized table, l1
     is streamed from g over blocks of player 1's questions
@@ -235,16 +235,16 @@ def _suite_identities(seed: int) -> SuiteReport:
         T = tensor.sample_tensor(n, tensor.SamplerConfig(seed=row_seed(seed, n, 0)))
         table = pauli.fourier(T)
         # the built matrix against the dense basis, independent of fourier
-        Bc = pauli.build_basis(n).elements.conj()
+        Bc = pauli.build_basis(n).conj()
         dense_table = np.einsum("pia,qjb,rkc,ijkabc->pqr", Bc, Bc, Bc, T.matrix.reshape((N,) * 6), optimize=True)
-        from_g_err = float(np.abs(table.coefficients - dense_table).max())
+        from_g_err = float(np.abs(table - dense_table).max())
         back = pauli.inverse_fourier(table)
         rt_err = float(np.abs(back.matrix - T.matrix).max())
         fro2 = T.frobenius_norm() ** 2
-        pars_err = abs(float(np.sum(np.abs(table.coefficients) ** 2)) - N**3 * fro2)
+        pars_err = abs(float(np.sum(np.abs(table) ** 2)) - N**3 * fro2)
         lam, psi = tensor.top_eigenpair(T)
         w = pauli.pauli_expectations(n, psi)
-        ident_err = abs(float(np.sum(table.coefficients.real * w)) - N**3 * lam)
+        ident_err = abs(float(np.sum(table.real * w)) - N**3 * lam)
         sn = tensor.spectral_norm(T)
         rep = game.game_from_tensor(T)
         explicit = game.entangled_bias_eval(rep.game, game.pauli_strategy(T))
@@ -288,7 +288,7 @@ def _suite_identities(seed: int) -> SuiteReport:
             # the same general tensor's table by XOR offsets against the
             # dense basis, and its game's closed-form bias against the
             # explicit strategy evaluated on that game
-            general_table = pauli.fourier(G).coefficients
+            general_table = pauli.fourier(G)
             want = np.einsum("pia,qjb,rkc,ijkabc->pqr", Bc, Bc, Bc, M.reshape((N,) * 6), optimize=True)
             general_rep = game.game_from_tensor(G)
             g_explicit = game.entangled_bias_eval(general_rep.game, game.pauli_strategy(G))
@@ -319,8 +319,8 @@ def _suite_identities(seed: int) -> SuiteReport:
             )
         if n >= 2:
             # the structured paths against the dense ones, from the same
-            # starts: the classical ascent on g against the game's cost
-            # tensor, and the sampled tensor's ALS (on its Pauli table from
+            # starts: the classical ascent on g against the game's signed
+            # table, and the sampled tensor's ALS (on its Pauli table from
             # g at small N, on the g maps above) against the ALS on the
             # Pauli table of the built matrix
             row_s = row_seed(seed, n, 0)
@@ -348,12 +348,13 @@ def _suite_nets(seed: int) -> SuiteReport:
     ok = True
     rng = np.random.default_rng(seed)
     eps = 0.5
-    pnet1 = nets.projector_net(2, 1, eps, seed=seed)
+    flat1 = nets.projector_net(1, eps, seed=seed).reshape(-1, 4)  # the rank-1 elements, flattened
     worst, witness = 0.0, None
     for _ in range(2000):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v /= np.linalg.norm(v)
-        d = pnet1.nearest_distance(np.outer(v, v.conj()))
+        # the distance to the nearest rank-1 element
+        d = float(np.sqrt(np.sum(np.abs(flat1 - np.outer(v, v.conj()).reshape(1, -1)) ** 2, axis=1).min()))
         if d > worst:
             worst, witness = d, v
     good = worst <= eps
@@ -362,14 +363,14 @@ def _suite_nets(seed: int) -> SuiteReport:
     if not good:
         lines.append(f"  witness unit vector: {witness!r}")
 
-    snet = nets.sphere_net(2, eps, seed=seed)
+    snet = nets.sphere_net(eps, seed=seed)
     for dim_count, label in ((2, "complex"), (4, "real")):
         ref = (1.0 + 2.0 / eps) ** dim_count
         lines.append(
             f"sphere net cardinality {len(snet)} vs (1+2/eps)^{dim_count} = {ref:.0f} "
             f"({label}-dimension reading; diagnostic only)"
         )
-    pnets = {k: nets.projector_net(2, k, eps, seed=seed) for k in (1, 2)}
+    pnets = {k: nets.projector_net(k, eps, seed=seed) for k in (1, 2)}
     for k in (1, 2):
         ref = 2.0 * (5.0 / eps) ** (k * 2)
         lines.append(
@@ -382,13 +383,13 @@ def _suite_nets(seed: int) -> SuiteReport:
         for l in (1, 2)
         for m in (1, 2)
     )
-    streamed = nets.triple_net_size(2, eps, seed=seed)
+    streamed = nets.triple_net_size(eps, seed=seed)
     good = streamed == count
     ok &= good
     lines.append(f"triple net size {streamed} == product formula {count}: {'pass' if good else 'FAIL'}")
 
     worst, witness = 0.0, None
-    elems = {k: pnets[k].elements.reshape(len(pnets[k]), -1) for k in (1, 2)}
+    elems = {k: pnets[k].reshape(len(pnets[k]), -1) for k in (1, 2)}
     for _ in range(300):
         picks = []
         for _mode in range(3):
@@ -406,7 +407,7 @@ def _suite_nets(seed: int) -> SuiteReport:
                 d2 = np.sum(np.abs(elems[k] - flat) ** 2, axis=1)
                 i = int(np.argmin(d2))
                 if d2[i] < best_d:
-                    best_d, best_e = d2[i], pnets[k].elements[i]
+                    best_d, best_e = d2[i], pnets[k][i]
             approx.append(best_e)
         tilde = np.kron(np.kron(approx[0], approx[1]), approx[2])
         d = float(np.linalg.norm(prod - tilde))
@@ -422,7 +423,7 @@ def _suite_nets(seed: int) -> SuiteReport:
     # net, with the traces kept apart
     T = tensor.sample_tensor(1, tensor.SamplerConfig(seed=row_seed(seed, 1, 0)))
     g = T.raw_g
-    E = np.concatenate([nets.projector_net(2, k, eps).elements for k in (1, 2)]).reshape(-1, 4)
+    E = np.concatenate([nets.projector_net(k, eps) for k in (1, 2)]).reshape(-1, 4)
     tr = E @ np.eye(2).reshape(-1)
     W = np.outer(g, g).reshape(2, 2, 2, 2, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(4, 4, 4)
     dev = max(

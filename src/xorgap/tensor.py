@@ -29,7 +29,7 @@ _PRUNE_MARGIN = 1e-12  # relative rounding slack of the net maximum's pruning bo
 # Largest N whose sampled tensors ascend on their real Pauli table (Q^3 =
 # N^6 entries, 4096 at N = 4) rather than on g: the ALS in
 # `trilinear_norm_lower`, and the classical ascent of a gap row, which
-# `sweep.compute_gap_row` runs on its game's cost tensor up to this N and on
+# `sweep.compute_gap_row` runs on its game's signed table up to this N and on
 # g (`game.classical_value`) above it.  A sampled tensor with N = 2 runs
 # neither ALS (its trilinear norm is a closed form) nor classical ascent
 # (its row enumerates), so for sampled tensors the table ALS runs at N = 4
@@ -439,6 +439,17 @@ def trilinear_eval(T: Tensor3, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> c
     return complex(np.sum(image(2, enter(X)[None])[0] * Z))
 
 
+def _divided(x: np.ndarray, norm: np.ndarray, old: np.ndarray, out=None) -> np.ndarray:
+    """The vanished-slice step of the update rules: x[r] / norm[r] for each
+    slice r of the stack x, into out (a fresh array when None), and old[r]
+    where norm[r] is 0.  norm has x's dimensions, each after the first of
+    length 1.  Only a vanished slice costs the np.where."""
+    ok = norm > 0.0
+    if np.count_nonzero(ok) == len(ok):  # no slice vanished (cheaper than ok.all())
+        return np.divide(x, norm, out=out)
+    return np.where(ok, np.divide(x, np.where(ok, norm, 1.0), out=out), old)
+
+
 def _hermitian_factor(A: np.ndarray, old: np.ndarray, valued: bool):
     """The mode update of a Hermitian tensor on the g maps: X[r] = (conj(A[r]) + A[r]^T) / norm.
 
@@ -449,20 +460,14 @@ def _hermitian_factor(A: np.ndarray, old: np.ndarray, valued: bool):
     bit whatever the rounding in A; the value is ||conj(A) + A^T||_F / 2
     = Re sum A∘X.  An update rule of :func:`_lockstep_ascent`: returns (X,
     values), the values where valued is set and None otherwise.  Where A[r]
-    vanishes, X[r] is old[r] and its value is 0.  The update is one norm
-    and one in-place divide; only a vanished slice costs the np.where.
+    vanishes, X[r] is old[r] and its value is 0 (see :func:`_divided`).
+    The update is one norm and one in-place divide.
     """
     X = A.conj()
     X += A.transpose(0, 2, 1)
     flat = X.view(np.float64).reshape(len(X), -1)
     norm = np.sqrt(np.vecdot(flat, flat))
-    ok = norm > 0.0
-    if np.count_nonzero(ok) == len(ok):  # no slice vanished (cheaper than ok.all())
-        X /= norm[:, None, None]
-    else:
-        X /= np.where(ok, norm, 1.0)[:, None, None]
-        X = np.where(ok[:, None, None], X, old)
-    return X, (norm / 2.0 if valued else None)
+    return _divided(X, norm[:, None, None], old, out=X), (norm / 2.0 if valued else None)
 
 
 def _unit_factor(a: np.ndarray, old: np.ndarray, valued: bool):
@@ -473,12 +478,7 @@ def _unit_factor(a: np.ndarray, old: np.ndarray, valued: bool):
     and its value is 0.
     """
     norm = np.sqrt(np.vecdot(a, a))
-    ok = norm > 0.0
-    if np.count_nonzero(ok) == len(ok):  # no slice vanished (cheaper than ok.all())
-        x = a / norm[:, None]
-    else:
-        x = np.where(ok[:, None], a / np.where(ok, norm, 1.0)[:, None], old)
-    return x, (norm if valued else None)
+    return _divided(a, norm[:, None], old), (norm if valued else None)
 
 
 def _phase_factor(a: np.ndarray, old: np.ndarray, valued: bool):
@@ -502,13 +502,7 @@ def _phase_factor(a: np.ndarray, old: np.ndarray, valued: bool):
     theta = np.arctan2(2.0 * ri, diff) / 2.0
     x = np.cos(theta)[:, None] * re
     x += np.sin(theta)[:, None] * im
-    ok = val > 0.0
-    if np.count_nonzero(ok) == len(ok):  # no slice vanished (cheaper than ok.all())
-        x /= val[:, None]
-    else:
-        x /= np.where(ok, val, 1.0)[:, None]
-        x = np.where(ok[:, None], x, old)
-    return x, (val if valued else None)
+    return _divided(x, val[:, None], old, out=x), (val if valued else None)
 
 
 def _array_maps(W: np.ndarray):
@@ -767,15 +761,15 @@ def _orthogonalized(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _anchor_factors(T: Tensor3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic start: normalized partial traces of the dominant vector
-    of :func:`_dominant_pair`."""
+    of :func:`_dominant_pair`.  Each has trace 1, the vector's squared norm,
+    so its Frobenius norm is at least 1/sqrt(N) and never 0."""
     N = T.N
     p3 = _dominant_pair(T)[1].reshape(N, N, N)
     outs = []
     for pattern in ("ajk,bjk->ab", "jak,jbk->ab", "jka,jkb->ab"):
         rho = np.einsum(pattern, p3, p3.conj())
         rho = (rho + rho.conj().T) / 2.0
-        nrm = np.linalg.norm(rho)
-        outs.append(rho / nrm if nrm > 0 else np.eye(N) / np.sqrt(N))
+        outs.append(rho / np.linalg.norm(rho))
     return tuple(outs)
 
 
@@ -864,9 +858,7 @@ def _als(T: Tensor3, restarts: int, max_iters: int, tol: float, seed: int, on_sw
         H = (M + M.conj().transpose(0, 1, 3, 2)) / 2.0
         re, im = (part.reshape(restarts - 1, 3, -1) for part in (H.real, H.imag))
         nrm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))  # as np.linalg.norm sums
-        ok = nrm > 0.0
-        H /= np.where(ok, nrm, 1.0)[:, :, None, None]
-        H[~ok] = np.eye(N) / np.sqrt(N)
+        H /= nrm[:, :, None, None]  # a gaussian draw's Hermitian part is 0 with probability 0
         starts[:, 1:] = H.transpose(1, 0, 2, 3)
 
     def stop(prev, v, old, new):
@@ -963,18 +955,17 @@ def trilinear_norm_lower(
 
 
 @lru_cache(maxsize=8)
-def _net_frame(N: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The net-invariant arrays of the net upper bound at (N, eps), read-only.
+def _net_frame(eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The net-invariant arrays of the net upper bound at eps, read-only.
 
-    E stacks the flattened elements of every projector net, (m, N^2) in
-    row-major (i, i'); trace[p] = -tr(E[p]) vec I ⊗ vec I is the trace term
-    -vec I ⊗ vec I ⊗ vec I contracted with E[p].
+    E stacks the flattened elements of both projector nets on C^2, (m, 4)
+    in row-major (i, i'); trace[p] = -tr(E[p]) vec I ⊗ vec I is the trace
+    term -vec I ⊗ vec I ⊗ vec I contracted with E[p].
     """
     from . import nets
 
-    E = np.concatenate([nets.projector_net(N, k, eps).elements for k in range(1, N + 1)])
-    E = E.reshape(-1, N * N)
-    vec_i = np.eye(N).reshape(-1)
+    E = np.concatenate([nets.projector_net(k, eps) for k in (1, 2)]).reshape(-1, 4)
+    vec_i = np.eye(2).reshape(-1)
     trace = -(E @ vec_i)[:, None, None] * np.outer(vec_i, vec_i)
     E.setflags(write=False)
     trace.setflags(write=False)
@@ -986,7 +977,7 @@ def _net_forms(T: Tensor3, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     M1, (m, N^2, N^2), one per first factor; and their pruning bounds
     sigma_max(M1[p]), from one stacked `eigvalsh` of the Grams M1[p]^H M1[p]."""
     N = T.N
-    E, trace = _net_frame(N, eps)
+    E, trace = _net_frame(eps)
     # the unmasked g g^T with each player's index pair (i, i') adjacent, so
     # <g| X⊗Y⊗Z |g> pairs it with the flattened factors; tr X = <vec I, vec X>,
     # so folding the trace term into it makes the deviation one trilinear form
@@ -1021,7 +1012,7 @@ def trilinear_norm_upper_net(T: Tensor3, eps: float) -> float:
     whose bound, with the same margin, exceeds it.  A skipped triple's
     deviation is at most its bound, and the margin covers the rounding of
     bound and value, so the skipped triples cannot raise the maximum.  The
-    nets and the arrays built from them alone are made once per (N, eps).
+    nets and the arrays built from them alone are made once per eps.
     """
     if T.N != 2:
         raise ScaleError("net upper bound is only certified at N = 2")

@@ -66,7 +66,7 @@ def test_criterion_02_pauli_strategy_identity():
             T = sample_tensor(n, SamplerConfig(seed=row_seed(2, n, idx)))
             sn = spectral_norm(T)
             lam, psi = top_eigenpair(T)
-            table = fourier(T).coefficients
+            table = fourier(T)
             w = pauli_expectations(n, psi)
             err = abs(complex(np.sum(table * w)) - N**3 * sn) / (N**3 * sn)
             worst = max(worst, err)
@@ -85,7 +85,7 @@ def test_criterion_03_fourier_round_trip_and_parseval():
             back = inverse_fourier(table)
             worst_rt = max(worst_rt, float(np.abs(back.matrix - T.matrix).max()))
             fro2 = T.frobenius_norm() ** 2
-            pars = abs(float(np.sum(np.abs(table.coefficients) ** 2)) - N**3 * fro2)
+            pars = abs(float(np.sum(np.abs(table) ** 2)) - N**3 * fro2)
             worst_pars = max(worst_pars, pars / (N**3 * fro2))
     ok = worst_rt <= 1e-9 and worst_pars <= 1e-8
     verdict(
@@ -127,11 +127,11 @@ def test_criterion_04_lorentz_decomposition():
 def test_criterion_05_net_covering():
     eps = 0.5
     rng = np.random.default_rng(5)
-    net1 = projector_net(2, 1, eps)
-    net2 = projector_net(2, 2, eps)
+    net1 = projector_net(1, eps)
+    net2 = projector_net(2, eps)
     elems = {
-        1: np.array([M.reshape(-1) for M in net1.elements]),
-        2: np.array([M.reshape(-1) for M in net2.elements]),
+        1: np.array([M.reshape(-1) for M in net1]),
+        2: np.array([M.reshape(-1) for M in net2]),
     }
     proj_failures = 0
     worst1 = 0.0
@@ -160,7 +160,7 @@ def test_criterion_05_net_covering():
                 X, k = np.eye(2) / np.sqrt(2.0), 2
             factors.append(X)
             i = int(np.argmin(np.sum(np.abs(elems[k] - X.reshape(-1)) ** 2, axis=1)))
-            approx.append(nets[k].elements[i])
+            approx.append(nets[k][i])
         prod = np.kron(np.kron(factors[0], factors[1]), factors[2])
         tilde = np.kron(np.kron(approx[0], approx[1]), approx[2])
         d = float(np.linalg.norm(prod - tilde))

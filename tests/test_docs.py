@@ -61,3 +61,20 @@ def test_benchmark_traced_names_exist():
         mod = importlib.import_module(f"xorgap.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"xorgap.{module}.{name}"
+
+
+def test_benchmark_cached_functions_keep_cache_info():
+    # the traced benchmark counts cache misses by calling cache_info on each
+    # function of its `_cached` map, so each must stay lru_cache'd; the file
+    # is read as text, never imported
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text(encoding="utf-8"))
+    (cached,) = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "attr", None) == "_cached"
+    ]
+    assert cached.values
+    for value in cached.values:
+        module, name = value.value.id, value.attr
+        fn = getattr(importlib.import_module(f"xorgap.{module}"), name, None)
+        assert callable(getattr(fn, "cache_info", None)), f"xorgap.{module}.{name}"

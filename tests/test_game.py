@@ -172,7 +172,7 @@ class TestXorGameType:
 
 def assert_built_from_real_table(rep, T):
     """pi and signs are the l1-normalized real coefficient table of hermitize(T)."""
-    coeff = fourier(hermitize(T)).coefficients.real
+    coeff = fourier(hermitize(T)).real
     l1 = np.abs(coeff).sum()
     assert rep.l1_norm == l1
     assert np.array_equal(rep.game.pi, np.abs(coeff) / l1)
@@ -221,7 +221,7 @@ class TestGameFromTensor:
         basis = build_basis(1)
         coeffs = np.zeros((4, 4, 4))
         for p, q, r in itertools.product(range(4), repeat=3):
-            K = np.kron(np.kron(basis.elements[p], basis.elements[q]), basis.elements[r])
+            K = np.kron(np.kron(basis[p], basis[q]), basis[r])
             coeffs[p, q, r] = np.sum(T.matrix * K.conj()).real
         l1 = np.abs(coeffs).sum()
         assert rep.l1_norm == pytest.approx(l1, rel=1e-12)
@@ -253,7 +253,7 @@ class TestGameFromTensor:
         T = sample_tensor(1, SamplerConfig(distribution="bernoulli", seed=11))
         H = hermitize(T)
         lam, psi = top_eigenpair(H)
-        table = fourier(H).coefficients
+        table = fourier(H)
         w = pauli_expectations(1, psi)
         assert complex(np.sum(table * w)) == pytest.approx(8.0 * lam, rel=1e-10)
 
@@ -418,7 +418,8 @@ class TestClassicalHeuristic:
         T = sample_tensor(n, SamplerConfig(seed=row_seed(0, n, 2)))
         rep = game_from_tensor(T)
         Q = rep.game.Q
-        diagonal = np.array([set(label) <= {"I", "Z"} for label in build_basis(n).labels])
+        labels = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
+        diagonal = np.array([set(label) <= {"I", "Z"} for label in labels])
         rng = np.random.default_rng(80 + n)
         full = rng.choice([-1.0, 1.0], (3, 4, Q))
         masked = full * diagonal
@@ -711,7 +712,7 @@ class TestEntangledEval:
         assert B.shape == (2, 2, 2) and B.dtype == np.complex128 and not B.flags.writeable
         X[:] = I2
         assert np.array_equal(B, [[[0, 1], [1, 0]], np.eye(2)])
-        E = build_basis(2).elements
+        E = build_basis(2)
         shared = pauli_strategy(sample_tensor(2, SamplerConfig(seed=1)))
         assert all(obs is E for obs in shared.observables)
 
@@ -782,7 +783,7 @@ class TestPauliStrategy:
     def test_all_ones_override_prenormalization_value(self):
         T = Tensor3(1, raw_g=np.ones(8))
         H = hermitize(T)
-        table = fourier(H).coefficients.real
+        table = fourier(H).real
         _, psi = top_eigenpair(H)
         w = pauli_expectations(1, psi)
         assert float(np.sum(table * w)) == pytest.approx(8.0, rel=1e-10)
@@ -793,7 +794,7 @@ class TestPauliStrategy:
             T = sample_tensor(n, SamplerConfig(seed=42))
             H = hermitize(T)
             lam, psi = top_eigenpair(H)
-            table = fourier(H).coefficients
+            table = fourier(H)
             w = pauli_expectations(n, psi)
             total = complex(np.sum(table * w))
             assert total == pytest.approx(N**3 * lam, rel=1e-12)
@@ -827,7 +828,7 @@ class TestPauliStrategy:
         H = hermitize(T)
         rep = game_from_tensor(T)
         C = rep.game.cost
-        basis = np.array(build_basis(1).elements)
+        basis = np.array(build_basis(1))
         signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
         aggregates = np.einsum("cp,pab->cab", signs, basis)
         fro = np.linalg.norm(aggregates, axis=(1, 2))

@@ -21,6 +21,12 @@ def random_unit_hermitian(rng, N):
     return H / np.linalg.norm(H)
 
 
+def nearest_distance(points, v):
+    """The Frobenius distance from v to the nearest of a stack of points."""
+    d2 = np.sum(np.abs(points.reshape(len(points), -1) - v.reshape(1, -1)) ** 2, axis=1)
+    return float(np.sqrt(d2.min()))
+
+
 def oracle_sphere_net(N, eps, seed, window=PACKING_WINDOW, events=None):
     """Greedy packing one candidate at a time, rebuilding the kept array on
     every acceptance; appends (batch, candidate, accepted) to `events`."""
@@ -81,7 +87,7 @@ class TestSphereNet:
     def test_matches_per_candidate_oracle(self, eps):
         # screening a batch at once keeps the sequential accept rule exactly
         for seed in (0, 1, 7):
-            assert np.array_equal(sphere_net(2, eps, seed=seed).points, oracle_sphere_net(2, eps, seed))
+            assert np.array_equal(sphere_net(eps, seed=seed), oracle_sphere_net(2, eps, seed))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_window_ends_mid_batch_after_acceptances(self, monkeypatch, seed):
@@ -96,52 +102,46 @@ class TestSphereNet:
         accepted = [(b, j) for b, j, ok in events if ok]
         assert accepted[-1][0] == b_stop and j_stop < 255  # the case this test is for
         monkeypatch.setattr(nets, "PACKING_WINDOW", window)
-        assert np.array_equal(sphere_net.__wrapped__(2, 0.5, seed).points, want)
+        assert np.array_equal(sphere_net.__wrapped__(0.5, seed), want)
 
     @pytest.mark.parametrize("eps", [0.5 / np.sqrt(2.0), 0.5], ids=["2-sweep", "2-0.5"])
     def test_gemm_screen_keeps_exact_points(self, eps):
         # the GEMM screen only rejects what the exact sum rejects as well
         for seed in (0, 1, 7):
-            assert np.array_equal(sphere_net(2, eps, seed=seed).points, exact_screen_sphere_net(2, eps, seed))
+            assert np.array_equal(sphere_net(eps, seed=seed), exact_screen_sphere_net(2, eps, seed))
 
     def test_points_are_unit(self):
-        S = sphere_net(2, 0.5, seed=1)
-        assert np.abs(np.linalg.norm(S.points, axis=1) - 1.0).max() <= 1e-12
+        S = sphere_net(0.5, seed=1)
+        assert S.shape == (len(S), 2) and not S.flags.writeable
+        assert np.abs(np.linalg.norm(S, axis=1) - 1.0).max() <= 1e-12
 
     def test_packing_separation(self):
-        S = sphere_net(2, 0.5, seed=1)
-        P = S.points
-        for i in range(len(S)):
+        P = sphere_net(0.5, seed=1)
+        for i in range(len(P)):
             d2 = np.sum(np.abs(P - P[i]) ** 2, axis=1)
             d2[i] = np.inf
             assert np.sqrt(d2.min()) > 0.5
 
     def test_complex_dim2_covering(self):
-        S = sphere_net(2, 0.5, seed=0)
+        S = sphere_net(0.5, seed=0)
         rng = np.random.default_rng(4)
-        worst = max(S.nearest_distance(random_unit(rng, 2)) for _ in range(10_000))
+        worst = max(nearest_distance(S, random_unit(rng, 2)) for _ in range(10_000))
         assert worst <= 0.5
 
     def test_deterministic(self):
-        assert np.array_equal(sphere_net(2, 0.5, seed=7).points, sphere_net(2, 0.5, seed=7).points)
-
-    def test_dimension_guard(self):
-        # C^2 is the one dimension built
-        for N, eps in ((1, 1.0), (3, 0.5), (4, 0.9), (5, 0.5)):
-            with pytest.raises(ScaleError, match="complex dimension 2"):
-                sphere_net(N, eps)
+        assert np.array_equal(sphere_net(0.5, seed=7), sphere_net(0.5, seed=7))
 
     def test_eps_guard(self):
         with pytest.raises(ValueError):
-            sphere_net(2, 0.0)
+            sphere_net(0.0)
 
-    @pytest.mark.parametrize("N,eps", [(2, 1e-300), (2, 0.15 / np.sqrt(2.0))])
-    def test_packing_size_guard(self, N, eps):
-        # a packing whose volumetric bound (1 + 2/eps)^(2N) exceeds 1e5 would
+    @pytest.mark.parametrize("eps", [1e-300, 0.15 / np.sqrt(2.0)], ids=["2-1e-300", "2-0.10606601717798211"])
+    def test_packing_size_guard(self, eps):
+        # a packing whose volumetric bound (1 + 2/eps)^4 exceeds 1e5 would
         # wait ever longer for its window of rejections; it fails at once
         start = time.perf_counter()
         with pytest.raises(ScaleError, match="use a larger eps"):
-            sphere_net(N, eps)
+            sphere_net(eps)
         assert time.perf_counter() - start < 1.0
 
     def test_packing_size_guard_on_the_net_bound(self):
@@ -155,9 +155,9 @@ class TestSphereNet:
 class TestProjectorNet:
     def test_elements_are_normalized_projectors(self):
         for k in (1, 2):
-            net = projector_net(2, k, 0.5, seed=0)
-            assert net.elements.shape == (len(net), 2, 2) and not net.elements.flags.writeable
-            for X in net.elements:
+            net = projector_net(k, 0.5, seed=0)
+            assert net.shape == (len(net), 2, 2) and not net.flags.writeable
+            for X in net:
                 assert np.abs(X - X.conj().T).max() <= 1e-12
                 assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-10)
                 P = np.sqrt(k) * X
@@ -165,22 +165,22 @@ class TestProjectorNet:
                 assert np.linalg.matrix_rank(P, tol=1e-10) == k
 
     def test_net_member_distance_zero(self):
-        net = projector_net(2, 1, 0.5, seed=0)
-        assert net.nearest_distance(net.elements[3]) == pytest.approx(0.0, abs=1e-12)
+        net = projector_net(1, 0.5, seed=0)
+        assert nearest_distance(net, net[3]) == pytest.approx(0.0, abs=1e-12)
 
     def test_rank1_covering(self):
-        net = projector_net(2, 1, 0.5, seed=0)
+        net = projector_net(1, 0.5, seed=0)
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(10_000):
             v = random_unit(rng, 2)
-            worst = max(worst, net.nearest_distance(np.outer(v, v.conj())))
+            worst = max(worst, nearest_distance(net, np.outer(v, v.conj())))
         assert worst <= 0.5
 
     def test_rank2_net_contains_normalized_identity(self):
-        net = projector_net(2, 2, 0.5, seed=0)
+        net = projector_net(2, 0.5, seed=0)
         target = np.eye(2) / np.sqrt(2.0)
-        assert net.nearest_distance(target) <= 1e-9
+        assert nearest_distance(net, target) <= 1e-9
 
     @pytest.mark.parametrize("eps", [0.5, 0.8])
     @pytest.mark.parametrize("k", [1, 2])
@@ -190,7 +190,7 @@ class TestProjectorNet:
         # subset order
         from itertools import combinations
 
-        pts = sphere_net(2, eps / np.sqrt(2.0), seed=0).points
+        pts = sphere_net(eps / np.sqrt(2.0), seed=0)
         subsets = np.array(list(combinations(range(len(pts)), k)))
         Q, R = np.linalg.qr(pts[subsets].transpose(0, 2, 1))
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
@@ -201,43 +201,43 @@ class TestProjectorNet:
         seen = {}
         for key, P in zip(map(tuple, keys.tolist()), spans):
             seen.setdefault(key, P)
-        net = projector_net(2, k, eps, seed=0)
-        assert len(net.elements) == len(seen)
-        for X, P in zip(net.elements, seen.values()):
+        net = projector_net(k, eps, seed=0)
+        assert len(net) == len(seen)
+        for X, P in zip(net, seen.values()):
             assert np.abs(X - P).max() <= 1e-15
 
     def test_full_rank_net_is_normalized_identity_without_sphere_net(self):
         # no sphere-net call at all, so not even a cached one is looked up
         projector_net.cache_clear()
         hits, misses = sphere_net.cache_info()[:2]
-        net = projector_net(2, 2, 0.5, seed=0)
+        net = projector_net(2, 0.5, seed=0)
         assert projector_net.cache_info().misses == 1
         assert sphere_net.cache_info()[:2] == (hits, misses)
-        assert len(net.elements) == 1
-        assert np.array_equal(net.elements[0], np.eye(2) / np.sqrt(2.0))
+        assert len(net) == 1
+        assert np.array_equal(net[0], np.eye(2) / np.sqrt(2.0))
 
     def test_scale_guard(self):
-        with pytest.raises(ScaleError):
-            projector_net(3, 1, 0.5)
-        with pytest.raises(ValueError):
-            projector_net(2, 3, 0.5)
+        # a projector on C^2 has rank 1 or 2
+        for k in (0, -1, 3, 4, 1.5):
+            with pytest.raises(ValueError, match="k must be 1 or 2"):
+                projector_net(k, 0.5)
 
 
 class TestTripleNet:
     def test_count_matches_product_formula(self):
         eps = 0.8
-        sizes = {k: len(projector_net(2, k, eps, seed=0)) for k in (1, 2)}
+        sizes = {k: len(projector_net(k, eps, seed=0)) for k in (1, 2)}
         want = sum(
             sizes[k] * sizes[l] * sizes[m]
             for k in (1, 2)
             for l in (1, 2)
             for m in (1, 2)
         )
-        assert triple_net_size(2, eps, seed=0) == want
+        assert triple_net_size(eps, seed=0) == want
 
     def test_product_covering(self):
         eps = 0.5
-        nets = {k: projector_net(2, k, eps, seed=0) for k in (1, 2)}
+        nets = {k: projector_net(k, eps, seed=0) for k in (1, 2)}
         rng = np.random.default_rng(6)
         worst = 0.0
         for _ in range(1000):
@@ -252,9 +252,9 @@ class TestTripleNet:
                     k = 2
                 factors.append(X)
                 net = nets[k]
-                E = net.elements.reshape(len(net), -1)
+                E = net.reshape(len(net), -1)
                 i = int(np.argmin(np.sum(np.abs(E - X.reshape(-1)) ** 2, axis=1)))
-                approx.append(net.elements[i])
+                approx.append(net[i])
             prod = np.kron(np.kron(factors[0], factors[1]), factors[2])
             tilde = np.kron(np.kron(approx[0], approx[1]), approx[2])
             worst = max(worst, float(np.linalg.norm(prod - tilde)))

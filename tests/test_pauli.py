@@ -14,11 +14,16 @@ Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def pauli_labels(n):
+    """The n-qubit Pauli strings in the basis order, leftmost qubit first."""
+    return tuple("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
+
+
 class TestBasis:
     def test_single_qubit_matrices(self):
         basis = build_basis(1)
-        assert basis.labels == ("I", "X", "Y", "Z")
-        for got, want in zip(basis.elements, (I2, X2, Y2, Z2)):
+        assert pauli_labels(1) == ("I", "X", "Y", "Z")
+        for got, want in zip(basis, (I2, X2, Y2, Z2)):
             assert np.array_equal(got, want)
 
     def test_two_qubit_orthogonality(self):
@@ -26,8 +31,8 @@ class TestBasis:
         assert len(basis) == 16
         G = np.array(
             [
-                [np.trace(P @ Q.conj().T) for Q in basis.elements]
-                for P in basis.elements
+                [np.trace(P @ Q.conj().T) for Q in basis]
+                for P in basis
             ]
         )
         assert np.abs(G - 4.0 * np.eye(16)).max() <= 1e-12
@@ -35,17 +40,17 @@ class TestBasis:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_elements_are_observables(self, n):
         basis = build_basis(n)
-        N = basis.N
-        assert np.array_equal(basis.elements[0], np.eye(N))
-        for E in basis.elements:
+        N = 2**n
+        assert np.array_equal(basis[0], np.eye(N))
+        for E in basis:
             assert np.abs(E - E.conj().T).max() == 0
             assert np.abs(E @ E - np.eye(N)).max() <= 1e-12
 
     def test_lexicographic_order_leftmost_significant(self):
-        basis = build_basis(2)
-        assert basis.labels[:4] == ("II", "IX", "IY", "IZ")
-        assert basis.labels[4] == "XI"
-        assert np.array_equal(basis.elements[4], np.kron(X2, I2))
+        basis, labels = build_basis(2), pauli_labels(2)
+        assert labels[:4] == ("II", "IX", "IY", "IZ")
+        assert labels[4] == "XI"
+        assert np.array_equal(basis[4], np.kron(X2, I2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stack_matches_kron_chain(self, n):
@@ -60,9 +65,9 @@ class TestBasis:
             want.append(M)
             labels.append("".join("IXYZ"[d] for d in digits))
         basis = build_basis(n)
-        assert isinstance(basis.elements, np.ndarray) and not basis.elements.flags.writeable
-        assert np.array_equal(basis.elements, np.array(want))
-        assert basis.labels == tuple(labels)
+        assert isinstance(basis, np.ndarray) and not basis.flags.writeable
+        assert np.array_equal(basis, np.array(want))
+        assert pauli_labels(n) == tuple(labels)
 
     def test_qubit_range_guard(self):
         with pytest.raises(ValueError, match="dense Pauli basis"):
@@ -78,24 +83,24 @@ class TestBasis:
         from xorgap.pauli import _plan
 
         plan = _plan(n)
-        basis = build_basis(n)
-        N = basis.N
+        basis, labels = build_basis(n), pauli_labels(n)
+        N = 2**n
         a = np.arange(N)
         parity = np.array([[bin(z & b).count("1") % 2 for b in a] for z in a])
         assert np.array_equal(plan.H, 1.0 - 2.0 * parity)
-        assert np.array_equal(plan.y, [label.count("Y") for label in basis.labels])
+        assert np.array_equal(plan.y, [label.count("Y") for label in labels])
         assert np.array_equal(plan.pick[plan.place], np.arange(N * N))
         for p in range(N * N):
             want = np.zeros((N, N), dtype=complex)
             want[a, a ^ plan.x[p]] = plan.phase[p] * plan.H[plan.z[p], a ^ plan.x[p]]
-            assert np.array_equal(basis.elements[p].conj(), want), basis.labels[p]
+            assert np.array_equal(basis[p].conj(), want), labels[p]
 
 
 class TestFourier:
     def test_identity_tensor_single_peak(self):
         for n in (1, 2):
             N = 2**n
-            F = fourier(Tensor3(n, np.eye(N**3))).coefficients
+            F = fourier(Tensor3(n, np.eye(N**3)))
             assert F[0, 0, 0] == pytest.approx(N**3, rel=1e-12)
             F2 = F.copy()
             F2[0, 0, 0] = 0
@@ -105,8 +110,8 @@ class TestFourier:
         n, N = 1, 2
         basis = build_basis(n)
         p0, q0, r0 = 1, 2, 3  # X, Y, Z
-        M = np.kron(np.kron(basis.elements[p0], basis.elements[q0]), basis.elements[r0])
-        F = fourier(Tensor3(n, M)).coefficients
+        M = np.kron(np.kron(basis[p0], basis[q0]), basis[r0])
+        F = fourier(Tensor3(n, M))
         assert F[p0, q0, r0] == pytest.approx(N**3, rel=1e-12)
         F2 = F.copy()
         F2[p0, q0, r0] = 0
@@ -115,19 +120,19 @@ class TestFourier:
     def test_matches_direct_inner_products(self):
         T = sample_tensor(1, SamplerConfig(seed=5))
         basis = build_basis(1)
-        F = fourier(T).coefficients
+        F = fourier(T)
         rng = np.random.default_rng(0)
         for _ in range(20):
             p, q, r = rng.integers(0, 4, 3)
             K = np.kron(
-                np.kron(basis.elements[p], basis.elements[q]), basis.elements[r]
+                np.kron(basis[p], basis[q]), basis[r]
             )
             direct = np.sum(T.matrix * K.conj())
             assert F[p, q, r] == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
     def test_parseval_random_tensor(self):
         T = sample_tensor(1, SamplerConfig(seed=42))
-        F = fourier(T).coefficients
+        F = fourier(T)
         assert np.sum(np.abs(F) ** 2) == pytest.approx(
             8.0 * T.frobenius_norm() ** 2, rel=1e-12
         )
@@ -137,8 +142,8 @@ class TestFourier:
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         B = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         a, b = rng.standard_normal(2)
-        lhs = fourier(Tensor3(1, a * A + b * B)).coefficients
-        rhs = a * fourier(Tensor3(1, A)).coefficients + b * fourier(Tensor3(1, B)).coefficients
+        lhs = fourier(Tensor3(1, a * A + b * B))
+        rhs = a * fourier(Tensor3(1, A)) + b * fourier(Tensor3(1, B))
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -147,18 +152,17 @@ class TestFourier:
         # built matrix with the dense basis; odd-Y triples and I/Z-only
         # strings (the collision entries) come out exactly 0
         N = 2**n
-        basis = build_basis(n)
-        B = basis.elements.conj()
-        y = np.array([label.count("Y") for label in basis.labels])
+        B, labels = build_basis(n).conj(), pauli_labels(n)
+        y = np.array([label.count("Y") for label in labels])
         odd = (y[:, None, None] + y[:, None] + y) % 2 == 1
-        iz = np.array([set(label) <= set("IZ") for label in basis.labels])
+        iz = np.array([set(label) <= set("IZ") for label in labels])
         tensors = (
             sample_tensor(n, SamplerConfig(seed=n)),
             sample_tensor(n, SamplerConfig(distribution="bernoulli", seed=n)),
             Tensor3(n, raw_g=np.ones(N**3)),
         )
         for T in tensors:
-            got = fourier(T).coefficients
+            got = fourier(T)
             want = np.einsum("pia,qjb,rkc,ijkabc->pqr", B, B, B, T.matrix.reshape((N,) * 6), optimize=True)
             assert got.dtype == np.float64 and got.shape == (N * N,) * 3
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -173,10 +177,10 @@ class TestFourier:
         D = 8**n
         rng = np.random.default_rng(50 + n)
         M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        N, B = 2**n, build_basis(n).elements.conj()
+        N, B = 2**n, build_basis(n).conj()
         for T in (Tensor3(n, M), Tensor3(n, (M + M.conj().T) / 2.0), hermitize(Tensor3(n, M))):
             want = np.einsum("pia,qjb,rkc,ijkabc->pqr", B, B, B, T.matrix.reshape((N,) * 6), optimize=True)
-            got = fourier(T).coefficients
+            got = fourier(T)
             assert got.shape == want.shape and got.dtype == np.complex128
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -191,7 +195,7 @@ class TestFourier:
         rng = np.random.default_rng(70 + n)
         M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         for T in (Tensor3(n, M), hermitize(Tensor3(n, M)), sample_tensor(n, SamplerConfig(seed=n))):
-            C = fourier(T).coefficients
+            C = fourier(T)
             planes = np.stack([C.real, C.imag]) if not T.is_hermitian() else C.real
             assert np.array_equal(_pauli_table(T), planes / T.N**1.5)
 
@@ -221,12 +225,12 @@ class TestFourier:
         Q = 4**n
         monkeypatch.setattr(pauli, "_BLOCK_BYTES", 16 * Q * Q * step)
         T = sample_tensor(n, SamplerConfig(seed=60 + n))
-        B = build_basis(n).elements.conj()
+        B = build_basis(n).conj()
         want = np.einsum("pia,qjb,rkc,ijkabc->pqr", B, B, B, T.matrix.reshape((T.N,) * 6), optimize=True)
         slabs = list(pauli._rank_one_slabs(n, T.raw_g, True))
         assert [ps.stop - ps.start for ps, _ in slabs] == [step] * (Q // step) + [Q % step] * (Q % step > 0)
         assert all(slab.shape == (ps.stop - ps.start, Q, Q) for ps, slab in slabs)
-        got = fourier(T).coefficients
+        got = fourier(T)
         assert np.array_equal(got, np.concatenate([slab for _, slab in slabs]))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -239,8 +243,8 @@ class TestFourier:
         T = sample_tensor(n, SamplerConfig(seed=64))
         p = 0b01_11_10_01
         ps, slab = next((ps, slab) for ps, slab in pauli._rank_one_slabs(n, T.raw_g, True) if ps.start == p)
-        assert ps == slice(p, p + 1) and build_basis(n).labels[p] == "XZYX"
-        E = build_basis(n).elements.conj()
+        assert ps == slice(p, p + 1) and pauli_labels(n)[p] == "XZYX"
+        E = build_basis(n).conj()
         N = 16
         off = 1.0 - np.eye(N)
         G = T.raw_g.reshape(N, N * N)
@@ -253,7 +257,7 @@ class TestFourier:
 
     def test_hermitian_tensor_has_real_coefficients(self):
         T = sample_tensor(1, SamplerConfig(seed=3))
-        F = fourier(T).coefficients
+        F = fourier(T)
         assert np.abs(F.imag).max() <= 1e-10 * max(1.0, np.abs(F.real).max())
 
 
@@ -287,19 +291,23 @@ class TestCoordinatePair:
 
 class TestInverse:
     def test_zero_table_round_trip(self):
-        from xorgap.pauli import FourierTable
-
-        F = FourierTable(n=1, N=2, coefficients=np.zeros((4, 4, 4), dtype=complex))
-        T = inverse_fourier(F)
+        T = inverse_fourier(np.zeros((4, 4, 4), dtype=complex))
         assert np.abs(T.matrix).max() == 0
 
     def test_single_identity_peak_gives_identity(self):
-        from xorgap.pauli import FourierTable
-
         C = np.zeros((4, 4, 4), dtype=complex)
         C[0, 0, 0] = 8.0
-        T = inverse_fourier(FourierTable(n=1, N=2, coefficients=C))
+        T = inverse_fourier(C)
         assert np.abs(T.matrix - np.eye(8)).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(), (4, 4), (4, 4, 8), (4, 4, 4, 4), (1, 1, 1), (2, 2, 2), (8, 8, 8)])
+    def test_misshaped_table_raises_dimension_error(self, shape):
+        # only a (4^n,)*3 table with n >= 1 is a coefficient table; anything
+        # else is refused in one line before any transform runs
+        from xorgap import DimensionError
+
+        with pytest.raises(DimensionError, match=r"^a coefficient table must have shape \(4\^n,\)\*3 with n >= 1, got "):
+            inverse_fourier(np.zeros(shape))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_round_trip(self, n):
@@ -327,7 +335,7 @@ class TestExpectations:
         basis = build_basis(1)
         for _ in range(10):
             p, q, r = rng.integers(0, 4, 3)
-            K = np.kron(np.kron(basis.elements[p], basis.elements[q]), basis.elements[r])
+            K = np.kron(np.kron(basis[p], basis[q]), basis[r])
             assert w[p, q, r] == pytest.approx((psi.conj() @ K @ psi).real, abs=1e-12)
 
     def test_whole_tables_refuse_n5(self):
@@ -357,7 +365,7 @@ class TestExpectations:
         psi = rng.standard_normal(8**n) + 1j * rng.standard_normal(8**n)
         psi /= np.linalg.norm(psi)
         w = pauli_expectations(n, psi)
-        E = build_basis(n).elements
+        E = build_basis(n)
         assert w.shape == (4**n,) * 3 and w.dtype == np.float64
         for p, q, r in rng.integers(0, 4**n, (20, 3)):
             K = np.kron(np.kron(E[p], E[q]), E[r])

@@ -393,8 +393,8 @@ class TestVerifySuites:
         # packs a net of another size than seed 0 does
         from xorgap.nets import sphere_net
 
-        size = len(sphere_net(2, 0.5, seed=3))
-        assert size != len(sphere_net(2, 0.5, seed=0))
+        size = len(sphere_net(0.5, seed=3))
+        assert size != len(sphere_net(0.5, seed=0))
         assert main(["verify", "--suite", "nets", "--seed", "3"]) == 0
         printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("sphere net cardinality")]
         assert len(printed) == 2

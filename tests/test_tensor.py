@@ -354,10 +354,10 @@ class TestSampling:
         # the inverse Pauli transform builds its matrix in a buffer of its
         # own, read-only, and leaves the table it reads as it was
         table = fourier(T)
-        coefficients = table.coefficients.copy()
+        coefficients = table.copy()
         F = inverse_fourier(table)
-        assert not F.matrix.flags.writeable and not np.may_share_memory(F.matrix, table.coefficients)
-        assert np.array_equal(table.coefficients, coefficients)
+        assert not F.matrix.flags.writeable and not np.may_share_memory(F.matrix, table)
+        assert np.array_equal(table, coefficients)
         assert np.abs(F.matrix - want_M).max() <= 1e-12 * np.abs(want_M).max()
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -1124,7 +1124,7 @@ def _dense_qubit_table(T):
     """The Pauli table of T's matrix view over N^{3/2}, by the dense basis."""
     from xorgap.pauli import build_basis
 
-    Bc = build_basis(1).elements.conj()
+    Bc = build_basis(1).conj()
     C = np.einsum("pia,qjb,rkc,ijkabc->pqr", Bc, Bc, Bc, T.matrix.reshape((2,) * 6)) / 2**1.5
     assert np.abs(C.imag).max() <= 1e-15 * max(1.0, np.abs(C).max())
     return C.real
@@ -1244,7 +1244,7 @@ def _exhaustive_net_upper(T, eps):
     from xorgap.nets import projector_net
 
     g, N = T.raw_g, T.N
-    E = np.array([M.reshape(-1) for k in (1, 2) for M in projector_net(N, k, eps).elements])
+    E = np.array([M.reshape(-1) for k in (1, 2) for M in projector_net(k, eps)])
     Wg = np.outer(g, g).reshape(N, N, N, N, N, N).transpose(0, 3, 1, 4, 2, 5)
     vec_i = np.eye(N).reshape(-1)
     Wg = Wg.reshape(N * N, N * N, N * N) - np.einsum("a,b,c->abc", vec_i, vec_i, vec_i)
@@ -1282,19 +1282,19 @@ class TestTrilinearUpperNet:
 
     def test_second_row_builds_no_net(self):
         # the nets and the arrays made from them alone are built once per
-        # (N, eps): a second n=1 row looks up neither net
+        # eps: a second n=1 row looks up neither net
         from xorgap import nets
         from xorgap.sweep import ROW_NET_EPS, compute_gap_row
         from xorgap.tensor import _net_frame
 
         compute_gap_row(1, 11)
         before = (nets.sphere_net.cache_info(), nets.projector_net.cache_info(), _net_frame.cache_info())
-        frame = _net_frame(2, ROW_NET_EPS)
+        frame = _net_frame(ROW_NET_EPS)
         compute_gap_row(1, 12)
         assert nets.sphere_net.cache_info() == before[0]
         assert nets.projector_net.cache_info() == before[1]
         assert _net_frame.cache_info().misses == before[2].misses
-        assert _net_frame(2, ROW_NET_EPS) is frame
+        assert _net_frame(ROW_NET_EPS) is frame
 
     def test_upper_dominates_lower_across_seeds(self):
         for seed in range(6):
@@ -1310,9 +1310,7 @@ class TestTrilinearUpperNet:
         eps = 0.9
         got = trilinear_norm_upper_net(T, eps)
         g = T.raw_g
-        elements = list(projector_net(2, 1, eps).elements) + list(
-            projector_net(2, 2, eps).elements
-        )
+        elements = list(projector_net(1, eps)) + list(projector_net(2, eps))
         Zs = np.array(elements)
         best = 0.0
         for X in elements:
